@@ -249,11 +249,12 @@ int Run(int argc, char** argv) {
     const ir::EngineStats es = compiled.engine()->stats();
     std::printf("compiled program: %zu prologue + %zu body instrs, %zu "
                 "slots, %zu planned frame bytes, %zu folded / %zu dce / "
-                "%zu fused\n",
+                "%zu fused, %zu body GEMM MACs per candidate\n",
                 es.prologue_instrs, es.body_instrs, es.slots,
                 (es.prologue_frame_floats + es.body_frame_floats) *
                     sizeof(float),
-                es.folded, es.dce_removed, es.fused);
+                es.folded, es.dce_removed, es.fused,
+                es.body_macs_per_candidate);
     json.Add("compiled_prologue_instrs",
              static_cast<double>(es.prologue_instrs));
     json.Add("compiled_body_instrs", static_cast<double>(es.body_instrs));
@@ -265,6 +266,8 @@ int Run(int argc, char** argv) {
     json.Add("compiled_folded", static_cast<double>(es.folded));
     json.Add("compiled_dce_removed", static_cast<double>(es.dce_removed));
     json.Add("compiled_fused", static_cast<double>(es.fused));
+    json.Add("compiled_body_macs_per_cand",
+             static_cast<double>(es.body_macs_per_candidate));
   }
 
   const RequestWorkload workload =
@@ -431,6 +434,8 @@ int Run(int argc, char** argv) {
     print_row("compiled op program (request)", "rq", compiled_path);
     std::printf("            arena speedup on the factored path: %.2fx\n",
                 factored.scores_per_sec / factored_noarena.scores_per_sec);
+    std::printf("            compiled vs factored: %.2fx\n",
+                compiled_path.scores_per_sec / factored.scores_per_sec);
     if (threads == thread_counts.front()) {
       json.Add("threads", static_cast<double>(threads));
       json.Add("catalog", static_cast<double>(num_candidates));
@@ -448,6 +453,8 @@ int Run(int argc, char** argv) {
       json.Add("compiled_scores_per_sec", compiled_path.scores_per_sec);
       json.Add("compiled_speedup_vs_taped",
                compiled_path.scores_per_sec / taped.scores_per_sec);
+      json.Add("compiled_vs_factored",
+               compiled_path.scores_per_sec / factored.scores_per_sec);
       json.Add("compiled_p50_ms", compiled_path.p50_ms);
       json.Add("compiled_p99_ms", compiled_path.p99_ms);
       json.Add("compiled_counts",

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "core/scratch_arena.h"
@@ -161,14 +162,17 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
       return true;
     }
     case OpKind::kConcatAxis1: {
-      const size_t batch = in[0]->dim(0), na = in[0]->dim(1),
+      // A batch-1 operand broadcasts over the output batch: compiled bodies
+      // read hoisted count-1 row blocks this way instead of a tiled copy.
+      const size_t batch = out->dim(0), na = in[0]->dim(1),
                    nb = in[1]->dim(1), d = in[0]->dim(2);
+      const size_t stride_a = in[0]->dim(0) == 1 ? 0 : na * d;
+      const size_t stride_b = in[1]->dim(0) == 1 ? 0 : nb * d;
       for (size_t i = 0; i < batch; ++i) {
         float* dst = out->BatchData(i);
-        const float* sa = in[0]->BatchData(i);
-        const float* sb = in[1]->BatchData(i);
-        for (size_t j = 0; j < na * d; ++j) dst[j] = sa[j];
-        for (size_t j = 0; j < nb * d; ++j) dst[na * d + j] = sb[j];
+        std::memcpy(dst, in[0]->data() + i * stride_a, na * d * sizeof(float));
+        std::memcpy(dst + na * d, in[1]->data() + i * stride_b,
+                    nb * d * sizeof(float));
       }
       return true;
     }
@@ -272,10 +276,27 @@ struct Frame {
   bool needs_unified = false;
 };
 
+struct FrameEntry {
+  std::weak_ptr<const int> program_alive;  // Program::liveness
+  std::unique_ptr<Frame> frame;
+};
+
+std::unordered_map<uint64_t, FrameEntry>& ThreadFrames() {
+  thread_local std::unordered_map<uint64_t, FrameEntry> frames;
+  return frames;
+}
+
 Frame* FrameFor(const Program& prog) {
-  thread_local std::unordered_map<uint64_t, std::unique_ptr<Frame>> frames;
+  auto& frames = ThreadFrames();
   auto it = frames.find(prog.uid);
-  if (it != frames.end()) return it->second.get();
+  if (it != frames.end()) return it->second.frame.get();
+
+  // A miss is the only time the map grows, so it is when frames of programs
+  // that no longer exist (reloaded engines, the losing body of a concurrent
+  // compile, self-check copies) are dropped. Hits stay allocation-free.
+  for (auto e = frames.begin(); e != frames.end();) {
+    e = e->second.program_alive.expired() ? frames.erase(e) : std::next(e);
+  }
 
   auto frame = std::make_unique<Frame>();
   frame->block =
@@ -300,7 +321,7 @@ Frame* FrameFor(const Program& prog) {
   if (frame->needs_unified) frame->uids.resize(prog.count * prog.n_unified);
 
   Frame* raw = frame.get();
-  frames.emplace(prog.uid, std::move(frame));
+  frames.emplace(prog.uid, FrameEntry{prog.liveness, std::move(frame)});
   return raw;
 }
 
@@ -477,6 +498,31 @@ void RunProgram(const Program& prog, Frame* f,
       }
     }
   }
+}
+
+/// Multiply-accumulates one execution of \p prog performs in its GEMM-kind
+/// instructions: output size times contraction length.
+size_t GemmMacs(const Program& prog) {
+  size_t macs = 0;
+  for (const Instr& ins : prog.instrs) {
+    size_t k = 0;
+    switch (ins.kind) {
+      case OpKind::kMatMul:     // [m, k] x [k, n]
+      case OpKind::kBmmShared:  // [b, m, k] x [k, n]
+        k = prog.values[ins.in[0]].shape.back();
+        break;
+      case OpKind::kBmm:
+        k = prog.values[ins.in[0]].shape[ins.trans_a ? 1 : 2];
+        break;
+      case OpKind::kBmmLeftShared:  // [h2, h] x [b, h, d]
+        k = prog.values[ins.in[0]].shape[1];
+        break;
+      default:
+        continue;
+    }
+    macs += prog.values[ins.out].size() * k;
+  }
+  return macs;
 }
 
 bool BindingReadsCandidate(const IndexBinding& b) {
@@ -673,12 +719,13 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
   }
   std::vector<tensor::Tensor> slots;
   slots.reserve(f.prologue.slot_outputs.size());
-  for (uint32_t id : f.prologue.slot_outputs) {
-    if (!BitEqual(pf->locals[id], t1.value_nodes[id]->value)) {
+  for (size_t pos = 0; pos < f.prologue.slot_outputs.size(); ++pos) {
+    const tensor::Tensor& got = pf->locals[f.prologue.slot_outputs[pos]];
+    if (!BitEqual(got, f.slot_refs[pos])) {
       *error = "compile: prologue slot diverges from traced forward";
       return false;
     }
-    slots.push_back(pf->locals[id]);  // deep copy
+    slots.push_back(got);  // deep copy
   }
 
   // Self-check, body half: replay it over the probe candidates against the
@@ -773,6 +820,7 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
       stats_.slots = f.prologue.slot_outputs.size();
       stats_.prologue_frame_floats = f.prologue.frame_floats;
       stats_.body_frame_floats = f.body.frame_floats;
+      stats_.body_macs_per_candidate = GemmMacs(f.body) / count;
       prologue_ = std::move(f.prologue);
     }
     if (bodies_.find(count) == bodies_.end()) {
@@ -855,6 +903,8 @@ bool Engine::ScoreRange(const core::SharedContext& ctx,
   std::memcpy(out, bf->locals[body->output].data(), count * sizeof(float));
   return true;
 }
+
+size_t ThreadFrameCount() { return ThreadFrames().size(); }
 
 EngineStats Engine::stats() const {
   util::OrderedMutexLock lock(mu_);

@@ -50,7 +50,14 @@ struct EngineStats {
   size_t dce_removed = 0;        // dead instructions removed (both halves)
   size_t fused = 0;              // elementwise links aliased in place
   size_t compiled_counts = 0;    // distinct candidate counts compiled so far
+  /// GEMM-kind multiply-accumulates (matmul, bmm, bmm_shared,
+  /// bmm_left_shared) the initial body spends per candidate, from shapes.
+  size_t body_macs_per_candidate = 0;
 };
+
+/// Number of execution frames the calling thread holds. Frames of destroyed
+/// programs are dropped the next time the thread needs a new frame.
+size_t ThreadFrameCount();
 
 /// A compiled serving program for one model. Thread-safe after construction:
 /// ScoreRange may be called concurrently from shard threads; per-count body

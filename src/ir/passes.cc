@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 #include <utility>
 
 #include "ir/exec.h"
@@ -22,12 +23,15 @@ bool IsSynthesized(OpKind k) {
 
 /// Candidate ids live in column 1 of the static and unified arrays
 /// ([UserIndex, CandidateIndex, ...]); the dynamic array is pure history.
+bool ColumnIsCandidate(const IndexBinding& b, size_t j) {
+  return (b.source == IndexSource::kStatic ||
+          b.source == IndexSource::kUnified) &&
+         b.cols[j] == 1;
+}
+
 bool BindingUsesCandidate(const IndexBinding& b) {
-  if (b.source != IndexSource::kStatic && b.source != IndexSource::kUnified) {
-    return false;
-  }
-  for (uint32_t c : b.cols) {
-    if (c == 1) return true;
+  for (size_t j = 0; j < b.cols.size(); ++j) {
+    if (ColumnIsCandidate(b, j)) return true;
   }
   return false;
 }
@@ -69,37 +73,254 @@ bool ValuesAlign(const Value& a, const Value& b) {
   }
 }
 
+/// Ops that compute each axis-1 row of their rank-3 output from the same row
+/// of in[0] alone, with every other input shared by all rows. For these,
+/// op(ConcatAxis1(a, b)) == ConcatAxis1(op(a), op(b)) bit-for-bit: the GEMM
+/// accumulates each output element over k in one fixed order whatever the
+/// row count, and the others are per-row or per-element maps
+/// (tensor/kernels.h). MatMul reads rank-2 values, which a ConcatAxis1
+/// never produces, so the projections this matters for are all BmmShared.
+bool IsRowLocal(OpKind k) {
+  switch (k) {
+    case OpKind::kBmmShared:
+    case OpKind::kLayerNorm:
+    case OpKind::kAddBias:
+    case OpKind::kRelu:
+    case OpKind::kSigmoid:
+    case OpKind::kTanh:
+    case OpKind::kScale:
+    case OpKind::kAddScalar:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Rows [r0, r1) along axis 1 of a rank-3 tensor.
+tensor::Tensor RowSlice(const tensor::Tensor& t, size_t r0, size_t r1) {
+  const size_t batch = t.dim(0), n = t.dim(1), d = t.dim(2);
+  const size_t rows = r1 - r0;
+  tensor::Tensor out = tensor::Tensor::Uninitialized({batch, rows, d});
+  for (size_t b = 0; b < batch; ++b) {
+    std::memcpy(out.data() + b * rows * d, t.data() + (b * n + r0) * d,
+                rows * d * sizeof(float));
+  }
+  return out;
+}
+
+/// One trace under rewriting: its program plus the reference tensor of
+/// every value — the traced tensor, or for a value the row-block rewrite
+/// introduced, the row slice of the traced tensor it was split from.
+struct RefTrace {
+  Program prog;
+  std::vector<const tensor::Tensor*> ref;
+  std::deque<tensor::Tensor> slices;  // backs ref for introduced values
+};
+
+/// Rewrites two aligned traces (counts 1 and C) in lockstep so that
+/// candidate-invariant row blocks become values of their own:
+///   1. a gather whose binding mixes the candidate column with user or
+///      history columns becomes one gather per run of same-class columns,
+///      joined by ConcatAxis1 into the original value id;
+///   2. a row-local op (IsRowLocal) whose row operand is a ConcatAxis1 with
+///      an invariant block is applied to each block and the results joined
+///      by ConcatAxis1 into the original value id, recursively.
+/// Decisions are structural (the candidate taint as it stands mid-rewrite)
+/// and identical for both traces, so the two keep one value-id space.
+/// Dead instructions left behind (a concat whose consumers all moved to
+/// its blocks) are removed.
+class RowBlockSplitter {
+ public:
+  RowBlockSplitter(RefTrace* t1, RefTrace* tC) : t_{t1, tC} {}
+
+  void Run() {
+    const size_t ninstr = t_[1]->prog.instrs.size();
+    const size_t nvals = t_[1]->prog.values.size();
+    variant_.assign(nvals, 0);
+    concat_.assign(nvals, {kNoValue, kNoValue});
+    for (size_t i = 0; i < ninstr; ++i) {
+      const Instr& i1 = t_[0]->prog.instrs[i];
+      const Instr& iC = t_[1]->prog.instrs[i];
+      if (IsGather(iC.kind)) {
+        if (!SplitGather(i1, iC)) AppendPair(i1, iC);
+      } else {
+        Emit(iC);
+      }
+    }
+    for (int k = 0; k < 2; ++k) {
+      t_[k]->prog.instrs = std::move(out_[k]);
+      DeadCodeElim(&t_[k]->prog);
+    }
+  }
+
+ private:
+  size_t Rows(uint32_t v) const { return t_[1]->prog.values[v].shape[1]; }
+
+  /// Appends a local holding rows [r0, r1) of \p whole to both traces.
+  uint32_t NewRowBlock(uint32_t whole, size_t r0, size_t r1) {
+    uint32_t id = kNoValue;
+    for (RefTrace* t : t_) {
+      Value v = t->prog.values[whole];
+      v.shape[1] = r1 - r0;
+      t->prog.values.push_back(std::move(v));
+      t->slices.push_back(RowSlice(*t->ref[whole], r0, r1));
+      t->ref.push_back(&t->slices.back());
+      id = static_cast<uint32_t>(t->prog.values.size() - 1);
+    }
+    variant_.push_back(0);
+    concat_.push_back({kNoValue, kNoValue});
+    return id;
+  }
+
+  void AppendPair(Instr i1, Instr iC) {
+    bool v = false;
+    if (IsGather(iC.kind)) {
+      v = BindingUsesCandidate(iC.binding);
+    } else if (!IsSynthesized(iC.kind)) {
+      for (uint32_t u : iC.in) v = v || variant_[u] != 0;
+    }
+    variant_[iC.out] = v ? 1 : 0;
+    if (iC.kind == OpKind::kConcatAxis1) {
+      concat_[iC.out] = {iC.in[0], iC.in[1]};
+    }
+    out_[0].push_back(std::move(i1));
+    out_[1].push_back(std::move(iC));
+  }
+
+  void Append(const Instr& ins) { AppendPair(ins, ins); }
+
+  /// True when \p v, or some ConcatAxis1 block it is built from, is
+  /// candidate-invariant.
+  bool HasInvariantBlock(uint32_t v) const {
+    if (!variant_[v]) return true;
+    const auto& [a, b] = concat_[v];
+    return a != kNoValue && (HasInvariantBlock(a) || HasInvariantBlock(b));
+  }
+
+  bool Pushable(const Instr& ins) const {
+    if (!IsRowLocal(ins.kind) || ins.in.empty()) return false;
+    const uint32_t x = ins.in[0];
+    if (concat_[x].first == kNoValue || !variant_[x]) return false;
+    if (t_[1]->prog.values[ins.out].shape.size() != 3) return false;
+    for (size_t j = 1; j < ins.in.size(); ++j) {
+      if (variant_[ins.in[j]]) return false;
+    }
+    return HasInvariantBlock(x);
+  }
+
+  void Emit(const Instr& ins) {
+    if (!Pushable(ins)) {
+      Append(ins);
+      return;
+    }
+    const auto [a, b] = concat_[ins.in[0]];
+    const size_t na = Rows(a), nb = Rows(b);
+    Instr ia = ins;
+    ia.in[0] = a;
+    ia.out = NewRowBlock(ins.out, 0, na);
+    Instr ib = ins;
+    ib.in[0] = b;
+    ib.out = NewRowBlock(ins.out, na, na + nb);
+    Emit(ia);
+    Emit(ib);
+    Instr cat;
+    cat.kind = OpKind::kConcatAxis1;
+    cat.in = {ia.out, ib.out};
+    cat.out = ins.out;
+    Append(cat);
+  }
+
+  /// Splits a mixed-binding EmbeddingGather into one gather per run of
+  /// same-class (candidate / not candidate) columns. False when the binding
+  /// is not mixed.
+  bool SplitGather(const Instr& g1, const Instr& gC) {
+    if (gC.kind != OpKind::kEmbeddingGather) return false;
+    const IndexBinding& b = gC.binding;
+    const size_t n = b.cols.size();
+    std::vector<size_t> starts;
+    for (size_t j = 0; j < n; ++j) {
+      if (j == 0 || ColumnIsCandidate(b, j) != ColumnIsCandidate(b, j - 1)) {
+        starts.push_back(j);
+      }
+    }
+    if (starts.size() < 2) return false;
+    starts.push_back(n);
+    uint32_t joined = kNoValue;
+    for (size_t r = 0; r + 1 < starts.size(); ++r) {
+      const size_t r0 = starts[r], r1 = starts[r + 1];
+      Instr part[2] = {g1, gC};
+      const uint32_t block = NewRowBlock(gC.out, r0, r1);
+      for (Instr& p : part) {
+        p.out = block;
+        p.binding.cols.assign(b.cols.begin() + r0, b.cols.begin() + r1);
+        p.binding.deltas.assign(b.deltas.begin() + r0, b.deltas.begin() + r1);
+        std::vector<int32_t> idx;
+        const size_t batch = p.traced_indices.size() / n;
+        for (size_t row = 0; row < batch; ++row) {
+          idx.insert(idx.end(), p.traced_indices.begin() + row * n + r0,
+                     p.traced_indices.begin() + row * n + r1);
+        }
+        p.traced_indices = std::move(idx);
+      }
+      AppendPair(std::move(part[0]), std::move(part[1]));
+      if (joined == kNoValue) {
+        joined = block;
+        continue;
+      }
+      Instr cat;
+      cat.kind = OpKind::kConcatAxis1;
+      cat.in = {joined, block};
+      cat.out = r1 == n ? gC.out : NewRowBlock(gC.out, 0, r1);
+      Append(cat);
+      joined = cat.out;
+    }
+    return true;
+  }
+
+  RefTrace* t_[2];
+  std::vector<Instr> out_[2];
+  std::vector<char> variant_;
+  std::vector<std::pair<uint32_t, uint32_t>> concat_;  // ConcatAxis1 inputs
+};
+
 }  // namespace
 
 FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
                     const data::Batch& batch1, const data::Batch& batchC) {
   FactorResult res;
-  const Program& p1 = trace1.program;
-  const Program& pC = traceC.program;
-  if (pC.count < 2) {
+  if (traceC.program.count < 2) {
     res.error = "factor: need >= 2 candidates to disambiguate bindings";
     return res;
   }
-  if (p1.instrs.size() != pC.instrs.size() ||
-      p1.values.size() != pC.values.size()) {
+  if (trace1.program.instrs.size() != traceC.program.instrs.size() ||
+      trace1.program.values.size() != traceC.program.values.size()) {
     res.error = "factor: traces diverge in length (count-dependent control "
                 "flow)";
     return res;
   }
-  for (size_t i = 0; i < p1.values.size(); ++i) {
-    if (!ValuesAlign(p1.values[i], pC.values[i])) {
+  for (size_t i = 0; i < trace1.program.values.size(); ++i) {
+    if (!ValuesAlign(trace1.program.values[i], traceC.program.values[i])) {
       res.error = "factor: value " + std::to_string(i) + " diverges";
       return res;
     }
   }
 
+  RefTrace w1, wC;
+  w1.prog = trace1.program;
+  wC.prog = traceC.program;
+  for (const autograd::NodePtr& n : trace1.value_nodes) {
+    w1.ref.push_back(&n->value);
+  }
+  for (const autograd::NodePtr& n : traceC.value_nodes) {
+    wC.ref.push_back(&n->value);
+  }
+
   // Align instructions and reconcile gather bindings. A count-1 fit can be
   // ambiguous (one row cannot separate the user and candidate columns), so
   // the count-C binding wins whenever both explain the count-1 indices.
-  std::vector<IndexBinding> bindings(p1.instrs.size());
-  for (size_t i = 0; i < p1.instrs.size(); ++i) {
-    const Instr& a = p1.instrs[i];
-    const Instr& b = pC.instrs[i];
+  for (size_t i = 0; i < w1.prog.instrs.size(); ++i) {
+    Instr& a = w1.prog.instrs[i];
+    const Instr& b = wC.prog.instrs[i];
     if (!InstrsAlign(a, b)) {
       res.error = "factor: instr " + std::to_string(i) + " (" +
                   OpKindName(a.kind) + " vs " + OpKindName(b.kind) +
@@ -117,23 +338,26 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
         return res;
       }
     }
-    bindings[i] = b.binding;
+    a.binding = b.binding;
   }
+
+  RowBlockSplitter(&w1, &wC).Run();
+  const Program& p1 = w1.prog;
+  const Program& pC = wC.prog;
 
   // Structural taint: a value is candidate-variant when its instruction
   // reads the candidate column (gathers) or any variant input (transitive).
   // Synthesized masks depend only on the shared history. demoted[] carries
   // empirical refutations into each re-propagation.
-  const size_t nvals = p1.values.size();
+  const size_t nvals = pC.values.size();
   std::vector<char> variant(nvals, 0);
   std::vector<char> demoted(nvals, 0);
   auto propagate = [&]() {
     std::fill(variant.begin(), variant.end(), 0);
-    for (size_t i = 0; i < pC.instrs.size(); ++i) {
-      const Instr& ins = pC.instrs[i];
+    for (const Instr& ins : pC.instrs) {
       bool v = demoted[ins.out] != 0;
       if (IsGather(ins.kind)) {
-        v = v || BindingUsesCandidate(bindings[i]);
+        v = v || BindingUsesCandidate(ins.binding);
       } else if (!IsSynthesized(ins.kind)) {
         for (uint32_t u : ins.in) v = v || variant[u] != 0;
       }
@@ -152,10 +376,8 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     for (const Instr& ins : pC.instrs) {
       const uint32_t v = ins.out;
       if (variant[v]) continue;
-      const autograd::NodePtr& n1 = trace1.value_nodes[v];
-      const autograd::NodePtr& nC = traceC.value_nodes[v];
-      SEQFM_CHECK(n1 != nullptr && nC != nullptr);
-      if (!TilesTo(n1->value, nC->value)) {
+      SEQFM_CHECK(w1.ref[v] != nullptr && wC.ref[v] != nullptr);
+      if (!TilesTo(*w1.ref[v], *wC.ref[v])) {
         demoted[v] = 1;
         changed = true;
       }
@@ -169,13 +391,20 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
   }
 
   // Slots: invariant locals consumed by at least one variant instruction.
+  // A slot only ConcatAxis1 reads is fed to it as a batch-1 operand (the
+  // concat broadcasts it); any other count-C reader needs a tiled copy.
+  auto broadcasts = [&](const Instr& ins, uint32_t u) {
+    return ins.kind == OpKind::kConcatAxis1 &&
+           p1.values[u].shape.size() == 3 && p1.values[u].shape[0] == 1;
+  };
   std::vector<char> is_slot(nvals, 0);
+  std::vector<char> needs_tile(nvals, 0);
   for (const Instr& ins : pC.instrs) {
     if (!variant[ins.out]) continue;
     for (uint32_t u : ins.in) {
-      if (!variant[u] && pC.values[u].kind == ValueKind::kLocal) {
-        is_slot[u] = 1;
-      }
+      if (variant[u] || pC.values[u].kind != ValueKind::kLocal) continue;
+      is_slot[u] = 1;
+      if (!broadcasts(ins, u)) needs_tile[u] = 1;
     }
   }
   std::vector<uint32_t> slots;
@@ -186,54 +415,50 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
   // Prologue: the invariant sub-program at count 1, writing the slots.
   res.prologue = p1;
   res.prologue.instrs.clear();
-  for (size_t i = 0; i < p1.instrs.size(); ++i) {
-    if (variant[p1.instrs[i].out]) continue;
-    Instr ins = p1.instrs[i];
-    if (IsGather(ins.kind)) ins.binding = bindings[i];
-    res.prologue.instrs.push_back(std::move(ins));
+  for (const Instr& ins : p1.instrs) {
+    if (!variant[ins.out]) res.prologue.instrs.push_back(ins);
   }
   res.prologue.output = kNoValue;
   res.prologue.slot_outputs = slots;
-  res.prologue.uid = NextProgramUid();
+  RenewIdentity(&res.prologue);
+  for (uint32_t s : slots) res.slot_refs.push_back(*w1.ref[s]);
 
   // Body: the variant sub-program at count C, reading the slots. Slots whose
-  // count-C consumers saw the block-tiled shape get an explicit kTileRows
-  // from the count-1 slot tensor.
+  // non-concat count-C consumers saw the block-tiled shape get an explicit
+  // kTileRows from the count-1 slot tensor.
   res.body = pC;
   res.body.instrs.clear();
   res.body.slot_outputs.clear();
-  std::vector<uint32_t> remap(nvals);
-  for (uint32_t v = 0; v < nvals; ++v) remap[v] = v;
+  std::vector<uint32_t> tiled(nvals, kNoValue);
   for (size_t pos = 0; pos < slots.size(); ++pos) {
     const uint32_t s = slots[pos];
     Value& sv = res.body.values[s];
-    const size_t size1 = p1.values[s].size();
-    const size_t sizeC = pC.values[s].size();
     sv.kind = ValueKind::kSlot;
     sv.index = static_cast<uint32_t>(pos);
     sv.shape = p1.values[s].shape;
-    if (sizeC != size1) {
-      Value tiled;
-      tiled.kind = ValueKind::kLocal;
-      tiled.shape = pC.values[s].shape;
-      const uint32_t tid = static_cast<uint32_t>(res.body.values.size());
-      res.body.values.push_back(std::move(tiled));
-      remap[s] = tid;
-      Instr tile;
-      tile.kind = OpKind::kTileRows;
-      tile.in = {s};
-      tile.out = tid;
-      res.body.instrs.push_back(std::move(tile));
+    if (pC.values[s].size() == p1.values[s].size() || !needs_tile[s]) {
+      continue;
     }
+    Value tile_val;
+    tile_val.kind = ValueKind::kLocal;
+    tile_val.shape = pC.values[s].shape;
+    tiled[s] = static_cast<uint32_t>(res.body.values.size());
+    res.body.values.push_back(std::move(tile_val));
+    Instr tile;
+    tile.kind = OpKind::kTileRows;
+    tile.in = {s};
+    tile.out = tiled[s];
+    res.body.instrs.push_back(std::move(tile));
   }
-  for (size_t i = 0; i < pC.instrs.size(); ++i) {
-    if (!variant[pC.instrs[i].out]) continue;
-    Instr ins = pC.instrs[i];
-    if (IsGather(ins.kind)) ins.binding = bindings[i];
-    for (uint32_t& u : ins.in) u = remap[u];
+  for (const Instr& src : pC.instrs) {
+    if (!variant[src.out]) continue;
+    Instr ins = src;
+    for (uint32_t& u : ins.in) {
+      if (tiled[u] != kNoValue && !broadcasts(src, u)) u = tiled[u];
+    }
     res.body.instrs.push_back(std::move(ins));
   }
-  res.body.uid = NextProgramUid();
+  RenewIdentity(&res.body);
   return res;
 }
 

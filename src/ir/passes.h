@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "data/dataset.h"
 #include "ir/trace.h"
@@ -17,14 +18,20 @@ namespace ir {
 ///   prologue  — the candidate-invariant sub-program at count 1, executed
 ///               once per (user, history) and cached in the ContextCache;
 ///   body      — the per-candidate sub-program at count C, reading the
-///               prologue's outputs through kSlot values (tiled to count C
-///               where shapes demand it).
+///               prologue's outputs through kSlot values (a ConcatAxis1
+///               broadcasts a batch-1 slot; other readers get it tiled to
+///               count C).
 /// Each sub-program then goes through FoldConstants → DeadCodeElim →
 /// FuseElementwise → PlanArena before execution.
 
 struct FactorResult {
   Program prologue;
   Program body;
+  /// Count-1 reference tensor of each slot, parallel to
+  /// prologue.slot_outputs: the traced tensor, or for a split row block the
+  /// row slice of the traced tensor it came from. The compile self-check
+  /// demands the prologue reproduce these bit-for-bit.
+  std::vector<tensor::Tensor> slot_refs;
   std::string error;
 
   bool ok() const { return error.empty(); }
@@ -35,15 +42,33 @@ struct FactorResult {
 /// disambiguate the candidate column in gather bindings); \p batch1 /
 /// \p batchC are the batches they were traced against.
 ///
-/// A value is candidate-invariant when it is so both structurally (its
-/// instruction consumes no candidate column, transitively) and empirically
-/// (its count-C tensor is exactly the count-1 tensor block-tiled C times,
-/// bit-for-bit). Structural claims an empirical check refutes are demoted
-/// and the taint re-propagated to a fixpoint, so a surprising numeric
-/// dependence can never be hoisted. Fails (with .error set) when the traces
-/// do not align instruction-for-instruction, when a gather binding cannot be
-/// reconciled across counts, or when the final score itself is
-/// candidate-invariant.
+/// Hoisting works on row blocks, not only whole values. After the gather
+/// bindings are reconciled, both traces are rewritten in lockstep:
+///   - an EmbeddingGather whose binding mixes the candidate column with
+///     user or history columns becomes one gather per run of same-class
+///     columns, joined by ConcatAxis1;
+///   - a row-local op (BmmShared against a shared weight, LayerNorm,
+///     AddBias, unary elementwise) whose row operand is a ConcatAxis1 with a
+///     candidate-invariant block is applied per block and the results
+///     joined by ConcatAxis1, recursively.
+/// Each joined value keeps its original id and traced tensor; each new
+/// block's reference tensor is the row slice of the traced tensor it came
+/// from. The rewrite is exact because those ops compute every row
+/// independently, with the per-element accumulation order of
+/// tensor/kernels.h. For SeqFM this moves the history- and user-row
+/// projections of the cross view (and the user row of the static view)
+/// into the prologue, leaving only the candidate row's projections and the
+/// attention itself per candidate.
+///
+/// A value (whole or block) is candidate-invariant when it is so both
+/// structurally (its instruction consumes no candidate column,
+/// transitively) and empirically (its count-C reference tensor is exactly
+/// the count-1 one block-tiled C times, bit-for-bit). Structural claims an
+/// empirical check refutes are demoted and the taint re-propagated to a
+/// fixpoint, so a surprising numeric dependence can never be hoisted.
+/// Fails (with .error set) when the traces do not align
+/// instruction-for-instruction, when a gather binding cannot be reconciled
+/// across counts, or when the final score itself is candidate-invariant.
 FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
                     const data::Batch& batch1, const data::Batch& batchC);
 

@@ -52,6 +52,11 @@ uint64_t NextProgramUid() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+void RenewIdentity(Program* program) {
+  program->uid = NextProgramUid();
+  program->liveness = std::make_shared<const int>(0);
+}
+
 namespace {
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 

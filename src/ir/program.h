@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -155,10 +156,17 @@ struct Program {
   size_t frame_floats = 0;
   /// Key for the per-thread execution frame cache.
   uint64_t uid = 0;
+  /// Shared by every copy of this program. Execution frames hold it weakly,
+  /// so a thread drops the frames of programs that no longer exist.
+  std::shared_ptr<const int> liveness;
 };
 
 /// Process-unique program id for frame caching.
 uint64_t NextProgramUid();
+
+/// Gives \p program a fresh uid and liveness token, so a program derived
+/// from another never shares its execution frames.
+void RenewIdentity(Program* program);
 
 /// Materializes a compiler-synthesized mask/zeros instruction into \p dst
 /// (size \p batch * rows_per_sample * cols as implied by the kind) from the

@@ -346,7 +346,7 @@ TraceResult Trace(core::Model* model, const data::Batch& batch) {
   sink.prog.n_static = batch.n_static;
   sink.prog.n_seq = batch.n_seq;
   sink.prog.n_unified = batch.n_unified;
-  sink.prog.uid = NextProgramUid();
+  RenewIdentity(&sink.prog);
 
   autograd::Variable out;
   {

@@ -274,10 +274,15 @@ Status CheckInstrShapes(const Program& p, size_t i, const Instr& ins) {
       SEQFM_RETURN_NOT_OK(want_rank(1, 3));
       const Value& a = in_val(0);
       const Value& b = in_val(1);
-      if (Dim(a, 0) != Dim(b, 0) || Dim(a, 2) != Dim(b, 2)) {
+      // A batch-1 operand broadcasts over the other's batch (EvalPure).
+      const size_t batch = std::max(Dim(a, 0), Dim(b, 0));
+      const bool batch_ok = (Dim(a, 0) == batch || Dim(a, 0) == 1) &&
+                            (Dim(b, 0) == batch || Dim(b, 0) == 1);
+      if (!batch_ok || Dim(a, 2) != Dim(b, 2)) {
         return err("shape mismatch: operands disagree outside axis 1");
       }
-      if (out.size() != Dim(a, 0) * (Dim(a, 1) + Dim(b, 1)) * Dim(a, 2)) {
+      if (Rank(out) != 3 || Dim(out, 0) != batch ||
+          out.size() != batch * (Dim(a, 1) + Dim(b, 1)) * Dim(a, 2)) {
         return err("shape mismatch: out is not the axis-1 concatenation");
       }
       return Status::OK();

@@ -43,12 +43,13 @@ struct PredictorOptions {
   /// (the parity oracle; also bench_serving's compiled-off baseline).
   bool use_compiled_program = true;
   /// Byte budget for the (user, history) SharedContext LRU cache in front of
-  /// the factored path; 0 disables caching. Each entry holds the per-request
-  /// candidate-invariant tensors, roughly 4*(3*n*d + 4*d) bytes for seq-len
-  /// n and dim d (~39 KiB at n=50, d=64), so 64 MiB caches ~1.7k such
-  /// contexts. Compiled-program contexts are cached through the same LRU
-  /// (their unit is the prologue's slot tensors). Ignored when neither the
-  /// compiled nor the hand-factored context path is active.
+  /// the context path; 0 disables caching. An entry costs its
+  /// SharedContext::ApproxBytes. For SeqFM's compiled program that is the
+  /// prologue's slot tensors — the history rows' cross-view Q/K/V plus a few
+  /// d-vectors, roughly 4*(3*n*d + 7*d) bytes for seq-len n and dim d:
+  /// ~17 KiB at n=20, d=64 (~39 KiB at n=50), so 64 MiB caches ~3.8k
+  /// contexts at n=20. Ignored when neither the compiled nor the
+  /// hand-factored context path is active.
   size_t context_cache_bytes = 0;
   /// Draw tape-free op outputs from the worker thread's core::ScratchArena
   /// (zero tensor heap allocations in steady state). Off = every op output

@@ -3,13 +3,21 @@
 //     a fresh tape-free forward, for SeqFM and every registry baseline;
 //   - pass units on hand-built programs: constant folding, dead-code
 //     elimination, elementwise fusion, and arena planning (buffer reuse);
+//   - row-block factoring on small hand-built models: mixed gathers split,
+//     projected invariant blocks become slots, refuted blocks are demoted;
 //   - compiled-vs-eager serving parity: bit-for-bit equal scores for every
-//     model at 1/2 threads, 1/3 shards, and both SIMD levels;
-//   - compiler lifecycle: recompile on checkpoint reload, graceful eager
-//     fallback when the catalog is too small to disambiguate probes, and
-//     loss-curve invariance (tracing/compiling never perturbs training).
+//     model at 1/2 threads, 1/3 shards, both SIMD levels, body counts
+//     2/3/4/7/8/9, and a 2-object catalog;
+//   - compiled cost at SeqFM's serving shape: GEMM work per candidate and
+//     the count-256 body frame;
+//   - compiler lifecycle: recompile on checkpoint reload, frame-cache sweep
+//     across reloads, graceful eager fallback when the catalog is too small
+//     to disambiguate probes, and loss-curve invariance (tracing/compiling
+//     never perturbs training).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -17,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "baselines/registry.h"
 #include "core/seqfm.h"
@@ -361,6 +370,207 @@ TEST(PassTest, PlanArenaReusesBuffersAcrossDisjointLifetimes) {
 }
 
 // ---------------------------------------------------------------------------
+// Row-block factoring on small hand-built models: Factor splits mixed
+// gathers and pushes row-local ops through ConcatAxis1 so invariant row
+// blocks reach the prologue, and demotes a block the tensors refute.
+// ---------------------------------------------------------------------------
+
+/// A three-op model whose stacked rows mix candidate and invariant blocks:
+///   kUserCandidate:      gather static [user, candidate] rows (one mixed
+///                        gather);
+///   kCandidateHistory:   ConcatAxis1(gather [candidate], gather history).
+/// Either way the rows are projected by one shared weight (BmmShared),
+/// mean-pooled, and scored by a [d, 1] matmul.
+class RowBlockModel : public core::Model {
+ public:
+  enum class Rows { kUserCandidate, kCandidateHistory };
+
+  RowBlockModel(const data::FeatureSpace& space, Rows rows)
+      : rows_(rows),
+        static_table_(Param({space.static_dim(), kDim}, 0.1f)),
+        dynamic_table_(Param({space.dynamic_dim(), kDim}, 0.2f)),
+        w_(Param({kDim, kDim}, 0.3f)),
+        p_(Param({kDim, 1}, 0.4f)) {}
+
+  autograd::Variable Score(const data::Batch& batch, bool) override {
+    const size_t b = batch.batch_size;
+    autograd::Variable x;
+    if (rows_ == Rows::kUserCandidate) {
+      x = autograd::EmbeddingGather(static_table_, batch.static_ids, b,
+                                    batch.n_static);
+    } else {
+      std::vector<int32_t> cand(b);
+      for (size_t i = 0; i < b; ++i) {
+        cand[i] = batch.static_ids[i * batch.n_static + 1];
+      }
+      x = autograd::ConcatAxis1(
+          autograd::EmbeddingGather(static_table_, cand, b, 1),
+          autograd::EmbeddingGather(dynamic_table_, batch.dynamic_ids, b,
+                                    batch.n_seq));
+    }
+    autograd::Variable y = autograd::BmmShared(x, w_);
+    return autograd::MatMul(
+        autograd::MeanAxis1(y, static_cast<float>(y.dim(1))), p_);
+  }
+
+  std::vector<autograd::Variable> TrainableParameters() override {
+    return {static_table_, dynamic_table_, w_, p_};
+  }
+  std::string name() const override { return "RowBlock"; }
+
+ private:
+  static constexpr size_t kDim = 4;
+
+  static autograd::Variable Param(std::vector<size_t> shape, float phase) {
+    tensor::Tensor t(shape);
+    for (size_t i = 0; i < t.size(); ++i) {
+      t.data()[i] = std::sin(phase + 0.7f * static_cast<float>(i));
+    }
+    return autograd::Variable::Leaf(std::move(t), /*requires_grad=*/true);
+  }
+
+  Rows rows_;
+  autograd::Variable static_table_, dynamic_table_, w_, p_;
+};
+
+/// Traces \p model at counts 1 and 3 for the first test request.
+struct RowBlockTraces {
+  data::Batch b1, bC;
+  ir::TraceResult t1, tC;
+};
+
+RowBlockTraces TraceRowBlockModel(core::Model* model,
+                                  const data::BatchBuilder& builder) {
+  RowBlockTraces r;
+  const data::SequenceExample ex = TestExamples()[0];
+  r.b1 = ServingBatch(builder, ex, {0});
+  r.bC = ServingBatch(builder, ex, {0, 3, 7});
+  r.t1 = ir::Trace(model, r.b1);
+  r.tC = ir::Trace(model, r.bC);
+  return r;
+}
+
+std::vector<const ir::Instr*> InstrsOfKind(const ir::Program& p,
+                                           ir::OpKind kind) {
+  std::vector<const ir::Instr*> found;
+  for (const ir::Instr& ins : p.instrs) {
+    if (ins.kind == kind) found.push_back(&ins);
+  }
+  return found;
+}
+
+/// The instruction of \p p defining \p value, or null.
+const ir::Instr* DefOf(const ir::Program& p, uint32_t value) {
+  for (const ir::Instr& ins : p.instrs) {
+    if (ins.out == value) return &ins;
+  }
+  return nullptr;
+}
+
+TEST(PassTest, FactorSplitsAMixedUserCandidateGather) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  RowBlockModel model(space, RowBlockModel::Rows::kUserCandidate);
+  RowBlockTraces r = TraceRowBlockModel(&model, builder);
+  ASSERT_TRUE(r.t1.ok() && r.tC.ok()) << r.t1.error << r.tC.error;
+  const auto traced =
+      InstrsOfKind(r.tC.program, ir::OpKind::kEmbeddingGather);
+  ASSERT_EQ(traced.size(), 1u);
+  ASSERT_EQ(traced[0]->binding.cols, (std::vector<uint32_t>{0, 1}));
+
+  const ir::FactorResult f = ir::Factor(r.t1, r.tC, r.b1, r.bC);
+  ASSERT_TRUE(f.ok()) << f.error;
+  // One gather per class: the user row in the prologue, the candidate row
+  // in the body.
+  const auto pro = InstrsOfKind(f.prologue, ir::OpKind::kEmbeddingGather);
+  const auto body = InstrsOfKind(f.body, ir::OpKind::kEmbeddingGather);
+  ASSERT_EQ(pro.size(), 1u);
+  ASSERT_EQ(body.size(), 1u);
+  EXPECT_EQ(pro[0]->binding.source, ir::IndexSource::kStatic);
+  EXPECT_EQ(pro[0]->binding.cols, (std::vector<uint32_t>{0}));
+  EXPECT_EQ(body[0]->binding.source, ir::IndexSource::kStatic);
+  EXPECT_EQ(body[0]->binding.cols, (std::vector<uint32_t>{1}));
+  // The user row's projection is hoisted too; the body projects one row.
+  ASSERT_EQ(InstrsOfKind(f.prologue, ir::OpKind::kBmmShared).size(), 1u);
+  const auto body_bmm = InstrsOfKind(f.body, ir::OpKind::kBmmShared);
+  ASSERT_EQ(body_bmm.size(), 1u);
+  EXPECT_EQ(f.body.values[body_bmm[0]->in[0]].shape,
+            (std::vector<size_t>{3, 1, 4}));
+}
+
+TEST(PassTest, FactorHoistsTheProjectedHistoryBlockIntoASlot) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  RowBlockModel model(space, RowBlockModel::Rows::kCandidateHistory);
+  RowBlockTraces r = TraceRowBlockModel(&model, builder);
+  ASSERT_TRUE(r.t1.ok() && r.tC.ok()) << r.t1.error << r.tC.error;
+  const ir::FactorResult f = ir::Factor(r.t1, r.tC, r.b1, r.bC);
+  ASSERT_TRUE(f.ok()) << f.error;
+
+  // The prologue projects the history block: bmm_shared over the dynamic
+  // gather, its output a slot.
+  const auto pro_bmm = InstrsOfKind(f.prologue, ir::OpKind::kBmmShared);
+  ASSERT_EQ(pro_bmm.size(), 1u);
+  const ir::Instr* gather = DefOf(f.prologue, pro_bmm[0]->in[0]);
+  ASSERT_NE(gather, nullptr);
+  EXPECT_EQ(gather->binding.source, ir::IndexSource::kDynamic);
+  const auto& slots = f.prologue.slot_outputs;
+  const auto it = std::find(slots.begin(), slots.end(), pro_bmm[0]->out);
+  ASSERT_NE(it, slots.end());
+
+  // Its reference tensor is rows [1, 1 + n) of the traced projection.
+  const ir::Instr* traced_bmm =
+      InstrsOfKind(r.t1.program, ir::OpKind::kBmmShared)[0];
+  const tensor::Tensor& whole = r.t1.value_nodes[traced_bmm->out]->value;
+  const tensor::Tensor& ref = f.slot_refs[it - slots.begin()];
+  ASSERT_EQ(ref.size(), kSeqLen * 4);
+  ExpectBitEqual(ref.data(), whole.data() + 4, ref.size(), "history block");
+
+  // The body projects only the candidate row and concatenates the slot
+  // straight in (batch-1 operand, no tiled copy).
+  const auto body_bmm = InstrsOfKind(f.body, ir::OpKind::kBmmShared);
+  ASSERT_EQ(body_bmm.size(), 1u);
+  EXPECT_EQ(f.body.values[body_bmm[0]->in[0]].shape,
+            (std::vector<size_t>{3, 1, 4}));
+  EXPECT_TRUE(InstrsOfKind(f.body, ir::OpKind::kTileRows).empty());
+  ir::VerifyOptions body_opts;
+  body_opts.allow_slots = true;
+  body_opts.num_slots = slots.size();
+  const Status st = ir::Verify(f.body, body_opts);
+  EXPECT_TRUE(st.ok()) << st.message();
+}
+
+TEST(PassTest, FactorDemotesARowBlockTheTracedTensorsRefute) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  RowBlockModel model(space, RowBlockModel::Rows::kCandidateHistory);
+  RowBlockTraces r = TraceRowBlockModel(&model, builder);
+  ASSERT_TRUE(r.t1.ok() && r.tC.ok()) << r.t1.error << r.tC.error;
+
+  // Perturb candidate 1's first history row of the count-C projection: that
+  // block's count-C tensor is no longer its count-1 tensor tiled.
+  const ir::Instr* traced_bmm =
+      InstrsOfKind(r.tC.program, ir::OpKind::kBmmShared)[0];
+  tensor::Tensor& y = r.tC.value_nodes[traced_bmm->out]->value;
+  y.data()[(1 * (1 + kSeqLen) + 1) * 4] += 1.0f;
+
+  const ir::FactorResult f = ir::Factor(r.t1, r.tC, r.b1, r.bC);
+  ASSERT_TRUE(f.ok()) << f.error;
+  // The history projection is back in the body, over the tiled history
+  // gather; the prologue keeps only the gather itself.
+  EXPECT_TRUE(InstrsOfKind(f.prologue, ir::OpKind::kBmmShared).empty());
+  const auto body_bmm = InstrsOfKind(f.body, ir::OpKind::kBmmShared);
+  ASSERT_EQ(body_bmm.size(), 2u);
+  EXPECT_EQ(f.body.values[body_bmm[1]->in[0]].shape,
+            (std::vector<size_t>{3, kSeqLen, 4}));
+  ASSERT_EQ(f.prologue.slot_outputs.size(), 1u);
+  const ir::Instr* slot_def =
+      DefOf(f.prologue, f.prologue.slot_outputs[0]);
+  ASSERT_NE(slot_def, nullptr);
+  EXPECT_EQ(slot_def->kind, ir::OpKind::kEmbeddingGather);
+}
+
+// ---------------------------------------------------------------------------
 // Verifier: hand-corrupted programs are rejected with precise diagnostics.
 // Each test takes a valid program, breaks exactly one invariant, and asserts
 // ir::Verify names the broken rule — the lockdown that keeps a future pass
@@ -614,6 +824,29 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
   }
   const util::SimdLevel prev_level = util::ActiveSimdLevel();
 
+  // More chunkings of the 9-object catalog: micro-batches 3, 7, 8 and 9
+  // add body counts 3, 7, 8 and 9 (and 2 again, for a 1-candidate tail) to
+  // the 4 and 2 of the main predictor.
+  std::vector<std::unique_ptr<serve::Predictor>> chunked;
+  for (size_t mb : {3u, 7u, 8u, 9u}) {
+    serve::PredictorOptions o;
+    o.micro_batch = mb;
+    chunked.push_back(
+        std::make_unique<serve::Predictor>(model.get(), &builder, o));
+    ASSERT_TRUE(chunked.back()->compiled_active()) << GetParam();
+  }
+  // The smallest compilable catalog: two objects.
+  const data::FeatureSpace pair_space(5, 2);
+  data::BatchBuilder pair_builder(pair_space, kSeqLen);
+  auto pair_model = MakeModelByName(GetParam(), pair_space);
+  serve::Predictor pair_compiled(pair_model.get(), &pair_builder);
+  ASSERT_TRUE(pair_compiled.compiled_active()) << GetParam();
+  serve::PredictorOptions pair_eager_opts;
+  pair_eager_opts.use_compiled_program = false;
+  serve::Predictor pair_eager(pair_model.get(), &pair_builder,
+                              pair_eager_opts);
+  const std::vector<int32_t> pair_catalog = {0, 1};
+
   for (util::SimdLevel level : levels) {
     util::SetSimdLevel(level);
     for (size_t threads : {1u, 2u}) {
@@ -627,6 +860,23 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
         const std::vector<float> got = compiled.ScoreCandidates(ex, catalog);
         ASSERT_EQ(want.size(), got.size());
         ExpectBitEqual(want.data(), got.data(), want.size(), where);
+        for (const auto& p : chunked) {
+          const std::vector<float> c = p->ScoreCandidates(ex, catalog);
+          ASSERT_EQ(want.size(), c.size());
+          ExpectBitEqual(want.data(), c.data(), want.size(),
+                         where + " micro_batch=" +
+                             std::to_string(p->options().micro_batch));
+        }
+        data::SequenceExample pair_ex = ex;
+        pair_ex.target %= 2;
+        for (int32_t& h : pair_ex.history) h %= 2;
+        const std::vector<float> pair_want =
+            pair_eager.ScoreCandidates(pair_ex, pair_catalog);
+        const std::vector<float> pair_got =
+            pair_compiled.ScoreCandidates(pair_ex, pair_catalog);
+        ASSERT_EQ(pair_want.size(), pair_got.size());
+        ExpectBitEqual(pair_want.data(), pair_got.data(), pair_want.size(),
+                       where + " catalog=2");
 
         // Sharded serving over the compiled predictor reproduces the eager
         // unsharded ranking exactly (scores compared as bits).
@@ -652,6 +902,13 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
   }
   EXPECT_TRUE(compiled.compiled_active())
       << GetParam() << " fell back to eager mid-test";
+  for (const auto& p : chunked) {
+    EXPECT_TRUE(p->compiled_active())
+        << GetParam() << " micro_batch=" << p->options().micro_batch
+        << " fell back to eager mid-test";
+  }
+  EXPECT_TRUE(pair_compiled.compiled_active())
+      << GetParam() << " (catalog=2) fell back to eager mid-test";
   util::SetGlobalThreads(1);
   util::SetSimdLevel(prev_level);
 }
@@ -667,6 +924,54 @@ INSTANTIATE_TEST_SUITE_P(AllModels, CompiledParityTest,
                            }
                            return name;
                          });
+
+// ---------------------------------------------------------------------------
+// Compiled cost at the serving shape (d=64, n=20): row-block hoisting keeps
+// only the candidate row's projections and the attention per candidate, and
+// the broadcast concat keeps the count-256 body frame from growing.
+// ---------------------------------------------------------------------------
+
+TEST(CompiledCostTest, SeqFmBodyGemmWorkPerCandidateStaysHoisted) {
+  const data::FeatureSpace space = SmallSpace();
+  core::SeqFmConfig cfg;  // d=64, n=20, one FFN layer: the serving shape
+  data::BatchBuilder builder(space, cfg.max_seq_len);
+  core::SeqFm model(space, cfg);
+  std::string error;
+  auto engine =
+      ir::Engine::Compile(&model, &builder, space.num_objects(), &error);
+  ASSERT_NE(engine, nullptr) << error;
+  // 365,760 before the cross-view history/user rows were hoisted.
+  EXPECT_LE(engine->stats().body_macs_per_candidate, 100000u);
+}
+
+TEST(CompiledCostTest, SeqFmCount256BodyFrameDoesNotGrow) {
+  const data::FeatureSpace space = SmallSpace();
+  core::SeqFmConfig cfg;
+  data::BatchBuilder builder(space, cfg.max_seq_len);
+  core::SeqFm model(space, cfg);
+  data::SequenceExample ex;
+  ex.user = 1;
+  for (int32_t j = 0; j < static_cast<int32_t>(cfg.max_seq_len); ++j) {
+    ex.history.push_back(1 + j % 8);
+  }
+  std::vector<int32_t> cands(256);
+  for (size_t i = 0; i < cands.size(); ++i) {
+    cands[i] = static_cast<int32_t>(i % space.num_objects());
+  }
+  const data::Batch b1 = ServingBatch(builder, ex, {0});
+  const data::Batch bC = ServingBatch(builder, ex, cands);
+  const ir::TraceResult t1 = ir::Trace(&model, b1);
+  const ir::TraceResult tC = ir::Trace(&model, bC);
+  ASSERT_TRUE(t1.ok() && tC.ok()) << t1.error << tC.error;
+  ir::FactorResult f = ir::Factor(t1, tC, b1, bC);
+  ASSERT_TRUE(f.ok()) << f.error;
+  ir::FoldConstants(&f.body);
+  ir::DeadCodeElim(&f.body);
+  ir::FuseElementwise(&f.body);
+  ir::PlanArena(&f.body);
+  // The count-256 body frame before row-block hoisting.
+  EXPECT_LE(f.body.frame_floats * sizeof(float), 7672832u);
+}
 
 // ---------------------------------------------------------------------------
 // Compiler lifecycle
@@ -740,6 +1045,39 @@ TEST(CompiledLifecycleTest, CheckpointReloadRecompilesTheProgram) {
   ASSERT_EQ(got.size(), want.value().size());
   ExpectBitEqual(got.data(), want.value().data(), got.size(),
                  "post-reload parity");
+  std::remove(path.c_str());
+}
+
+TEST(CompiledLifecycleTest, RepeatedReloadsReturnTheThreadFrameCountToBaseline) {
+  // Every reload compiles a new engine; the frames of the engines it
+  // replaces (and of discarded self-check programs) must not pile up in
+  // the thread's frame cache.
+  util::SetGlobalThreads(1);
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  auto serving = MakeModelByName("SeqFM", space);
+  const std::string path = TempPath("ir_frame_sweep_test.bin");
+  ASSERT_TRUE(serve::Checkpoint::Save(
+                  *dynamic_cast<nn::Module*>(serving.get()), path)
+                  .ok());
+
+  serve::PredictorOptions opts;
+  opts.micro_batch = 4;
+  serve::Predictor predictor(serving.get(), &builder, opts);
+  ASSERT_TRUE(predictor.compiled_active());
+  std::vector<int32_t> catalog(space.num_objects());
+  std::iota(catalog.begin(), catalog.end(), 0);
+  const data::SequenceExample ex = TestExamples()[0];
+  auto reload_and_score = [&]() {
+    ASSERT_TRUE(predictor.ReloadCheckpoint(path).ok());
+    ASSERT_TRUE(predictor.compiled_active());
+    predictor.ScoreCandidates(ex, catalog);
+  };
+  reload_and_score();
+  reload_and_score();
+  const size_t baseline = ir::ThreadFrameCount();
+  for (int i = 0; i < 6; ++i) reload_and_score();
+  EXPECT_EQ(ir::ThreadFrameCount(), baseline);
   std::remove(path.c_str());
 }
 
