@@ -249,11 +249,12 @@ int Run(int argc, char** argv) {
     const ir::EngineStats es = compiled.engine()->stats();
     std::printf("compiled program: %zu prologue + %zu body instrs, %zu "
                 "slots, %zu planned frame bytes, %zu folded / %zu dce / "
-                "%zu fused, %zu body GEMM MACs per candidate\n",
+                "%zu attention / %zu elementwise fused, %zu body GEMM MACs "
+                "per candidate\n",
                 es.prologue_instrs, es.body_instrs, es.slots,
                 (es.prologue_frame_floats + es.body_frame_floats) *
                     sizeof(float),
-                es.folded, es.dce_removed, es.fused,
+                es.folded, es.dce_removed, es.attention_fused, es.fused,
                 es.body_macs_per_candidate);
     json.Add("compiled_prologue_instrs",
              static_cast<double>(es.prologue_instrs));
@@ -266,6 +267,8 @@ int Run(int argc, char** argv) {
     json.Add("compiled_folded", static_cast<double>(es.folded));
     json.Add("compiled_dce_removed", static_cast<double>(es.dce_removed));
     json.Add("compiled_fused", static_cast<double>(es.fused));
+    json.Add("compiled_attention_fused",
+             static_cast<double>(es.attention_fused));
     json.Add("compiled_body_macs_per_cand",
              static_cast<double>(es.body_macs_per_candidate));
   }

@@ -246,6 +246,15 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
       }
       return true;
     }
+    case OpKind::kMaskedAttention: {
+      const auto& [nq, nk, nv] = instr.parts;  // row blocks per operand
+      const tensor::Tensor* const* blocks = in.data();
+      tensor::MaskedAttention(
+          {blocks, nq}, {blocks + nq, nk}, {blocks + nq + nk, nv},
+          in.size() > size_t{nq} + nk + nv ? in.back() : nullptr,
+          instr.ranges.data(), instr.alpha, out);
+      return true;
+    }
     case OpKind::kEmbeddingGather:
     case OpKind::kEmbeddingSumGather:
     case OpKind::kPaddingMask:
@@ -270,6 +279,7 @@ namespace {
 struct Frame {
   tensor::Tensor block;
   std::vector<tensor::Tensor> locals;  // WrapExternal views into block
+  std::vector<const tensor::Tensor*> operands;  // reserved for the max arity
   std::vector<int32_t> sids, dids, uids;
   bool needs_static = false;
   bool needs_dynamic = false;
@@ -308,7 +318,9 @@ Frame* FrameFor(const Program& prog) {
     frame->locals[i] = tensor::Tensor::WrapExternal(
         v.shape, frame->block.data() + v.offset, v.size());
   }
+  size_t arity = 0;
   for (const Instr& ins : prog.instrs) {
+    arity = std::max(arity, ins.in.size());
     switch (ins.binding.source) {
       case IndexSource::kStatic: frame->needs_static = true; break;
       case IndexSource::kDynamic: frame->needs_dynamic = true; break;
@@ -316,6 +328,7 @@ Frame* FrameFor(const Program& prog) {
       case IndexSource::kNone: break;
     }
   }
+  frame->operands.reserve(arity);
   if (frame->needs_static) frame->sids.resize(prog.count * prog.n_static);
   if (frame->needs_dynamic) frame->dids.resize(prog.count * prog.n_seq);
   if (frame->needs_unified) frame->uids.resize(prog.count * prog.n_unified);
@@ -395,7 +408,7 @@ void RunProgram(const Program& prog, Frame* f,
     return static_cast<const int32_t*>(nullptr);
   };
 
-  std::vector<const tensor::Tensor*> in;
+  std::vector<const tensor::Tensor*>& in = f->operands;
   for (const Instr& ins : prog.instrs) {
     tensor::Tensor& out = f->locals[ins.out];
     switch (ins.kind) {
@@ -501,7 +514,8 @@ void RunProgram(const Program& prog, Frame* f,
 }
 
 /// Multiply-accumulates one execution of \p prog performs in its GEMM-kind
-/// instructions: output size times contraction length.
+/// instructions: output size times contraction length, and for a fused
+/// attention its unmasked (query, key) pairs times (d + dv).
 size_t GemmMacs(const Program& prog) {
   size_t macs = 0;
   for (const Instr& ins : prog.instrs) {
@@ -517,6 +531,16 @@ size_t GemmMacs(const Program& prog) {
       case OpKind::kBmmLeftShared:  // [h2, h] x [b, h, d]
         k = prog.values[ins.in[0]].shape[1];
         break;
+      case OpKind::kMaskedAttention: {  // open pairs x (d + dv), per item
+        const Value& out = prog.values[ins.out];
+        const size_t d = prog.values[ins.in[0]].shape[2];
+        size_t pairs = 0;
+        for (size_t r = 0; r < ins.ranges.size(); r += 2) {
+          pairs += ins.ranges[r + 1] - ins.ranges[r];
+        }
+        macs += out.shape[0] * pairs * (d + out.shape[2]);
+        continue;
+      }
       default:
         continue;
     }
@@ -680,6 +704,10 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
     if (!VerifyStage(*p, "fold_constants", half, opts, error)) return false;
     delta.dce_removed += DeadCodeElim(p);
     if (!VerifyStage(*p, "dead_code_elim", half, opts, error)) return false;
+    delta.attention_fused += FuseMaskedAttention(p);
+    if (!VerifyStage(*p, "fuse_masked_attention", half, opts, error)) {
+      return false;
+    }
     delta.fused += FuseElementwise(p);
     if (!VerifyStage(*p, "fuse_elementwise", half, opts, error)) return false;
     PlanArena(p);
@@ -827,6 +855,7 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
       stats_.folded += delta.folded;
       stats_.dce_removed += delta.dce_removed;
       stats_.fused += delta.fused;
+      stats_.attention_fused += delta.attention_fused;
       stats_.compiled_counts += 1;
       bodies_[count] = std::make_unique<Program>(std::move(f.body));
     }

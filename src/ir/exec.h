@@ -49,9 +49,11 @@ struct EngineStats {
   size_t folded = 0;             // constant-folded instructions (both halves)
   size_t dce_removed = 0;        // dead instructions removed (both halves)
   size_t fused = 0;              // elementwise links aliased in place
+  size_t attention_fused = 0;    // attention chains fused (both halves)
   size_t compiled_counts = 0;    // distinct candidate counts compiled so far
   /// GEMM-kind multiply-accumulates (matmul, bmm, bmm_shared,
-  /// bmm_left_shared) the initial body spends per candidate, from shapes.
+  /// bmm_left_shared, and the unmasked pairs of masked_attention) the
+  /// initial body spends per candidate, from shapes.
   size_t body_macs_per_candidate = 0;
 };
 

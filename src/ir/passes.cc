@@ -529,6 +529,78 @@ size_t DeadCodeElim(Program* program) {
   return removed;
 }
 
+size_t FuseMaskedAttention(Program* program) {
+  std::vector<Instr>& instrs = program->instrs;
+  const size_t nvals = program->values.size();
+  std::vector<uint32_t> readers(nvals, 0);
+  std::vector<size_t> def(nvals, instrs.size());
+  for (size_t i = 0; i < instrs.size(); ++i) {
+    for (uint32_t u : instrs[i].in) ++readers[u];
+    def[instrs[i].out] = i;
+  }
+  if (program->output != kNoValue) ++readers[program->output];
+  for (uint32_t s : program->slot_outputs) ++readers[s];
+
+  // The instruction defining \p v when it is of \p kind and \p v has no
+  // other reader than the one being fused into the attention. The counts
+  // stay valid across fusions: a fused op takes over exactly the reads its
+  // chain and the concats it bypasses made of the values that stay live.
+  auto sole = [&](uint32_t v, OpKind kind) -> const Instr* {
+    if (def[v] == instrs.size() || readers[v] != 1) return nullptr;
+    return instrs[def[v]].kind == kind ? &instrs[def[v]] : nullptr;
+  };
+  // An operand's row blocks: ConcatAxis1 chains read by nothing else are
+  // read through their inputs instead of being materialized.
+  std::vector<uint32_t> parts;
+  auto flatten = [&](auto&& self, uint32_t v) -> void {
+    if (const Instr* cat = sole(v, OpKind::kConcatAxis1)) {
+      self(self, cat->in[0]);
+      self(self, cat->in[1]);
+    } else {
+      parts.push_back(v);
+    }
+  };
+
+  size_t fused = 0;
+  for (Instr& pv : instrs) {
+    if (pv.kind != OpKind::kBmm || pv.trans_a || pv.trans_b) continue;
+    const Instr* sm = sole(pv.in[0], OpKind::kMaskedSoftmax);
+    const Instr* sc = sm ? sole(sm->in[0], OpKind::kScale) : nullptr;
+    const Instr* qk = sc ? sole(sc->in[0], OpKind::kBmm) : nullptr;
+    if (qk == nullptr || qk->trans_a || !qk->trans_b) continue;
+    const std::vector<size_t>& scores = program->values[qk->out].shape;
+    const size_t nq = scores[1], nk = scores[2];
+    // Only a captured constant mask has fixed ranges; request-synthesized
+    // padding masks are left to the dense chain.
+    const tensor::Tensor* mask = nullptr;
+    if (sm->in.size() == 2) {
+      const Value& m = program->values[sm->in[1]];
+      if (m.kind != ValueKind::kConstant ||
+          m.shape != std::vector<size_t>{nq, nk}) {
+        continue;
+      }
+      mask = &program->constants[m.index];
+    }
+    Instr att;
+    if (!OpenKeyRanges(mask, nq, nk, &att.ranges)) continue;
+    att.kind = OpKind::kMaskedAttention;
+    att.out = pv.out;
+    att.alpha = sc->alpha;
+    const uint32_t operands[3] = {qk->in[0], qk->in[1], pv.in[1]};
+    for (size_t j = 0; j < 3; ++j) {
+      parts.clear();
+      flatten(flatten, operands[j]);
+      att.parts[j] = static_cast<uint32_t>(parts.size());
+      att.in.insert(att.in.end(), parts.begin(), parts.end());
+    }
+    if (mask != nullptr) att.in.push_back(sm->in[1]);
+    pv = std::move(att);
+    ++fused;
+  }
+  if (fused > 0) DeadCodeElim(program);
+  return fused;
+}
+
 size_t FuseElementwise(Program* program) {
   std::vector<uint32_t> consumers(program->values.size(), 0);
   for (const Instr& ins : program->instrs) {

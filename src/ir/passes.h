@@ -22,7 +22,7 @@ namespace ir {
 ///               broadcasts a batch-1 slot; other readers get it tiled to
 ///               count C).
 /// Each sub-program then goes through FoldConstants → DeadCodeElim →
-/// FuseElementwise → PlanArena before execution.
+/// FuseMaskedAttention → FuseElementwise → PlanArena before execution.
 
 struct FactorResult {
   Program prologue;
@@ -81,6 +81,18 @@ size_t FoldConstants(Program* program);
 /// Removes instructions whose outputs are unreachable from Program::output
 /// and Program::slot_outputs. Returns the number removed.
 size_t DeadCodeElim(Program* program);
+
+/// Rewrites each attention chain bmm(Q, K^T) → scale(alpha) →
+/// masked_softmax(·, M) → bmm(·, V) into one kMaskedAttention that computes
+/// only the (query, key) pairs M leaves open (tensor::MaskedAttention,
+/// bit-identical for finite V). Fires when the scores, scaled scores and
+/// probabilities each have a single reader and M is absent or a captured
+/// constant [nq, nk] whose open (non -inf) columns form one contiguous range
+/// per row; request-synthesized masks (padding, history, cross padding) are
+/// declined. A Q/K/V operand built by ConcatAxis1 chains nothing else reads
+/// is read through its row blocks, so the stacked copy is never made.
+/// Returns the number of chains fused; leaves no dead instructions behind.
+size_t FuseMaskedAttention(Program* program);
 
 /// Aliases the output of single-consumer elementwise chain links (relu,
 /// sigmoid, tanh, scale, add_scalar, reshape) onto their input buffer so the

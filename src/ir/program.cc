@@ -43,6 +43,7 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kCrossPaddingMask: return "cross_padding_mask";
     case OpKind::kZeros: return "zeros";
     case OpKind::kTileRows: return "tile_rows";
+    case OpKind::kMaskedAttention: return "masked_attention";
   }
   return "?";
 }
@@ -55,6 +56,33 @@ uint64_t NextProgramUid() {
 void RenewIdentity(Program* program) {
   program->uid = NextProgramUid();
   program->liveness = std::make_shared<const int>(0);
+}
+
+bool OpenKeyRanges(const tensor::Tensor* mask, size_t nq, size_t nk,
+                   std::vector<uint32_t>* ranges) {
+  ranges->assign(2 * nq, 0);
+  for (size_t r = 0; r < nq; ++r) {
+    if (mask == nullptr) {
+      (*ranges)[2 * r + 1] = static_cast<uint32_t>(nk);
+      continue;
+    }
+    const float* row = mask->data() + r * nk;
+    auto open = [&](size_t j) {
+      return row[j] != -std::numeric_limits<float>::infinity();
+    };
+    size_t begin = 0;
+    while (begin < nk && !open(begin)) ++begin;
+    size_t end = begin;
+    while (end < nk && open(end)) ++end;
+    for (size_t j = end; j < nk; ++j) {
+      if (open(j)) return false;
+    }
+    if (begin < end) {
+      (*ranges)[2 * r] = static_cast<uint32_t>(begin);
+      (*ranges)[2 * r + 1] = static_cast<uint32_t>(end);
+    }
+  }
+  return true;
 }
 
 namespace {

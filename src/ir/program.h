@@ -1,6 +1,7 @@
 #ifndef SEQFM_IR_PROGRAM_H_
 #define SEQFM_IR_PROGRAM_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -59,6 +60,7 @@ enum class OpKind : uint8_t {
   kCrossPaddingMask,  // SeqFM's padding-aware cross mask (ns in Instr::row)
   kZeros,             // zero tensor (GRU initial state)
   kTileRows,          // repeat the whole input buffer out.size/in.size times
+  kMaskedAttention,   // fused bmm(Q,K^T) -> scale -> masked_softmax -> bmm(.,V)
 };
 
 /// Name of an op kind ("scale", "tile_rows", ...) for logs and tests.
@@ -105,6 +107,13 @@ struct Instr {
   bool trans_b = false;
   bool causal = false;  // padding mask
   IndexBinding binding;  // embedding gathers
+  /// kMaskedAttention only: in[] holds the axis-1 row blocks of Q, then of
+  /// K, then of V (parts[0], parts[1], parts[2] of them), then the constant
+  /// mask if there is one; alpha is the score scale. ranges holds each query
+  /// row's open key columns as (begin, end) pairs, derived from the mask
+  /// (all (0, nk) without one).
+  std::array<uint32_t, 3> parts = {0, 0, 0};
+  std::vector<uint32_t> ranges;
   /// Gathers only: the index matrix observed at trace time, kept so passes
   /// can re-verify the binding against other traces. Not used at execution.
   std::vector<int32_t> traced_indices;
@@ -167,6 +176,15 @@ uint64_t NextProgramUid();
 /// Gives \p program a fresh uid and liveness token, so a program derived
 /// from another never shares its execution frames.
 void RenewIdentity(Program* program);
+
+/// Open key columns of each row of an [nq, nk] additive attention mask:
+/// fills \p ranges with one (begin, end) pair per row covering the entries
+/// that are not -inf, (0, 0) for a fully masked row, and (0, nk) for every
+/// row when \p mask is null. Returns false when some row's open columns are
+/// not one contiguous run. The single definition kMaskedAttention's ranges
+/// are derived from (passes) and checked against (verify).
+bool OpenKeyRanges(const tensor::Tensor* mask, size_t nq, size_t nk,
+                   std::vector<uint32_t>* ranges);
 
 /// Materializes a compiler-synthesized mask/zeros instruction into \p dst
 /// (size \p batch * rows_per_sample * cols as implied by the kind) from the

@@ -79,6 +79,75 @@ Status CheckBinding(const Program& p, size_t i, const Instr& ins) {
   return Status::OK();
 }
 
+/// A fused attention's operands stack into Q [B, nq, d], K [B, nk, d] and
+/// V [B, nk, dv] (each block batch B or a broadcast 1), the output is
+/// [B, nq, dv], and its key ranges are exactly the open columns its mask
+/// re-derives to — the precondition under which tensor::MaskedAttention
+/// matches the dense chain.
+Status CheckMaskedAttention(const Program& p, size_t i, const Instr& ins) {
+  auto err = [&](const std::string& msg) {
+    return Status::Internal(At(i, ins) + msg);
+  };
+  const Value& out = p.values[ins.out];
+  const size_t nparts = size_t{ins.parts[0]} + ins.parts[1] + ins.parts[2];
+  if (ins.parts[0] == 0 || ins.parts[1] == 0 || ins.parts[2] == 0 ||
+      (ins.in.size() != nparts && ins.in.size() != nparts + 1)) {
+    return err("operands do not split into Q, K, V blocks (+ mask)");
+  }
+  if (Rank(out) != 3) return err("shape mismatch: out must be rank-3");
+  const size_t batch = Dim(out, 0);
+  size_t rows[3] = {0, 0, 0}, width[3] = {0, 0, 0};
+  for (size_t j = 0, first = 0; j < 3; first += ins.parts[j], ++j) {
+    for (size_t t = first; t < first + ins.parts[j]; ++t) {
+      const Value& blk = p.values[ins.in[t]];
+      if (Rank(blk) != 3 || (Dim(blk, 0) != batch && Dim(blk, 0) != 1) ||
+          (t > first && Dim(blk, 2) != width[j])) {
+        return err("shape mismatch: block " + V(ins.in[t]) +
+                   " does not stack along axis 1");
+      }
+      rows[j] += Dim(blk, 1);
+      width[j] = Dim(blk, 2);
+    }
+  }
+  const size_t nq = rows[0], nk = rows[1];
+  if (width[0] != width[1] || rows[2] != nk) {
+    return err("shape mismatch: Q/K depths or K/V rows differ");
+  }
+  if (Dim(out, 1) != nq || Dim(out, 2) != width[2]) {
+    return err("shape mismatch: out is not [batch, nq, dv]");
+  }
+  const tensor::Tensor* mask = nullptr;
+  if (ins.in.size() == nparts + 1) {
+    const Value& m = p.values[ins.in.back()];
+    if (m.kind != ValueKind::kConstant ||
+        m.shape != std::vector<size_t>{nq, nk}) {
+      return err("mask " + V(ins.in.back()) +
+                 " is not a captured [nq, nk] constant");
+    }
+    mask = &p.constants[m.index];
+  }
+  std::vector<uint32_t> want;
+  if (!OpenKeyRanges(mask, nq, nk, &want)) {
+    return err("a mask row's open columns are not one contiguous range");
+  }
+  if (ins.ranges.size() != want.size()) {
+    return err("has " + std::to_string(ins.ranges.size() / 2) +
+               " key ranges for " + std::to_string(nq) + " query rows");
+  }
+  for (size_t r = 0; r < nq; ++r) {
+    if (ins.ranges[2 * r] != want[2 * r] ||
+        ins.ranges[2 * r + 1] != want[2 * r + 1]) {
+      return err("row " + std::to_string(r) + " key range [" +
+                 std::to_string(ins.ranges[2 * r]) + ", " +
+                 std::to_string(ins.ranges[2 * r + 1]) +
+                 ") is not the mask's open columns [" +
+                 std::to_string(want[2 * r]) + ", " +
+                 std::to_string(want[2 * r + 1]) + ")");
+    }
+  }
+  return Status::OK();
+}
+
 /// Per-op agreement with the executor's shape contracts. Mirrors what
 /// EvalPure / RunProgram index by: every dim() read there has a matching
 /// relation here, so a malformed program fails verification instead of
@@ -415,6 +484,8 @@ Status CheckInstrShapes(const Program& p, size_t i, const Instr& ins) {
       }
       return Status::OK();
     }
+    case OpKind::kMaskedAttention:
+      return CheckMaskedAttention(p, i, ins);
   }
   return Status::Internal(At(i, ins) + "unknown op kind");
 }

@@ -27,7 +27,9 @@ namespace ir {
 ///     once (SSA), every read of a local happens after its definition;
 ///   - per-op agreement with the executor's shape contracts (arity, ranks,
 ///     inner-dimension matches, elementwise size equality — the same
-///     relations EvalPure / RunProgram index by);
+///     relations EvalPure / RunProgram index by); a fused masked_attention's
+///     key ranges must equal the open columns re-derived from its constant
+///     mask (all columns without one);
 ///   - value-kind soundness: params are live non-null nodes, constant
 ///     indices address Program::constants with matching element counts,
 ///     kSlot reads appear only where the caller allows them and stay inside

@@ -81,10 +81,15 @@ std::vector<ScoredItem> SelectTopK(const std::vector<int32_t>& candidates,
 /// core::Trainer.
 ///
 /// A Predictor wraps a trained model (any core::Model) and scores candidate
-/// catalogs without constructing autograd state: every forward runs under
-/// autograd::NoGradGuard in micro-batches, and SeqFM requests take the
-/// factored catalog program described in PredictorOptions, optionally
-/// memoized by a serve::ContextCache. Scoring is read-only on the model and
+/// catalogs without constructing autograd state. By default every model,
+/// SeqFM included, is served by the compiled op program (ir::Engine): its
+/// candidate-invariant prologue runs once per (user, history), optionally
+/// memoized by a serve::ContextCache, and its body per micro-batch. If the
+/// model does not compile, or a later per-count compile fails, SeqFM falls
+/// back to the hand-factored catalog program (when enable_seqfm_fast_path
+/// applies) and every other model to eager forwards under
+/// autograd::NoGradGuard; use_compiled_program = false selects those paths
+/// directly. Scoring is read-only on the model and
 /// safe to call concurrently after construction; ReloadCheckpoint is the one
 /// mutating call and requires the caller to quiesce scoring first
 /// (BatchServer::ReloadCheckpoint does).

@@ -222,6 +222,57 @@ void BatchedMatMulShared(const Tensor& a, const Tensor& w, Tensor* out,
        accumulate);
 }
 
+namespace {
+
+/// y = softmax(x + add) over one row (add may be null; x and y may alias).
+void SoftmaxRow(const kernels::KernelTable& kt, const float* x,
+                const float* add, float* y, size_t cols) {
+  const float max_val = kt.reduce_max_add(x, add, cols);
+  // A fully masked row would yield max == -inf; fall back to zeros.
+  if (!std::isfinite(max_val)) {
+    std::fill(y, y + cols, 0.0f);
+    return;
+  }
+  // Masked (-inf) and NaN entries come out of the shared exp as exact
+  // zeros, reproducing the historical per-element isfinite fallback.
+  const float total = kt.softmax_exp_sum(x, add, max_val, y, cols);
+  kt.scale_inplace(1.0f / total, y, cols);
+}
+
+size_t StackRows(RowStack s) {
+  size_t rows = 0;
+  for (size_t i = 0; i < s.count; ++i) rows += s.blocks[i]->dim(1);
+  return rows;
+}
+
+/// Row \p row of batch item \p b of one block (a batch-1 block broadcasts).
+const float* BlockRow(const Tensor& t, size_t b, size_t row) {
+  const size_t width = t.dim(2);
+  return t.data() + (t.dim(0) == 1 ? 0 : b * t.dim(1) * width) + row * width;
+}
+
+/// Rows [r0, r1) of batch item \p b, in place when one block holds them
+/// all, else copied into \p scratch.
+const float* StackRowsAt(RowStack s, size_t b, size_t r0, size_t r1,
+                         float* scratch) {
+  const size_t width = s.blocks[0]->dim(2);
+  size_t base = 0;
+  for (size_t i = 0; i < s.count; ++i) {
+    const Tensor& t = *s.blocks[i];
+    const size_t end = base + t.dim(1);
+    if (r0 >= base && r1 <= end) return BlockRow(t, b, r0 - base);
+    const size_t lo = std::max(r0, base), hi = std::min(r1, end);
+    if (lo < hi) {
+      std::memcpy(scratch + (lo - r0) * width, BlockRow(t, b, lo - base),
+                  (hi - lo) * width * sizeof(float));
+    }
+    base = end;
+  }
+  return scratch;
+}
+
+}  // namespace
+
 void SoftmaxLastDim(const Tensor& in, const Tensor* mask, Tensor* out) {
   SEQFM_CHECK(in.SameShape(*out));
   const size_t cols = in.shape().back();
@@ -243,21 +294,75 @@ void SoftmaxLastDim(const Tensor& in, const Tensor* mask, Tensor* out) {
   util::ParallelFor(rows, GrainForRows(cols, kMathGrain), [=, &kt](size_t r0,
                                                                    size_t r1) {
     for (size_t r = r0; r < r1; ++r) {
-      const float* x = src + r * cols;
-      float* y = dst + r * cols;
       const float* mrow =
           mask_data ? mask_data + (r % mask_rows) * cols : nullptr;
-      const float max_val = kt.reduce_max_add(x, mrow, cols);
-      // A fully masked row would yield max == -inf; fall back to zeros.
-      if (!std::isfinite(max_val)) {
-        std::fill(y, y + cols, 0.0f);
-        continue;
-      }
-      // Masked (-inf) and NaN entries come out of the shared exp as exact
-      // zeros, reproducing the historical per-element isfinite fallback.
-      const float total = kt.softmax_exp_sum(x, mrow, max_val, y, cols);
-      kt.scale_inplace(1.0f / total, y, cols);
+      SoftmaxRow(kt, src + r * cols, mrow, dst + r * cols, cols);
     }
+  });
+}
+
+void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
+                     const uint32_t* ranges, float alpha, Tensor* out) {
+  SEQFM_CHECK(q.count > 0 && k.count > 0 && v.count > 0);
+  SEQFM_CHECK_EQ(out->rank(), 3u);
+  const size_t batch = out->dim(0), nq = out->dim(1), dv = out->dim(2);
+  const size_t nk = StackRows(k), d = k.blocks[0]->dim(2);
+  SEQFM_CHECK_EQ(StackRows(q), nq);
+  SEQFM_CHECK_EQ(StackRows(v), nk);
+  SEQFM_CHECK_EQ(q.blocks[0]->dim(2), d);
+  SEQFM_CHECK_EQ(v.blocks[0]->dim(2), dv);
+  if (mask != nullptr) SEQFM_CHECK_EQ(mask->size(), nq * nk);
+  size_t pairs = 0;
+  for (size_t r = 0; r < nq; ++r) {
+    SEQFM_CHECK(ranges[2 * r] <= ranges[2 * r + 1] && ranges[2 * r + 1] <= nk);
+    SEQFM_CHECK(mask != nullptr || ranges[2 * r + 1] - ranges[2 * r] == nk);
+    pairs += ranges[2 * r + 1] - ranges[2 * r];
+  }
+  const float* mask_data = mask != nullptr ? mask->data() : nullptr;
+  const kernels::KernelTable& kt = kernels::Active();
+  util::ParallelFor(
+      batch, GrainForRows(pairs * (d + dv), kGemmParallelMinWork),
+      [=, &kt](size_t b0, size_t b1) {
+    // Per-thread scratch from the thread's arena (its blocks are kept
+    // across rewinds, so a warm thread allocates nothing).
+    core::ScratchArena& arena = core::ThreadScratchArena();
+    const core::ScratchArena::Mark arena_mark = arena.mark();
+    float* probs = arena.AllocateFloats(nq * nk);
+    float* q_rows = arena.AllocateFloats(nq * d);
+    float* k_rows = arena.AllocateFloats(nk * d);
+    float* v_rows = arena.AllocateFloats(nk * dv);
+    for (size_t b = b0; b < b1; ++b) {
+      float* ob = out->BatchData(b);
+      // Blocks of consecutive query rows that share one key range.
+      for (size_t r0 = 0, r1 = 0; r0 < nq; r0 = r1) {
+        const size_t c0 = ranges[2 * r0], c1 = ranges[2 * r0 + 1];
+        r1 = r0 + 1;
+        while (r1 < nq && ranges[2 * r1] == c0 && ranges[2 * r1 + 1] == c1) {
+          ++r1;
+        }
+        const size_t rows = r1 - r0, width = c1 - c0;
+        if (width == 0) {
+          std::fill(ob + r0 * dv, ob + r1 * dv, 0.0f);
+          continue;
+        }
+        kt.gemm_rows_b_trans(StackRowsAt(q, b, r0, r1, q_rows),
+                             StackRowsAt(k, b, c0, c1, k_rows), probs, rows,
+                             d, width, /*accumulate=*/false);
+        // The Scale op, then the softmax of the open slice of each row.
+        for (size_t t = 0; t < rows; ++t) {
+          float* p = probs + t * width;
+          kt.scale(alpha, p, p, width);
+          SoftmaxRow(kt, p,
+                     mask_data != nullptr ? mask_data + (r0 + t) * nk + c0
+                                          : nullptr,
+                     p, width);
+        }
+        kt.gemm_rows_b_normal(probs, StackRowsAt(v, b, c0, c1, v_rows),
+                              ob + r0 * dv, rows, width, dv,
+                              /*accumulate=*/false);
+      }
+    }
+    arena.RewindTo(arena_mark);
   });
 }
 

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "tensor/tensor.h"
 
@@ -55,6 +56,41 @@ void BatchedMatMulShared(const Tensor& a, const Tensor& w, Tensor* out,
 /// that is broadcast over the leading batch dimension before normalizing.
 /// Works for rank-2 ([rows, cols]) and rank-3 ([batch, rows, cols]) input.
 void SoftmaxLastDim(const Tensor& in, const Tensor* mask, Tensor* out);
+
+/// An attention operand stacked along axis 1 from row blocks, read in place:
+/// blocks[i] is a rank-3 [batch or 1, rows_i, width] tensor, and a batch-1
+/// block broadcasts over the batch.
+struct RowStack {
+  const Tensor* const* blocks = nullptr;
+  size_t count = 0;
+};
+
+/// Scaled dot-product attention that computes only the unmasked pairs:
+///   out[b] = softmax(alpha * Q[b] K[b]^T + mask) V[b]
+/// with Q [batch, nq, d], K [batch, nk, d], V [batch, nk, dv] and out
+/// [batch, nq, dv]. Query row r attends to key columns
+/// [ranges[2r], ranges[2r+1]) only; \p mask (the [nq, nk] additive mask, or
+/// null when every range is [0, nk)) must be -inf outside them. An empty
+/// range yields a zero row, as SoftmaxLastDim does for a fully masked row.
+///
+/// Bit-identical to BatchedMatMul(trans_b) -> Scale -> SoftmaxLastDim ->
+/// BatchedMatMul whenever V is finite (kernels.h's contract):
+///   - each open score is the same lane-blocked dot product;
+///   - in the full row a masked entry never wins the max and its exp is
+///     exactly +0, so its lane ends as if it were absent;
+///   - the row slice [begin, end) puts column j in lane (j - begin) % 8
+///     instead of j % 8: each lane keeps the same entries in the same order,
+///     only the lanes rotate, and the combine tree (pairs 4 apart, then 2,
+///     then 1) gives the same bits under any rotation because float + and
+///     the max pick commute (lanes never hold NaN; a +-0 max subtracts
+///     alike);
+///   - masked probabilities are exact zeros and each ascending P·V
+///     accumulator starts at +0 and never becomes -0, so skipping their
+///     products changes no bit.
+/// A non-finite V row in a masked column is the one difference: the dense
+/// chain turns 0 * inf into NaN, this kernel never reads it.
+void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
+                     const uint32_t* ranges, float alpha, Tensor* out);
 
 /// Elementwise kernels (same-shape in/out).
 void Add(const Tensor& a, const Tensor& b, Tensor* out);

@@ -5,11 +5,17 @@
 //     elimination, elementwise fusion, and arena planning (buffer reuse);
 //   - row-block factoring on small hand-built models: mixed gathers split,
 //     projected invariant blocks become slots, refuted blocks are demoted;
+//   - masked-attention fusion: fires on SeqFM's constant causal and cross
+//     masks and its unmasked static view, declines padding masks, masks
+//     with holes and shared intermediates, and matches the chain it fuses;
 //   - compiled-vs-eager serving parity: bit-for-bit equal scores for every
-//     model at 1/2 threads, 1/3 shards, both SIMD levels, body counts
-//     2/3/4/7/8/9, and a 2-object catalog;
+//     model (and SeqFM's padding-mask and single-view configurations) at
+//     1/2 threads, 1/3 shards, both SIMD levels, body counts 2/3/4/7/8/9,
+//     and a 2-object catalog;
 //   - compiled cost at SeqFM's serving shape: GEMM work per candidate and
 //     the count-256 body frame;
+//   - compiled serving: zero operator-new calls in warm chunks, and NaN
+//     history embeddings giving NaN scores exactly where eager does;
 //   - compiler lifecycle: recompile on checkpoint reload, frame-cache sweep
 //     across reloads, graceful eager fallback when the catalog is too small
 //     to disambiguate probes, and loss-curve invariance (tracing/compiling
@@ -17,9 +23,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <new>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -44,6 +55,79 @@
 #include "tensor/kernels.h"
 #include "util/cpu.h"
 #include "util/thread_pool.h"
+
+// ---------------------------------------------------------------------------
+// Global operator new, replaced by a counting version for the
+// allocation-free serving test; counting is off except inside that test.
+// Every form is replaced, so no block pairs a sanitizer runtime's operator
+// new with the free() below.
+// ---------------------------------------------------------------------------
+
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<size_t> g_news{0};
+
+void* CountedNew(size_t n, size_t align) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  void* p = nullptr;
+  if (align <= alignof(std::max_align_t)) {
+    p = std::malloc(n == 0 ? 1 : n);
+  } else if (posix_memalign(&p, align, n == 0 ? align : n) != 0) {
+    p = nullptr;
+  }
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void* CountedNewNothrow(size_t n, size_t align) noexcept {
+  try {
+    return CountedNew(n, align);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+}  // namespace
+
+using std::align_val_t;
+using std::nothrow_t;
+void* operator new(size_t n) { return CountedNew(n, 0); }
+void* operator new[](size_t n) { return CountedNew(n, 0); }
+void* operator new(size_t n, align_val_t a) {
+  return CountedNew(n, static_cast<size_t>(a));
+}
+void* operator new[](size_t n, align_val_t a) {
+  return CountedNew(n, static_cast<size_t>(a));
+}
+void* operator new(size_t n, const nothrow_t&) noexcept {
+  return CountedNewNothrow(n, 0);
+}
+void* operator new[](size_t n, const nothrow_t&) noexcept {
+  return CountedNewNothrow(n, 0);
+}
+void* operator new(size_t n, align_val_t a, const nothrow_t&) noexcept {
+  return CountedNewNothrow(n, static_cast<size_t>(a));
+}
+void* operator new[](size_t n, align_val_t a, const nothrow_t&) noexcept {
+  return CountedNewNothrow(n, static_cast<size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, size_t, align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t, align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, const nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, align_val_t, const nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, align_val_t, const nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace seqfm {
 namespace {
@@ -84,12 +168,28 @@ core::SeqFmConfig SmallSeqFmConfig() {
   return cfg;
 }
 
+/// SeqFM variants beyond the default: padding-aware masks (which the
+/// compiler must not fuse) and each view on its own.
+const std::vector<std::string>& SeqFmVariants() {
+  static const std::vector<std::string> kNames = {
+      "SeqFM/mask_padding_keys", "SeqFM/static_view", "SeqFM/dynamic_view",
+      "SeqFM/cross_view"};
+  return kNames;
+}
+
 std::unique_ptr<core::Model> MakeModelByName(const std::string& name,
                                              const data::FeatureSpace& space,
                                              uint64_t seed = 0) {
-  if (name == "SeqFM") {
+  if (name.rfind("SeqFM", 0) == 0) {
     core::SeqFmConfig cfg = SmallSeqFmConfig();
     if (seed != 0) cfg.seed = seed;
+    const std::string variant = name.substr(name.find('/') + 1);
+    if (variant == "mask_padding_keys") cfg.mask_padding_keys = true;
+    if (variant.size() > 5 && variant.substr(variant.size() - 5) == "_view") {
+      cfg.use_static_view = variant == "static_view";
+      cfg.use_dynamic_view = variant == "dynamic_view";
+      cfg.use_cross_view = variant == "cross_view";
+    }
     return std::make_unique<core::SeqFm>(space, cfg);
   }
   baselines::BaselineConfig cfg = SmallBaselineConfig();
@@ -571,6 +671,207 @@ TEST(PassTest, FactorDemotesARowBlockTheTracedTensorsRefute) {
 }
 
 // ---------------------------------------------------------------------------
+// FuseMaskedAttention: which attention chains become one masked_attention
+// ---------------------------------------------------------------------------
+
+/// SeqFM at the small test shape, traced at counts 1 and 3 and factored,
+/// with both halves through FoldConstants and DeadCodeElim: what
+/// FuseMaskedAttention sees in the compile pipeline.
+ir::FactorResult FactoredSeqFm(const core::SeqFmConfig& cfg) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, cfg.max_seq_len);
+  core::SeqFm model(space, cfg);
+  const data::SequenceExample ex = TestExamples()[0];
+  const data::Batch b1 = ServingBatch(builder, ex, {0});
+  const data::Batch bC = ServingBatch(builder, ex, {0, 3, 7});
+  const ir::TraceResult t1 = ir::Trace(&model, b1);
+  const ir::TraceResult tC = ir::Trace(&model, bC);
+  EXPECT_TRUE(t1.ok() && tC.ok()) << t1.error << tC.error;
+  ir::FactorResult f = ir::Factor(t1, tC, b1, bC);
+  EXPECT_TRUE(f.ok()) << f.error;
+  for (ir::Program* half : {&f.prologue, &f.body}) {
+    ir::FoldConstants(half);
+    ir::DeadCodeElim(half);
+  }
+  return f;
+}
+
+std::vector<uint32_t> RepeatRange(size_t rows, uint32_t begin, uint32_t end) {
+  std::vector<uint32_t> r;
+  for (size_t i = 0; i < rows; ++i) r.insert(r.end(), {begin, end});
+  return r;
+}
+
+TEST(PassTest, FuseMaskedAttentionFiresOnSeqFmsConstantMasks) {
+  ir::FactorResult f = FactoredSeqFm(SmallSeqFmConfig());
+  ASSERT_TRUE(f.ok());
+  ir::VerifyOptions body_opts;
+  body_opts.allow_slots = true;
+  body_opts.num_slots = f.prologue.slot_outputs.size();
+
+  // Prologue: the dynamic view under the constant causal mask.
+  EXPECT_EQ(ir::FuseMaskedAttention(&f.prologue), 1u);
+  auto att = InstrsOfKind(f.prologue, ir::OpKind::kMaskedAttention);
+  ASSERT_EQ(att.size(), 1u);
+  std::vector<uint32_t> causal;
+  for (uint32_t r = 0; r < kSeqLen; ++r) {
+    causal.insert(causal.end(), {0, r + 1});
+  }
+  EXPECT_EQ(att[0]->ranges, causal);
+  EXPECT_EQ(att[0]->parts, (std::array<uint32_t, 3>{1, 1, 1}));
+  EXPECT_EQ(f.prologue.values[att[0]->in.back()].kind,
+            ir::ValueKind::kConstant);
+  Status st = ir::Verify(f.prologue);
+  EXPECT_TRUE(st.ok()) << st.message();
+
+  // Body: the unmasked static view over (user, candidate), and the cross
+  // view, where static rows see only history columns and history rows only
+  // static ones. Each Q/K/V is read as its (user slot, candidate block
+  // [, history slot]) row blocks: no concat is left to copy them.
+  EXPECT_EQ(ir::FuseMaskedAttention(&f.body), 2u);
+  att = InstrsOfKind(f.body, ir::OpKind::kMaskedAttention);
+  ASSERT_EQ(att.size(), 2u);
+  const uint32_t n = kSeqLen + 2;
+  EXPECT_EQ(att[0]->ranges, RepeatRange(2, 0, 2));
+  EXPECT_EQ(att[0]->parts, (std::array<uint32_t, 3>{2, 2, 2}));
+  EXPECT_EQ(att[0]->in.size(), 6u);  // no mask operand
+  std::vector<uint32_t> cross = RepeatRange(2, 2, n);
+  const std::vector<uint32_t> dyn_rows = RepeatRange(kSeqLen, 0, 2);
+  cross.insert(cross.end(), dyn_rows.begin(), dyn_rows.end());
+  EXPECT_EQ(att[1]->ranges, cross);
+  EXPECT_EQ(att[1]->parts, (std::array<uint32_t, 3>{3, 3, 3}));
+  for (ir::OpKind gone : {ir::OpKind::kBmm, ir::OpKind::kMaskedSoftmax,
+                          ir::OpKind::kConcatAxis1}) {
+    EXPECT_TRUE(InstrsOfKind(f.body, gone).empty()) << ir::OpKindName(gone);
+  }
+  st = ir::Verify(f.body, body_opts);
+  EXPECT_TRUE(st.ok()) << st.message();
+}
+
+TEST(PassTest, FuseMaskedAttentionDeclinesRequestSynthesizedMasks) {
+  core::SeqFmConfig cfg = SmallSeqFmConfig();
+  cfg.mask_padding_keys = true;
+  ir::FactorResult f = FactoredSeqFm(cfg);
+  ASSERT_TRUE(f.ok());
+  // The dynamic view's padding mask and the cross view's padding-aware mask
+  // depend on the request's history; only the unmasked static view fuses.
+  EXPECT_EQ(ir::FuseMaskedAttention(&f.prologue), 0u);
+  EXPECT_EQ(InstrsOfKind(f.prologue, ir::OpKind::kMaskedSoftmax).size(), 1u);
+  EXPECT_EQ(ir::FuseMaskedAttention(&f.body), 1u);
+  const auto softmax = InstrsOfKind(f.body, ir::OpKind::kMaskedSoftmax);
+  ASSERT_EQ(softmax.size(), 1u);
+  // The cross view's mask: the prologue's padding-aware mask, tiled.
+  const ir::Instr* tile = DefOf(f.body, softmax[0]->in[1]);
+  ASSERT_NE(tile, nullptr);
+  ASSERT_EQ(tile->kind, ir::OpKind::kTileRows);
+  const ir::Value& slot = f.body.values[tile->in[0]];
+  ASSERT_EQ(slot.kind, ir::ValueKind::kSlot);
+  const ir::Instr* mask =
+      DefOf(f.prologue, f.prologue.slot_outputs[slot.index]);
+  ASSERT_NE(mask, nullptr);
+  EXPECT_EQ(mask->kind, ir::OpKind::kCrossPaddingMask);
+}
+
+/// Q, K, V constants [2, n, 3] → bmm(Q, K^T) → scale(0.5) →
+/// masked_softmax(·, mask) → bmm(·, V), the program output.
+struct AttentionChain {
+  ir::Program p;
+  uint32_t scores = 0, probs = 0;
+};
+
+AttentionChain HandBuiltAttention(size_t n, const tensor::Tensor* mask) {
+  AttentionChain c;
+  ir::Program& p = c.p;
+  uint32_t qkv[3];
+  for (size_t j = 0; j < 3; ++j) {
+    tensor::Tensor t({2, n, 3});
+    for (size_t i = 0; i < t.size(); ++i) {
+      t.data()[i] = std::sin(0.37f * static_cast<float>(i) + j);
+    }
+    qkv[j] = AddConstant(&p, std::move(t));
+  }
+  c.scores = AddLocal(&p, {2, n, n});
+  AddInstr(&p, ir::OpKind::kBmm, {qkv[0], qkv[1]}, c.scores);
+  p.instrs.back().trans_b = true;
+  const uint32_t scaled = AddLocal(&p, {2, n, n});
+  AddInstr(&p, ir::OpKind::kScale, {c.scores}, scaled, /*alpha=*/0.5f);
+  std::vector<uint32_t> softmax_in = {scaled};
+  if (mask != nullptr) softmax_in.push_back(AddConstant(&p, *mask));
+  c.probs = AddLocal(&p, {2, n, n});
+  AddInstr(&p, ir::OpKind::kMaskedSoftmax, softmax_in, c.probs);
+  const uint32_t out = AddLocal(&p, {2, n, 3});
+  AddInstr(&p, ir::OpKind::kBmm, {c.probs, qkv[2]}, out);
+  p.output = out;
+  return c;
+}
+
+/// [n, n] mask open on columns [begin[r], end[r]) of row r.
+tensor::Tensor BandMask(const std::vector<std::pair<size_t, size_t>>& open) {
+  const size_t n = open.size();
+  tensor::Tensor m({n, n});
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t j = 0; j < n; ++j) {
+      const bool in = j >= open[r].first && j < open[r].second;
+      m.at(r, j) = in ? 0.0f : -std::numeric_limits<float>::infinity();
+    }
+  }
+  return m;
+}
+
+/// Evaluates \p p instruction by instruction through ir::EvalPure.
+tensor::Tensor Interpret(const ir::Program& p) {
+  std::vector<tensor::Tensor> vals(p.values.size());
+  for (size_t v = 0; v < p.values.size(); ++v) {
+    if (p.values[v].kind == ir::ValueKind::kConstant) {
+      vals[v] = p.constants[p.values[v].index];
+    }
+  }
+  for (const ir::Instr& ins : p.instrs) {
+    std::vector<const tensor::Tensor*> in;
+    for (uint32_t u : ins.in) in.push_back(&vals[u]);
+    vals[ins.out] = tensor::Tensor::Uninitialized(p.values[ins.out].shape);
+    EXPECT_TRUE(ir::EvalPure(ins, in, &vals[ins.out]));
+  }
+  return vals[p.output];
+}
+
+TEST(PassTest, FuseMaskedAttentionMatchesTheChainOnAHandBuiltBand) {
+  const tensor::Tensor mask =
+      BandMask({{0, 1}, {0, 0}, {1, 4}, {2, 5}, {4, 5}});
+  AttentionChain c = HandBuiltAttention(5, &mask);
+  const tensor::Tensor want = Interpret(c.p);
+  ASSERT_EQ(ir::FuseMaskedAttention(&c.p), 1u);
+  ASSERT_EQ(c.p.instrs.size(), 1u);
+  EXPECT_EQ(c.p.instrs[0].ranges,
+            (std::vector<uint32_t>{0, 1, 0, 0, 1, 4, 2, 5, 4, 5}));
+  const Status st = ir::Verify(c.p);
+  ASSERT_TRUE(st.ok()) << st.message();
+  const tensor::Tensor got = Interpret(c.p);
+  ExpectBitEqual(want.data(), got.data(), want.size(), "band attention");
+}
+
+TEST(PassTest, FuseMaskedAttentionDeclinesAMaskRowWithAHole) {
+  tensor::Tensor mask = BandMask({{0, 4}, {0, 4}, {0, 4}, {0, 4}});
+  mask.at(2, 1) = -std::numeric_limits<float>::infinity();  // 0 -inf 0 0
+  AttentionChain c = HandBuiltAttention(4, &mask);
+  EXPECT_EQ(ir::FuseMaskedAttention(&c.p), 0u);
+  EXPECT_EQ(c.p.instrs.size(), 4u);
+}
+
+TEST(PassTest, FuseMaskedAttentionDeclinesAChainValueWithASecondReader) {
+  for (bool second_reader_on_scores : {true, false}) {
+    AttentionChain c = HandBuiltAttention(4, nullptr);
+    const uint32_t tapped = second_reader_on_scores ? c.scores : c.probs;
+    const uint32_t sum = AddLocal(&c.p, {2, 4, 1});
+    AddInstr(&c.p, ir::OpKind::kSumLast, {tapped}, sum);
+    c.p.slot_outputs.push_back(sum);  // keeps the second reader live
+    EXPECT_EQ(ir::FuseMaskedAttention(&c.p), 0u)
+        << (second_reader_on_scores ? "scores" : "probs");
+    EXPECT_TRUE(InstrsOfKind(c.p, ir::OpKind::kMaskedAttention).empty());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Verifier: hand-corrupted programs are rejected with precise diagnostics.
 // Each test takes a valid program, breaks exactly one invariant, and asserts
 // ir::Verify names the broken rule — the lockdown that keeps a future pass
@@ -713,6 +1014,28 @@ TEST(VerifierTest, RejectsOverlappingLiveArenaRanges) {
   ExpectVerifyRejects(p, "overlap", arena);
 }
 
+TEST(VerifierTest, RejectsAFusedAttentionRangeTheMaskDoesNotDerive) {
+  const tensor::Tensor mask = BandMask({{0, 2}, {1, 3}, {0, 3}});
+  AttentionChain c = HandBuiltAttention(3, &mask);
+  ASSERT_EQ(ir::FuseMaskedAttention(&c.p), 1u);
+  ASSERT_TRUE(ir::Verify(c.p).ok());
+
+  ir::Program widened = c.p;
+  widened.instrs[0].ranges[3] = 2;  // row 1: [1, 3) -> [1, 2)
+  ExpectVerifyRejects(widened,
+                      "row 1 key range [1, 2) is not the mask's open columns "
+                      "[1, 3)");
+
+  ir::Program hole = c.p;  // the mask no longer derives contiguous ranges
+  hole.constants[hole.values[hole.instrs[0].in.back()].index].at(2, 1) =
+      -std::numeric_limits<float>::infinity();
+  ExpectVerifyRejects(hole, "not one contiguous range");
+
+  ir::Program short_ranges = c.p;
+  short_ranges.instrs[0].ranges.resize(4);
+  ExpectVerifyRejects(short_ranges, "2 key ranges for 3 query rows");
+}
+
 // ---------------------------------------------------------------------------
 // Verifier x pipeline: for every model, each pass of the default pipeline
 // leaves both factored halves verifier-clean (the same sequence — and the
@@ -758,6 +1081,10 @@ TEST_P(VerifierPipelineTest, EveryPassLeavesTheProgramVerifierClean) {
     ir::DeadCodeElim(half);
     st = ir::Verify(*half, opts);
     EXPECT_TRUE(st.ok()) << who << "after dead_code_elim: " << st.message();
+    ir::FuseMaskedAttention(half);
+    st = ir::Verify(*half, opts);
+    EXPECT_TRUE(st.ok()) << who << "after fuse_masked_attention: "
+                         << st.message();
     ir::FuseElementwise(half);
     st = ir::Verify(*half, opts);
     EXPECT_TRUE(st.ok()) << who << "after fuse_elementwise: " << st.message();
@@ -803,10 +1130,16 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
   // FM family embeds one unified (user, candidate, history) row through a
   // single candidate-dependent gather — zero slots is correct there.
   const bool sequence_model =
-      GetParam() == "SeqFM" || GetParam() == "DIN" || GetParam() == "SASRec" ||
+      GetParam().rfind("SeqFM", 0) == 0 || GetParam() == "DIN" ||
+      GetParam() == "SASRec" ||
       GetParam() == "TFM" || GetParam() == "RRN";
   if (sequence_model) {
     EXPECT_GT(compiled.engine()->num_slots(), 0u) << GetParam();
+  }
+  // Every SeqFM configuration has an attention the compiler fuses: the
+  // parity below covers tensor::MaskedAttention, not only the dense chain.
+  if (GetParam().rfind("SeqFM", 0) == 0) {
+    EXPECT_GT(compiled.engine()->stats().attention_fused, 0u) << GetParam();
   }
 
   serve::PredictorOptions eager_opts;
@@ -924,6 +1257,17 @@ INSTANTIATE_TEST_SUITE_P(AllModels, CompiledParityTest,
                            }
                            return name;
                          });
+INSTANTIATE_TEST_SUITE_P(SeqFmVariants, CompiledParityTest,
+                         ::testing::ValuesIn(SeqFmVariants()),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (!isalnum(static_cast<unsigned char>(c))) {
+                               c = '_';
+                             }
+                           }
+                           return name;
+                         });
 
 // ---------------------------------------------------------------------------
 // Compiled cost at the serving shape (d=64, n=20): row-block hoisting keeps
@@ -940,8 +1284,10 @@ TEST(CompiledCostTest, SeqFmBodyGemmWorkPerCandidateStaysHoisted) {
   auto engine =
       ir::Engine::Compile(&model, &builder, space.num_objects(), &error);
   ASSERT_NE(engine, nullptr) << error;
-  // 365,760 before the cross-view history/user rows were hoisted.
-  EXPECT_LE(engine->stats().body_macs_per_candidate, 100000u);
+  // 365,760 before the cross-view history/user rows were hoisted, 95,424
+  // before the cross view stopped computing the 404 of its 484 (query, key)
+  // pairs the mask discards; 43,712 now.
+  EXPECT_LE(engine->stats().body_macs_per_candidate, 45000u);
 }
 
 TEST(CompiledCostTest, SeqFmCount256BodyFrameDoesNotGrow) {
@@ -967,10 +1313,90 @@ TEST(CompiledCostTest, SeqFmCount256BodyFrameDoesNotGrow) {
   ASSERT_TRUE(f.ok()) << f.error;
   ir::FoldConstants(&f.body);
   ir::DeadCodeElim(&f.body);
+  ir::FuseMaskedAttention(&f.body);
   ir::FuseElementwise(&f.body);
   ir::PlanArena(&f.body);
-  // The count-256 body frame before row-block hoisting.
-  EXPECT_LE(f.body.frame_floats * sizeof(float), 7672832u);
+  // 7,672,832 bytes before row-block hoisting and 5,411,840 before the
+  // fused attention dropped the [256, 22, 22] scores and the stacked
+  // [256, 22, 64] Q/K/V copies.
+  EXPECT_LE(f.body.frame_floats * sizeof(float), 1950000u);  // 1,901,568
+}
+
+TEST(CompiledServingTest, WarmChunksMakeNoHeapAllocationsOfAnyKind) {
+  const data::FeatureSpace space = SmallSpace();
+  core::SeqFmConfig cfg;  // the serving shape: d=64, n=20
+  data::BatchBuilder builder(space, cfg.max_seq_len);
+  core::SeqFm model(space, cfg);
+  util::SetGlobalThreads(1);
+  serve::PredictorOptions opts;
+  opts.micro_batch = 256;
+  serve::Predictor predictor(&model, &builder, opts);
+  ASSERT_TRUE(predictor.compiled_active());
+  const data::SequenceExample ex = TestExamples()[0];
+  std::vector<int32_t> cands(300);
+  for (size_t i = 0; i < cands.size(); ++i) {
+    cands[i] = static_cast<int32_t>(i % space.num_objects());
+  }
+  const auto ctx = predictor.AcquireContext(ex);
+  std::vector<float> out(cands.size());
+  for (size_t count : {256u, 44u}) {
+    for (int warm = 0; warm < 2; ++warm) {  // compiles this count's body
+      predictor.ScoreContextRange(*ctx, ex, cands, 0, count, out.data());
+    }
+    g_news.store(0);
+    g_count_news.store(true);
+    for (int r = 0; r < 10; ++r) {
+      predictor.ScoreContextRange(*ctx, ex, cands, 0, count, out.data());
+    }
+    g_count_news.store(false);
+    EXPECT_EQ(g_news.load(), 0u) << "operator new calls in 10 warm chunks of "
+                                 << count;
+  }
+  EXPECT_TRUE(predictor.compiled_active());
+}
+
+TEST(CompiledServingTest, NaNHistoryEmbeddingYieldsTheEagerPathsNaNScores) {
+  // The fused attention never reads a masked column, so a non-finite value
+  // there need not reach the same bits as the dense chain's 0 * NaN. What
+  // serving promises is the same scores wherever the input is finite and
+  // NaN exactly where the eager path gives NaN.
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  core::SeqFm model(space, SmallSeqFmConfig());
+  serve::Predictor compiled(&model, &builder);
+  ASSERT_TRUE(compiled.compiled_active());
+  serve::PredictorOptions eager_opts;
+  eager_opts.use_compiled_program = false;
+  serve::Predictor eager(&model, &builder, eager_opts);
+
+  tensor::Tensor& table =
+      model.serving_view().dynamic_embedding->table().node()->value;
+  const int32_t poisoned = 3;  // in TestExamples()[0]'s history only
+  for (size_t c = 0; c < table.dim(1); ++c) {
+    table.at(poisoned, c) = std::numeric_limits<float>::quiet_NaN();
+  }
+  std::vector<int32_t> catalog(space.num_objects());
+  std::iota(catalog.begin(), catalog.end(), 0);
+  size_t nan_scores = 0, finite_scores = 0;
+  for (const auto& ex : TestExamples()) {
+    const std::vector<float> want = eager.ScoreCandidates(ex, catalog);
+    const std::vector<float> got = compiled.ScoreCandidates(ex, catalog);
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(std::isnan(got[i]), std::isnan(want[i]))
+          << "user " << ex.user << " candidate " << i;
+      if (std::isnan(want[i])) {
+        ++nan_scores;
+      } else {
+        ++finite_scores;
+        EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(float)), 0)
+            << "user " << ex.user << " candidate " << i;
+      }
+    }
+  }
+  EXPECT_GT(nan_scores, 0u);
+  EXPECT_GT(finite_scores, 0u);
+  EXPECT_TRUE(compiled.compiled_active());
 }
 
 // ---------------------------------------------------------------------------

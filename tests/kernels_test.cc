@@ -1,6 +1,7 @@
 // The SIMD kernel layer's contract suite: scalar and AVX2 kernels must be
 // bit-identical on every input (including empty, size-1, and
-// non-multiple-of-8 tails), tensors must hand kernels 64-byte-aligned
+// non-multiple-of-8 tails), the fused masked attention must match the dense
+// chain it replaces, tensors must hand kernels 64-byte-aligned
 // storage, and the scratch arena must make steady-state serving free of
 // tensor heap allocations. AVX2 halves of the parity tests skip themselves
 // on hardware without avx2+fma (the contract is then vacuously true).
@@ -382,6 +383,126 @@ TEST(GemmSimdTest, SoftmaxOpParityIncludingMasks) {
 }
 
 // ---------------------------------------------------------------------------
+// Fused masked attention against the dense four-op chain it replaces
+// ---------------------------------------------------------------------------
+
+/// softmax(alpha * Q K^T + mask) V through BatchedMatMul(trans_b), the Scale
+/// op's kernel, SoftmaxLastDim and BatchedMatMul.
+Tensor DenseAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                      const Tensor* mask, float alpha) {
+  const size_t batch = q.dim(0), nq = q.dim(1), nk = k.dim(1);
+  Tensor scores({batch, nq, nk}), probs({batch, nq, nk});
+  Tensor out({batch, nq, v.dim(2)});
+  tensor::BatchedMatMul(q, k, &scores, false, true);
+  tensor::kernels::Active().scale(alpha, scores.data(), scores.data(),
+                                  scores.size());
+  tensor::SoftmaxLastDim(scores, mask, &probs);
+  tensor::BatchedMatMul(probs, v, &out);
+  return out;
+}
+
+/// An operand as random row blocks ({rows, broadcast} each; a broadcast
+/// block is batch 1) plus the dense tensor they stack to.
+struct BlockOperand {
+  std::vector<Tensor> blocks;
+  std::vector<const Tensor*> ptrs;
+  Tensor whole;
+
+  BlockOperand(size_t batch, size_t width,
+               const std::vector<std::pair<size_t, bool>>& spec,
+               uint64_t seed) {
+    size_t rows = 0;
+    for (const auto& [r, bcast] : spec) {
+      Tensor t({bcast ? 1 : batch, r, width});
+      const auto vals = RandomVec(t.size(), seed++);
+      std::copy(vals.begin(), vals.end(), t.data());
+      blocks.push_back(std::move(t));
+      rows += r;
+    }
+    whole = Tensor({batch, rows, width});
+    for (size_t b = 0; b < batch; ++b) {
+      float* dst = whole.BatchData(b);
+      for (const Tensor& t : blocks) {
+        const float* src =
+            t.data() + (t.dim(0) == 1 ? 0 : b * t.dim(1) * width);
+        dst = std::copy(src, src + t.dim(1) * width, dst);
+      }
+    }
+    for (const Tensor& t : blocks) ptrs.push_back(&t);
+  }
+
+  tensor::RowStack stack() const { return {ptrs.data(), ptrs.size()}; }
+};
+
+TEST(MaskedAttentionTest, MatchesTheDenseChainBitForBit) {
+  SimdLevelRestorer restore;
+  const float inf = std::numeric_limits<float>::infinity();
+  const size_t batch = 16, n = 21, d = 13, dv = 10;  // > 1 grain of items
+  // One key range per query row: fully masked, width 1, starts off a
+  // multiple of 8, longer than 8, the whole row, and a run of rows sharing
+  // one range (a multi-row block).
+  const std::vector<std::pair<uint32_t, uint32_t>> open = {
+      {0, 0},  {5, 6},  {0, 1},  {20, 21}, {3, 7},   {9, 20}, {13, 14},
+      {2, 19}, {0, 21}, {8, 17}, {4, 16},  {4, 16},  {4, 16}, {1, 12},
+      {0, 0},  {7, 8},  {15, 21}, {0, 9},  {10, 11}, {6, 20}, {0, 21}};
+  ASSERT_EQ(open.size(), n);
+  std::vector<uint32_t> ranges;
+  Tensor mask({n, n});
+  Rng rng(7);
+  for (size_t r = 0; r < n; ++r) {
+    ranges.insert(ranges.end(), {open[r].first, open[r].second});
+    for (size_t j = 0; j < n; ++j) {
+      const bool in = j >= open[r].first && j < open[r].second;
+      // Open entries carry an additive bias on odd rows, 0 on even ones.
+      mask.at(r, j) = !in ? -inf
+                          : (r % 2 ? static_cast<float>(rng.Uniform(-1, 1))
+                                   : 0.0f);
+    }
+  }
+  std::vector<uint32_t> full;
+  for (size_t r = 0; r < n; ++r) full.insert(full.end(), {0u, uint32_t{n}});
+
+  // Q, K, V as the compiled body reads them: per-candidate blocks and
+  // broadcast (hoisted) blocks, with ranges inside one block and across two.
+  const BlockOperand q(batch, d, {{1, true}, {10, false}, {10, true}}, 100);
+  const BlockOperand k(batch, d, {{2, false}, {19, true}}, 200);
+  const BlockOperand v(batch, dv, {{8, true}, {13, false}}, 300);
+
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (Avx2Usable()) levels.push_back(SimdLevel::kAvx2);
+  for (const bool masked : {true, false}) {
+    const Tensor* m = masked ? &mask : nullptr;
+    util::SetSimdLevel(SimdLevel::kScalar);
+    const Tensor want = DenseAttention(q.whole, k.whole, v.whole, m, 0.3f);
+    for (SimdLevel level : levels) {
+      util::SetSimdLevel(level);
+      for (size_t threads : {1u, 2u}) {
+        util::SetGlobalThreads(threads);
+        const Tensor dense =
+            DenseAttention(q.whole, k.whole, v.whole, m, 0.3f);
+        Tensor got({batch, n, dv});
+        tensor::MaskedAttention(q.stack(), k.stack(), v.stack(), m,
+                                masked ? ranges.data() : full.data(), 0.3f,
+                                &got);
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_TRUE(BitEqual(dense.data()[i], want.data()[i]) &&
+                      BitEqual(got.data()[i], want.data()[i]))
+              << util::SimdLevelName(level) << " threads=" << threads
+              << " masked=" << masked << " row=" << (i / dv) % n
+              << " i=" << i;
+        }
+      }
+    }
+  }
+  util::SetGlobalThreads(1);
+  // A fully masked row is zeros, as SoftmaxLastDim makes it.
+  Tensor got({batch, n, dv});
+  tensor::MaskedAttention(q.stack(), k.stack(), v.stack(), &mask,
+                          ranges.data(), 0.3f, &got);
+  for (size_t c = 0; c < dv; ++c) EXPECT_EQ(got.at(1, 0, c), 0.0f);
+}
+
+// ---------------------------------------------------------------------------
 // Aligned tensor storage
 // ---------------------------------------------------------------------------
 
@@ -552,9 +673,9 @@ TEST(SimdServingTest, SteadyStateServingPerformsZeroTensorHeapAllocations) {
   // The allocation-free-serving acceptance gate, for BOTH serving engines:
   // once the context cache is warm, a Predictor request must not touch the
   // heap for tensor data at all. The compiled op program executes inside
-  // preallocated thread-local frames (it does not even need the scratch
-  // arena); the hand-factored eager path draws every op output from the
-  // thread's warm arena instead.
+  // preallocated thread-local frames (only its fused attention borrows a
+  // little scratch from the thread's warm arena); the hand-factored eager
+  // path draws every op output from the thread's warm arena instead.
   ServeFixture fx;
   core::SeqFm model(fx.space, fx.ModelConfig());
   // Single-threaded so every chunk runs on this (warmed) thread's arena.
