@@ -250,12 +250,13 @@ int Run(int argc, char** argv) {
     std::printf("compiled program: %zu prologue + %zu body instrs, %zu "
                 "slots, %zu planned frame bytes, %zu folded / %zu dce / "
                 "%zu attention / %zu elementwise fused, %zu body GEMM MACs "
-                "per candidate\n",
+                "per candidate, %zu item values in a %zu-byte item table\n",
                 es.prologue_instrs, es.body_instrs, es.slots,
                 (es.prologue_frame_floats + es.body_frame_floats) *
                     sizeof(float),
                 es.folded, es.dce_removed, es.attention_fused, es.fused,
-                es.body_macs_per_candidate);
+                es.body_macs_per_candidate, es.item_values,
+                es.item_table_bytes);
     json.Add("compiled_prologue_instrs",
              static_cast<double>(es.prologue_instrs));
     json.Add("compiled_body_instrs", static_cast<double>(es.body_instrs));
@@ -271,6 +272,9 @@ int Run(int argc, char** argv) {
              static_cast<double>(es.attention_fused));
     json.Add("compiled_body_macs_per_cand",
              static_cast<double>(es.body_macs_per_candidate));
+    json.Add("compiled_item_values", static_cast<double>(es.item_values));
+    json.Add("compiled_item_table_bytes",
+             static_cast<double>(es.item_table_bytes));
   }
 
   const RequestWorkload workload =

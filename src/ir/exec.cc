@@ -296,18 +296,8 @@ std::unordered_map<uint64_t, FrameEntry>& ThreadFrames() {
   return frames;
 }
 
-Frame* FrameFor(const Program& prog) {
-  auto& frames = ThreadFrames();
-  auto it = frames.find(prog.uid);
-  if (it != frames.end()) return it->second.frame.get();
-
-  // A miss is the only time the map grows, so it is when frames of programs
-  // that no longer exist (reloaded engines, the losing body of a concurrent
-  // compile, self-check copies) are dropped. Hits stay allocation-free.
-  for (auto e = frames.begin(); e != frames.end();) {
-    e = e->second.program_alive.expired() ? frames.erase(e) : std::next(e);
-  }
-
+/// A frame sized and wired for \p prog; FrameFor caches one per thread.
+std::unique_ptr<Frame> MakeFrame(const Program& prog) {
   auto frame = std::make_unique<Frame>();
   frame->block =
       tensor::Tensor::Uninitialized({std::max<size_t>(prog.frame_floats, 1)});
@@ -332,7 +322,22 @@ Frame* FrameFor(const Program& prog) {
   if (frame->needs_static) frame->sids.resize(prog.count * prog.n_static);
   if (frame->needs_dynamic) frame->dids.resize(prog.count * prog.n_seq);
   if (frame->needs_unified) frame->uids.resize(prog.count * prog.n_unified);
+  return frame;
+}
 
+Frame* FrameFor(const Program& prog) {
+  auto& frames = ThreadFrames();
+  auto it = frames.find(prog.uid);
+  if (it != frames.end()) return it->second.frame.get();
+
+  // A miss is the only time the map grows, so it is when frames of programs
+  // that no longer exist (reloaded engines, the losing body of a concurrent
+  // compile, self-check copies) are dropped. Hits stay allocation-free.
+  for (auto e = frames.begin(); e != frames.end();) {
+    e = e->second.program_alive.expired() ? frames.erase(e) : std::next(e);
+  }
+
+  std::unique_ptr<Frame> frame = MakeFrame(prog);
   Frame* raw = frame.get();
   frames.emplace(prog.uid, FrameEntry{prog.liveness, std::move(frame)});
   return raw;
@@ -372,12 +377,14 @@ void FillIndexArrays(const Program& prog, Frame* f, int32_t user_index,
   }
 }
 
-/// Runs one program against a frame. \p slots backs kSlot reads (bodies);
-/// \p cands is the per-row candidate array (null for prologues). The whole
-/// run sits inside a ScratchScope so any kernel-internal scratch (the GEMM
-/// trans-A pack buffer) comes from the thread arena, not the heap.
+/// Runs one program against a frame. \p slots backs kSlot reads and
+/// \p items kItem reads (bodies); \p cands is the per-row candidate array
+/// (null for prologues). The whole run sits inside a ScratchScope so any
+/// kernel-internal scratch (the GEMM trans-A pack buffer) comes from the
+/// thread arena, not the heap.
 void RunProgram(const Program& prog, Frame* f,
-                const std::vector<tensor::Tensor>* slots, int32_t user_index,
+                const std::vector<tensor::Tensor>* slots,
+                const std::vector<tensor::Tensor>* items, int32_t user_index,
                 const int32_t* history, const int32_t* cands,
                 int32_t cand_base, int32_t unified_dyn_base) {
   core::ScratchScope scratch_scope;
@@ -391,6 +398,7 @@ void RunProgram(const Program& prog, Frame* f,
       case ValueKind::kParam: return &v.param->value;
       case ValueKind::kConstant: return &prog.constants[v.index];
       case ValueKind::kSlot: return &(*slots)[v.index];
+      case ValueKind::kItem: return &(*items)[v.index];
     }
     return nullptr;
   };
@@ -592,6 +600,49 @@ std::string CheckArrays(const Frame& f, const data::Batch& batch) {
 
 }  // namespace
 
+ItemTable BuildItemTable(const Program& catalog, size_t num_objects,
+                         int32_t cand_base, int32_t unified_dyn_base) {
+  ItemTable t;
+  t.num_objects = num_objects;
+  t.values = catalog.slot_outputs;
+  if (catalog.slot_outputs.empty()) return t;
+  const size_t chunk = catalog.count;
+  std::vector<size_t> widths;
+  size_t total = 0;
+  for (uint32_t v : catalog.slot_outputs) {
+    widths.push_back(catalog.values[v].size() / chunk);
+    total += widths.back() * num_objects;
+  }
+  t.data = tensor::Tensor::Uninitialized({total});
+  const std::vector<int32_t> history(catalog.n_seq, -1);  // never read
+  std::vector<int32_t> cands(chunk);
+  std::unique_ptr<Frame> f = MakeFrame(catalog);
+  for (size_t first = 0; first < num_objects; first += chunk) {
+    // A short last chunk repeats its last object; only real rows are kept.
+    const size_t rows = std::min(chunk, num_objects - first);
+    for (size_t i = 0; i < chunk; ++i) {
+      cands[i] = static_cast<int32_t>(first + std::min(i, rows - 1));
+    }
+    RunProgram(catalog, f.get(), nullptr, nullptr, /*user_index=*/0,
+               history.data(), cands.data(), cand_base, unified_dyn_base);
+    float* column = t.data.data();
+    for (size_t k = 0; k < widths.size(); ++k) {
+      const size_t w = widths[k];
+      std::memcpy(column + first * w,
+                  f->locals[catalog.slot_outputs[k]].data(),
+                  rows * w * sizeof(float));
+      column += num_objects * w;
+    }
+  }
+  float* column = t.data.data();
+  for (size_t w : widths) {
+    t.columns.push_back(tensor::Tensor::WrapExternal({num_objects, w}, column,
+                                                     num_objects * w));
+    column += num_objects * w;
+  }
+  return t;
+}
+
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
@@ -673,15 +724,57 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
     return false;
   }
 
-  FactorResult f = Factor(t1, tC, batch1, batchC);
+  // The cross-probe request — different user, different history, different
+  // candidates. Its trace is a second witness for the item claims (Factor)
+  // and, below, for the whole compiled program.
+  data::SequenceExample probe_b;
+  probe_b.user = builder_->space().num_users() > 1 ? 1 : 0;
+  probe_b.target = 0;
+  const size_t span = num_objects_ - 1;
+  probe_b.history.resize(n_seq_);
+  for (size_t j = 0; j < n_seq_; ++j) {
+    probe_b.history[j] = static_cast<int32_t>(1 + ((5 * j + 3) % span));
+  }
+  std::vector<const data::SequenceExample*> exB(count, &probe_b);
+  std::vector<int32_t> ovrB(count);
+  for (size_t i = 0; i < count; ++i) {
+    ovrB[i] = static_cast<int32_t>((i + 1) % num_objects_);
+  }
+  const data::Batch batchB = builder_->Build(exB, &ovrB);
+  TraceResult tB = Trace(model_, batchB);
+  if (!tB.ok()) {
+    *error = "compile (cross-probe): " + tB.error;
+    return false;
+  }
+
+  FactorOptions factor_opts;
+  factor_opts.num_objects = num_objects_;
+  factor_opts.cand_base = cand_base_;
+  factor_opts.unified_dyn_base = unified_dyn_base_;
+  factor_opts.probe = &tB;
+  factor_opts.probe_batch = &batchB;
+  // A later per-count compile shares the engine's table: its item claims
+  // must reproduce the table's layout and hold against its rows.
+  if (!adopt_prologue) factor_opts.table = &items_;
+  FactorResult f = Factor(t1, tC, batch1, batchC, factor_opts);
   if (!f.ok()) {
     *error = f.error;
     return false;
   }
+  // Factor is the traces' last full reader. Keep the two traced scores the
+  // self-checks compare against and free the rest before the passes and
+  // the frames allocate: a count-C trace is several times a body frame.
+  const tensor::Tensor traced_c = tC.value_nodes[f.body.output]->value;
+  const tensor::Tensor traced_b = tB.value_nodes[f.body.output]->value;
+  t1 = TraceResult();
+  tC = TraceResult();
+  tB = TraceResult();
+  const ItemTable& table = adopt_prologue ? f.table : items_;
   const VerifyOptions prologue_opts;
   VerifyOptions body_opts;
   body_opts.allow_slots = true;
   body_opts.num_slots = f.prologue.slot_outputs.size();
+  body_opts.item_table = &table;
   if (!VerifyStage(f.prologue, "factor", "prologue", prologue_opts, error) ||
       !VerifyStage(f.body, "factor", "body", body_opts, error)) {
     return false;
@@ -738,8 +831,8 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
   const int32_t probe_user = batch1.static_ids[0];
   const int32_t* probe_hist = batch1.dynamic_ids.data();
   Frame* pf = FrameFor(f.prologue);
-  RunProgram(f.prologue, pf, nullptr, probe_user, probe_hist, nullptr,
-             cand_base_, unified_dyn_base_);
+  RunProgram(f.prologue, pf, nullptr, nullptr, probe_user, probe_hist,
+             nullptr, cand_base_, unified_dyn_base_);
   std::string arrays = CheckArrays(*pf, batch1);
   if (!arrays.empty()) {
     *error = "compile (prologue): " + arrays;
@@ -759,76 +852,42 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
   // Self-check, body half: replay it over the probe candidates against the
   // freshly computed slots and demand the traced scores, bit-for-bit.
   Frame* bf = FrameFor(f.body);
-  RunProgram(f.body, bf, &slots, probe_user, probe_hist, ovrC.data(),
-             cand_base_, unified_dyn_base_);
+  RunProgram(f.body, bf, &slots, &table.columns, probe_user, probe_hist,
+             ovrC.data(), cand_base_, unified_dyn_base_);
   arrays = CheckArrays(*bf, batchC);
   if (!arrays.empty()) {
     *error = "compile (body): " + arrays;
     return false;
   }
-  if (!BitEqual(bf->locals[f.body.output],
-                tC.value_nodes[f.body.output]->value)) {
+  if (!BitEqual(bf->locals[f.body.output], traced_c)) {
     *error = "compile: body output diverges from traced forward";
     return false;
   }
 
   // Cross-probe verification: the gather bindings, captured constants, and
   // the invariant/variant split were all inferred from probe A. Replay the
-  // compiled halves end-to-end for a SECOND request — different user,
-  // different history, different candidates — and demand the traced scores
-  // bit-for-bit. Any inference that held only coincidentally at probe A dies
-  // here, so the Predictor falls back to the eager path instead of silently
-  // serving wrong bits.
+  // compiled halves end-to-end for the SECOND request and demand its traced
+  // scores bit-for-bit. Any inference that held only coincidentally at
+  // probe A dies here, so the Predictor falls back to the eager path
+  // instead of silently serving wrong bits.
   {
-    data::SequenceExample probe_b;
-    probe_b.user = builder_->space().num_users() > 1 ? 1 : 0;
-    probe_b.target = 0;
-    const size_t span = num_objects_ - 1;
-    probe_b.history.resize(n_seq_);
-    for (size_t j = 0; j < n_seq_; ++j) {
-      probe_b.history[j] = static_cast<int32_t>(1 + ((5 * j + 3) % span));
-    }
-    std::vector<const data::SequenceExample*> exB(count, &probe_b);
-    std::vector<int32_t> ovrB(count);
-    for (size_t i = 0; i < count; ++i) {
-      ovrB[i] = static_cast<int32_t>((i + 1) % num_objects_);
-    }
-    const data::Batch batchB = builder_->Build(exB, &ovrB);
-    TraceResult tB = Trace(model_, batchB);
-    if (!tB.ok()) {
-      *error = "compile (cross-probe): " + tB.error;
-      return false;
-    }
-    if (tB.program.instrs.size() != tC.program.instrs.size() ||
-        tB.program.values.size() != tC.program.values.size()) {
-      *error = "compile: program structure varies across requests";
-      return false;
-    }
-    for (size_t i = 0; i < tB.program.instrs.size(); ++i) {
-      if (tB.program.instrs[i].kind != tC.program.instrs[i].kind ||
-          tB.program.instrs[i].out != tC.program.instrs[i].out) {
-        *error = "compile: program structure varies across requests";
-        return false;
-      }
-    }
     const int32_t user_b = batchB.static_ids[0];
     const int32_t* hist_b = batchB.dynamic_ids.data();
-    RunProgram(f.prologue, pf, nullptr, user_b, hist_b, nullptr, cand_base_,
-               unified_dyn_base_);
+    RunProgram(f.prologue, pf, nullptr, nullptr, user_b, hist_b, nullptr,
+               cand_base_, unified_dyn_base_);
     std::vector<tensor::Tensor> slots_b;
     slots_b.reserve(f.prologue.slot_outputs.size());
     for (uint32_t id : f.prologue.slot_outputs) {
       slots_b.push_back(pf->locals[id]);
     }
-    RunProgram(f.body, bf, &slots_b, user_b, hist_b, ovrB.data(), cand_base_,
-               unified_dyn_base_);
+    RunProgram(f.body, bf, &slots_b, &table.columns, user_b, hist_b,
+               ovrB.data(), cand_base_, unified_dyn_base_);
     arrays = CheckArrays(*bf, batchB);
     if (!arrays.empty()) {
       *error = "compile (cross-probe body): " + arrays;
       return false;
     }
-    if (!BitEqual(bf->locals[f.body.output],
-                  tB.value_nodes[f.body.output]->value)) {
+    if (!BitEqual(bf->locals[f.body.output], traced_b)) {
       *error = "compile: compiled program does not generalize across "
                "requests (cross-probe output mismatch)";
       return false;
@@ -850,6 +909,9 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
       stats_.body_frame_floats = f.body.frame_floats;
       stats_.body_macs_per_candidate = GemmMacs(f.body) / count;
       prologue_ = std::move(f.prologue);
+      items_ = std::move(f.table);
+      stats_.item_values = items_.columns.size();
+      stats_.item_table_bytes = items_.bytes();
     }
     if (bodies_.find(count) == bodies_.end()) {
       stats_.folded += delta.folded;
@@ -871,8 +933,8 @@ void Engine::MakeContext(int32_t user_index,
                          core::SharedContext* ctx) const {
   SEQFM_CHECK_EQ(dynamic_ids.size(), n_seq_);
   Frame* pf = FrameFor(prologue_);
-  RunProgram(prologue_, pf, nullptr, user_index, dynamic_ids.data(), nullptr,
-             cand_base_, unified_dyn_base_);
+  RunProgram(prologue_, pf, nullptr, nullptr, user_index, dynamic_ids.data(),
+             nullptr, cand_base_, unified_dyn_base_);
   ctx->slots.clear();
   ctx->slots.reserve(prologue_.slot_outputs.size());
   for (uint32_t id : prologue_.slot_outputs) {
@@ -927,13 +989,19 @@ bool Engine::ScoreRange(const core::SharedContext& ctx,
   }
 
   Frame* bf = FrameFor(*body);
-  RunProgram(*body, bf, &ctx.slots, ctx.user_index, ctx.dynamic_ids.data(),
-             cands, cand_base_, unified_dyn_base_);
+  RunProgram(*body, bf, &ctx.slots, &items_.columns, ctx.user_index,
+             ctx.dynamic_ids.data(), cands, cand_base_, unified_dyn_base_);
   std::memcpy(out, bf->locals[body->output].data(), count * sizeof(float));
   return true;
 }
 
 size_t ThreadFrameCount() { return ThreadFrames().size(); }
+
+const Program* Engine::body(size_t count) const {
+  util::OrderedMutexLock lock(mu_);
+  auto it = bodies_.find(count);
+  return it == bodies_.end() ? nullptr : it->second.get();
+}
 
 EngineStats Engine::stats() const {
   util::OrderedMutexLock lock(mu_);
@@ -942,57 +1010,84 @@ EngineStats Engine::stats() const {
 
 Status Engine::ReverifySlotAbi() const {
   util::OrderedMutexLock lock(mu_);
+  auto shape_str = [](const std::vector<size_t>& s) {
+    std::string r = "[";
+    for (size_t i = 0; i < s.size(); ++i) {
+      if (i) r += ", ";
+      r += std::to_string(s[i]);
+    }
+    return r + "]";
+  };
   const size_t slots = prologue_.slot_outputs.size();
+  const size_t columns = items_.columns.size();
   for (const auto& [count, body] : bodies_) {
+    const std::string where = "body for count " + std::to_string(count);
     for (size_t v = 0; v < body->values.size(); ++v) {
       const Value& val = body->values[v];
+      const std::string value = " value " + std::to_string(v);
+      if (val.kind == ValueKind::kItem) {
+        if (val.index >= columns) {
+          return Status::Internal(
+              "item ABI: " + where + value + " reads column " +
+              std::to_string(val.index) + " but the item table has only " +
+              std::to_string(columns) + " columns");
+        }
+        const std::vector<size_t>& want = items_.columns[val.index].shape();
+        if (val.shape != want) {
+          return Status::Internal(
+              "item ABI: " + where + value + " expects column " +
+              std::to_string(val.index) + " with shape " +
+              shape_str(val.shape) + " but the item table holds " +
+              shape_str(want));
+        }
+        continue;
+      }
       if (val.kind != ValueKind::kSlot) continue;
       if (val.index >= slots) {
         return Status::Internal(
-            "slot ABI: body for count " + std::to_string(count) + " value " +
-            std::to_string(v) + " reads slot " + std::to_string(val.index) +
-            " but the prologue produces only " + std::to_string(slots) +
-            " slots");
+            "slot ABI: " + where + value + " reads slot " +
+            std::to_string(val.index) + " but the prologue produces only " +
+            std::to_string(slots) + " slots");
       }
       const Value& produced =
           prologue_.values[prologue_.slot_outputs[val.index]];
       if (val.shape != produced.shape) {
-        auto shape_str = [](const std::vector<size_t>& s) {
-          std::string r = "[";
-          for (size_t i = 0; i < s.size(); ++i) {
-            if (i) r += ", ";
-            r += std::to_string(s[i]);
-          }
-          return r + "]";
-        };
         return Status::Internal(
-            "slot ABI: body for count " + std::to_string(count) + " value " +
-            std::to_string(v) + " expects slot " + std::to_string(val.index) +
-            " with shape " + shape_str(val.shape) +
-            " but the prologue produces " + shape_str(produced.shape));
+            "slot ABI: " + where + value + " expects slot " +
+            std::to_string(val.index) + " with shape " +
+            shape_str(val.shape) + " but the prologue produces " +
+            shape_str(produced.shape));
       }
     }
   }
   return Status::OK();
 }
 
-void Engine::CorruptSlotWiringForTest(bool corrupt_shape) {
+void Engine::CorruptAbiForTest(AbiCorruption how) {
   util::OrderedMutexLock lock(mu_);
+  const ValueKind kind =
+      how == AbiCorruption::kItemWidth ? ValueKind::kItem : ValueKind::kSlot;
   for (auto& [count, body] : bodies_) {
     (void)count;
     for (Value& val : body->values) {
-      if (val.kind != ValueKind::kSlot) continue;
-      if (corrupt_shape) {
-        val.shape.push_back(3);
-      } else {
-        val.index =
-            static_cast<uint32_t>(prologue_.slot_outputs.size()) + 7;
+      if (val.kind != kind) continue;
+      switch (how) {
+        case AbiCorruption::kSlotIndex:
+          val.index =
+              static_cast<uint32_t>(prologue_.slot_outputs.size()) + 7;
+          break;
+        case AbiCorruption::kSlotShape:
+          val.shape.push_back(3);
+          break;
+        case AbiCorruption::kItemWidth:
+          val.shape.back() += 1;
+          break;
       }
       return;
     }
   }
-  SEQFM_CHECK(false) << "CorruptSlotWiringForTest: no compiled body reads "
-                        "a slot";
+  SEQFM_CHECK(false) << "CorruptAbiForTest: no compiled body reads a "
+                     << (kind == ValueKind::kItem ? "table column" : "slot");
 }
 
 }  // namespace ir

@@ -22,10 +22,13 @@ namespace ir {
 /// \brief The serving VM: executes arena-planned programs allocation-free.
 ///
 /// An Engine owns the factored (prologue, body) program pair compiled from
-/// two traces of one model. serve::Predictor drives it: MakeContext runs the
-/// prologue once per (user, history) and parks the candidate-invariant slot
-/// tensors in the SharedContext (cached by serve::ContextCache); ScoreRange
-/// replays the per-candidate body over a catalog chunk. Execution state lives
+/// traces of one model, and the item table its bodies read. serve::Predictor
+/// drives it: MakeContext runs the prologue once per (user, history) and
+/// parks the candidate-invariant slot tensors in the SharedContext (cached by
+/// serve::ContextCache); ScoreRange replays the per-candidate body over a
+/// catalog chunk, reading each candidate's item values (for SeqFM, the
+/// candidate row's six Q/K/V projections) from the table Compile built once
+/// by running the catalog program over every object. Execution state lives
 /// in thread-local frames sized by PlanArena, so steady-state scoring
 /// performs zero heap allocations and is trivially thread-safe.
 
@@ -55,7 +58,21 @@ struct EngineStats {
   /// bmm_left_shared, and the unmasked pairs of masked_attention) the
   /// initial body spends per candidate, from shapes.
   size_t body_macs_per_candidate = 0;
+  /// Item table columns the bodies gather instead of computing, and the
+  /// table's size: num_objects x (sum of column widths) x 4 bytes.
+  size_t item_values = 0;
+  size_t item_table_bytes = 0;
 };
+
+/// Runs \p catalog (a planned catalog program, passes::Factor) over objects
+/// 0..num_objects-1, catalog.count at a time, and returns its outputs as an
+/// item table. The catalog reads only the candidate column, which it
+/// synthesizes from \p cand_base (FeatureSpace::CandidateIndex(0));
+/// \p unified_dyn_base is the unified id of dynamic object 0. Runs on a
+/// frame of its own that it frees on return. Leaves
+/// ItemTable::item_values to the caller, which knows the item-value set.
+ItemTable BuildItemTable(const Program& catalog, size_t num_objects,
+                         int32_t cand_base, int32_t unified_dyn_base);
 
 /// Number of execution frames the calling thread holds. Frames of destroyed
 /// programs are dropped the next time the thread needs a new frame.
@@ -67,11 +84,13 @@ size_t ThreadFrameCount();
 class Engine {
  public:
   /// Traces \p model at candidate counts 1 and 2, factors the program into a
-  /// candidate-invariant prologue and a per-candidate body, runs the pass
-  /// pipeline, and self-checks both halves bit-for-bit against the traced
-  /// tensors. Returns null (with \p error set) when the model is not
-  /// compilable — unknown op, unannotated constant, unbindable gather — in
-  /// which case the caller keeps the eager path. Requires at least two
+  /// candidate-invariant prologue, a per-candidate body and a catalog
+  /// program, builds the item table by running the catalog over all
+  /// \p num_objects objects, runs the pass pipeline, and self-checks both
+  /// halves bit-for-bit against the traced tensors. Returns null (with
+  /// \p error set) when the model is not compilable — unknown op,
+  /// unannotated constant, unbindable gather — in which case the caller
+  /// keeps the eager path. Requires at least two
   /// catalog objects (two distinct probe candidates are what disambiguate
   /// the candidate column in gather bindings).
   static std::unique_ptr<Engine> Compile(core::Model* model,
@@ -97,21 +116,37 @@ class Engine {
   /// Number of slot tensors a context carries.
   size_t num_slots() const { return prologue_.slot_outputs.size(); }
 
+  /// The item table every body of this engine reads (empty when the model
+  /// has no item values).
+  const ItemTable& item_table() const { return items_; }
+
+  /// The body compiled for \p count candidates, or null before the first
+  /// chunk of that count. Bodies live as long as the engine.
+  const Program* body(size_t count) const SEQFM_EXCLUDES(mu_);
+
   /// Re-checks the slot ABI between the prologue and every compiled body:
   /// each body value of kind kSlot must name a slot the prologue actually
-  /// produces, with the exact shape the prologue parks in the context. The
-  /// initial Compile establishes this by construction; serving re-verifies
-  /// it at every checkpoint reload (Predictor::ReloadCheckpoint) because a
-  /// body scoring through a stale or miswired slot reads the wrong floats
-  /// — garbage rankings, no crash. Returns Internal naming the first
-  /// mismatched (body count, value, slot).
+  /// produces, with the exact shape the prologue parks in the context, and
+  /// each kItem value must name a column of the item table with that
+  /// column's exact [num_objects, width]. The initial Compile establishes
+  /// this by construction; serving re-verifies it at every checkpoint reload
+  /// (Predictor::ReloadCheckpoint) because a body scoring through a stale or
+  /// miswired slot or column reads the wrong floats — garbage rankings, no
+  /// crash. Returns Internal naming the first mismatched (body count,
+  /// value, slot or column).
   Status ReverifySlotAbi() const SEQFM_EXCLUDES(mu_);
 
-  /// Test hook: miswires the first kSlot value of some compiled body —
-  /// \p corrupt_shape distorts its shape, otherwise its slot index is
-  /// pushed out of range. Exists so reload tests can prove ReverifySlotAbi
-  /// catches both failure classes; never called outside tests.
-  void CorruptSlotWiringForTest(bool corrupt_shape) SEQFM_EXCLUDES(mu_);
+  /// How CorruptAbiForTest miswires a body.
+  enum class AbiCorruption {
+    kSlotIndex,  // first kSlot value: slot index pushed out of range
+    kSlotShape,  // first kSlot value: shape distorted
+    kItemWidth,  // first kItem value: column width off by one
+  };
+
+  /// Test hook: miswires the first kSlot or kItem value of some compiled
+  /// body. Exists so reload tests can prove ReverifySlotAbi catches each
+  /// failure class; never called outside tests.
+  void CorruptAbiForTest(AbiCorruption how) SEQFM_EXCLUDES(mu_);
 
   uint64_t uid() const { return uid_; }
 
@@ -120,9 +155,12 @@ class Engine {
  private:
   Engine() = default;
 
-  /// Traces fresh at counts 1 and \p count, factors, optimizes, verifies,
-  /// and self-checks. Fresh traces (not stored ones) keep the verification
-  /// honest after checkpoint reloads swap parameter storage. Runs WITHOUT
+  /// Traces fresh at counts 1 and \p count (and a cross-probe request at
+  /// \p count), factors, optimizes, verifies, and self-checks. The initial
+  /// compile (\p adopt_prologue) also builds the item table; later ones
+  /// must reproduce its layout and check their item claims against it.
+  /// Fresh traces (not stored ones) keep the verification honest after
+  /// checkpoint reloads swap parameter storage. Runs WITHOUT
   /// mu_ held — tracing dispatches ParallelFor work, and holding the engine
   /// lock across a pool region inverts against wave chunk tasks that call
   /// ScoreRange from inside pool work (see util::lock_rank). On success the
@@ -149,6 +187,9 @@ class Engine {
   // completes, and checkpoint reloads build a new Engine), so readers need
   // no lock; not GUARDED_BY for that reason.
   mutable Program prologue_;
+  // Written with prologue_, and as immutable after Compile. One table per
+  // engine, shared by every body (never copied into Program::constants).
+  mutable ItemTable items_;
 
   /// Innermost rank: acquired for bodies_/stats_ publication and lookup
   /// only, never held across a compile or a pool region.

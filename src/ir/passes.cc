@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <utility>
 
 #include "ir/exec.h"
+#include "ir/verify.h"
 #include "util/logging.h"
 
 namespace seqfm {
@@ -34,21 +34,6 @@ bool BindingUsesCandidate(const IndexBinding& b) {
     if (ColumnIsCandidate(b, j)) return true;
   }
   return false;
-}
-
-/// True iff \p big is exactly \p small repeated back-to-back, bit-for-bit
-/// (the shape a candidate-invariant tensor must take across counts).
-bool TilesTo(const tensor::Tensor& small, const tensor::Tensor& big) {
-  const size_t s = small.size();
-  const size_t b = big.size();
-  if (s == 0 || b % s != 0) return false;
-  const float* sv = small.data();
-  const float* bv = big.data();
-  const size_t rep = b / s;
-  for (size_t r = 0; r < rep; ++r) {
-    if (std::memcmp(bv + r * s, sv, s * sizeof(float)) != 0) return false;
-  }
-  return true;
 }
 
 /// Instruction-level alignment between the two traces: same op, same value
@@ -96,25 +81,68 @@ bool IsRowLocal(OpKind k) {
   }
 }
 
-/// Rows [r0, r1) along axis 1 of a rank-3 tensor.
-tensor::Tensor RowSlice(const tensor::Tensor& t, size_t r0, size_t r1) {
-  const size_t batch = t.dim(0), n = t.dim(1), d = t.dim(2);
-  const size_t rows = r1 - r0;
-  tensor::Tensor out = tensor::Tensor::Uninitialized({batch, rows, d});
-  for (size_t b = 0; b < batch; ++b) {
-    std::memcpy(out.data() + b * rows * d, t.data() + (b * n + r0) * d,
-                rows * d * sizeof(float));
+/// A value's reference floats in one trace, read in place: the traced
+/// tensor, or for a value the row-block rewrite introduced, rows [r0, r1)
+/// along axis 1 of the traced tensor it was split from.
+struct TracedRef {
+  const tensor::Tensor* t = nullptr;
+  size_t r0 = 0, r1 = 0;  // r1 == 0: the whole tensor
+
+  /// Number of contiguous runs: one per sample of a row block, one for a
+  /// whole tensor.
+  size_t Runs() const { return r1 == 0 ? 1 : t->dim(0); }
+  const float* Run(size_t k, size_t* len) const {
+    if (r1 == 0) {
+      *len = t->size();
+      return t->data();
+    }
+    *len = (r1 - r0) * t->dim(2);
+    return t->data() + (k * t->dim(1) + r0) * t->dim(2);
   }
-  return out;
+  size_t size() const {
+    size_t len = 0;
+    Run(0, &len);
+    return Runs() * len;
+  }
+  /// Rows [a, b) of this value (rank 3).
+  TracedRef Block(size_t a, size_t b) const { return {t, r0 + a, r0 + b}; }
+  tensor::Tensor Materialize() const {
+    if (r1 == 0) return *t;
+    const size_t rows = r1 - r0;
+    tensor::Tensor out =
+        tensor::Tensor::Uninitialized({t->dim(0), rows, t->dim(2)});
+    for (size_t k = 0; k < Runs(); ++k) {
+      size_t len = 0;
+      const float* src = Run(k, &len);
+      std::memcpy(out.data() + k * len, src, len * sizeof(float));
+    }
+    return out;
+  }
+};
+
+/// True iff \p big is exactly \p small repeated back-to-back, bit-for-bit
+/// (the shape a candidate-invariant value must take across counts). False
+/// too for layouts it cannot compare in place, which only demotes.
+bool TilesTo(const TracedRef& small, const TracedRef& big) {
+  const size_t s = small.size();
+  if (s == 0 || big.size() % s != 0 || small.Runs() != 1) return false;
+  size_t len = 0;
+  const float* sv = small.Run(0, &len);
+  for (size_t k = 0; k < big.Runs(); ++k) {
+    const float* bv = big.Run(k, &len);
+    if (len % s != 0) return false;
+    for (size_t off = 0; off < len; off += s) {
+      if (std::memcmp(bv + off, sv, s * sizeof(float)) != 0) return false;
+    }
+  }
+  return true;
 }
 
-/// One trace under rewriting: its program plus the reference tensor of
-/// every value — the traced tensor, or for a value the row-block rewrite
-/// introduced, the row slice of the traced tensor it was split from.
+/// One trace under rewriting: its program plus the reference of every
+/// value.
 struct RefTrace {
   Program prog;
-  std::vector<const tensor::Tensor*> ref;
-  std::deque<tensor::Tensor> slices;  // backs ref for introduced values
+  std::vector<TracedRef> ref;
 };
 
 /// Rewrites two aligned traces (counts 1 and C) in lockstep so that
@@ -131,7 +159,10 @@ struct RefTrace {
 /// its blocks) are removed.
 class RowBlockSplitter {
  public:
-  RowBlockSplitter(RefTrace* t1, RefTrace* tC) : t_{t1, tC} {}
+  /// \p probe is another count-C trace; it only gets the references of the
+  /// new blocks.
+  RowBlockSplitter(RefTrace* t1, RefTrace* tC, RefTrace* probe)
+      : t_{t1, tC}, probe_(probe) {}
 
   void Run() {
     const size_t ninstr = t_[1]->prog.instrs.size();
@@ -163,10 +194,10 @@ class RowBlockSplitter {
       Value v = t->prog.values[whole];
       v.shape[1] = r1 - r0;
       t->prog.values.push_back(std::move(v));
-      t->slices.push_back(RowSlice(*t->ref[whole], r0, r1));
-      t->ref.push_back(&t->slices.back());
+      t->ref.push_back(t->ref[whole].Block(r0, r1));
       id = static_cast<uint32_t>(t->prog.values.size() - 1);
     }
+    probe_->ref.push_back(probe_->ref[whole].Block(r0, r1));
     variant_.push_back(0);
     concat_.push_back({kNoValue, kNoValue});
     return id;
@@ -278,15 +309,99 @@ class RowBlockSplitter {
   }
 
   RefTrace* t_[2];
+  RefTrace* probe_;
   std::vector<Instr> out_[2];
   std::vector<char> variant_;
   std::vector<std::pair<uint32_t, uint32_t>> concat_;  // ConcatAxis1 inputs
 };
 
+/// True when \p shapeC is \p shape1 with axis 0 scaled by \p count: the
+/// layout in which sample b owns the b-th run of shape1's size in floats.
+bool ScalesWithCount(const std::vector<size_t>& shape1,
+                     const std::vector<size_t>& shapeC, size_t count) {
+  return !shape1.empty() && shape1.size() == shapeC.size() &&
+         shapeC[0] == shape1[0] * count &&
+         std::equal(shape1.begin() + 1, shape1.end(), shapeC.begin() + 1);
+}
+
+bool BindingIsCandidateOnly(const IndexBinding& b) {
+  for (size_t j = 0; j < b.cols.size(); ++j) {
+    if (!ColumnIsCandidate(b, j)) return false;
+  }
+  return !b.cols.empty();
+}
+
+/// True when each sample's row of \p ref (\p width floats, one row per
+/// sample of \p batch) equals its candidate's row of \p column, bit-for-bit.
+bool RowsMatchTable(const TracedRef& ref, const data::Batch& batch,
+                    int32_t cand_base, const tensor::Tensor& column,
+                    size_t width) {
+  if (ref.size() != batch.batch_size * width) return false;
+  for (size_t b = 0; b < batch.batch_size; ++b) {
+    const int64_t obj =
+        int64_t{batch.static_ids[b * batch.n_static + 1]} - cand_base;
+    if (obj < 0 || static_cast<size_t>(obj) >= column.dim(0)) return false;
+    size_t len = 0;
+    const float* row = ref.Runs() == 1 ? ref.Run(0, &len) + b * width
+                                       : ref.Run(b, &len);
+    if (ref.Runs() != 1 && len != width) return false;
+    if (std::memcmp(row,
+                    column.data() + static_cast<size_t>(obj) * width,
+                    width * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The catalog's item-value set: the item values \p columns depend on, in
+/// the count-C trace's instruction order.
+std::vector<uint32_t> CatalogValues(const Program& pC,
+                                    const std::vector<char>& item,
+                                    const std::vector<uint32_t>& columns) {
+  std::vector<char> needed(pC.values.size(), 0);
+  for (uint32_t v : columns) needed[v] = 1;
+  for (size_t i = pC.instrs.size(); i-- > 0;) {
+    const Instr& ins = pC.instrs[i];
+    if (!needed[ins.out]) continue;
+    for (uint32_t u : ins.in) needed[u] = needed[u] || item[u];
+  }
+  std::vector<uint32_t> out;
+  for (const Instr& ins : pC.instrs) {
+    if (needed[ins.out]) out.push_back(ins.out);
+  }
+  return out;
+}
+
+/// The planned catalog program: the instructions defining \p defined, from
+/// the count-C trace, with every value they define scaled to \p count
+/// samples; its slot_outputs are the columns.
+Program BuildCatalog(const Program& p1, const Program& pC,
+                     const std::vector<uint32_t>& defined,
+                     const std::vector<uint32_t>& columns, size_t count) {
+  std::vector<char> keep(pC.values.size(), 0);
+  for (uint32_t v : defined) keep[v] = 1;
+  Program cat = pC;
+  cat.instrs.clear();
+  for (const Instr& ins : pC.instrs) {
+    if (!keep[ins.out]) continue;
+    cat.instrs.push_back(ins);
+    cat.values[ins.out].shape = p1.values[ins.out].shape;
+    cat.values[ins.out].shape[0] *= count;
+  }
+  cat.output = kNoValue;
+  cat.slot_outputs = columns;
+  cat.count = count;
+  RenewIdentity(&cat);
+  PlanArena(&cat);
+  return cat;
+}
+
 }  // namespace
 
 FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
-                    const data::Batch& batch1, const data::Batch& batchC) {
+                    const data::Batch& batch1, const data::Batch& batchC,
+                    const FactorOptions& options) {
   FactorResult res;
   if (traceC.program.count < 2) {
     res.error = "factor: need >= 2 candidates to disambiguate bindings";
@@ -305,14 +420,40 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     }
   }
 
-  RefTrace w1, wC;
+  if (options.num_objects == 0 || options.probe == nullptr ||
+      options.probe_batch == nullptr) {
+    res.error = "factor: needs the catalog size and the cross-probe trace";
+    return res;
+  }
+  const TraceResult& probe = *options.probe;
+  {
+    const Program& pb = probe.program;
+    bool aligned = pb.instrs.size() == traceC.program.instrs.size() &&
+                   pb.values.size() == traceC.program.values.size();
+    for (size_t i = 0; aligned && i < pb.instrs.size(); ++i) {
+      aligned = pb.instrs[i].kind == traceC.program.instrs[i].kind &&
+                pb.instrs[i].out == traceC.program.instrs[i].out;
+    }
+    for (size_t i = 0; aligned && i < pb.values.size(); ++i) {
+      aligned = pb.values[i].shape == traceC.program.values[i].shape;
+    }
+    if (!aligned) {
+      res.error = "factor: probe trace diverges from the count-C trace";
+      return res;
+    }
+  }
+
+  RefTrace w1, wC, wB;
   w1.prog = trace1.program;
   wC.prog = traceC.program;
   for (const autograd::NodePtr& n : trace1.value_nodes) {
-    w1.ref.push_back(&n->value);
+    w1.ref.push_back({&n->value});
   }
   for (const autograd::NodePtr& n : traceC.value_nodes) {
-    wC.ref.push_back(&n->value);
+    wC.ref.push_back({&n->value});
+  }
+  for (const autograd::NodePtr& n : probe.value_nodes) {
+    wB.ref.push_back({&n->value});
   }
 
   // Align instructions and reconcile gather bindings. A count-1 fit can be
@@ -341,7 +482,7 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     a.binding = b.binding;
   }
 
-  RowBlockSplitter(&w1, &wC).Run();
+  RowBlockSplitter(&w1, &wC, &wB).Run();
   const Program& p1 = w1.prog;
   const Program& pC = wC.prog;
 
@@ -376,8 +517,8 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     for (const Instr& ins : pC.instrs) {
       const uint32_t v = ins.out;
       if (variant[v]) continue;
-      SEQFM_CHECK(w1.ref[v] != nullptr && wC.ref[v] != nullptr);
-      if (!TilesTo(*w1.ref[v], *wC.ref[v])) {
+      SEQFM_CHECK(w1.ref[v].t != nullptr && wC.ref[v].t != nullptr);
+      if (!TilesTo(w1.ref[v], wC.ref[v])) {
         demoted[v] = 1;
         changed = true;
       }
@@ -388,6 +529,94 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
   if (pC.output == kNoValue || variant[pC.output] == 0) {
     res.error = "factor: score is candidate-invariant";
     return res;
+  }
+
+  // Item values: candidate-variant values that read only parameters,
+  // constants and other item values (so no user or history column, no
+  // synthesized mask, no slot), laid out one row per sample. The columns
+  // are the ones a request-tainted instruction or the score reads. Every
+  // traced row of a column must equal its candidate's table row; refuted
+  // claims are demoted and the claims re-derived, to a fixpoint.
+  std::vector<char> item(nvals, 0);
+  std::vector<uint32_t> columns;
+  const size_t count = pC.count;
+  const size_t num_objects = options.num_objects;
+  std::vector<char> refuted(nvals, 0);
+  std::vector<char> body_gather(nvals, 0);
+  while (true) {
+    std::fill(item.begin(), item.end(), 0);
+    std::fill(body_gather.begin(), body_gather.end(), 0);
+    for (const Instr& ins : pC.instrs) {
+      const uint32_t v = ins.out;
+      bool claim = variant[v] && !refuted[v] && !IsSynthesized(ins.kind) &&
+                   ScalesWithCount(p1.values[v].shape, pC.values[v].shape,
+                                   count);
+      if (IsGather(ins.kind)) {
+        claim = claim && BindingIsCandidateOnly(ins.binding);
+      }
+      for (uint32_t u : ins.in) {
+        const ValueKind k = pC.values[u].kind;
+        claim = claim && (item[u] || k == ValueKind::kParam ||
+                          k == ValueKind::kConstant);
+      }
+      item[v] = claim ? 1 : 0;
+    }
+    std::vector<char> read(nvals, 0);
+    read[pC.output] = 1;
+    for (const Instr& ins : pC.instrs) {
+      if (!variant[ins.out] || item[ins.out]) continue;
+      for (uint32_t u : ins.in) read[u] = 1;
+    }
+    columns.clear();
+    for (const Instr& ins : pC.instrs) {
+      if (!item[ins.out] || !read[ins.out]) continue;
+      body_gather[ins.out] = IsGather(ins.kind);
+      if (!body_gather[ins.out]) columns.push_back(ins.out);
+    }
+    const std::vector<uint32_t> defined = CatalogValues(pC, item, columns);
+
+    const ItemTable* table = options.table;
+    if (table == nullptr) {
+      res.catalog = BuildCatalog(p1, pC, defined, columns,
+                                 std::min(num_objects, kCatalogChunk));
+      VerifyOptions catalog_opts;
+      catalog_opts.check_arena = true;
+      const Status st = Verify(res.catalog, catalog_opts);
+      if (!st.ok()) {
+        res.error = "factor: catalog program: " + st.message();
+        return res;
+      }
+      res.table = BuildItemTable(res.catalog, num_objects, options.cand_base,
+                                 options.unified_dyn_base);
+      res.table.item_values = defined;
+      table = &res.table;
+    }
+    bool same_layout = table->num_objects == num_objects &&
+                       table->values == columns &&
+                       table->item_values == defined;
+    for (size_t k = 0; same_layout && k < columns.size(); ++k) {
+      same_layout = table->columns[k].dim(1) == p1.values[columns[k]].size();
+    }
+    if (!same_layout) {
+      res.error = "factor: item values diverge from the engine's item table";
+      return res;
+    }
+    bool changed = false;
+    for (size_t k = 0; k < columns.size(); ++k) {
+      const uint32_t v = columns[k];
+      const tensor::Tensor& col = table->columns[k];
+      const size_t w = col.dim(1);
+      const int32_t base = options.cand_base;
+      const bool holds =
+          RowsMatchTable(w1.ref[v], batch1, base, col, w) &&
+          RowsMatchTable(wC.ref[v], batchC, base, col, w) &&
+          RowsMatchTable(wB.ref[v], *options.probe_batch, base, col, w);
+      if (!holds) {
+        refuted[v] = 1;
+        changed = true;
+      }
+    }
+    if (!changed) break;
   }
 
   // Slots: invariant locals consumed by at least one variant instruction.
@@ -421,7 +650,7 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
   res.prologue.output = kNoValue;
   res.prologue.slot_outputs = slots;
   RenewIdentity(&res.prologue);
-  for (uint32_t s : slots) res.slot_refs.push_back(*w1.ref[s]);
+  for (uint32_t s : slots) res.slot_refs.push_back(w1.ref[s].Materialize());
 
   // Body: the variant sub-program at count C, reading the slots. Slots whose
   // non-concat count-C consumers saw the block-tiled shape get an explicit
@@ -450,14 +679,58 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     tile.out = tiled[s];
     res.body.instrs.push_back(std::move(tile));
   }
+  // Each column is gathered from the table by candidate, right before its
+  // first reader: [count, 1, width] rows, reshaped when the value's own
+  // shape differs.
+  std::vector<uint32_t> column_of(nvals, kNoValue);
+  for (size_t k = 0; k < columns.size(); ++k) {
+    column_of[columns[k]] = static_cast<uint32_t>(k);
+  }
+  auto gather_column = [&](uint32_t v) {
+    const uint32_t k = column_of[v];
+    column_of[v] = kNoValue;  // gathered once
+    const size_t width = p1.values[v].size();
+    Value table_val;
+    table_val.kind = ValueKind::kItem;
+    table_val.shape = {num_objects, width};
+    table_val.index = k;
+    res.body.values.push_back(std::move(table_val));
+    Instr g;
+    g.kind = OpKind::kEmbeddingGather;
+    g.in = {static_cast<uint32_t>(res.body.values.size() - 1)};
+    g.out = v;
+    g.binding.source = IndexSource::kStatic;
+    g.binding.cols = {1};
+    g.binding.deltas = {-options.cand_base};
+    const std::vector<size_t> rows = {count, 1, width};
+    if (res.body.values[v].shape == rows) {
+      res.body.instrs.push_back(std::move(g));
+      return;
+    }
+    Value gathered;
+    gathered.shape = rows;
+    res.body.values.push_back(std::move(gathered));
+    g.out = static_cast<uint32_t>(res.body.values.size() - 1);
+    Instr reshape;
+    reshape.kind = OpKind::kReshape;
+    reshape.in = {g.out};
+    reshape.out = v;
+    res.body.instrs.push_back(std::move(g));
+    res.body.instrs.push_back(std::move(reshape));
+  };
   for (const Instr& src : pC.instrs) {
+    // The catalog computes every item value but the gathers the rest of
+    // the body reads.
     if (!variant[src.out]) continue;
+    if (item[src.out] && !body_gather[src.out]) continue;
     Instr ins = src;
     for (uint32_t& u : ins.in) {
+      if (column_of[u] != kNoValue) gather_column(u);
       if (tiled[u] != kNoValue && !broadcasts(src, u)) u = tiled[u];
     }
     res.body.instrs.push_back(std::move(ins));
   }
+  if (column_of[pC.output] != kNoValue) gather_column(pC.output);
   RenewIdentity(&res.body);
   return res;
 }

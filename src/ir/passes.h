@@ -13,20 +13,58 @@ namespace ir {
 
 /// \brief Optimization passes over traced programs.
 ///
-/// The pass pipeline turns two aligned traces of one model (candidate counts
-/// 1 and C) into a factored pair of programs:
+/// The pass pipeline turns aligned traces of one model (candidate counts 1
+/// and C) into three programs:
 ///   prologue  — the candidate-invariant sub-program at count 1, executed
 ///               once per (user, history) and cached in the ContextCache;
-///   body      — the per-candidate sub-program at count C, reading the
-///               prologue's outputs through kSlot values (a ConcatAxis1
-///               broadcasts a batch-1 slot; other readers get it tiled to
-///               count C).
-/// Each sub-program then goes through FoldConstants → DeadCodeElim →
-/// FuseMaskedAttention → FuseElementwise → PlanArena before execution.
+///   catalog   — the item sub-program: per-candidate values that read no
+///               user, history or mask, at a count of up to kCatalogChunk
+///               objects, executed chunk by chunk over the whole catalog
+///               once per engine into the item table (ItemTable);
+///   body      — the rest of the per-candidate sub-program at count C,
+///               reading the prologue's outputs through kSlot values (a
+///               ConcatAxis1 broadcasts a batch-1 slot; other readers get it
+///               tiled to count C) and the item table through gathers of
+///               kItem values bound to the candidate column.
+/// The prologue and body then go through FoldConstants → DeadCodeElim →
+/// FuseMaskedAttention → FuseElementwise → PlanArena before execution;
+/// Factor plans the catalog itself, since it runs it to check its claims.
+
+/// Objects per catalog program run: building the item table touches one
+/// chunk-sized frame, not a catalog-sized one.
+constexpr size_t kCatalogChunk = 32;
+
+/// What Factor needs besides the two traces: the catalog geometry the item
+/// split runs under and the cross-probe witness. Every field but table is
+/// required.
+struct FactorOptions {
+  /// Catalog size: the item table's rows.
+  size_t num_objects = 0;
+  /// Index geometry the catalog runs under: FeatureSpace::CandidateIndex(0)
+  /// (the table gathers' candidate delta is its negation) and the unified id
+  /// of dynamic object 0.
+  int32_t cand_base = 0;
+  int32_t unified_dyn_base = 0;
+  /// A second trace at count C for a different user, history and candidates
+  /// (aligned with traceC). Item claims must hold on its rows too.
+  const TraceResult* probe = nullptr;
+  const data::Batch* probe_batch = nullptr;
+  /// The table to check item claims against. Null: Factor builds one by
+  /// running the catalog program (FactorResult::table). Otherwise the
+  /// claims must reproduce its item values and column layout exactly.
+  const ItemTable* table = nullptr;
+};
 
 struct FactorResult {
   Program prologue;
   Program body;
+  /// Planned catalog program (no instructions when there are no item
+  /// values); slot_outputs lists the table columns in order. Built only
+  /// when FactorOptions::table is null.
+  Program catalog;
+  /// The table Factor built and checked the claims against (empty when
+  /// FactorOptions::table was given).
+  ItemTable table;
   /// Count-1 reference tensor of each slot, parallel to
   /// prologue.slot_outputs: the traced tensor, or for a split row block the
   /// row slice of the traced tensor it came from. The compile self-check
@@ -57,8 +95,9 @@ struct FactorResult {
 /// independently, with the per-element accumulation order of
 /// tensor/kernels.h. For SeqFM this moves the history- and user-row
 /// projections of the cross view (and the user row of the static view)
-/// into the prologue, leaving only the candidate row's projections and the
-/// attention itself per candidate.
+/// into the prologue, leaving only the candidate row's projections (which
+/// the item split below moves into the item table) and the attention itself
+/// per candidate.
 ///
 /// A value (whole or block) is candidate-invariant when it is so both
 /// structurally (its instruction consumes no candidate column,
@@ -66,11 +105,32 @@ struct FactorResult {
 /// the count-1 one block-tiled C times, bit-for-bit). Structural claims an
 /// empirical check refutes are demoted and the taint re-propagated to a
 /// fixpoint, so a surprising numeric dependence can never be hoisted.
+///
+/// Factor also tracks a request taint: a value carries it when it reads,
+/// transitively, a user or history column, a synthesized mask, or a
+/// prologue slot. A candidate-variant value without it is an item value,
+/// claimed to have row b (its count-1 size in floats) depend on candidate b
+/// and the parameters only. Item values that a request-tainted instruction
+/// reads (or the score) become the table columns; the catalog program
+/// computes them for every object, and the body gathers each column's rows
+/// by candidate instead. A column that is
+/// itself a gather of a parameter stays in the body (hoisting it saves
+/// nothing). An item claim holds structurally (no request taint, count-C
+/// shape the count-1 shape scaled along axis 0) and empirically: every
+/// traced row — counts 1 and C and the probe — equals the table row of its
+/// candidate, bit-for-bit. A refuted claim is demoted back to the body and
+/// the taint re-propagated, in the same fixpoint as the slots. The split is
+/// exact because the ops compute each row independently, with the
+/// per-element accumulation order of tensor/kernels.h, at any row count.
+///
 /// Fails (with .error set) when the traces do not align
 /// instruction-for-instruction, when a gather binding cannot be reconciled
-/// across counts, or when the final score itself is candidate-invariant.
+/// across counts, when the final score itself is candidate-invariant, or
+/// when the item claims do not reproduce options.table, or when options
+/// lacks the catalog or the probe.
 FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
-                    const data::Batch& batch1, const data::Batch& batchC);
+                    const data::Batch& batch1, const data::Batch& batchC,
+                    const FactorOptions& options);
 
 /// Evaluates instructions whose inputs are all captured constants and
 /// re-kinds their outputs as constants. Synthesized masks, gathers, and

@@ -72,6 +72,7 @@ enum class ValueKind : uint8_t {
   kParam,     // live parameter Node (survives checkpoint reloads)
   kConstant,  // captured by value into Program::constants
   kSlot,      // candidate-invariant prologue output, SharedContext::slots
+  kItem,      // column of the engine's item table, ItemTable::columns
 };
 
 /// Which request index array an embedding gather reads.
@@ -124,7 +125,8 @@ struct Value {
   std::vector<size_t> shape;
   /// kParam: the live node (raw; Program::param_nodes keeps it alive).
   autograd::Node* param = nullptr;
-  /// kConstant / kSlot: index into Program::constants / SharedContext::slots.
+  /// kConstant / kSlot / kItem: index into Program::constants /
+  /// SharedContext::slots / ItemTable::columns.
   uint32_t index = 0;
   /// kLocal: planned float offset into the frame block (passes::PlanArena);
   /// kNoOffset until planned or for dead values.
@@ -151,7 +153,8 @@ struct Program {
   std::vector<autograd::NodePtr> param_nodes;
   /// Value id of the score tensor (bodies) — unused by prologues.
   uint32_t output = kNoValue;
-  /// Value ids written into SharedContext::slots, in slot order (prologues).
+  /// Value ids written into SharedContext::slots, in slot order (prologues),
+  /// or into the item table, in column order (catalog programs).
   std::vector<uint32_t> slot_outputs;
 
   /// Candidate count the trace ran at, and the Batch index geometry the
@@ -168,6 +171,36 @@ struct Program {
   /// Shared by every copy of this program. Execution frames hold it weakly,
   /// so a thread drops the frames of programs that no longer exist.
   std::shared_ptr<const int> liveness;
+};
+
+/// \brief Per-candidate values computed once for the whole catalog.
+///
+/// An item value is a body value whose row b depends on candidate b and the
+/// parameters only (passes::Factor). A catalog program computes the ones the
+/// rest of the body reads for every object at once; column k of the table
+/// holds catalog output k, [num_objects, width], one column block after
+/// another in one tensor. Every body of an engine reads the same table
+/// through kItem values, each the table operand of a gather bound to the
+/// candidate column. Move-only, so it is never duplicated per body; a copy
+/// would also turn each column view into a separate copy of its own.
+struct ItemTable {
+  tensor::Tensor data;
+  /// [num_objects, width] views into data, one per column.
+  std::vector<tensor::Tensor> columns;
+  size_t num_objects = 0;
+  /// The catalog program's output value ids (one per column) and the ids
+  /// of every item value it computes (set by Factor): what a later
+  /// per-count compile must reproduce to share this table.
+  std::vector<uint32_t> values;
+  std::vector<uint32_t> item_values;
+
+  ItemTable() = default;
+  ItemTable(ItemTable&&) = default;
+  ItemTable& operator=(ItemTable&&) = default;
+  ItemTable(const ItemTable&) = delete;
+  ItemTable& operator=(const ItemTable&) = delete;
+
+  size_t bytes() const { return data.size() * sizeof(float); }
 };
 
 /// Process-unique program id for frame caching.

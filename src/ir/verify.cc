@@ -12,6 +12,14 @@ constexpr size_t kNoDef = static_cast<size_t>(-1);
 
 std::string V(uint32_t id) { return "%" + std::to_string(id); }
 
+std::string ShapeStr(const std::vector<size_t>& shape) {
+  std::string r = "[";
+  for (size_t i = 0; i < shape.size(); ++i) {
+    r += (i ? ", " : "") + std::to_string(shape[i]);
+  }
+  return r + "]";
+}
+
 /// Error prefix pinning the failure to one instruction: "instr #3 (matmul)".
 std::string At(size_t i, const Instr& ins) {
   return "instr #" + std::to_string(i) + " (" + OpKindName(ins.kind) + "): ";
@@ -522,6 +530,28 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
               " elements)");
         }
         break;
+      case ValueKind::kItem: {
+        const ItemTable* t = opt.item_table;
+        if (t == nullptr) {
+          return Status::Internal("value " + V(id) +
+                                  ": kItem value in a program that reads no "
+                                  "item table");
+        }
+        if (v.index >= t->columns.size()) {
+          return Status::Internal(
+              "value " + V(id) + ": item column " + std::to_string(v.index) +
+              " out of range (table has " +
+              std::to_string(t->columns.size()) + " columns)");
+        }
+        const std::vector<size_t>& want = t->columns[v.index].shape();
+        if (v.shape != want) {
+          return Status::Internal("value " + V(id) + ": item column " +
+                                  std::to_string(v.index) + " is " +
+                                  ShapeStr(want) + " but the value declares " +
+                                  ShapeStr(v.shape));
+        }
+        break;
+      }
       case ValueKind::kSlot:
         if (!opt.allow_slots) {
           return Status::Internal("value " + V(id) +
@@ -661,8 +691,26 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
   };
   for (size_t i = 0; i < ninstr; ++i) {
     const Instr& ins = p.instrs[i];
-    for (uint32_t u : ins.in) {
-      SEQFM_RETURN_NOT_OK(check_read(u, i, At(i, ins)));
+    for (size_t j = 0; j < ins.in.size(); ++j) {
+      SEQFM_RETURN_NOT_OK(check_read(ins.in[j], i, At(i, ins)));
+      if (p.values[ins.in[j]].kind != ValueKind::kItem) continue;
+      // A table row is only ever fetched by candidate: the gather must read
+      // column 1 (the candidate) of the static or unified array and nothing
+      // else, so no user or history id can index the table.
+      if (ins.kind != OpKind::kEmbeddingGather || j != 0) {
+        return Status::Internal(At(i, ins) + "reads item table column " +
+                                V(ins.in[j]) + " outside a gather's table");
+      }
+      const IndexBinding& b = ins.binding;
+      bool candidate_only = (b.source == IndexSource::kStatic ||
+                             b.source == IndexSource::kUnified) &&
+                            !b.cols.empty();
+      for (uint32_t c : b.cols) candidate_only = candidate_only && c == 1;
+      if (!candidate_only) {
+        return Status::Internal(At(i, ins) +
+                                "item table gather binds a column other than "
+                                "the candidate");
+      }
     }
     if (!IsGather(ins.kind) && ins.binding.source != IndexSource::kNone) {
       return Status::Internal(At(i, ins) +

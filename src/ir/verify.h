@@ -33,7 +33,10 @@ namespace ir {
 ///   - value-kind soundness: params are live non-null nodes, constant
 ///     indices address Program::constants with matching element counts,
 ///     kSlot reads appear only where the caller allows them and stay inside
-///     the prologue's slot count;
+///     the prologue's slot count, and a kItem value names a column of the
+///     caller's item table with that column's exact [num_objects, width]
+///     and is read only as the table of an embedding_gather bound to the
+///     candidate column alone (static or unified column 1);
 ///   - IndexBinding soundness: gathers carry a binding with a real source,
 ///     cols/deltas agree in length, and every column addresses inside the
 ///     synthesized index row (n_static / n_seq / n_unified);
@@ -56,6 +59,10 @@ struct VerifyOptions {
   /// When allow_slots: number of slots the paired prologue writes. kSlot
   /// indices must stay below this.
   size_t num_slots = 0;
+  /// Body programs read the engine's item table as kItem values; null
+  /// everywhere else (a kItem value is then a compiler bug). Only its
+  /// column shapes are consulted.
+  const ItemTable* item_table = nullptr;
 };
 
 /// Returns OK iff \p program satisfies every invariant above. The error

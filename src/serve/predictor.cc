@@ -129,6 +129,17 @@ std::vector<float> Predictor::ScoreCandidates(
                                : ScoreGeneric(ex, candidates);
 }
 
+bool Predictor::AcceptsIds(const data::SequenceExample& ex,
+                           const std::vector<int32_t>& candidates) const {
+  const data::FeatureSpace& space = builder_->space();
+  auto is_object = [&](int32_t id) {
+    return id >= 0 && static_cast<size_t>(id) < space.num_objects();
+  };
+  return ex.user >= 0 && static_cast<size_t>(ex.user) < space.num_users() &&
+         std::all_of(ex.history.begin(), ex.history.end(), is_object) &&
+         std::all_of(candidates.begin(), candidates.end(), is_object);
+}
+
 void Predictor::ScoreGenericRange(const data::SequenceExample& ex,
                                   const std::vector<int32_t>& candidates,
                                   size_t begin, size_t end, float* out) const {

@@ -112,9 +112,20 @@ class Predictor {
   /// Scores each candidate object for the example's (user, history) context.
   /// scores[i] corresponds to candidates[i]. Bit-for-bit identical to
   /// scoring the same candidate batch through Model::Score.
+  ///
+  /// Precondition (AcceptsIds): ex.user in [0, num_users) and every history
+  /// and candidate id in [0, num_objects). Nothing here re-checks it: an
+  /// id past the end aborts the process in a gather, and one that lands in
+  /// a neighbouring range of the shared embedding table silently scores
+  /// another entity's row. BatchServer::TrySubmit rejects such requests.
   std::vector<float> ScoreCandidates(
       const data::SequenceExample& ex,
       const std::vector<int32_t>& candidates) const;
+
+  /// True when the request meets ScoreCandidates' precondition: every id
+  /// lies in the feature space the model was built for.
+  bool AcceptsIds(const data::SequenceExample& ex,
+                  const std::vector<int32_t>& candidates) const;
 
   /// Top-k of \p candidates by score (descending; ties broken by candidate
   /// id — see SelectTopK). k is clamped to candidates.size().

@@ -447,36 +447,30 @@ void RpcServer::HandleRequest(Connection* conn, RpcRequest req) {
       [this, conn_id, request_id](std::vector<ScoredItem> items) {
         OnWaveComplete(conn_id, request_id, std::move(items));
       });
+  if (admit == BatchServer::AdmitResult::kAdmitted) return;
+  RpcResponse resp;
+  resp.id = request_id;
+  resp.status = CountRejection(admit);
+  std::string wire;
+  AppendResponseFrame(resp, &wire);
+  EnqueueResponse(conn, wire);
+}
+
+RpcStatus RpcServer::CountRejection(BatchServer::AdmitResult admit) {
+  util::OrderedMutexLock lock(mu_);
   switch (admit) {
-    case BatchServer::AdmitResult::kAdmitted:
-      return;
-    case BatchServer::AdmitResult::kOverloaded: {
-      {
-        util::OrderedMutexLock lock(mu_);
-        ++stats_.requests_shed;
-      }
-      RpcResponse resp;
-      resp.id = request_id;
-      resp.status = RpcStatus::kOverloaded;
-      std::string wire;
-      AppendResponseFrame(resp, &wire);
-      EnqueueResponse(conn, wire);
-      return;
-    }
-    case BatchServer::AdmitResult::kShutdown: {
-      {
-        util::OrderedMutexLock lock(mu_);
-        ++stats_.requests_rejected_shutdown;
-      }
-      RpcResponse resp;
-      resp.id = request_id;
-      resp.status = RpcStatus::kShuttingDown;
-      std::string wire;
-      AppendResponseFrame(resp, &wire);
-      EnqueueResponse(conn, wire);
-      return;
-    }
+    case BatchServer::AdmitResult::kOverloaded:
+      ++stats_.requests_shed;
+      return RpcStatus::kOverloaded;
+    case BatchServer::AdmitResult::kShutdown:
+      ++stats_.requests_rejected_shutdown;
+      return RpcStatus::kShuttingDown;
+    case BatchServer::AdmitResult::kBadRequest:
+    case BatchServer::AdmitResult::kAdmitted:  // not a rejection; unreachable
+      break;
   }
+  ++stats_.requests_bad;
+  return RpcStatus::kBadRequest;
 }
 
 void RpcServer::HandleShardRequest(Connection* conn, RpcShardRequest req) {
@@ -529,23 +523,8 @@ void RpcServer::HandleShardRequest(Connection* conn, RpcShardRequest req) {
       [this, conn_id, request_id](std::vector<ScoredItem> items) {
         OnShardComplete(conn_id, request_id, std::move(items));
       });
-  switch (admit) {
-    case BatchServer::AdmitResult::kAdmitted:
-      return;
-    case BatchServer::AdmitResult::kOverloaded:
-      {
-        util::OrderedMutexLock lock(mu_);
-        ++stats_.requests_shed;
-      }
-      SendShardError(conn, request_id, RpcStatus::kOverloaded);
-      return;
-    case BatchServer::AdmitResult::kShutdown:
-      {
-        util::OrderedMutexLock lock(mu_);
-        ++stats_.requests_rejected_shutdown;
-      }
-      SendShardError(conn, request_id, RpcStatus::kShuttingDown);
-      return;
+  if (admit != BatchServer::AdmitResult::kAdmitted) {
+    SendShardError(conn, request_id, CountRejection(admit));
   }
 }
 

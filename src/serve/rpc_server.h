@@ -66,7 +66,8 @@ struct RpcServerStats {
   uint64_t requests_ok = 0;        // admitted, served, response enqueued
   uint64_t requests_shed = 0;      // answered OVERLOADED at admission
   uint64_t requests_rejected_shutdown = 0;  // answered SHUTTING_DOWN
-  uint64_t requests_bad = 0;       // answered BAD_REQUEST (bad shard range)
+  uint64_t requests_bad = 0;       // answered BAD_REQUEST (bad shard range
+                                   // or an id outside the feature space)
   uint64_t protocol_errors = 0;    // framing/decoding failures (conn closed)
   uint64_t backpressure_pauses = 0;
   /// Requests blackholed by the `rpc.server.shard.drop` failpoint (chaos
@@ -95,9 +96,11 @@ struct RpcServerStats {
 ///
 /// Admission is the BatchServer's bounded queue: a request hitting
 /// max_queue_requests is answered OVERLOADED immediately (load shedding),
-/// one arriving after shutdown began is answered SHUTTING_DOWN. Served
-/// rankings are bit-identical to calling BatchServer::Submit in process —
-/// the wire adds framing, never arithmetic.
+/// one arriving after shutdown began is answered SHUTTING_DOWN, and one
+/// naming a user or object outside the model's feature space is answered
+/// BAD_REQUEST — one hostile frame costs a rejection, never the process.
+/// Served rankings are bit-identical to calling BatchServer::Submit in
+/// process — the wire adds framing, never arithmetic.
 ///
 /// Robustness contract: a malformed frame (bad magic, oversized declared
 /// length, inconsistent element counts) fails that CONNECTION, never the
@@ -165,6 +168,10 @@ class RpcServer {
   void HandleShardRequest(Connection* conn, RpcShardRequest req);
   /// Immediate non-OK shard response (bad range, shed, shutting down).
   void SendShardError(Connection* conn, uint64_t request_id, RpcStatus status);
+  /// Counts a request TrySubmit did not admit and returns the status it is
+  /// answered with (OVERLOADED, SHUTTING_DOWN or BAD_REQUEST).
+  RpcStatus CountRejection(BatchServer::AdmitResult admit)
+      SEQFM_EXCLUDES(mu_);
   /// Called on the BatchServer dispatcher thread when a wave completes.
   void OnWaveComplete(uint64_t conn_id, uint64_t request_id,
                       std::vector<ScoredItem> items);

@@ -64,6 +64,10 @@ std::future<std::vector<ScoredItem>> BatchServer::Submit(
       promise->set_exception(std::make_exception_ptr(
           std::runtime_error("BatchServer::Submit after shutdown")));
       break;
+    case AdmitResult::kBadRequest:
+      promise->set_exception(std::make_exception_ptr(std::invalid_argument(
+          "BatchServer::Submit: id outside the feature space")));
+      break;
   }
   return result;
 }
@@ -71,6 +75,7 @@ std::future<std::vector<ScoredItem>> BatchServer::Submit(
 BatchServer::AdmitResult BatchServer::TrySubmit(
     const data::SequenceExample& ex, std::vector<int32_t> candidates, size_t k,
     DoneCallback done) {
+  if (!predictor_->AcceptsIds(ex, candidates)) return AdmitResult::kBadRequest;
   Request req;
   req.ex = ex;
   req.candidates = std::move(candidates);

@@ -100,6 +100,8 @@ class BatchServer {
     kAdmitted,    // queued; the done callback will fire exactly once
     kOverloaded,  // shed: queue at max_queue_requests; callback never fires
     kShutdown,    // lost the race with Shutdown; callback never fires
+    kBadRequest,  // an id outside the feature space (Predictor::AcceptsIds);
+                  // callback never fires
   };
 
   /// Invoked with the ranked top-K when an admitted request's wave
@@ -121,16 +123,20 @@ class BatchServer {
   /// clamped, descending score, candidate-id tie-break). Thread-safe, and
   /// safe to race with Shutdown: once shutdown has begun — or when the
   /// bounded queue sheds the request (max_queue_requests) — the returned
-  /// future fails with std::runtime_error rather than ever blocking.
+  /// future fails with std::runtime_error rather than ever blocking. A
+  /// request with an out-of-range id fails it with std::invalid_argument.
   std::future<std::vector<ScoredItem>> Submit(const data::SequenceExample& ex,
                                               std::vector<int32_t> candidates,
                                               size_t k);
 
   /// Callback-style admission with explicit shedding: on kAdmitted, \p done
-  /// fires exactly once with the ranked top-K; on kOverloaded or kShutdown
-  /// the request was NOT enqueued and \p done never fires — the caller
-  /// answers the client immediately (serve::RpcServer encodes these as
-  /// OVERLOADED / SHUTTING_DOWN responses). This is the non-blocking
+  /// fires exactly once with the ranked top-K; on kOverloaded, kShutdown or
+  /// kBadRequest the request was NOT enqueued and \p done never fires — the
+  /// caller answers the client immediately (serve::RpcServer encodes these
+  /// as OVERLOADED / SHUTTING_DOWN / BAD_REQUEST responses). A user outside
+  /// [0, num_users) or a history or slate id outside [0, num_objects) is
+  /// kBadRequest: scoring it would abort the process or silently read
+  /// another entity's embedding. This is the non-blocking
   /// admission path an event-loop front end needs: no future to park a
   /// thread on, and rejection is synchronous. Thread-safe.
   AdmitResult TrySubmit(const data::SequenceExample& ex,

@@ -5,6 +5,10 @@
 //     elimination, elementwise fusion, and arena planning (buffer reuse);
 //   - row-block factoring on small hand-built models: mixed gathers split,
 //     projected invariant blocks become slots, refuted blocks are demoted;
+//   - item split on small hand-built models: a candidate-only chain moves
+//     into the catalog program and the item table, a chain reading the user
+//     row stays in the body, a bare candidate gather is not hoisted, and a
+//     claim the table refutes is demoted;
 //   - masked-attention fusion: fires on SeqFM's constant causal and cross
 //     masks and its unmasked static view, declines padding masks, masks
 //     with holes and shared intermediates, and matches the chain it fuses;
@@ -12,11 +16,15 @@
 //     model (and SeqFM's padding-mask and single-view configurations) at
 //     1/2 threads, 1/3 shards, both SIMD levels, body counts 2/3/4/7/8/9,
 //     and a 2-object catalog;
-//   - compiled cost at SeqFM's serving shape: GEMM work per candidate and
-//     the count-256 body frame;
+//   - compiled cost at SeqFM's serving shape: GEMM work per candidate, the
+//     item table's size, the count-256 body frame, and one table shared by
+//     every body of an engine (never captured as a constant);
+//   - verifier: item table reads only as a candidate-bound gather's table,
+//     with the table's width;
 //   - compiled serving: zero operator-new calls in warm chunks, and NaN
 //     history embeddings giving NaN scores exactly where eager does;
-//   - compiler lifecycle: recompile on checkpoint reload, frame-cache sweep
+//   - compiler lifecycle: recompile (and a rebuilt item table) on
+//     checkpoint reload, slot and item ABI re-verification, frame-cache sweep
 //     across reloads, graceful eager fallback when the catalog is too small
 //     to disambiguate probes, and loss-curve invariance (tracing/compiling
 //     never perturbs training).
@@ -533,21 +541,60 @@ class RowBlockModel : public core::Model {
   autograd::Variable static_table_, dynamic_table_, w_, p_;
 };
 
-/// Traces \p model at counts 1 and 3 for the first test request.
-struct RowBlockTraces {
-  data::Batch b1, bC;
-  ir::TraceResult t1, tC;
+/// The three traces Factor takes: \p ex at count 1 (candidate 0) and at
+/// \p candidates, and the cross-probe at that count for another user and
+/// history (TestExamples()[3]), each sample scoring the next object after
+/// its counterpart's candidate.
+struct FactorTraces {
+  data::Batch b1, bC, bB;
+  ir::TraceResult t1, tC, tB;
+
+  bool ok() const { return t1.ok() && tC.ok() && tB.ok(); }
+  std::string error() const { return t1.error + tC.error + tB.error; }
 };
 
-RowBlockTraces TraceRowBlockModel(core::Model* model,
-                                  const data::BatchBuilder& builder) {
-  RowBlockTraces r;
-  const data::SequenceExample ex = TestExamples()[0];
+FactorTraces TraceForFactor(core::Model* model,
+                            const data::BatchBuilder& builder,
+                            const data::SequenceExample& ex,
+                            const std::vector<int32_t>& candidates) {
+  FactorTraces r;
+  const int32_t num_objects =
+      static_cast<int32_t>(builder.space().num_objects());
+  std::vector<int32_t> next(candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    next[i] = (candidates[i] + 1) % num_objects;
+  }
   r.b1 = ServingBatch(builder, ex, {0});
-  r.bC = ServingBatch(builder, ex, {0, 3, 7});
+  r.bC = ServingBatch(builder, ex, candidates);
+  r.bB = ServingBatch(builder, TestExamples()[3], next);
   r.t1 = ir::Trace(model, r.b1);
   r.tC = ir::Trace(model, r.bC);
+  r.tB = ir::Trace(model, r.bB);
   return r;
+}
+
+/// Traces \p model for the first test request at candidates 0, 3 and 7.
+FactorTraces TraceRowBlockModel(core::Model* model,
+                                const data::BatchBuilder& builder) {
+  return TraceForFactor(model, builder, TestExamples()[0], {0, 3, 7});
+}
+
+/// The options the engine factors \p r with: \p space's whole catalog and
+/// r's cross-probe.
+ir::FactorOptions ItemOptions(const data::FeatureSpace& space,
+                              const FactorTraces& r) {
+  ir::FactorOptions o;
+  o.num_objects = space.num_objects();
+  o.cand_base = space.CandidateIndex(0);
+  o.unified_dyn_base = static_cast<int32_t>(space.static_dim());
+  o.probe = &r.tB;
+  o.probe_batch = &r.bB;
+  return o;
+}
+
+ir::FactorResult FactorTraced(const data::FeatureSpace& space,
+                              const FactorTraces& r) {
+  return ir::Factor(r.t1, r.tC, r.b1, r.bC, ItemOptions(space, r));
 }
 
 std::vector<const ir::Instr*> InstrsOfKind(const ir::Program& p,
@@ -567,34 +614,70 @@ const ir::Instr* DefOf(const ir::Program& p, uint32_t value) {
   return nullptr;
 }
 
+/// Floats per object of each item table column.
+std::vector<size_t> Widths(const ir::ItemTable& table) {
+  std::vector<size_t> widths;
+  for (const tensor::Tensor& col : table.columns) widths.push_back(col.dim(1));
+  return widths;
+}
+
+/// Kinds of \p p's instructions, in order.
+std::vector<ir::OpKind> Kinds(const ir::Program& p) {
+  std::vector<ir::OpKind> kinds;
+  for (const ir::Instr& ins : p.instrs) kinds.push_back(ins.kind);
+  return kinds;
+}
+
+/// The body gathers reading the item table, each checked to bind the
+/// candidate column alone.
+std::vector<const ir::Instr*> TableGathers(const ir::Program& body) {
+  std::vector<const ir::Instr*> found;
+  for (const ir::Instr& ins : body.instrs) {
+    if (ins.kind != ir::OpKind::kEmbeddingGather ||
+        body.values[ins.in[0]].kind != ir::ValueKind::kItem) {
+      continue;
+    }
+    EXPECT_EQ(ins.binding.cols, (std::vector<uint32_t>{1}));
+    found.push_back(&ins);
+  }
+  return found;
+}
+
 TEST(PassTest, FactorSplitsAMixedUserCandidateGather) {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
   RowBlockModel model(space, RowBlockModel::Rows::kUserCandidate);
-  RowBlockTraces r = TraceRowBlockModel(&model, builder);
-  ASSERT_TRUE(r.t1.ok() && r.tC.ok()) << r.t1.error << r.tC.error;
+  FactorTraces r = TraceRowBlockModel(&model, builder);
+  ASSERT_TRUE(r.ok()) << r.error();
   const auto traced =
       InstrsOfKind(r.tC.program, ir::OpKind::kEmbeddingGather);
   ASSERT_EQ(traced.size(), 1u);
   ASSERT_EQ(traced[0]->binding.cols, (std::vector<uint32_t>{0, 1}));
 
-  const ir::FactorResult f = ir::Factor(r.t1, r.tC, r.b1, r.bC);
+  const ir::FactorResult f = FactorTraced(space, r);
   ASSERT_TRUE(f.ok()) << f.error;
   // One gather per class: the user row in the prologue, the candidate row
-  // in the body.
+  // in the catalog.
   const auto pro = InstrsOfKind(f.prologue, ir::OpKind::kEmbeddingGather);
-  const auto body = InstrsOfKind(f.body, ir::OpKind::kEmbeddingGather);
+  const auto cat = InstrsOfKind(f.catalog, ir::OpKind::kEmbeddingGather);
   ASSERT_EQ(pro.size(), 1u);
-  ASSERT_EQ(body.size(), 1u);
+  ASSERT_EQ(cat.size(), 1u);
   EXPECT_EQ(pro[0]->binding.source, ir::IndexSource::kStatic);
   EXPECT_EQ(pro[0]->binding.cols, (std::vector<uint32_t>{0}));
-  EXPECT_EQ(body[0]->binding.source, ir::IndexSource::kStatic);
-  EXPECT_EQ(body[0]->binding.cols, (std::vector<uint32_t>{1}));
-  // The user row's projection is hoisted too; the body projects one row.
-  ASSERT_EQ(InstrsOfKind(f.prologue, ir::OpKind::kBmmShared).size(), 1u);
-  const auto body_bmm = InstrsOfKind(f.body, ir::OpKind::kBmmShared);
-  ASSERT_EQ(body_bmm.size(), 1u);
-  EXPECT_EQ(f.body.values[body_bmm[0]->in[0]].shape,
+  EXPECT_EQ(cat[0]->binding.source, ir::IndexSource::kStatic);
+  EXPECT_EQ(cat[0]->binding.cols, (std::vector<uint32_t>{1}));
+  // Each row's projection is hoisted with it: the user row's into the
+  // prologue, the candidate row's into the item table. The body gathers
+  // the projected candidate row and projects nothing.
+  EXPECT_EQ(InstrsOfKind(f.prologue, ir::OpKind::kBmmShared).size(), 1u);
+  EXPECT_EQ(Kinds(f.catalog),
+            (std::vector<ir::OpKind>{ir::OpKind::kEmbeddingGather,
+                                     ir::OpKind::kBmmShared}));
+  EXPECT_TRUE(InstrsOfKind(f.body, ir::OpKind::kBmmShared).empty());
+  const auto body = InstrsOfKind(f.body, ir::OpKind::kEmbeddingGather);
+  ASSERT_EQ(body.size(), 1u);
+  EXPECT_EQ(TableGathers(f.body).size(), 1u);
+  EXPECT_EQ(f.body.values[body[0]->out].shape,
             (std::vector<size_t>{3, 1, 4}));
 }
 
@@ -602,9 +685,9 @@ TEST(PassTest, FactorHoistsTheProjectedHistoryBlockIntoASlot) {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
   RowBlockModel model(space, RowBlockModel::Rows::kCandidateHistory);
-  RowBlockTraces r = TraceRowBlockModel(&model, builder);
-  ASSERT_TRUE(r.t1.ok() && r.tC.ok()) << r.t1.error << r.tC.error;
-  const ir::FactorResult f = ir::Factor(r.t1, r.tC, r.b1, r.bC);
+  FactorTraces r = TraceRowBlockModel(&model, builder);
+  ASSERT_TRUE(r.ok()) << r.error();
+  const ir::FactorResult f = FactorTraced(space, r);
   ASSERT_TRUE(f.ok()) << f.error;
 
   // The prologue projects the history block: bmm_shared over the dynamic
@@ -626,16 +709,19 @@ TEST(PassTest, FactorHoistsTheProjectedHistoryBlockIntoASlot) {
   ASSERT_EQ(ref.size(), kSeqLen * 4);
   ExpectBitEqual(ref.data(), whole.data() + 4, ref.size(), "history block");
 
-  // The body projects only the candidate row and concatenates the slot
-  // straight in (batch-1 operand, no tiled copy).
-  const auto body_bmm = InstrsOfKind(f.body, ir::OpKind::kBmmShared);
-  ASSERT_EQ(body_bmm.size(), 1u);
-  EXPECT_EQ(f.body.values[body_bmm[0]->in[0]].shape,
+  // The body gathers the projected candidate row from the item table,
+  // projects nothing, and concatenates the slot straight in (batch-1
+  // operand, no tiled copy).
+  EXPECT_TRUE(InstrsOfKind(f.body, ir::OpKind::kBmmShared).empty());
+  const auto rows = TableGathers(f.body);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(f.body.values[rows[0]->out].shape,
             (std::vector<size_t>{3, 1, 4}));
   EXPECT_TRUE(InstrsOfKind(f.body, ir::OpKind::kTileRows).empty());
   ir::VerifyOptions body_opts;
   body_opts.allow_slots = true;
   body_opts.num_slots = slots.size();
+  body_opts.item_table = &f.table;
   const Status st = ir::Verify(f.body, body_opts);
   EXPECT_TRUE(st.ok()) << st.message();
 }
@@ -644,8 +730,8 @@ TEST(PassTest, FactorDemotesARowBlockTheTracedTensorsRefute) {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
   RowBlockModel model(space, RowBlockModel::Rows::kCandidateHistory);
-  RowBlockTraces r = TraceRowBlockModel(&model, builder);
-  ASSERT_TRUE(r.t1.ok() && r.tC.ok()) << r.t1.error << r.tC.error;
+  FactorTraces r = TraceRowBlockModel(&model, builder);
+  ASSERT_TRUE(r.ok()) << r.error();
 
   // Perturb candidate 1's first history row of the count-C projection: that
   // block's count-C tensor is no longer its count-1 tensor tiled.
@@ -654,20 +740,263 @@ TEST(PassTest, FactorDemotesARowBlockTheTracedTensorsRefute) {
   tensor::Tensor& y = r.tC.value_nodes[traced_bmm->out]->value;
   y.data()[(1 * (1 + kSeqLen) + 1) * 4] += 1.0f;
 
-  const ir::FactorResult f = ir::Factor(r.t1, r.tC, r.b1, r.bC);
+  const ir::FactorResult f = FactorTraced(space, r);
   ASSERT_TRUE(f.ok()) << f.error;
   // The history projection is back in the body, over the tiled history
-  // gather; the prologue keeps only the gather itself.
+  // gather; the prologue keeps only the gather itself. The candidate row's
+  // projection still comes from the item table.
   EXPECT_TRUE(InstrsOfKind(f.prologue, ir::OpKind::kBmmShared).empty());
   const auto body_bmm = InstrsOfKind(f.body, ir::OpKind::kBmmShared);
-  ASSERT_EQ(body_bmm.size(), 2u);
-  EXPECT_EQ(f.body.values[body_bmm[1]->in[0]].shape,
+  ASSERT_EQ(body_bmm.size(), 1u);
+  EXPECT_EQ(f.body.values[body_bmm[0]->in[0]].shape,
             (std::vector<size_t>{3, kSeqLen, 4}));
+  EXPECT_EQ(TableGathers(f.body).size(), 1u);
   ASSERT_EQ(f.prologue.slot_outputs.size(), 1u);
   const ir::Instr* slot_def =
       DefOf(f.prologue, f.prologue.slot_outputs[0]);
   ASSERT_NE(slot_def, nullptr);
   EXPECT_EQ(slot_def->kind, ir::OpKind::kEmbeddingGather);
+}
+
+// ---------------------------------------------------------------------------
+// Item split on small hand-built models: candidate-only chains move into the
+// catalog program and the body gathers their rows from the item table.
+// ---------------------------------------------------------------------------
+
+/// A model whose candidate row goes through one of:
+///   kCandidateOnly: tanh(e_c W), stacked under the user row, plus a
+///                   candidate-only linear term mean(e_c) q added to the
+///                   score (a rank-2 [B, 1] item value);
+///   kReadsUser:     tanh(e_c W + e_u), stacked under the user row;
+///   kBareGather:    e_c itself, stacked under the user row.
+/// The stacked rows are mean-pooled and scored by a [d, 1] matmul.
+class ItemChainModel : public core::Model {
+ public:
+  enum class Chain { kCandidateOnly, kReadsUser, kBareGather };
+
+  ItemChainModel(const data::FeatureSpace& space, Chain chain)
+      : chain_(chain),
+        table_(Param({space.static_dim(), kDim}, 0.1f)),
+        w_(Param({kDim, kDim}, 0.3f)),
+        p_(Param({kDim, 1}, 0.4f)),
+        q_(Param({kDim, 1}, 0.5f)) {}
+
+  autograd::Variable Score(const data::Batch& batch, bool) override {
+    const size_t b = batch.batch_size;
+    std::vector<int32_t> user(b), cand(b);
+    for (size_t i = 0; i < b; ++i) {
+      user[i] = batch.static_ids[i * batch.n_static];
+      cand[i] = batch.static_ids[i * batch.n_static + 1];
+    }
+    const autograd::Variable e_u =
+        autograd::EmbeddingGather(table_, user, b, 1);
+    const autograd::Variable e_c =
+        autograd::EmbeddingGather(table_, cand, b, 1);
+    autograd::Variable c = e_c;
+    if (chain_ == Chain::kCandidateOnly) {
+      c = autograd::Tanh(autograd::BmmShared(e_c, w_));
+    } else if (chain_ == Chain::kReadsUser) {
+      c = autograd::Tanh(autograd::Add(autograd::BmmShared(e_c, w_), e_u));
+    }
+    autograd::Variable score = autograd::MatMul(
+        autograd::MeanAxis1(autograd::ConcatAxis1(e_u, c), 2.0f), p_);
+    if (chain_ == Chain::kCandidateOnly) {
+      score = autograd::Add(
+          score, autograd::MatMul(autograd::MeanAxis1(e_c, 1.0f), q_));
+    }
+    return score;
+  }
+
+  std::vector<autograd::Variable> TrainableParameters() override {
+    return {table_, w_, p_, q_};
+  }
+  std::string name() const override { return "ItemChain"; }
+
+ private:
+  static constexpr size_t kDim = 4;
+
+  static autograd::Variable Param(std::vector<size_t> shape, float phase) {
+    tensor::Tensor t(shape);
+    for (size_t i = 0; i < t.size(); ++i) {
+      t.data()[i] = std::sin(phase + 0.7f * static_cast<float>(i));
+    }
+    return autograd::Variable::Leaf(std::move(t), /*requires_grad=*/true);
+  }
+
+  Chain chain_;
+  autograd::Variable table_, w_, p_, q_;
+};
+
+TEST(PassTest, FactorMovesACandidateOnlyChainIntoTheItemTable) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  ItemChainModel model(space, ItemChainModel::Chain::kCandidateOnly);
+  FactorTraces r = TraceRowBlockModel(&model, builder);
+  ASSERT_TRUE(r.ok()) << r.error();
+  const ir::FactorResult f = FactorTraced(space, r);
+  ASSERT_TRUE(f.ok()) << f.error;
+
+  // The catalog computes both chains for all 9 objects: tanh(e_c W) and
+  // mean(e_c) q, the table's two columns.
+  EXPECT_EQ(Kinds(f.catalog),
+            (std::vector<ir::OpKind>{
+                ir::OpKind::kEmbeddingGather, ir::OpKind::kBmmShared,
+                ir::OpKind::kTanh, ir::OpKind::kReduceAxis1,
+                ir::OpKind::kMatMul}));
+  EXPECT_EQ(f.catalog.count, space.num_objects());
+  ASSERT_EQ(f.table.columns.size(), 2u);
+  EXPECT_EQ(Widths(f.table), (std::vector<size_t>{4, 1}));
+  EXPECT_EQ(f.table.bytes(), space.num_objects() * 5 * sizeof(float));
+
+  // The body reads both through candidate-bound table gathers (the rank-2
+  // term through a reshape) and projects nothing itself.
+  EXPECT_TRUE(InstrsOfKind(f.body, ir::OpKind::kBmmShared).empty());
+  EXPECT_TRUE(InstrsOfKind(f.body, ir::OpKind::kTanh).empty());
+  EXPECT_EQ(TableGathers(f.body).size(), 2u);
+  EXPECT_EQ(InstrsOfKind(f.body, ir::OpKind::kReshape).size(), 1u);
+  ir::VerifyOptions body_opts;
+  body_opts.allow_slots = true;
+  body_opts.num_slots = f.prologue.slot_outputs.size();
+  body_opts.item_table = &f.table;
+  const Status st = ir::Verify(f.body, body_opts);
+  EXPECT_TRUE(st.ok()) << st.message();
+
+  // End to end: the engine serves it from the table, bit-equal to eager.
+  serve::Predictor compiled(&model, &builder);
+  ASSERT_TRUE(compiled.compiled_active());
+  EXPECT_EQ(compiled.engine()->stats().item_values, 2u);
+  serve::PredictorOptions eager_opts;
+  eager_opts.use_compiled_program = false;
+  serve::Predictor eager(&model, &builder, eager_opts);
+  std::vector<int32_t> catalog(space.num_objects());
+  std::iota(catalog.begin(), catalog.end(), 0);
+  for (const auto& ex : TestExamples()) {
+    const std::vector<float> want = eager.ScoreCandidates(ex, catalog);
+    const std::vector<float> got = compiled.ScoreCandidates(ex, catalog);
+    ASSERT_EQ(want.size(), got.size());
+    ExpectBitEqual(want.data(), got.data(), want.size(),
+                   "user " + std::to_string(ex.user));
+  }
+}
+
+TEST(PassTest, FactorKeepsAChainThatReadsTheUserColumnInTheBody) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  ItemChainModel model(space, ItemChainModel::Chain::kReadsUser);
+  FactorTraces r = TraceRowBlockModel(&model, builder);
+  ASSERT_TRUE(r.ok()) << r.error();
+  const ir::FactorResult f = FactorTraced(space, r);
+  ASSERT_TRUE(f.ok()) << f.error;
+  // Only e_c W is an item value; adding the user row and the tanh after it
+  // stay in the body.
+  EXPECT_EQ(Kinds(f.catalog),
+            (std::vector<ir::OpKind>{ir::OpKind::kEmbeddingGather,
+                                     ir::OpKind::kBmmShared}));
+  EXPECT_EQ(Widths(f.table), (std::vector<size_t>{4}));
+  EXPECT_EQ(TableGathers(f.body).size(), 1u);
+  EXPECT_EQ(InstrsOfKind(f.body, ir::OpKind::kAdd).size(), 1u);
+  EXPECT_EQ(InstrsOfKind(f.body, ir::OpKind::kTanh).size(), 1u);
+  EXPECT_TRUE(InstrsOfKind(f.body, ir::OpKind::kBmmShared).empty());
+}
+
+TEST(PassTest, FactorLeavesABareCandidateGatherInTheBody) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  ItemChainModel model(space, ItemChainModel::Chain::kBareGather);
+  FactorTraces r = TraceRowBlockModel(&model, builder);
+  ASSERT_TRUE(r.ok()) << r.error();
+  const ir::FactorResult f = FactorTraced(space, r);
+  ASSERT_TRUE(f.ok()) << f.error;
+  // Gathering a parameter row by candidate is already a table lookup.
+  EXPECT_TRUE(f.catalog.instrs.empty());
+  EXPECT_TRUE(f.table.columns.empty());
+  EXPECT_EQ(f.table.bytes(), 0u);
+  EXPECT_TRUE(TableGathers(f.body).empty());
+  const auto gathers = InstrsOfKind(f.body, ir::OpKind::kEmbeddingGather);
+  ASSERT_EQ(gathers.size(), 1u);
+  EXPECT_EQ(f.body.values[gathers[0]->in[0]].kind, ir::ValueKind::kParam);
+}
+
+TEST(PassTest, FactorDemotesAnItemClaimWhoseTracedRowsDisagreeWithTheTable) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  ItemChainModel model(space, ItemChainModel::Chain::kCandidateOnly);
+  FactorTraces r = TraceRowBlockModel(&model, builder);
+  ASSERT_TRUE(r.ok()) << r.error();
+
+  // Perturb candidate 3's traced tanh row (row 1 of the count-C trace): no
+  // other trace has candidate 3, so only the table can refute it.
+  const ir::Instr* traced_tanh =
+      InstrsOfKind(r.tC.program, ir::OpKind::kTanh)[0];
+  r.tC.value_nodes[traced_tanh->out]->value.data()[1 * 4] += 1.0f;
+
+  const ir::FactorResult f = FactorTraced(space, r);
+  ASSERT_TRUE(f.ok()) << f.error;
+  // The tanh is back in the body, over the gathered projection: the
+  // projection and the linear term are the table's columns now.
+  EXPECT_EQ(InstrsOfKind(f.body, ir::OpKind::kTanh).size(), 1u);
+  EXPECT_EQ(Kinds(f.catalog),
+            (std::vector<ir::OpKind>{
+                ir::OpKind::kEmbeddingGather, ir::OpKind::kBmmShared,
+                ir::OpKind::kReduceAxis1, ir::OpKind::kMatMul}));
+  EXPECT_EQ(Widths(f.table), (std::vector<size_t>{4, 1}));
+  const ir::Instr* tanh = InstrsOfKind(f.body, ir::OpKind::kTanh)[0];
+  const ir::Instr* src = DefOf(f.body, tanh->in[0]);
+  ASSERT_NE(src, nullptr);
+  EXPECT_EQ(src->kind, ir::OpKind::kEmbeddingGather);
+  EXPECT_EQ(f.body.values[src->in[0]].kind, ir::ValueKind::kItem);
+
+  // A later compile sharing a table whose claims this trace refutes fails
+  // instead of serving from it.
+  FactorTraces clean = TraceRowBlockModel(&model, builder);
+  const ir::FactorResult good = FactorTraced(space, clean);
+  ASSERT_TRUE(good.ok()) << good.error;
+  ir::FactorOptions shared = ItemOptions(space, clean);
+  shared.table = &good.table;
+  const ir::FactorResult lazy =
+      ir::Factor(clean.t1, clean.tC, clean.b1, clean.bC, shared);
+  ASSERT_TRUE(lazy.ok()) << lazy.error;
+  // Sharing a table builds no catalog program or table of its own.
+  EXPECT_TRUE(lazy.catalog.instrs.empty());
+  EXPECT_EQ(lazy.table.bytes(), 0u);
+  EXPECT_EQ(TableGathers(lazy.body).size(), 2u);
+  shared = ItemOptions(space, r);
+  shared.table = &good.table;
+  const ir::FactorResult refuted =
+      ir::Factor(r.t1, r.tC, r.b1, r.bC, shared);
+  EXPECT_NE(refuted.error.find("diverge from the engine's item table"),
+            std::string::npos)
+      << refuted.error;
+
+  // So does a table whose columns match but whose item-value set does not.
+  ir::FactorResult other = FactorTraced(space, clean);
+  ASSERT_TRUE(other.ok()) << other.error;
+  other.table.item_values.erase(other.table.item_values.begin());
+  shared = ItemOptions(space, clean);
+  shared.table = &other.table;
+  const ir::FactorResult diverged =
+      ir::Factor(clean.t1, clean.tC, clean.b1, clean.bC, shared);
+  EXPECT_NE(diverged.error.find("diverge from the engine's item table"),
+            std::string::npos)
+      << diverged.error;
+}
+
+TEST(PassTest, FactorRequiresTheCatalogAndTheCrossProbe) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  ItemChainModel model(space, ItemChainModel::Chain::kCandidateOnly);
+  FactorTraces r = TraceRowBlockModel(&model, builder);
+  ASSERT_TRUE(r.ok()) << r.error();
+  ir::FactorOptions no_catalog = ItemOptions(space, r);
+  no_catalog.num_objects = 0;
+  ir::FactorOptions no_probe = ItemOptions(space, r);
+  no_probe.probe = nullptr;
+  for (const ir::FactorOptions& o : {no_catalog, no_probe}) {
+    const ir::FactorResult f = ir::Factor(r.t1, r.tC, r.b1, r.bC, o);
+    EXPECT_NE(f.error.find("needs the catalog size and the cross-probe"),
+              std::string::npos)
+        << f.error;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -681,13 +1010,9 @@ ir::FactorResult FactoredSeqFm(const core::SeqFmConfig& cfg) {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, cfg.max_seq_len);
   core::SeqFm model(space, cfg);
-  const data::SequenceExample ex = TestExamples()[0];
-  const data::Batch b1 = ServingBatch(builder, ex, {0});
-  const data::Batch bC = ServingBatch(builder, ex, {0, 3, 7});
-  const ir::TraceResult t1 = ir::Trace(&model, b1);
-  const ir::TraceResult tC = ir::Trace(&model, bC);
-  EXPECT_TRUE(t1.ok() && tC.ok()) << t1.error << tC.error;
-  ir::FactorResult f = ir::Factor(t1, tC, b1, bC);
+  const FactorTraces r = TraceRowBlockModel(&model, builder);
+  EXPECT_TRUE(r.ok()) << r.error();
+  ir::FactorResult f = FactorTraced(space, r);
   EXPECT_TRUE(f.ok()) << f.error;
   for (ir::Program* half : {&f.prologue, &f.body}) {
     ir::FoldConstants(half);
@@ -708,6 +1033,7 @@ TEST(PassTest, FuseMaskedAttentionFiresOnSeqFmsConstantMasks) {
   ir::VerifyOptions body_opts;
   body_opts.allow_slots = true;
   body_opts.num_slots = f.prologue.slot_outputs.size();
+  body_opts.item_table = &f.table;
 
   // Prologue: the dynamic view under the constant causal mask.
   EXPECT_EQ(ir::FuseMaskedAttention(&f.prologue), 1u);
@@ -740,6 +1066,17 @@ TEST(PassTest, FuseMaskedAttentionFiresOnSeqFmsConstantMasks) {
   cross.insert(cross.end(), dyn_rows.begin(), dyn_rows.end());
   EXPECT_EQ(att[1]->ranges, cross);
   EXPECT_EQ(att[1]->parts, (std::array<uint32_t, 3>{3, 3, 3}));
+  // Every candidate block arrives as a gather from the item table, read by
+  // the fused attention straight away.
+  const auto rows = TableGathers(f.body);
+  EXPECT_EQ(rows.size(), 6u);
+  for (const ir::Instr* g : rows) {
+    size_t readers = 0;
+    for (const ir::Instr* a : att) {
+      readers += std::count(a->in.begin(), a->in.end(), g->out);
+    }
+    EXPECT_EQ(readers, 1u) << "%" << g->out;
+  }
   for (ir::OpKind gone : {ir::OpKind::kBmm, ir::OpKind::kMaskedSoftmax,
                           ir::OpKind::kConcatAxis1}) {
     EXPECT_TRUE(InstrsOfKind(f.body, gone).empty()) << ir::OpKindName(gone);
@@ -1036,6 +1373,69 @@ TEST(VerifierTest, RejectsAFusedAttentionRangeTheMaskDoesNotDerive) {
   ExpectVerifyRejects(short_ranges, "2 key ranges for 3 query rows");
 }
 
+/// A body that gathers its rows from a one-column [5, 3] item table by
+/// candidate, and the table layout it verifies against.
+struct TableGatherProgram {
+  ir::Program p;
+  ir::ItemTable table;
+};
+
+TableGatherProgram SmallTableGatherProgram() {
+  TableGatherProgram t;
+  t.table.num_objects = 5;
+  t.table.columns.push_back(tensor::Tensor::Zeros({5, 3}));
+  ir::Program& p = t.p;
+  p.count = 2;
+  p.n_static = 2;
+  ir::Value col;
+  col.kind = ir::ValueKind::kItem;
+  col.shape = {5, 3};
+  col.index = 0;
+  p.values.push_back(col);
+  const uint32_t rows = AddLocal(&p, {2, 1, 3});
+  AddInstr(&p, ir::OpKind::kEmbeddingGather, {0}, rows);
+  p.instrs.back().binding.source = ir::IndexSource::kStatic;
+  p.instrs.back().binding.cols = {1};
+  p.instrs.back().binding.deltas = {-5};
+  p.output = rows;
+  return t;
+}
+
+TEST(VerifierTest, RejectsItemTableReadsOutsideACandidateGather) {
+  TableGatherProgram t = SmallTableGatherProgram();
+  ir::VerifyOptions opts;
+  opts.item_table = &t.table;
+  const Status ok = ir::Verify(t.p, opts);
+  ASSERT_TRUE(ok.ok()) << ok.message();
+  ExpectVerifyRejects(t.p, "reads no item table");  // a prologue's options
+
+  ir::Program relu = t.p;  // the table read as a tensor operand
+  const uint32_t out = AddLocal(&relu, {5, 3});
+  AddInstr(&relu, ir::OpKind::kRelu, {0}, out);
+  ExpectVerifyRejects(relu, "outside a gather's table", opts);
+
+  ir::Program user = t.p;  // row fetched by the user id
+  user.instrs[0].binding.cols = {0};
+  ExpectVerifyRejects(user, "binds a column other than the candidate", opts);
+
+  ir::Program history = t.p;  // or by a history id
+  history.n_seq = 4;
+  history.instrs[0].binding.source = ir::IndexSource::kDynamic;
+  ExpectVerifyRejects(history, "binds a column other than the candidate",
+                      opts);
+}
+
+TEST(VerifierTest, RejectsAnItemColumnOfTheWrongWidth) {
+  TableGatherProgram t = SmallTableGatherProgram();
+  ir::VerifyOptions opts;
+  opts.item_table = &t.table;
+  t.table.columns[0] = tensor::Tensor::Zeros({5, 4});
+  ExpectVerifyRejects(t.p, "item column 0 is [5, 4] but the value declares "
+                           "[5, 3]", opts);
+  t.p.values[0].index = 1;
+  ExpectVerifyRejects(t.p, "item column 1 out of range", opts);
+}
+
 // ---------------------------------------------------------------------------
 // Verifier x pipeline: for every model, each pass of the default pipeline
 // leaves both factored halves verifier-clean (the same sequence — and the
@@ -1048,26 +1448,22 @@ TEST_P(VerifierPipelineTest, EveryPassLeavesTheProgramVerifierClean) {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
   auto model = MakeModelByName(GetParam(), space);
-  const data::SequenceExample ex = TestExamples()[0];
-  const data::Batch b1 = ServingBatch(builder, ex, {0});
-  const data::Batch bC = ServingBatch(builder, ex, {0, 3, 7, 8});
-
-  const ir::TraceResult t1 = ir::Trace(model.get(), b1);
-  const ir::TraceResult tC = ir::Trace(model.get(), bC);
-  ASSERT_TRUE(t1.ok()) << GetParam() << ": " << t1.error;
-  ASSERT_TRUE(tC.ok()) << GetParam() << ": " << tC.error;
-  Status st = ir::Verify(t1.program);
+  const FactorTraces r =
+      TraceForFactor(model.get(), builder, TestExamples()[0], {0, 3, 7, 8});
+  ASSERT_TRUE(r.ok()) << GetParam() << ": " << r.error();
+  Status st = ir::Verify(r.t1.program);
   EXPECT_TRUE(st.ok()) << GetParam() << " trace(1): " << st.message();
-  st = ir::Verify(tC.program);
+  st = ir::Verify(r.tC.program);
   EXPECT_TRUE(st.ok()) << GetParam() << " trace(C): " << st.message();
 
-  ir::FactorResult f = ir::Factor(t1, tC, b1, bC);
+  ir::FactorResult f = FactorTraced(space, r);
   ASSERT_TRUE(f.ok()) << GetParam() << ": " << f.error;
 
   ir::VerifyOptions prologue_opts;
   ir::VerifyOptions body_opts;
   body_opts.allow_slots = true;
   body_opts.num_slots = f.prologue.slot_outputs.size();
+  body_opts.item_table = &f.table;
   for (ir::Program* half : {&f.prologue, &f.body}) {
     const bool is_body = half == &f.body;
     ir::VerifyOptions opts = is_body ? body_opts : prologue_opts;
@@ -1286,8 +1682,13 @@ TEST(CompiledCostTest, SeqFmBodyGemmWorkPerCandidateStaysHoisted) {
   ASSERT_NE(engine, nullptr) << error;
   // 365,760 before the cross-view history/user rows were hoisted, 95,424
   // before the cross view stopped computing the 404 of its 484 (query, key)
-  // pairs the mask discards; 43,712 now.
-  EXPECT_LE(engine->stats().body_macs_per_candidate, 45000u);
+  // pairs the mask discards, 43,712 before the candidate row's six Q/K/V
+  // projections moved into the item table; 19,136 now.
+  EXPECT_LE(engine->stats().body_macs_per_candidate, 20000u);
+  // Six [num_objects, 64] columns.
+  EXPECT_EQ(engine->stats().item_values, 6u);
+  EXPECT_EQ(engine->stats().item_table_bytes,
+            space.num_objects() * 6 * 64 * sizeof(float));
 }
 
 TEST(CompiledCostTest, SeqFmCount256BodyFrameDoesNotGrow) {
@@ -1304,12 +1705,9 @@ TEST(CompiledCostTest, SeqFmCount256BodyFrameDoesNotGrow) {
   for (size_t i = 0; i < cands.size(); ++i) {
     cands[i] = static_cast<int32_t>(i % space.num_objects());
   }
-  const data::Batch b1 = ServingBatch(builder, ex, {0});
-  const data::Batch bC = ServingBatch(builder, ex, cands);
-  const ir::TraceResult t1 = ir::Trace(&model, b1);
-  const ir::TraceResult tC = ir::Trace(&model, bC);
-  ASSERT_TRUE(t1.ok() && tC.ok()) << t1.error << tC.error;
-  ir::FactorResult f = ir::Factor(t1, tC, b1, bC);
+  const FactorTraces r = TraceForFactor(&model, builder, ex, cands);
+  ASSERT_TRUE(r.ok()) << r.error();
+  ir::FactorResult f = FactorTraced(space, r);
   ASSERT_TRUE(f.ok()) << f.error;
   ir::FoldConstants(&f.body);
   ir::DeadCodeElim(&f.body);
@@ -1318,8 +1716,59 @@ TEST(CompiledCostTest, SeqFmCount256BodyFrameDoesNotGrow) {
   ir::PlanArena(&f.body);
   // 7,672,832 bytes before row-block hoisting and 5,411,840 before the
   // fused attention dropped the [256, 22, 22] scores and the stacked
-  // [256, 22, 64] Q/K/V copies.
-  EXPECT_LE(f.body.frame_floats * sizeof(float), 1950000u);  // 1,901,568
+  // [256, 22, 64] Q/K/V copies, and 1,901,568 before the table gathers
+  // replaced the candidate gather and its six projections.
+  EXPECT_LE(f.body.frame_floats * sizeof(float), 1950000u);  // 1,836,032
+}
+
+TEST(CompiledCostTest, EveryBodyOfAnEngineReadsTheOneItemTable) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  core::SeqFm model(space, SmallSeqFmConfig());
+  std::string error;
+  auto engine =
+      ir::Engine::Compile(&model, &builder, space.num_objects(), &error);
+  ASSERT_NE(engine, nullptr) << error;
+  const ir::ItemTable& table = engine->item_table();
+  ASSERT_EQ(table.columns.size(), 6u);
+  const float* storage = table.data.data();
+
+  const data::Batch probe =
+      ServingBatch(builder, TestExamples()[0], {0});
+  const std::vector<int32_t> history(probe.dynamic_ids.begin(),
+                                     probe.dynamic_ids.end());
+  core::SharedContext ctx;
+  engine->MakeContext(probe.static_ids[0], history, &ctx);
+  std::vector<int32_t> cands(space.num_objects());
+  std::iota(cands.begin(), cands.end(), 0);
+  std::vector<float> out(cands.size());
+  for (size_t count : {3u, 5u, 7u}) {
+    ASSERT_TRUE(engine->ScoreRange(ctx, cands, 0, count, out.data(), &error))
+        << error;
+  }
+  EXPECT_EQ(engine->stats().compiled_counts, 4u);
+  // Lazy compiles reuse the table the engine built: no new storage...
+  EXPECT_EQ(table.data.data(), storage);
+  for (size_t count : {2u, 3u, 5u, 7u}) {
+    const ir::Program* body = engine->body(count);
+    ASSERT_NE(body, nullptr) << count;
+    size_t reads = 0;
+    for (const ir::Value& v : body->values) {
+      reads += v.kind == ir::ValueKind::kItem ? 1 : 0;
+    }
+    EXPECT_EQ(reads, table.columns.size()) << count;
+    // ...and no body captured the table, or a column of it, by value.
+    for (const tensor::Tensor& c : body->constants) {
+      EXPECT_LT(c.size(), table.data.size()) << count;
+      for (const tensor::Tensor& col : table.columns) {
+        EXPECT_FALSE(c.size() == col.size() &&
+                     std::memcmp(c.data(), col.data(),
+                                 c.size() * sizeof(float)) == 0)
+            << count;
+      }
+    }
+  }
+  EXPECT_TRUE(engine->ReverifySlotAbi().ok());
 }
 
 TEST(CompiledServingTest, WarmChunksMakeNoHeapAllocationsOfAnyKind) {
@@ -1353,6 +1802,31 @@ TEST(CompiledServingTest, WarmChunksMakeNoHeapAllocationsOfAnyKind) {
                                  << count;
   }
   EXPECT_TRUE(predictor.compiled_active());
+}
+
+TEST(CompiledServingTest, ItemTableSpansACatalogOfSeveralChunks) {
+  // The catalog program runs kCatalogChunk objects at a time; a catalog of
+  // two whole chunks and a short one must fill every table row.
+  const data::FeatureSpace space(5, 2 * ir::kCatalogChunk + 6);
+  data::BatchBuilder builder(space, kSeqLen);
+  core::SeqFm model(space, SmallSeqFmConfig());
+  serve::PredictorOptions opts;
+  opts.micro_batch = 16;
+  serve::Predictor compiled(&model, &builder, opts);
+  ASSERT_TRUE(compiled.compiled_active());
+  EXPECT_EQ(compiled.engine()->item_table().num_objects, space.num_objects());
+  opts.use_compiled_program = false;
+  serve::Predictor eager(&model, &builder, opts);
+  std::vector<int32_t> catalog(space.num_objects());
+  std::iota(catalog.begin(), catalog.end(), 0);
+  for (const auto& ex : TestExamples()) {
+    const std::vector<float> want = eager.ScoreCandidates(ex, catalog);
+    const std::vector<float> got = compiled.ScoreCandidates(ex, catalog);
+    ASSERT_EQ(want.size(), got.size());
+    ExpectBitEqual(want.data(), got.data(), want.size(),
+                   "user " + std::to_string(ex.user));
+  }
+  EXPECT_TRUE(compiled.compiled_active());
 }
 
 TEST(CompiledServingTest, NaNHistoryEmbeddingYieldsTheEagerPathsNaNScores) {
@@ -1474,6 +1948,46 @@ TEST(CompiledLifecycleTest, CheckpointReloadRecompilesTheProgram) {
   std::remove(path.c_str());
 }
 
+TEST(CompiledLifecycleTest, CheckpointReloadRebuildsTheItemTable) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  auto serving = MakeModelByName("SeqFM", space);
+  auto trained = MakeModelByName("SeqFM", space, /*seed=*/991);
+  const std::string path = TempPath("ir_item_table_reload_test.bin");
+  ASSERT_TRUE(serve::Checkpoint::Save(
+                  *dynamic_cast<nn::Module*>(trained.get()), path)
+                  .ok());
+
+  serve::PredictorOptions opts;
+  opts.micro_batch = 4;
+  serve::Predictor predictor(serving.get(), &builder, opts);
+  ASSERT_TRUE(predictor.compiled_active());
+  const tensor::Tensor before = predictor.engine()->item_table().data;
+  ASSERT_GT(before.size(), 0u);
+
+  ASSERT_TRUE(predictor.ReloadCheckpoint(path).ok());
+  ASSERT_TRUE(predictor.compiled_active());
+  // The new engine's table holds the new weights' projections...
+  const tensor::Tensor& after = predictor.engine()->item_table().data;
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_NE(std::memcmp(after.data(), before.data(),
+                        after.size() * sizeof(float)),
+            0);
+  // ...and serving from it matches the reloaded model's eager scores.
+  std::vector<int32_t> catalog(space.num_objects());
+  std::iota(catalog.begin(), catalog.end(), 0);
+  autograd::NoGradGuard guard;
+  for (const auto& ex : TestExamples()) {
+    const std::vector<float> got = predictor.ScoreCandidates(ex, catalog);
+    const data::Batch batch = ServingBatch(builder, ex, catalog);
+    const autograd::Variable want = trained->Score(batch, /*training=*/false);
+    ASSERT_EQ(got.size(), want.value().size());
+    ExpectBitEqual(got.data(), want.value().data(), got.size(),
+                   "post-reload table, user " + std::to_string(ex.user));
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CompiledLifecycleTest, RepeatedReloadsReturnTheThreadFrameCountToBaseline) {
   // Every reload compiles a new engine; the frames of the engines it
   // replaces (and of discarded self-check programs) must not pile up in
@@ -1519,15 +2033,14 @@ namespace {
 // test hook, and asserts the predictor detected the miswiring, latched the
 // compiled path off, and still serves the new parameters bit-exactly
 // through the eager fallback.
-void RunCorruptedReload(bool corrupt_shape) {
+void RunCorruptedReload(ir::Engine::AbiCorruption how) {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
   auto serving = MakeModelByName("SeqFM", space);
   auto trained = MakeModelByName("SeqFM", space, /*seed=*/4242);
 
-  const std::string path = TempPath(corrupt_shape
-                                        ? "ir_abi_shape_test.bin"
-                                        : "ir_abi_index_test.bin");
+  const std::string path =
+      TempPath("ir_abi_test_" + std::to_string(static_cast<int>(how)) + ".bin");
   ASSERT_TRUE(serve::Checkpoint::Save(
                   *dynamic_cast<nn::Module*>(trained.get()), path)
                   .ok());
@@ -1540,9 +2053,8 @@ void RunCorruptedReload(bool corrupt_shape) {
   // happy, or every clean reload would forfeit the compiled path.
   ASSERT_TRUE(predictor.engine()->ReverifySlotAbi().ok());
 
-  predictor.SetReloadCorruptionHookForTest([corrupt_shape](ir::Engine* e) {
-    e->CorruptSlotWiringForTest(corrupt_shape);
-  });
+  predictor.SetReloadCorruptionHookForTest(
+      [how](ir::Engine* e) { e->CorruptAbiForTest(how); });
   // The reload itself succeeds: the parameters ARE the new checkpoint.
   ASSERT_TRUE(predictor.ReloadCheckpoint(path).ok());
   // But the miswired program was caught and latched off.
@@ -1566,11 +2078,15 @@ void RunCorruptedReload(bool corrupt_shape) {
 }  // namespace
 
 TEST(SlotAbiReverifyTest, ReloadCatchesOutOfRangeSlotIndex) {
-  RunCorruptedReload(/*corrupt_shape=*/false);
+  RunCorruptedReload(ir::Engine::AbiCorruption::kSlotIndex);
 }
 
 TEST(SlotAbiReverifyTest, ReloadCatchesSlotShapeMismatch) {
-  RunCorruptedReload(/*corrupt_shape=*/true);
+  RunCorruptedReload(ir::Engine::AbiCorruption::kSlotShape);
+}
+
+TEST(SlotAbiReverifyTest, ReloadCatchesAnItemColumnWidthMismatch) {
+  RunCorruptedReload(ir::Engine::AbiCorruption::kItemWidth);
 }
 
 TEST(SlotAbiReverifyTest, CleanReloadKeepsCompiledPathAndVerifiesAbi) {

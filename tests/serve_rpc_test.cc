@@ -16,7 +16,10 @@
 //   - protocol v2 (PR 9): the mandatory HELLO handshake with precise
 //     version-mismatch errors in BOTH directions (old client vs new server,
 //     new client vs pre-v2 server), client connect/call timeouts against
-//     hung servers, and replica-mode shard-scoped scoring.
+//     hung servers, and replica-mode shard-scoped scoring;
+//   - admission of ids outside the feature space: each is answered
+//     BAD_REQUEST on the request and shard paths, and the connection keeps
+//     serving bit-identically to a fresh server.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -28,6 +31,7 @@
 #include <cerrno>
 #include <cstring>
 #include <future>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1212,6 +1216,96 @@ TEST(ShardServingTest, NonReplicaServerRejectsShardRequests) {
   serve::RpcResponse resp;
   ASSERT_TRUE(client.Call(req, &resp).ok());
   EXPECT_EQ(resp.status, serve::RpcStatus::kOk);
+}
+
+TEST(RpcServerTest, OutOfRangeIdsAreAnsweredBadRequestAndServingGoesOn) {
+  serve::RpcServerOptions opts;
+  opts.catalog_size = 12;  // a replica slice three ids past the 9 objects
+  ServingStack stack({}, opts);
+  ServingStack fresh;  // answers the valid request for comparison
+  ASSERT_TRUE(stack.rpc.Start().ok());
+  ASSERT_TRUE(fresh.rpc.Start().ok());
+  serve::RpcClient client;
+  serve::RpcClient fresh_client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.rpc.port()).ok());
+  ASSERT_TRUE(fresh_client.Connect("127.0.0.1", fresh.rpc.port()).ok());
+
+  const auto ex = TestExamples()[0];
+  auto valid = [&](uint64_t id) {
+    serve::RpcRequest req;
+    req.id = id;
+    req.user = ex.user;
+    req.k = 5;
+    req.history = ex.history;
+    req.slate = FullCatalog(stack.space);
+    return req;
+  };
+  serve::RpcResponse want;
+  ASSERT_TRUE(fresh_client.Call(valid(1), &want).ok());
+  ASSERT_EQ(want.status, serve::RpcStatus::kOk);
+
+  struct Bad {
+    const char* what;
+    int32_t user;
+    std::vector<int32_t> history;
+    std::vector<int32_t> slate;
+  };
+  const std::vector<Bad> bad = {
+      {"slate id == num_objects", 0, {1, 2}, {0, 9}},
+      {"negative slate id", 0, {1, 2}, {-3, 1}},
+      {"history id past the catalog", 0, {1, 40}, {0, 1}},
+      {"negative history id", 0, {-1, 2}, {0, 1}},
+      {"user == num_users", 5, {1, 2}, {0, 1}},
+      {"negative user", -1, {1, 2}, {0, 1}},
+  };
+  uint64_t id = 100;
+  for (const Bad& b : bad) {
+    serve::RpcRequest req;
+    req.id = ++id;
+    req.user = b.user;
+    req.k = 3;
+    req.history = b.history;
+    req.slate = b.slate;
+    serve::RpcResponse resp;
+    ASSERT_TRUE(client.Call(req, &resp).ok()) << b.what;
+    EXPECT_EQ(resp.status, serve::RpcStatus::kBadRequest) << b.what;
+    EXPECT_TRUE(resp.items.empty()) << b.what;
+    // Same connection, next request: answered as a fresh server answers it.
+    serve::RpcResponse next;
+    ASSERT_TRUE(client.Call(valid(++id), &next).ok()) << b.what;
+    ASSERT_EQ(next.status, serve::RpcStatus::kOk) << b.what;
+    ExpectRankingEq(next.items, want.items, b.what);
+  }
+
+  // The shard path: a user outside the space, then a slice reaching past
+  // the model's objects, then the in-range slice.
+  serve::RpcShardRequest sreq;
+  sreq.id = ++id;
+  sreq.user = 5;
+  sreq.k = 3;
+  sreq.begin = 0;
+  sreq.end = 9;
+  sreq.history = ex.history;
+  serve::RpcShardResponse sresp;
+  ASSERT_TRUE(client.CallShard(sreq, &sresp).ok());
+  EXPECT_EQ(sresp.status, serve::RpcStatus::kBadRequest);
+  sreq.id = ++id;
+  sreq.user = ex.user;
+  sreq.end = 12;
+  ASSERT_TRUE(client.CallShard(sreq, &sresp).ok());
+  EXPECT_EQ(sresp.status, serve::RpcStatus::kBadRequest);
+  sreq.id = ++id;
+  sreq.end = 9;
+  ASSERT_TRUE(client.CallShard(sreq, &sresp).ok());
+  EXPECT_EQ(sresp.status, serve::RpcStatus::kOk);
+  EXPECT_EQ(sresp.entries.size(), 3u);
+  EXPECT_EQ(stack.rpc.stats().requests_bad, bad.size() + 2);
+
+  // In process, the rejection fails Submit's future.
+  data::SequenceExample stray = ex;
+  stray.user = 5;
+  EXPECT_THROW(stack.batch.Submit(stray, {0, 1}, 1).get(),
+               std::invalid_argument);
 }
 
 TEST(RpcServerTest, ShutdownWithIdleConnectionsCompletesImmediately) {
