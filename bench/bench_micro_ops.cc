@@ -12,9 +12,11 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "autograd/ops.h"
 #include "bench/bench_common.h"
+#include "ir/program.h"
 #include "nn/layers.h"
 #include "nn/masks.h"
 #include "tensor/init.h"
@@ -207,6 +209,70 @@ BENCHMARK(BM_MaskedSoftmax)
     ->Complexity(benchmark::oNSquared);
 
 // ---------------------------------------------------------------------------
+// SeqFM's fused cross-view attention at the serving benchmark's shape
+// ---------------------------------------------------------------------------
+
+/// The cross view (d = 64, 2 static + 20 history rows) of a 256-candidate
+/// chunk as the compiled body reads it: Q, K and V each stack a broadcast
+/// user row, the per-candidate row and broadcast history rows, under the
+/// cross mask.
+struct CrossAttention {
+  static constexpr size_t kCount = 256, kD = 64, kNs = 2, kNd = 20;
+  std::vector<Tensor> blocks;
+  std::vector<const Tensor*> ptrs;
+  Tensor mask = nn::MakeCrossMask(kNs, kNd).value();
+  std::vector<uint32_t> ranges;
+  Tensor rows{{kCount, kNs + kNd, kD}};
+  Tensor pooled{{kCount, kD}};
+
+  CrossAttention() {
+    Rng rng(23);
+    for (size_t j = 0; j < 3; ++j) {
+      for (size_t batch : {size_t{1}, kCount}) {
+        blocks.emplace_back(std::vector<size_t>{batch, 1, kD});
+      }
+      blocks.emplace_back(std::vector<size_t>{1, kNd, kD});
+    }
+    for (Tensor& t : blocks) {
+      tensor::FillNormal(&t, &rng, 1.0f);
+      ptrs.push_back(&t);
+    }
+    ir::OpenKeyRanges(&mask, kNs + kNd, kNs + kNd, &ranges);
+  }
+
+  /// The pooled [count, d] rows: in one op, or the unpooled op's
+  /// [count, 22, d] rows read back by SumAxis1.
+  void Run(bool in_place) {
+    const tensor::RowStack q{ptrs.data(), 3}, k{ptrs.data() + 3, 3},
+        v{ptrs.data() + 6, 3};
+    const float alpha = 1.0f / 8.0f, pool = 1.0f / (kNs + kNd);
+    if (in_place) {
+      tensor::MaskedAttention(q, k, v, &mask, ranges.data(), alpha, pool,
+                              &pooled);
+      return;
+    }
+    tensor::MaskedAttention(q, k, v, &mask, ranges.data(), alpha, 0.0f,
+                            &rows);
+    tensor::SumAxis1(rows, pool, &pooled);
+  }
+};
+
+/// Arg 1: pooled in place; arg 0: unpooled + SumAxis1. Reports the time per
+/// candidate.
+void BM_MaskedAttentionCross(benchmark::State& state) {
+  util::SetGlobalThreads(1);
+  CrossAttention att;
+  for (auto _ : state) {
+    att.Run(state.range(0) != 0);
+    benchmark::DoNotOptimize(att.pooled.data());
+  }
+  state.counters["per_cand"] = benchmark::Counter(
+      CrossAttention::kCount, benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MaskedAttentionCross)->Arg(0)->Arg(1);
+
+// ---------------------------------------------------------------------------
 // Kernel speedup summary: the dispatched SIMD layer, scalar vs AVX2
 // ---------------------------------------------------------------------------
 
@@ -273,6 +339,20 @@ void RunKernelSpeedupSummary(const std::string& json_path) {
     const double s = time_gemm(util::SimdLevel::kScalar, true);
     const double v = time_gemm(util::SimdLevel::kAvx2, true);
     report("gemm 256^3 (B transposed)", "gemm_trans", s, v, "GF/s", gflop);
+  }
+
+  {
+    CrossAttention att;
+    auto time_cross = [&](util::SimdLevel level) {
+      const util::SimdLevel prev = util::SetSimdLevel(level);
+      const double sec = TimePerIter([&]() { att.Run(/*in_place=*/true); });
+      util::SetSimdLevel(prev);
+      return sec;
+    };
+    const double s = time_cross(util::SimdLevel::kScalar);
+    const double v = time_cross(util::SimdLevel::kAvx2);
+    report("cross attention, pooled (SeqFM)", "masked_attention_cross", s, v,
+           "Mc/s", CrossAttention::kCount * 1e-6);
   }
 
   const auto& ks = tensor::kernels::Table(util::SimdLevel::kScalar);

@@ -249,12 +249,14 @@ int Run(int argc, char** argv) {
     const ir::EngineStats es = compiled.engine()->stats();
     std::printf("compiled program: %zu prologue + %zu body instrs, %zu "
                 "slots, %zu planned frame bytes, %zu folded / %zu dce / "
-                "%zu attention / %zu elementwise fused, %zu body GEMM MACs "
-                "per candidate, %zu item values in a %zu-byte item table\n",
+                "%zu attention (%zu pooled) / %zu elementwise fused, %zu "
+                "body GEMM MACs per candidate, %zu item values in a "
+                "%zu-byte item table\n",
                 es.prologue_instrs, es.body_instrs, es.slots,
                 (es.prologue_frame_floats + es.body_frame_floats) *
                     sizeof(float),
-                es.folded, es.dce_removed, es.attention_fused, es.fused,
+                es.folded, es.dce_removed, es.attention_fused,
+                es.attention_pooled, es.fused,
                 es.body_macs_per_candidate, es.item_values,
                 es.item_table_bytes);
     json.Add("compiled_prologue_instrs",
@@ -270,6 +272,8 @@ int Run(int argc, char** argv) {
     json.Add("compiled_fused", static_cast<double>(es.fused));
     json.Add("compiled_attention_fused",
              static_cast<double>(es.attention_fused));
+    json.Add("compiled_attention_pooled",
+             static_cast<double>(es.attention_pooled));
     json.Add("compiled_body_macs_per_cand",
              static_cast<double>(es.body_macs_per_candidate));
     json.Add("compiled_item_values", static_cast<double>(es.item_values));

@@ -252,7 +252,7 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
       tensor::MaskedAttention(
           {blocks, nq}, {blocks + nq, nk}, {blocks + nq + nk, nv},
           in.size() > size_t{nq} + nk + nv ? in.back() : nullptr,
-          instr.ranges.data(), instr.alpha, out);
+          instr.ranges.data(), instr.alpha, instr.pool_scale, out);
       return true;
     }
     case OpKind::kEmbeddingGather:
@@ -523,7 +523,8 @@ void RunProgram(const Program& prog, Frame* f,
 
 /// Multiply-accumulates one execution of \p prog performs in its GEMM-kind
 /// instructions: output size times contraction length, and for a fused
-/// attention its unmasked (query, key) pairs times (d + dv).
+/// attention its unmasked (query, key) pairs times (d + dv) per item, except
+/// the rows and score entries tensor::MaskedAttention computes once.
 size_t GemmMacs(const Program& prog) {
   size_t macs = 0;
   for (const Instr& ins : prog.instrs) {
@@ -539,14 +540,35 @@ size_t GemmMacs(const Program& prog) {
       case OpKind::kBmmLeftShared:  // [h2, h] x [b, h, d]
         k = prog.values[ins.in[0]].shape[1];
         break;
-      case OpKind::kMaskedAttention: {  // open pairs x (d + dv), per item
-        const Value& out = prog.values[ins.out];
-        const size_t d = prog.values[ins.in[0]].shape[2];
-        size_t pairs = 0;
-        for (size_t r = 0; r < ins.ranges.size(); r += 2) {
-          pairs += ins.ranges[r + 1] - ins.ranges[r];
+      case OpKind::kMaskedAttention: {
+        // Per Q, K and V row: does it come from a batch-1 (broadcast) block?
+        std::vector<char> bcast[3];
+        for (size_t j = 0, t = 0; j < 3; ++j) {
+          for (size_t end = t + ins.parts[j]; t < end; ++t) {
+            const Value& blk = prog.values[ins.in[t]];
+            bcast[j].insert(bcast[j].end(), blk.shape[1], blk.shape[0] == 1);
+          }
         }
-        macs += out.shape[0] * pairs * (d + out.shape[2]);
+        const size_t batch = prog.values[ins.out].shape[0];
+        const size_t d = prog.values[ins.in[0]].shape[2];
+        const size_t dv =
+            prog.values[ins.in[ins.parts[0] + ins.parts[1]]].shape[2];
+        for (size_t r = 0; r < bcast[0].size(); ++r) {
+          const size_t c0 = ins.ranges[2 * r], c1 = ins.ranges[2 * r + 1];
+          size_t shared_keys = 0;  // broadcast K rows a broadcast Q row meets
+          bool shared_values = true;
+          for (size_t c = c0; c < c1; ++c) {
+            shared_keys += bcast[0][r] && bcast[1][c];
+            shared_values = shared_values && bcast[2][c];
+          }
+          const size_t width = c1 - c0;
+          if (shared_keys == width && shared_values) {
+            macs += width * (d + dv);  // the whole row, once
+          } else {
+            macs += shared_keys * d +
+                    batch * ((width - shared_keys) * d + width * dv);
+          }
+        }
         continue;
       }
       default:
@@ -797,7 +819,7 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
     if (!VerifyStage(*p, "fold_constants", half, opts, error)) return false;
     delta.dce_removed += DeadCodeElim(p);
     if (!VerifyStage(*p, "dead_code_elim", half, opts, error)) return false;
-    delta.attention_fused += FuseMaskedAttention(p);
+    delta.attention_fused += FuseMaskedAttention(p, &delta.attention_pooled);
     if (!VerifyStage(*p, "fuse_masked_attention", half, opts, error)) {
       return false;
     }
@@ -918,6 +940,7 @@ bool Engine::CompileCount(size_t count, bool adopt_prologue,
       stats_.dce_removed += delta.dce_removed;
       stats_.fused += delta.fused;
       stats_.attention_fused += delta.attention_fused;
+      stats_.attention_pooled += delta.attention_pooled;
       stats_.compiled_counts += 1;
       bodies_[count] = std::make_unique<Program>(std::move(f.body));
     }

@@ -53,10 +53,12 @@ struct EngineStats {
   size_t dce_removed = 0;        // dead instructions removed (both halves)
   size_t fused = 0;              // elementwise links aliased in place
   size_t attention_fused = 0;    // attention chains fused (both halves)
+  size_t attention_pooled = 0;   // of those, the ones that absorbed a pool
   size_t compiled_counts = 0;    // distinct candidate counts compiled so far
   /// GEMM-kind multiply-accumulates (matmul, bmm, bmm_shared,
-  /// bmm_left_shared, and the unmasked pairs of masked_attention) the
-  /// initial body spends per candidate, from shapes.
+  /// bmm_left_shared, and the unmasked pairs of masked_attention) one run
+  /// of the initial body spends, from shapes, divided by its candidate
+  /// count. Attention rows and scores shared by every candidate count once.
   size_t body_macs_per_candidate = 0;
   /// Item table columns the bodies gather instead of computing, and the
   /// table's size: num_objects x (sum of column widths) x 4 bytes.

@@ -802,13 +802,17 @@ size_t DeadCodeElim(Program* program) {
   return removed;
 }
 
-size_t FuseMaskedAttention(Program* program) {
+size_t FuseMaskedAttention(Program* program, size_t* pooled) {
   std::vector<Instr>& instrs = program->instrs;
   const size_t nvals = program->values.size();
   std::vector<uint32_t> readers(nvals, 0);
   std::vector<size_t> def(nvals, instrs.size());
+  std::vector<size_t> last_reader(nvals, instrs.size());
   for (size_t i = 0; i < instrs.size(); ++i) {
-    for (uint32_t u : instrs[i].in) ++readers[u];
+    for (uint32_t u : instrs[i].in) {
+      ++readers[u];
+      last_reader[u] = i;
+    }
     def[instrs[i].out] = i;
   }
   if (program->output != kNoValue) ++readers[program->output];
@@ -835,6 +839,7 @@ size_t FuseMaskedAttention(Program* program) {
   };
 
   size_t fused = 0;
+  std::vector<char> absorbed(instrs.size(), 0);
   for (Instr& pv : instrs) {
     if (pv.kind != OpKind::kBmm || pv.trans_a || pv.trans_b) continue;
     const Instr* sm = sole(pv.in[0], OpKind::kMaskedSoftmax);
@@ -867,9 +872,26 @@ size_t FuseMaskedAttention(Program* program) {
       att.in.insert(att.in.end(), parts.begin(), parts.end());
     }
     if (mask != nullptr) att.in.push_back(sm->in[1]);
+    // A sole reduce_axis1 reader is pooled inside the attention, so the
+    // [batch, nq, dv] rows are never written out and read back.
+    const size_t j = last_reader[pv.out];
+    if (readers[pv.out] == 1 && j < instrs.size() &&
+        instrs[j].kind == OpKind::kReduceAxis1) {
+      att.out = instrs[j].out;
+      att.pool_scale = instrs[j].alpha;
+      absorbed[j] = 1;
+      if (pooled != nullptr) ++*pooled;
+    }
     pv = std::move(att);
     ++fused;
   }
+  size_t kept = 0;
+  for (size_t i = 0; i < instrs.size(); ++i) {
+    if (absorbed[i]) continue;
+    if (kept != i) instrs[kept] = std::move(instrs[i]);
+    ++kept;
+  }
+  instrs.resize(kept);
   if (fused > 0) DeadCodeElim(program);
   return fused;
 }

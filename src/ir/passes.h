@@ -27,8 +27,11 @@ namespace ir {
 ///               tiled to count C) and the item table through gathers of
 ///               kItem values bound to the candidate column.
 /// The prologue and body then go through FoldConstants → DeadCodeElim →
-/// FuseMaskedAttention → FuseElementwise → PlanArena before execution;
-/// Factor plans the catalog itself, since it runs it to check its claims.
+/// FuseMaskedAttention (each constant-masked attention chain, and the mean
+/// pooling that reads it, becomes one op computing only the open pairs, and
+/// the rows and score entries every candidate shares once per call) →
+/// FuseElementwise → PlanArena before execution; Factor plans the catalog
+/// itself, since it runs it to check its claims.
 
 /// Objects per catalog program run: building the item table touches one
 /// chunk-sized frame, not a catalog-sized one.
@@ -150,9 +153,14 @@ size_t DeadCodeElim(Program* program);
 /// constant [nq, nk] whose open (non -inf) columns form one contiguous range
 /// per row; request-synthesized masks (padding, history, cross padding) are
 /// declined. A Q/K/V operand built by ConcatAxis1 chains nothing else reads
-/// is read through its row blocks, so the stacked copy is never made.
-/// Returns the number of chains fused; leaves no dead instructions behind.
-size_t FuseMaskedAttention(Program* program);
+/// is read through its row blocks, so the stacked copy is never made. When
+/// the attention output's sole reader is a reduce_axis1 (SeqFM's Eq. 14
+/// mean pooling), the fused op absorbs it: it writes the pooled [batch, dv]
+/// row (Instr::pool_scale carries the reduce's scale) and the
+/// [batch, nq, dv] rows never reach the frame; \p pooled, when non-null, is
+/// incremented per absorbed reduce. Returns the number of chains fused;
+/// leaves no dead instructions behind.
+size_t FuseMaskedAttention(Program* program, size_t* pooled = nullptr);
 
 /// Aliases the output of single-consumer elementwise chain links (relu,
 /// sigmoid, tanh, scale, add_scalar, reshape) onto their input buffer so the

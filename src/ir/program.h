@@ -61,6 +61,7 @@ enum class OpKind : uint8_t {
   kZeros,             // zero tensor (GRU initial state)
   kTileRows,          // repeat the whole input buffer out.size/in.size times
   kMaskedAttention,   // fused bmm(Q,K^T) -> scale -> masked_softmax -> bmm(.,V)
+                      // [-> reduce_axis1]
 };
 
 /// Name of an op kind ("scale", "tile_rows", ...) for logs and tests.
@@ -112,9 +113,12 @@ struct Instr {
   /// K, then of V (parts[0], parts[1], parts[2] of them), then the constant
   /// mask if there is one; alpha is the score scale. ranges holds each query
   /// row's open key columns as (begin, end) pairs, derived from the mask
-  /// (all (0, nk) without one).
+  /// (all (0, nk) without one). A pooled attention (output [batch, dv]
+  /// instead of [batch, nq, dv]) has absorbed its reduce_axis1 reader, whose
+  /// scale pool_scale carries.
   std::array<uint32_t, 3> parts = {0, 0, 0};
   std::vector<uint32_t> ranges;
+  float pool_scale = 0.0f;
   /// Gathers only: the index matrix observed at trace time, kept so passes
   /// can re-verify the binding against other traces. Not used at execution.
   std::vector<int32_t> traced_indices;

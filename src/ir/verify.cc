@@ -1,6 +1,7 @@
 #include "ir/verify.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -89,9 +90,10 @@ Status CheckBinding(const Program& p, size_t i, const Instr& ins) {
 
 /// A fused attention's operands stack into Q [B, nq, d], K [B, nk, d] and
 /// V [B, nk, dv] (each block batch B or a broadcast 1), the output is
-/// [B, nq, dv], and its key ranges are exactly the open columns its mask
-/// re-derives to — the precondition under which tensor::MaskedAttention
-/// matches the dense chain.
+/// [B, nq, dv] or, pooled, [B, dv] with a finite pool scale, and its key
+/// ranges are exactly the open columns its mask re-derives to — the
+/// precondition under which tensor::MaskedAttention matches the dense chain
+/// (and the reduce_axis1 a pooled one absorbed).
 Status CheckMaskedAttention(const Program& p, size_t i, const Instr& ins) {
   auto err = [&](const std::string& msg) {
     return Status::Internal(At(i, ins) + msg);
@@ -102,7 +104,15 @@ Status CheckMaskedAttention(const Program& p, size_t i, const Instr& ins) {
       (ins.in.size() != nparts && ins.in.size() != nparts + 1)) {
     return err("operands do not split into Q, K, V blocks (+ mask)");
   }
-  if (Rank(out) != 3) return err("shape mismatch: out must be rank-3");
+  const bool pooled = Rank(out) == 2;
+  if (!pooled && Rank(out) != 3) {
+    return err("shape mismatch: out must be [batch, nq, dv] or pooled "
+               "[batch, dv]");
+  }
+  if (pooled && !std::isfinite(ins.pool_scale)) {
+    return err("pool scale " + std::to_string(ins.pool_scale) +
+               " is not finite");
+  }
   const size_t batch = Dim(out, 0);
   size_t rows[3] = {0, 0, 0}, width[3] = {0, 0, 0};
   for (size_t j = 0, first = 0; j < 3; first += ins.parts[j], ++j) {
@@ -121,8 +131,10 @@ Status CheckMaskedAttention(const Program& p, size_t i, const Instr& ins) {
   if (width[0] != width[1] || rows[2] != nk) {
     return err("shape mismatch: Q/K depths or K/V rows differ");
   }
-  if (Dim(out, 1) != nq || Dim(out, 2) != width[2]) {
-    return err("shape mismatch: out is not [batch, nq, dv]");
+  if (pooled ? Dim(out, 1) != width[2]
+             : Dim(out, 1) != nq || Dim(out, 2) != width[2]) {
+    return err(pooled ? "shape mismatch: pooled out is not [batch, dv]"
+                      : "shape mismatch: out is not [batch, nq, dv]");
   }
   const tensor::Tensor* mask = nullptr;
   if (ins.in.size() == nparts + 1) {

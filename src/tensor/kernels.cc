@@ -139,6 +139,15 @@ void GemmRowsBTransScalar(const float* arows, const float* b, float* crows,
   }
 }
 
+void SoftmaxRowsScalar(const float* x, const float* add, size_t add_stride,
+                       float* y, size_t rows, size_t cols) {
+  for (size_t r = 0; r < rows; ++r) {
+    SoftmaxRowWith<ScalarReduceMaxAdd, ScalarSoftmaxExpSum, ScalarScaleInPlace>(
+        x + r * cols, add != nullptr ? add + r * add_stride : nullptr,
+        y + r * cols, cols);
+  }
+}
+
 const KernelTable kScalarTable = {
     /*dot=*/ScalarDot,
     /*reduce_sum=*/ScalarReduceSum,
@@ -156,6 +165,7 @@ const KernelTable kScalarTable = {
     /*sigmoid=*/ScalarSigmoidMap,
     /*tanh=*/ScalarTanhMap,
     /*softmax_exp_sum=*/ScalarSoftmaxExpSum,
+    /*softmax_rows=*/SoftmaxRowsScalar,
     /*layer_norm_row=*/ScalarLayerNormRow,
     /*gemm_rows_b_normal=*/GemmRowsBNormalScalar,
     /*gemm_rows_b_trans=*/GemmRowsBTransScalar,

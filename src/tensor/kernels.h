@@ -84,6 +84,16 @@ struct KernelTable {
   /// lane-blocked sum of y. The softmax numerator + denominator in one pass.
   float (*softmax_exp_sum)(const float* x, const float* add, float max_val,
                            float* y, size_t n);
+  /// Rows [0, rows) of a [rows, cols] block, each y = softmax(x + add):
+  /// add row r starts at add + r * add_stride (add may be null), and x and y
+  /// may alias. Each row is reduce_max_add, then softmax_exp_sum and
+  /// scale_inplace(1 / total), or all zeros when the max is not finite (a
+  /// fully masked row): the one definition of a softmax row, the same bits
+  /// at every SIMD level. The AVX2 version runs rows narrower than a vector
+  /// eight at a time, one row per lane, each lane reproducing its row's lane
+  /// tree with the shared exp polynomial.
+  void (*softmax_rows)(const float* x, const float* add, size_t add_stride,
+                       float* y, size_t rows, size_t cols);
   /// y[j] = gamma[j] * ((x[j] - mean) * inv_std) + beta[j]; when xhat is
   /// non-null also stores the normalized activations (tape state).
   void (*layer_norm_row)(const float* x, const float* gamma,

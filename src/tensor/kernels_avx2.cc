@@ -285,6 +285,84 @@ float SoftmaxExpSumAvx2(const float* x, const float* add, float max_val,
   return CombineLanesSum(lanes);
 }
 
+// Up to eight rows narrower than a vector, one row per lane: vector j holds
+// column j of every row, which is lane j of each row's lane-blocked
+// reduction, and columns past the row's end hold the lane's initial value.
+// The max and sum trees then run lane-wise exactly as each row's scalar
+// tree would, with ExpVec in place of the ExpScalar the row's sub-8 tail
+// uses (the two agree bit for bit). Rows past `rows` are zero padding.
+void SoftmaxNarrowRows(const float* x, const float* add, size_t add_stride,
+                       float* y, size_t rows, size_t cols) {
+  alignas(32) float t[kLanes * kLanes];  // t[j * 8 + r]: column j, row r
+  for (size_t j = 0; j < cols; ++j) {
+    for (size_t r = 0; r < kLanes; ++r) {
+      t[j * kLanes + r] =
+          r < rows ? x[r * cols + j] +
+                         (add != nullptr ? add[r * add_stride + j] : 0.0f)
+                   : 0.0f;
+    }
+  }
+  const __m256 neg_inf =
+      _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  const __m256 zero = _mm256_setzero_ps();
+  auto pick = [](__m256 a, __m256 b) {  // b > a ? b : a, lane-wise
+    return _mm256_blendv_ps(a, b, _mm256_cmp_ps(b, a, _CMP_GT_OQ));
+  };
+  __m256 lanes[kLanes];
+  for (size_t j = 0; j < kLanes; ++j) {
+    lanes[j] = j < cols ? pick(neg_inf, _mm256_load_ps(t + j * kLanes))
+                        : neg_inf;
+  }
+  const __m256 vmax =
+      pick(pick(pick(lanes[0], lanes[4]), pick(lanes[2], lanes[6])),
+           pick(pick(lanes[1], lanes[5]), pick(lanes[3], lanes[7])));
+  for (size_t j = 0; j < kLanes; ++j) {
+    if (j < cols) {
+      const __m256 e =
+          ExpVec(_mm256_sub_ps(_mm256_load_ps(t + j * kLanes), vmax));
+      _mm256_store_ps(t + j * kLanes, e);
+      lanes[j] = _mm256_add_ps(zero, e);
+    } else {
+      lanes[j] = zero;
+    }
+  }
+  const __m256 total = _mm256_add_ps(
+      _mm256_add_ps(_mm256_add_ps(lanes[0], lanes[4]),
+                    _mm256_add_ps(lanes[2], lanes[6])),
+      _mm256_add_ps(_mm256_add_ps(lanes[1], lanes[5]),
+                    _mm256_add_ps(lanes[3], lanes[7])));
+  const __m256 inv = _mm256_div_ps(_mm256_set1_ps(1.0f), total);
+  // A row whose max is not finite (fully masked) is zeros.
+  const __m256 finite = _mm256_cmp_ps(
+      _mm256_andnot_ps(_mm256_set1_ps(-0.0f), vmax),
+      _mm256_set1_ps(std::numeric_limits<float>::infinity()), _CMP_LT_OQ);
+  for (size_t j = 0; j < cols; ++j) {
+    const __m256 p = _mm256_mul_ps(_mm256_load_ps(t + j * kLanes), inv);
+    _mm256_store_ps(t + j * kLanes, _mm256_and_ps(p, finite));
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t j = 0; j < cols; ++j) y[r * cols + j] = t[j * kLanes + r];
+  }
+}
+
+void SoftmaxRowsAvx2(const float* x, const float* add, size_t add_stride,
+                     float* y, size_t rows, size_t cols) {
+  if (cols < kLanes) {
+    for (size_t r = 0; r < rows && cols > 0; r += kLanes) {
+      SoftmaxNarrowRows(x + r * cols,
+                        add != nullptr ? add + r * add_stride : nullptr,
+                        add_stride, y + r * cols,
+                        rows - r < kLanes ? rows - r : kLanes, cols);
+    }
+    return;
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    SoftmaxRowWith<ReduceMaxAddAvx2, SoftmaxExpSumAvx2, ScaleInPlaceAvx2>(
+        x + r * cols, add != nullptr ? add + r * add_stride : nullptr,
+        y + r * cols, cols);
+  }
+}
+
 void LayerNormRowAvx2(const float* x, const float* gamma, const float* beta,
                       float mean, float inv_std, size_t d, float* y,
                       float* xhat) {
@@ -468,6 +546,7 @@ const KernelTable kAvx2Table = {
     /*sigmoid=*/SigmoidAvx2,
     /*tanh=*/TanhAvx2,
     /*softmax_exp_sum=*/SoftmaxExpSumAvx2,
+    /*softmax_rows=*/SoftmaxRowsAvx2,
     /*layer_norm_row=*/LayerNormRowAvx2,
     /*gemm_rows_b_normal=*/GemmRowsBNormalAvx2,
     /*gemm_rows_b_trans=*/GemmRowsBTransAvx2,

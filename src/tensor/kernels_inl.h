@@ -240,6 +240,25 @@ static inline float ScalarSoftmaxExpSum(const float* x, const float* add,
   return CombineLanesSum(lanes);
 }
 
+/// One row of softmax_rows, over a table's row kernels: the scalar table
+/// runs it for every row, the AVX2 one for rows at least a vector wide.
+template <float (*MaxAdd)(const float*, const float*, size_t),
+          float (*ExpSum)(const float*, const float*, float, float*, size_t),
+          void (*ScaleInPlace)(float, float*, size_t)>
+static inline void SoftmaxRowWith(const float* x, const float* add, float* y,
+                                  size_t n) {
+  const float max_val = MaxAdd(x, add, n);
+  // A fully masked row would yield max == -inf; fall back to zeros.
+  if (!std::isfinite(max_val)) {
+    for (size_t i = 0; i < n; ++i) y[i] = 0.0f;
+    return;
+  }
+  // Masked (-inf) and NaN entries come out of the shared exp as exact
+  // zeros, reproducing the historical per-element isfinite fallback.
+  const float total = ExpSum(x, add, max_val, y, n);
+  ScaleInPlace(1.0f / total, y, n);
+}
+
 static inline void ScalarLayerNormRow(const float* x, const float* gamma,
                                       const float* beta, float mean,
                                       float inv_std, size_t d, float* y,

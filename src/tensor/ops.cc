@@ -224,21 +224,6 @@ void BatchedMatMulShared(const Tensor& a, const Tensor& w, Tensor* out,
 
 namespace {
 
-/// y = softmax(x + add) over one row (add may be null; x and y may alias).
-void SoftmaxRow(const kernels::KernelTable& kt, const float* x,
-                const float* add, float* y, size_t cols) {
-  const float max_val = kt.reduce_max_add(x, add, cols);
-  // A fully masked row would yield max == -inf; fall back to zeros.
-  if (!std::isfinite(max_val)) {
-    std::fill(y, y + cols, 0.0f);
-    return;
-  }
-  // Masked (-inf) and NaN entries come out of the shared exp as exact
-  // zeros, reproducing the historical per-element isfinite fallback.
-  const float total = kt.softmax_exp_sum(x, add, max_val, y, cols);
-  kt.scale_inplace(1.0f / total, y, cols);
-}
-
 size_t StackRows(RowStack s) {
   size_t rows = 0;
   for (size_t i = 0; i < s.count; ++i) rows += s.blocks[i]->dim(1);
@@ -271,6 +256,28 @@ const float* StackRowsAt(RowStack s, size_t b, size_t r0, size_t r1,
   return scratch;
 }
 
+/// Whether row \p r of the stack comes from a batch-1 (broadcast) block,
+/// and (in \p run_end) where the run of rows sharing that answer ends.
+bool BroadcastRun(RowStack s, size_t r, size_t* run_end) {
+  size_t base = 0, i = 0;
+  while (base + s.blocks[i]->dim(1) <= r) base += s.blocks[i++]->dim(1);
+  const bool bcast = s.blocks[i]->dim(0) == 1;
+  for (; i < s.count && (s.blocks[i]->dim(0) == 1) == bcast; ++i) {
+    base += s.blocks[i]->dim(1);
+  }
+  *run_end = base;
+  return bcast;
+}
+
+/// Consecutive query rows [r0, r1) that share one key range [c0, c1) and
+/// whether their Q rows come from broadcast blocks. `once`: the rows are
+/// the same for every batch item (zero width, or broadcast Q rows over a
+/// broadcast K/V range), so they are computed once per call.
+struct RowGroup {
+  uint32_t r0, r1, c0, c1;
+  bool q_bcast, once;
+};
+
 }  // namespace
 
 void SoftmaxLastDim(const Tensor& in, const Tensor* mask, Tensor* out) {
@@ -293,21 +300,30 @@ void SoftmaxLastDim(const Tensor& in, const Tensor* mask, Tensor* out) {
   const kernels::KernelTable& kt = kernels::Active();
   util::ParallelFor(rows, GrainForRows(cols, kMathGrain), [=, &kt](size_t r0,
                                                                    size_t r1) {
-    for (size_t r = r0; r < r1; ++r) {
-      const float* mrow =
-          mask_data ? mask_data + (r % mask_rows) * cols : nullptr;
-      SoftmaxRow(kt, src + r * cols, mrow, dst + r * cols, cols);
+    if (mask_data == nullptr) {
+      kt.softmax_rows(src + r0 * cols, nullptr, 0, dst + r0 * cols, r1 - r0,
+                      cols);
+      return;
+    }
+    // One call per stretch of rows that reads the mask without wrapping.
+    for (size_t r = r0, next; r < r1; r = next) {
+      next = std::min(r1, (r / mask_rows + 1) * mask_rows);
+      kt.softmax_rows(src + r * cols, mask_data + (r % mask_rows) * cols,
+                      cols, dst + r * cols, next - r, cols);
     }
   });
 }
 
 void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
-                     const uint32_t* ranges, float alpha, Tensor* out) {
+                     const uint32_t* ranges, float alpha, float pool_scale,
+                     Tensor* out) {
   SEQFM_CHECK(q.count > 0 && k.count > 0 && v.count > 0);
-  SEQFM_CHECK_EQ(out->rank(), 3u);
-  const size_t batch = out->dim(0), nq = out->dim(1), dv = out->dim(2);
+  const bool pooled = out->rank() == 2;
+  SEQFM_CHECK(pooled || out->rank() == 3);
+  const size_t batch = out->dim(0), nq = StackRows(q);
+  const size_t dv = out->shape().back();
   const size_t nk = StackRows(k), d = k.blocks[0]->dim(2);
-  SEQFM_CHECK_EQ(StackRows(q), nq);
+  if (!pooled) SEQFM_CHECK_EQ(out->dim(1), nq);
   SEQFM_CHECK_EQ(StackRows(v), nk);
   SEQFM_CHECK_EQ(q.blocks[0]->dim(2), d);
   SEQFM_CHECK_EQ(v.blocks[0]->dim(2), dv);
@@ -327,39 +343,131 @@ void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
     // across rewinds, so a warm thread allocates nothing).
     core::ScratchArena& arena = core::ThreadScratchArena();
     const core::ScratchArena::Mark arena_mark = arena.mark();
+    auto* groups =
+        static_cast<RowGroup*>(arena.Allocate(nq * sizeof(RowGroup)));
     float* probs = arena.AllocateFloats(nq * nk);
+    float* part = arena.AllocateFloats(nq * nk);
     float* q_rows = arena.AllocateFloats(nq * d);
     float* k_rows = arena.AllocateFloats(nk * d);
     float* v_rows = arena.AllocateFloats(nk * dv);
-    for (size_t b = b0; b < b1; ++b) {
-      float* ob = out->BatchData(b);
-      // Blocks of consecutive query rows that share one key range.
-      for (size_t r0 = 0, r1 = 0; r0 < nq; r0 = r1) {
-        const size_t c0 = ranges[2 * r0], c1 = ranges[2 * r0 + 1];
-        r1 = r0 + 1;
-        while (r1 < nq && ranges[2 * r1] == c0 && ranges[2 * r1 + 1] == c1) {
-          ++r1;
+    // Broadcast score entries (raw dots at [row, column]) and the rows
+    // computed once; a pooled call also stages each item's rows here.
+    float* once_scores = arena.AllocateFloats(nq * nk);
+    float* once_rows = arena.AllocateFloats(nq * dv);
+    float* item_rows = pooled ? arena.AllocateFloats(nq * dv) : nullptr;
+
+    // Row groups split where the key range or the Q rows' broadcast-ness
+    // changes.
+    size_t ngroups = 0;
+    for (size_t r0 = 0, r1 = 0; r0 < nq; r0 = r1) {
+      const uint32_t c0 = ranges[2 * r0], c1 = ranges[2 * r0 + 1];
+      size_t q_end, k_end = c0, v_end = c0;
+      const bool q_bcast = BroadcastRun(q, r0, &q_end);
+      r1 = r0 + 1;
+      while (r1 < std::min(nq, q_end) && ranges[2 * r1] == c0 &&
+             ranges[2 * r1 + 1] == c1) {
+        ++r1;
+      }
+      const bool once =
+          c0 == c1 || (q_bcast && BroadcastRun(k, c0, &k_end) &&
+                       k_end >= c1 && BroadcastRun(v, c0, &v_end) &&
+                       v_end >= c1);
+      groups[ngroups++] = {static_cast<uint32_t>(r0),
+                           static_cast<uint32_t>(r1), c0, c1, q_bcast, once};
+    }
+
+    // Raw scores of group \p g's rows against key columns [j0, j1) for
+    // batch item \p b: row t at dst + t * stride.
+    auto dots = [&](const RowGroup& g, size_t b, size_t j0, size_t j1,
+                    float* dst, size_t stride) {
+      const size_t rows = g.r1 - g.r0, n = j1 - j0;
+      const float* qr = StackRowsAt(q, b, g.r0, g.r1, q_rows);
+      const float* kr = StackRowsAt(k, b, j0, j1, k_rows);
+      if (stride == n) {
+        kt.gemm_rows_b_trans(qr, kr, dst, rows, d, n, /*accumulate=*/false);
+        return;
+      }
+      kt.gemm_rows_b_trans(qr, kr, part, rows, d, n, /*accumulate=*/false);
+      for (size_t t = 0; t < rows; ++t) {
+        for (size_t j = 0; j < n; ++j) dst[t * stride + j] = part[t * n + j];
+      }
+    };
+    // Group \p g's output rows for batch item \p b into \p dst. The score
+    // entries a broadcast Q row has with broadcast K rows come from
+    // once_scores unless the whole group is computed once.
+    auto attend = [&](const RowGroup& g, size_t b, float* dst) {
+      const size_t rows = g.r1 - g.r0, width = g.c1 - g.c0;
+      if (width == 0) {
+        std::fill(dst, dst + rows * dv, 0.0f);
+        return;
+      }
+      // Broadcast Q rows split the range into runs of K rows that are and
+      // are not broadcast.
+      const bool split = g.q_bcast && !g.once;
+      for (size_t j0 = g.c0, j1; j0 < g.c1; j0 = j1) {
+        bool reuse = false;
+        j1 = g.c1;
+        if (split) {
+          reuse = BroadcastRun(k, j0, &j1);
+          j1 = std::min<size_t>(j1, g.c1);
         }
-        const size_t rows = r1 - r0, width = c1 - c0;
-        if (width == 0) {
-          std::fill(ob + r0 * dv, ob + r1 * dv, 0.0f);
+        float* p = probs + (j0 - g.c0);
+        if (!reuse) {
+          dots(g, b, j0, j1, p, width);
           continue;
         }
-        kt.gemm_rows_b_trans(StackRowsAt(q, b, r0, r1, q_rows),
-                             StackRowsAt(k, b, c0, c1, k_rows), probs, rows,
-                             d, width, /*accumulate=*/false);
-        // The Scale op, then the softmax of the open slice of each row.
         for (size_t t = 0; t < rows; ++t) {
-          float* p = probs + t * width;
-          kt.scale(alpha, p, p, width);
-          SoftmaxRow(kt, p,
-                     mask_data != nullptr ? mask_data + (r0 + t) * nk + c0
-                                          : nullptr,
-                     p, width);
+          const float* src = once_scores + (g.r0 + t) * nk + j0;
+          for (size_t j = 0; j < j1 - j0; ++j) p[t * width + j] = src[j];
         }
-        kt.gemm_rows_b_normal(probs, StackRowsAt(v, b, c0, c1, v_rows),
-                              ob + r0 * dv, rows, width, dv,
-                              /*accumulate=*/false);
+      }
+      // The Scale op, then the softmax of the open slice of each row.
+      kt.scale(alpha, probs, probs, rows * width);
+      kt.softmax_rows(probs,
+                      mask_data != nullptr ? mask_data + g.r0 * nk + g.c0
+                                           : nullptr,
+                      nk, probs, rows, width);
+      kt.gemm_rows_b_normal(probs, StackRowsAt(v, b, g.c0, g.c1, v_rows), dst,
+                            rows, width, dv, /*accumulate=*/false);
+    };
+
+    // Once per call: the broadcast rows, and the broadcast score entries
+    // of the groups that still vary per item.
+    for (size_t i = 0; i < ngroups; ++i) {
+      const RowGroup& g = groups[i];
+      if (g.once) {
+        attend(g, b0, once_rows + g.r0 * dv);
+        continue;
+      }
+      if (!g.q_bcast) continue;
+      for (size_t j0 = g.c0, j1; j0 < g.c1; j0 = j1) {
+        const bool bcast = BroadcastRun(k, j0, &j1);
+        j1 = std::min<size_t>(j1, g.c1);
+        if (bcast) dots(g, b0, j0, j1, once_scores + g.r0 * nk + j0, nk);
+      }
+    }
+    for (size_t b = b0; b < b1; ++b) {
+      float* rows_b = pooled ? item_rows : out->data() + b * nq * dv;
+      for (size_t i = 0; i < ngroups; ++i) {
+        const RowGroup& g = groups[i];
+        float* dst = rows_b + g.r0 * dv;
+        if (!g.once) {
+          attend(g, b, dst);
+        } else if (!pooled) {
+          std::memcpy(dst, once_rows + g.r0 * dv,
+                      (g.r1 - g.r0) * dv * sizeof(float));
+        }
+      }
+      if (!pooled) continue;
+      // SumAxis1's fold: a zeroed row plus each attention row, ascending.
+      float* ob = out->data() + b * dv;
+      std::fill(ob, ob + dv, 0.0f);
+      for (size_t i = 0; i < ngroups; ++i) {
+        const RowGroup& g = groups[i];
+        const float* src = g.once ? once_rows : item_rows;
+        for (size_t r = g.r0; r < g.r1; ++r) {
+          kt.axpy(pool_scale, src + r * dv, ob, dv);
+        }
       }
     }
     arena.RewindTo(arena_mark);

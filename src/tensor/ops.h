@@ -66,15 +66,29 @@ struct RowStack {
 };
 
 /// Scaled dot-product attention that computes only the unmasked pairs:
-///   out[b] = softmax(alpha * Q[b] K[b]^T + mask) V[b]
-/// with Q [batch, nq, d], K [batch, nk, d], V [batch, nk, dv] and out
-/// [batch, nq, dv]. Query row r attends to key columns
-/// [ranges[2r], ranges[2r+1]) only; \p mask (the [nq, nk] additive mask, or
-/// null when every range is [0, nk)) must be -inf outside them. An empty
-/// range yields a zero row, as SoftmaxLastDim does for a fully masked row.
+///   rows[b] = softmax(alpha * Q[b] K[b]^T + mask) V[b]
+/// with Q [batch, nq, d], K [batch, nk, d], V [batch, nk, dv]. A rank-3
+/// \p out [batch, nq, dv] receives rows[b]; a rank-2 \p out [batch, dv]
+/// receives the pooled row sum_r pool_scale * rows[b][r] (Eq. 14's mean
+/// pooling, SumAxis1's fold) and \p pool_scale is read only then. Query row
+/// r attends to key columns [ranges[2r], ranges[2r+1]) only; \p mask (the
+/// [nq, nk] additive mask, or null when every range is [0, nk)) must be
+/// -inf outside them. An empty range yields a zero row, as SoftmaxLastDim
+/// does for a fully masked row.
+///
+/// Work that does not depend on the batch item is done once per call (per
+/// thread range): an output row whose Q row and whole K/V range come from
+/// batch-1 blocks, and a score entry whose Q row and K row both do. Rows
+/// are independent under kernels.h's per-element accumulation contract, so
+/// reusing such a row or entry for every item changes no bit. A pooled call
+/// stages each item's rows in an L1-sized thread-arena buffer and folds
+/// them into a zeroed output row with axpy(pool_scale, row) in ascending row
+/// order, exactly SumAxis1's sequence, so the pooled bits equal the
+/// unpooled op followed by SumAxis1.
 ///
 /// Bit-identical to BatchedMatMul(trans_b) -> Scale -> SoftmaxLastDim ->
-/// BatchedMatMul whenever V is finite (kernels.h's contract):
+/// BatchedMatMul (-> SumAxis1 when pooled) whenever V is finite
+/// (kernels.h's contract):
 ///   - each open score is the same lane-blocked dot product;
 ///   - in the full row a masked entry never wins the max and its exp is
 ///     exactly +0, so its lane ends as if it were absent;
@@ -90,7 +104,8 @@ struct RowStack {
 /// A non-finite V row in a masked column is the one difference: the dense
 /// chain turns 0 * inf into NaN, this kernel never reads it.
 void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
-                     const uint32_t* ranges, float alpha, Tensor* out);
+                     const uint32_t* ranges, float alpha, float pool_scale,
+                     Tensor* out);
 
 /// Elementwise kernels (same-shape in/out).
 void Add(const Tensor& a, const Tensor& b, Tensor* out);

@@ -1047,6 +1047,11 @@ TEST(PassTest, FuseMaskedAttentionFiresOnSeqFmsConstantMasks) {
   EXPECT_EQ(att[0]->parts, (std::array<uint32_t, 3>{1, 1, 1}));
   EXPECT_EQ(f.prologue.values[att[0]->in.back()].kind,
             ir::ValueKind::kConstant);
+  // Each view's mean pooling (Eq. 14) is absorbed: the op writes the
+  // pooled [1, d] row.
+  EXPECT_EQ(f.prologue.values[att[0]->out].shape.size(), 2u);
+  EXPECT_EQ(att[0]->pool_scale, 1.0f / kSeqLen);
+  EXPECT_TRUE(InstrsOfKind(f.prologue, ir::OpKind::kReduceAxis1).empty());
   Status st = ir::Verify(f.prologue);
   EXPECT_TRUE(st.ok()) << st.message();
 
@@ -1054,10 +1059,19 @@ TEST(PassTest, FuseMaskedAttentionFiresOnSeqFmsConstantMasks) {
   // view, where static rows see only history columns and history rows only
   // static ones. Each Q/K/V is read as its (user slot, candidate block
   // [, history slot]) row blocks: no concat is left to copy them.
-  EXPECT_EQ(ir::FuseMaskedAttention(&f.body), 2u);
+  size_t pooled = 0;
+  EXPECT_EQ(ir::FuseMaskedAttention(&f.body, &pooled), 2u);
+  EXPECT_EQ(pooled, 2u);
   att = InstrsOfKind(f.body, ir::OpKind::kMaskedAttention);
   ASSERT_EQ(att.size(), 2u);
   const uint32_t n = kSeqLen + 2;
+  EXPECT_EQ(att[0]->pool_scale, 1.0f / 2);
+  EXPECT_EQ(att[1]->pool_scale, 1.0f / n);
+  for (const ir::Instr* a : att) {
+    EXPECT_EQ(f.body.values[a->out].shape,
+              (std::vector<size_t>{f.body.count,
+                                   SmallSeqFmConfig().embedding_dim}));
+  }
   EXPECT_EQ(att[0]->ranges, RepeatRange(2, 0, 2));
   EXPECT_EQ(att[0]->parts, (std::array<uint32_t, 3>{2, 2, 2}));
   EXPECT_EQ(att[0]->in.size(), 6u);  // no mask operand
@@ -1078,7 +1092,8 @@ TEST(PassTest, FuseMaskedAttentionFiresOnSeqFmsConstantMasks) {
     EXPECT_EQ(readers, 1u) << "%" << g->out;
   }
   for (ir::OpKind gone : {ir::OpKind::kBmm, ir::OpKind::kMaskedSoftmax,
-                          ir::OpKind::kConcatAxis1}) {
+                          ir::OpKind::kConcatAxis1,
+                          ir::OpKind::kReduceAxis1}) {
     EXPECT_TRUE(InstrsOfKind(f.body, gone).empty()) << ir::OpKindName(gone);
   }
   st = ir::Verify(f.body, body_opts);
@@ -1206,6 +1221,57 @@ TEST(PassTest, FuseMaskedAttentionDeclinesAChainValueWithASecondReader) {
         << (second_reader_on_scores ? "scores" : "probs");
     EXPECT_TRUE(InstrsOfKind(c.p, ir::OpKind::kMaskedAttention).empty());
   }
+}
+
+/// HandBuiltAttention(n, mask) with its [2, n, 3] rows mean-pooled by a
+/// reduce_axis1 (scale 1/n), the program output.
+AttentionChain PooledAttention(size_t n, const tensor::Tensor* mask) {
+  AttentionChain c = HandBuiltAttention(n, mask);
+  const uint32_t pooled = AddLocal(&c.p, {2, 3});
+  AddInstr(&c.p, ir::OpKind::kReduceAxis1, {c.p.output}, pooled,
+           1.0f / static_cast<float>(n));
+  c.p.output = pooled;
+  return c;
+}
+
+TEST(PassTest, FuseMaskedAttentionPoolsASoleReduceReader) {
+  const tensor::Tensor mask =
+      BandMask({{0, 1}, {0, 0}, {1, 4}, {2, 5}, {4, 5}});
+  AttentionChain c = PooledAttention(5, &mask);
+  const uint32_t out = c.p.output;
+  const tensor::Tensor want = Interpret(c.p);
+  size_t pooled = 0;
+  ASSERT_EQ(ir::FuseMaskedAttention(&c.p, &pooled), 1u);
+  EXPECT_EQ(pooled, 1u);
+  ASSERT_EQ(c.p.instrs.size(), 1u);
+  EXPECT_EQ(c.p.instrs[0].kind, ir::OpKind::kMaskedAttention);
+  EXPECT_EQ(c.p.instrs[0].out, out);
+  EXPECT_EQ(c.p.instrs[0].pool_scale, 1.0f / 5);
+  const Status st = ir::Verify(c.p);
+  ASSERT_TRUE(st.ok()) << st.message();
+  const tensor::Tensor got = Interpret(c.p);
+  ASSERT_EQ(got.size(), 2u * 3u);
+  ExpectBitEqual(want.data(), got.data(), want.size(), "pooled attention");
+}
+
+TEST(PassTest, FuseMaskedAttentionKeepsTheRowsAReduceSharesWithAnotherReader) {
+  // The rows' first reader is a sum_last, their last the pooling reduce.
+  AttentionChain c = HandBuiltAttention(4, nullptr);
+  const uint32_t rows = c.p.output;
+  const uint32_t sum = AddLocal(&c.p, {2, 4, 1});
+  AddInstr(&c.p, ir::OpKind::kSumLast, {rows}, sum);
+  c.p.slot_outputs.push_back(sum);  // keeps the second reader live
+  c.p.output = AddLocal(&c.p, {2, 3});
+  AddInstr(&c.p, ir::OpKind::kReduceAxis1, {rows}, c.p.output, 0.25f);
+  size_t pooled = 0;
+  ASSERT_EQ(ir::FuseMaskedAttention(&c.p, &pooled), 1u);
+  EXPECT_EQ(pooled, 0u);
+  const auto att = InstrsOfKind(c.p, ir::OpKind::kMaskedAttention);
+  ASSERT_EQ(att.size(), 1u);
+  EXPECT_EQ(att[0]->out, rows);
+  EXPECT_EQ(InstrsOfKind(c.p, ir::OpKind::kReduceAxis1).size(), 1u);
+  const Status st = ir::Verify(c.p);
+  EXPECT_TRUE(st.ok()) << st.message();
 }
 
 // ---------------------------------------------------------------------------
@@ -1373,6 +1439,29 @@ TEST(VerifierTest, RejectsAFusedAttentionRangeTheMaskDoesNotDerive) {
   ExpectVerifyRejects(short_ranges, "2 key ranges for 3 query rows");
 }
 
+TEST(VerifierTest, RejectsAPooledAttentionOfTheWrongShapeOrScale) {
+  AttentionChain c = PooledAttention(3, nullptr);
+  ASSERT_EQ(ir::FuseMaskedAttention(&c.p), 1u);
+  ASSERT_TRUE(ir::Verify(c.p).ok());
+  const uint32_t out = c.p.instrs[0].out;
+
+  ir::Program wide = c.p;
+  wide.values[out].shape = {2, 4};  // dv is 3
+  ExpectVerifyRejects(wide, "pooled out is not [batch, dv]");
+
+  ir::Program rank4 = c.p;
+  rank4.values[out].shape = {2, 1, 3, 1};
+  ExpectVerifyRejects(rank4,
+                      "out must be [batch, nq, dv] or pooled [batch, dv]");
+
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity()}) {
+    ir::Program scale = c.p;
+    scale.instrs[0].pool_scale = bad;
+    ExpectVerifyRejects(scale, "is not finite");
+  }
+}
+
 /// A body that gathers its rows from a one-column [5, 3] item table by
 /// candidate, and the table layout it verifies against.
 struct TableGatherProgram {
@@ -1534,8 +1623,11 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
   }
   // Every SeqFM configuration has an attention the compiler fuses: the
   // parity below covers tensor::MaskedAttention, not only the dense chain.
+  // Each fused SeqFM attention also pools in place (Eq. 14).
   if (GetParam().rfind("SeqFM", 0) == 0) {
-    EXPECT_GT(compiled.engine()->stats().attention_fused, 0u) << GetParam();
+    const ir::EngineStats es = compiled.engine()->stats();
+    EXPECT_GT(es.attention_fused, 0u) << GetParam();
+    EXPECT_EQ(es.attention_pooled, es.attention_fused) << GetParam();
   }
 
   serve::PredictorOptions eager_opts;
@@ -1683,8 +1775,10 @@ TEST(CompiledCostTest, SeqFmBodyGemmWorkPerCandidateStaysHoisted) {
   // 365,760 before the cross-view history/user rows were hoisted, 95,424
   // before the cross view stopped computing the 404 of its 484 (query, key)
   // pairs the mask discards, 43,712 before the candidate row's six Q/K/V
-  // projections moved into the item table; 19,136 now.
-  EXPECT_LE(engine->stats().body_macs_per_candidate, 20000u);
+  // projections moved into the item table, 19,136 before the attention
+  // rows and scores every candidate shares were computed once per chunk;
+  // 17,184 now (15,232 per candidate plus 3,904 once, over 2 candidates).
+  EXPECT_LE(engine->stats().body_macs_per_candidate, 17200u);
   // Six [num_objects, 64] columns.
   EXPECT_EQ(engine->stats().item_values, 6u);
   EXPECT_EQ(engine->stats().item_table_bytes,
@@ -1716,9 +1810,12 @@ TEST(CompiledCostTest, SeqFmCount256BodyFrameDoesNotGrow) {
   ir::PlanArena(&f.body);
   // 7,672,832 bytes before row-block hoisting and 5,411,840 before the
   // fused attention dropped the [256, 22, 22] scores and the stacked
-  // [256, 22, 64] Q/K/V copies, and 1,901,568 before the table gathers
-  // replaced the candidate gather and its six projections.
-  EXPECT_LE(f.body.frame_floats * sizeof(float), 1950000u);  // 1,836,032
+  // [256, 22, 64] Q/K/V copies, 1,901,568 before the table gathers
+  // replaced the candidate gather and its six projections, and 1,836,032
+  // before the cross attention pooled in place instead of writing its
+  // [256, 22, 64] rows.
+  EXPECT_LE(f.body.frame_floats * sizeof(float), 600000u)
+      << f.body.frame_floats * sizeof(float);
 }
 
 TEST(CompiledCostTest, EveryBodyOfAnEngineReadsTheOneItemTable) {

@@ -7,10 +7,12 @@
 // on hardware without avx2+fma (the contract is then vacuously true).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -245,6 +247,62 @@ TEST_F(KernelParityTest, FusedRowsAndSpecialValues) {
   }
 }
 
+/// The per-row softmax softmax_rows replaced, on one table's row kernels.
+void SoftmaxRowOracle(const KernelTable& kt, const float* x, const float* add,
+                      float* y, size_t n) {
+  const float max_val = kt.reduce_max_add(x, add, n);
+  if (!std::isfinite(max_val)) {
+    std::fill(y, y + n, 0.0f);
+    return;
+  }
+  const float total = kt.softmax_exp_sum(x, add, max_val, y, n);
+  kt.scale_inplace(1.0f / total, y, n);
+}
+
+TEST_F(KernelParityTest, SoftmaxRowsMatchesThePerRowSoftmax) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {nan, inf, -inf, 0.0f, -0.0f, -200.0f};
+  for (size_t cols : {1u, 2u, 3u, 7u, 8u, 9u, 20u}) {
+    for (size_t rows = 1; rows <= 17; ++rows) {
+      const size_t stride = cols + 3;  // add rows are strided
+      std::vector<float> x = RandomVec(rows * cols, 100 * rows + cols);
+      std::vector<float> add = RandomVec(rows * stride, 50 * rows + cols);
+      for (size_t r = 0; r < rows; ++r) {
+        // Special values in x, -inf (masked) entries in the additive mask,
+        // and every fifth row fully masked.
+        x[r * cols + r % cols] = specials[r % 6];
+        for (size_t j = 0; j < cols; ++j) {
+          if ((r + j) % 3 == 0 || r % 5 == 4) add[r * stride + j] = -inf;
+        }
+      }
+      for (const bool masked : {false, true}) {
+        const float* a = masked ? add.data() : nullptr;
+        std::vector<float> want(rows * cols), want_v(rows * cols);
+        for (size_t r = 0; r < rows; ++r) {
+          const float* ar = a != nullptr ? a + r * stride : nullptr;
+          SoftmaxRowOracle(*scalar_, x.data() + r * cols, ar,
+                           want.data() + r * cols, cols);
+          SoftmaxRowOracle(*avx2_, x.data() + r * cols, ar,
+                           want_v.data() + r * cols, cols);
+        }
+        std::vector<float> ys(rows * cols), yv(rows * cols), inplace = x;
+        scalar_->softmax_rows(x.data(), a, stride, ys.data(), rows, cols);
+        avx2_->softmax_rows(x.data(), a, stride, yv.data(), rows, cols);
+        avx2_->softmax_rows(inplace.data(), a, stride, inplace.data(), rows,
+                            cols);
+        for (size_t i = 0; i < rows * cols; ++i) {
+          ASSERT_TRUE(BitEqual(want[i], want_v[i]) &&
+                      BitEqual(ys[i], want[i]) && BitEqual(yv[i], want[i]) &&
+                      BitEqual(inplace[i], want[i]))
+              << "rows=" << rows << " cols=" << cols << " masked=" << masked
+              << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(KernelParityTest, ExpAccuracyAgainstLibm) {
   // The shared polynomial replaces libm exp on the dispatched paths; it must
   // stay within a few ulp across the useful range (gradcheck depends on it).
@@ -446,59 +504,104 @@ TEST(MaskedAttentionTest, MatchesTheDenseChainBitForBit) {
       {2, 19}, {0, 21}, {8, 17}, {4, 16},  {4, 16},  {4, 16}, {1, 12},
       {0, 0},  {7, 8},  {15, 21}, {0, 9},  {10, 11}, {6, 20}, {0, 21}};
   ASSERT_EQ(open.size(), n);
-  std::vector<uint32_t> ranges;
-  Tensor mask({n, n});
+  // SeqFM's cross view: the user and candidate rows see the history
+  // columns, the history rows see the user and candidate columns.
+  std::vector<std::pair<uint32_t, uint32_t>> cross(n, {0, 2});
+  cross[0] = cross[1] = {2, n};
   Rng rng(7);
-  for (size_t r = 0; r < n; ++r) {
-    ranges.insert(ranges.end(), {open[r].first, open[r].second});
-    for (size_t j = 0; j < n; ++j) {
-      const bool in = j >= open[r].first && j < open[r].second;
-      // Open entries carry an additive bias on odd rows, 0 on even ones.
-      mask.at(r, j) = !in ? -inf
-                          : (r % 2 ? static_cast<float>(rng.Uniform(-1, 1))
-                                   : 0.0f);
+  auto mask_of = [&](const std::vector<std::pair<uint32_t, uint32_t>>& o) {
+    Tensor mask({n, n});
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t j = 0; j < n; ++j) {
+        const bool in = j >= o[r].first && j < o[r].second;
+        // Open entries carry an additive bias on odd rows, 0 on even ones.
+        mask.at(r, j) = !in ? -inf
+                            : (r % 2 ? static_cast<float>(rng.Uniform(-1, 1))
+                                     : 0.0f);
+      }
     }
-  }
+    return mask;
+  };
+  auto ranges_of = [](const std::vector<std::pair<uint32_t, uint32_t>>& o) {
+    std::vector<uint32_t> r;
+    for (const auto& [begin, end] : o) r.insert(r.end(), {begin, end});
+    return r;
+  };
   std::vector<uint32_t> full;
   for (size_t r = 0; r < n; ++r) full.insert(full.end(), {0u, uint32_t{n}});
 
   // Q, K, V as the compiled body reads them: per-candidate blocks and
-  // broadcast (hoisted) blocks, with ranges inside one block and across two.
-  const BlockOperand q(batch, d, {{1, true}, {10, false}, {10, true}}, 100);
-  const BlockOperand k(batch, d, {{2, false}, {19, true}}, 200);
-  const BlockOperand v(batch, dv, {{8, true}, {13, false}}, 300);
-
+  // broadcast (hoisted) blocks, with ranges inside one block and across two,
+  // all of one kind, and SeqFM's (user, candidate, history) cross layout.
+  using Spec = std::vector<std::pair<size_t, bool>>;
+  struct Layout {
+    const char* name;
+    Spec q, k, v;
+    std::vector<std::pair<uint32_t, uint32_t>> open;
+  };
+  const std::vector<Layout> layouts = {
+      {"mixed", {{1, true}, {10, false}, {10, true}},
+       {{2, false}, {19, true}}, {{8, true}, {13, false}}, open},
+      {"all-broadcast", {{n, true}}, {{n, true}}, {{n, true}}, open},
+      {"no-broadcast", {{n, false}}, {{n, false}}, {{n, false}}, open},
+      {"seqfm-cross", {{1, true}, {1, false}, {n - 2, true}},
+       {{1, true}, {1, false}, {n - 2, true}},
+       {{1, true}, {1, false}, {n - 2, true}}, cross},
+  };
+  const float pool_scale = 1.0f / static_cast<float>(n);
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   if (Avx2Usable()) levels.push_back(SimdLevel::kAvx2);
-  for (const bool masked : {true, false}) {
-    const Tensor* m = masked ? &mask : nullptr;
-    util::SetSimdLevel(SimdLevel::kScalar);
-    const Tensor want = DenseAttention(q.whole, k.whole, v.whole, m, 0.3f);
-    for (SimdLevel level : levels) {
-      util::SetSimdLevel(level);
-      for (size_t threads : {1u, 2u}) {
-        util::SetGlobalThreads(threads);
-        const Tensor dense =
-            DenseAttention(q.whole, k.whole, v.whole, m, 0.3f);
-        Tensor got({batch, n, dv});
-        tensor::MaskedAttention(q.stack(), k.stack(), v.stack(), m,
-                                masked ? ranges.data() : full.data(), 0.3f,
-                                &got);
-        for (size_t i = 0; i < want.size(); ++i) {
-          ASSERT_TRUE(BitEqual(dense.data()[i], want.data()[i]) &&
-                      BitEqual(got.data()[i], want.data()[i]))
-              << util::SimdLevelName(level) << " threads=" << threads
-              << " masked=" << masked << " row=" << (i / dv) % n
-              << " i=" << i;
+  uint64_t seed = 100;
+  for (const Layout& lay : layouts) {
+    const BlockOperand q(batch, d, lay.q, seed += 100);
+    const BlockOperand k(batch, d, lay.k, seed += 100);
+    const BlockOperand v(batch, dv, lay.v, seed += 100);
+    const Tensor mask = mask_of(lay.open);
+    const std::vector<uint32_t> ranges = ranges_of(lay.open);
+    for (const bool masked : {true, false}) {
+      const Tensor* m = masked ? &mask : nullptr;
+      const uint32_t* rg = masked ? ranges.data() : full.data();
+      util::SetSimdLevel(SimdLevel::kScalar);
+      const Tensor want = DenseAttention(q.whole, k.whole, v.whole, m, 0.3f);
+      Tensor want_pooled({batch, dv});
+      tensor::SumAxis1(want, pool_scale, &want_pooled);
+      for (SimdLevel level : levels) {
+        util::SetSimdLevel(level);
+        for (size_t threads : {1u, 2u}) {
+          util::SetGlobalThreads(threads);
+          const std::string where =
+              std::string(lay.name) + " " + util::SimdLevelName(level) +
+              " threads=" + std::to_string(threads) +
+              " masked=" + std::to_string(masked);
+          const Tensor dense =
+              DenseAttention(q.whole, k.whole, v.whole, m, 0.3f);
+          Tensor got({batch, n, dv}), pooled({batch, dv});
+          tensor::MaskedAttention(q.stack(), k.stack(), v.stack(), m, rg,
+                                  0.3f, 0.0f, &got);
+          tensor::MaskedAttention(q.stack(), k.stack(), v.stack(), m, rg,
+                                  0.3f, pool_scale, &pooled);
+          for (size_t i = 0; i < want.size(); ++i) {
+            ASSERT_TRUE(BitEqual(dense.data()[i], want.data()[i]) &&
+                        BitEqual(got.data()[i], want.data()[i]))
+                << where << " row=" << (i / dv) % n << " i=" << i;
+          }
+          for (size_t i = 0; i < want_pooled.size(); ++i) {
+            ASSERT_TRUE(BitEqual(pooled.data()[i], want_pooled.data()[i]))
+                << where << " pooled i=" << i;
+          }
         }
       }
     }
   }
   util::SetGlobalThreads(1);
   // A fully masked row is zeros, as SoftmaxLastDim makes it.
+  const BlockOperand q(batch, d, {{n, false}}, 1);
+  const Tensor mask = mask_of(open);
+  const std::vector<uint32_t> ranges = ranges_of(open);
   Tensor got({batch, n, dv});
-  tensor::MaskedAttention(q.stack(), k.stack(), v.stack(), &mask,
-                          ranges.data(), 0.3f, &got);
+  tensor::MaskedAttention(q.stack(), q.stack(),
+                          BlockOperand(batch, dv, {{n, true}}, 2).stack(),
+                          &mask, ranges.data(), 0.3f, 0.0f, &got);
   for (size_t c = 0; c < dv; ++c) EXPECT_EQ(got.at(1, 0, c), 0.0f);
 }
 
