@@ -2,11 +2,10 @@
 // candidate catalogs through
 //   (a) the taped training-path forward (status quo before src/serve/),
 //   (b) the tape-free generic forward (NoGradGuard micro-batches),
-//   (c) the serve::Predictor factored catalog program (SeqFM fast path),
-//   (d) the compiled op program (trace -> IR passes -> arena-planned VM),
+//   (c) the compiled op program (trace -> IR passes -> arena-planned VM),
 //       alone and behind a serve::ContextCache (the production config),
-//   (e) serve::BatchServer fusing many requests into multi-user waves, and
-//   (f) serve::ShardedPredictor partitioning the catalog across shards with
+//   (d) serve::BatchServer fusing many requests into multi-user waves, and
+//   (e) serve::ShardedPredictor partitioning the catalog across shards with
 //       a deterministic cross-shard top-K merge (--shards sweep),
 // across thread counts. Every path produces bit-for-bit identical scores
 // and rankings; the bench asserts that (including cached-warm,
@@ -187,7 +186,7 @@ int Run(int argc, char** argv) {
   const size_t wave = static_cast<size_t>(
       std::max<int64_t>(1, flags.GetInt("wave", 64)));
 
-  PrintBanner("Serving throughput — taped vs tape-free vs factored vs "
+  PrintBanner("Serving throughput — taped vs tape-free vs compiled vs "
               "cached vs request-batched vs sharded",
               "src/serve/ subsystem (no paper counterpart); catalog scoring "
               "for next-object ranking");
@@ -206,18 +205,13 @@ int Run(int argc, char** argv) {
                                                      : prep.dataset.test();
   SEQFM_CHECK(!examples.empty());
 
-  // The eager baselines pin use_compiled_program off: with the serving
+  // The eager baseline pins use_compiled_program off: with the serving
   // compiler on by default, every Predictor would otherwise score through
   // the op program and the rows below would all measure the same path.
   serve::PredictorOptions generic_opts;
   generic_opts.micro_batch = batch;
-  generic_opts.enable_seqfm_fast_path = false;
   generic_opts.use_compiled_program = false;
   serve::Predictor generic(model.get(), prep.builder.get(), generic_opts);
-  serve::PredictorOptions fast_opts;
-  fast_opts.micro_batch = batch;
-  fast_opts.use_compiled_program = false;  // hand-factored eager program
-  serve::Predictor fast(model.get(), prep.builder.get(), fast_opts);
   // The compiled op program (trace -> IR passes -> arena-planned VM).
   serve::PredictorOptions compiled_opts;
   compiled_opts.micro_batch = batch;
@@ -226,18 +220,10 @@ int Run(int argc, char** argv) {
   serve::PredictorOptions cached_opts = compiled_opts;
   cached_opts.context_cache_bytes = cache_mb << 20;
   serve::Predictor cached(model.get(), prep.builder.get(), cached_opts);
-  // Arena-off baseline: identical factored program, but every op output is
-  // an individual heap allocation (the pre-arena behavior).
-  serve::PredictorOptions noarena_opts = fast_opts;
-  noarena_opts.use_scratch_arena = false;
-  serve::Predictor fast_noarena(model.get(), prep.builder.get(),
-                                noarena_opts);
 
   std::printf("model=SeqFM dim=%zu seq-len=%zu | catalog=%zu candidates, "
-              "%zu requests, batch=%zu | fast path %s, compiler %s, "
-              "cache %zu MiB\n",
+              "%zu requests, batch=%zu | compiler %s, cache %zu MiB\n",
               opts.dim, opts.max_seq_len, num_candidates, requests, batch,
-              fast.fast_path_active() ? "ACTIVE" : "inactive",
               compiled.compiled_active() ? "ACTIVE" : "inactive", cache_mb);
   if (!compiled.compiled_active()) {
     std::fprintf(stderr, "SeqFM failed to compile into an op program\n");
@@ -301,13 +287,9 @@ int Run(int argc, char** argv) {
     const std::vector<float> ref =
         ScoreTaped(model.get(), *prep.builder, ex, catalog, batch, &scratch);
     mismatches += CountMismatches(ref, generic.ScoreCandidates(ex, catalog));
-    mismatches += CountMismatches(ref, fast.ScoreCandidates(ex, catalog));
     // The compiled op program against the taped forward — the compiled
     // on/off smoke CI leans on this gate.
     mismatches += CountMismatches(ref, compiled.ScoreCandidates(ex, catalog));
-    // Arena on/off must be invisible in the bits.
-    mismatches +=
-        CountMismatches(ref, fast_noarena.ScoreCandidates(ex, catalog));
     // Cached path twice: the cold pass fills the cache, the warm pass must
     // serve the memoized context with identical bits.
     cached.InvalidateContextCache();
@@ -356,9 +338,10 @@ int Run(int argc, char** argv) {
     // `catalog` everywhere: TopKAll would cover the full object space even
     // when --candidates trimmed the bench catalog.
     const size_t gate_k = std::min<size_t>(10, num_candidates);
-    const auto want_top = fast.TopK(ex, catalog, gate_k);
+    const auto want_top = generic.TopK(ex, catalog, gate_k);
     for (size_t shards : shard_counts) {
-      serve::ShardedPredictor sharded(&fast, {shards, 0});
+      // Eager sharding (ShardedPredictor and a sharded BatchServer).
+      serve::ShardedPredictor sharded(&generic, {shards, 0});
       mismatches +=
           count_ranking_mismatches(sharded.TopK(ex, catalog, gate_k),
                                    want_top);
@@ -368,7 +351,7 @@ int Run(int argc, char** argv) {
           sharded_compiled.TopK(ex, catalog, gate_k), want_top);
       serve::BatchServerOptions sharded_server_opts;
       sharded_server_opts.num_shards = shards;
-      serve::BatchServer sharded_server(&fast, sharded_server_opts);
+      serve::BatchServer sharded_server(&generic, sharded_server_opts);
       mismatches += count_ranking_mismatches(
           sharded_server.Submit(ex, catalog, gate_k).get(), want_top);
     }
@@ -399,7 +382,7 @@ int Run(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------------
-  // Full-catalog sweep: one request at a time (PR 2 paths).
+  // Full-catalog sweep: one request at a time.
   // -------------------------------------------------------------------------
   const size_t sweep_scores = requests * num_candidates;
   for (size_t threads : thread_counts) {
@@ -414,15 +397,6 @@ int Run(int argc, char** argv) {
         MeasurePathPerRequest(requests, sweep_scores, [&](size_t r) {
           (void)generic.ScoreCandidates(examples[r % examples.size()],
                                         catalog);
-        });
-    const PathStats factored =
-        MeasurePathPerRequest(requests, sweep_scores, [&](size_t r) {
-          (void)fast.ScoreCandidates(examples[r % examples.size()], catalog);
-        });
-    const PathStats factored_noarena =
-        MeasurePathPerRequest(requests, sweep_scores, [&](size_t r) {
-          (void)fast_noarena.ScoreCandidates(examples[r % examples.size()],
-                                             catalog);
         });
     const PathStats compiled_path =
         MeasurePathPerRequest(requests, sweep_scores, [&](size_t r) {
@@ -440,32 +414,15 @@ int Run(int argc, char** argv) {
     };
     print_row("taped forward (batch)", "b", taped);
     print_row("tape-free forward (batch)", "rq", tape_free);
-    print_row("factored, arena OFF", "rq", factored_noarena);
-    print_row("factored catalog (request)", "rq", factored);
     print_row("compiled op program (request)", "rq", compiled_path);
-    std::printf("            arena speedup on the factored path: %.2fx\n",
-                factored.scores_per_sec / factored_noarena.scores_per_sec);
-    std::printf("            compiled vs factored: %.2fx\n",
-                compiled_path.scores_per_sec / factored.scores_per_sec);
     if (threads == thread_counts.front()) {
       json.Add("threads", static_cast<double>(threads));
       json.Add("catalog", static_cast<double>(num_candidates));
       json.Add("taped_scores_per_sec", taped.scores_per_sec);
       json.Add("tape_free_scores_per_sec", tape_free.scores_per_sec);
-      json.Add("factored_scores_per_sec", factored.scores_per_sec);
-      json.Add("factored_noarena_scores_per_sec",
-               factored_noarena.scores_per_sec);
-      json.Add("factored_speedup_vs_taped",
-               factored.scores_per_sec / taped.scores_per_sec);
-      json.Add("arena_speedup",
-               factored.scores_per_sec / factored_noarena.scores_per_sec);
-      json.Add("factored_p50_ms", factored.p50_ms);
-      json.Add("factored_p99_ms", factored.p99_ms);
       json.Add("compiled_scores_per_sec", compiled_path.scores_per_sec);
       json.Add("compiled_speedup_vs_taped",
                compiled_path.scores_per_sec / taped.scores_per_sec);
-      json.Add("compiled_vs_factored",
-               compiled_path.scores_per_sec / factored.scores_per_sec);
       json.Add("compiled_p50_ms", compiled_path.p50_ms);
       json.Add("compiled_p99_ms", compiled_path.p99_ms);
       json.Add("compiled_counts",
@@ -476,7 +433,7 @@ int Run(int argc, char** argv) {
 
   // -------------------------------------------------------------------------
   // Sharded catalog sweep: full-catalog top-10 through ShardedPredictor at
-  // each --shards value, against the unsharded factored TopKAll baseline.
+  // each --shards value, against the unsharded compiled TopK baseline.
   // Sharding bounds per-request memory (shards * k heap entries instead of a
   // full score vector) and must never change a bit of the ranking; the gate
   // above already enforced parity, this section reports the cost.
@@ -488,7 +445,8 @@ int Run(int argc, char** argv) {
     util::SetGlobalThreads(threads);
     const PathStats unsharded =
         MeasurePathPerRequest(requests, sweep_scores, [&](size_t r) {
-          (void)fast.TopK(examples[r % examples.size()], catalog, shard_k);
+          (void)compiled.TopK(examples[r % examples.size()], catalog,
+                              shard_k);
         });
     std::printf("\n[threads=%zu] %-28s %12s %10s %10s %9s\n", threads, "path",
                 "scores/sec", "p50 ms", "p99 ms", "vs unshard");
@@ -496,7 +454,7 @@ int Run(int argc, char** argv) {
                 "unsharded top-K (baseline)", unsharded.scores_per_sec,
                 unsharded.p50_ms, unsharded.p99_ms, 1.0);
     for (size_t shards : shard_counts) {
-      serve::ShardedPredictor sharded(&fast, {shards, 0});
+      serve::ShardedPredictor sharded(&compiled, {shards, 0});
       // Partition once, serve many — the intended deployment shape.
       const serve::ShardedCatalog sharded_catalog(catalog, shards);
       const PathStats s =
@@ -514,9 +472,9 @@ int Run(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------------
-  // Request-batched serving: the repeated-user workload through the PR 2
-  // factored path (baseline), the ContextCache, and the BatchServer. The
-  // acceptance criterion is cached/batched >= 2x the uncached factored path.
+  // Request-batched serving: the repeated-user workload through the
+  // compiled program without a cache (baseline), with the ContextCache, and
+  // through the BatchServer.
   // -------------------------------------------------------------------------
   std::printf("\n--- request-batched serving: %zu requests over %zu users, "
               "slate=%zu, wave<=%zu ---\n",
@@ -532,7 +490,7 @@ int Run(int argc, char** argv) {
       });
     };
 
-    const PathStats uncached = run_serial(fast);
+    const PathStats uncached = run_serial(compiled);
     cached.InvalidateContextCache();
     // Counters are cumulative over the process; report this run's delta.
     const auto cache_before = cached.context_cache()->stats();
@@ -613,7 +571,7 @@ int Run(int argc, char** argv) {
                   s.scores_per_sec, s.p50_ms, s.p99_ms,
                   s.scores_per_sec / uncached.scores_per_sec);
     };
-    print_row("factored, no cache (PR 2)", uncached);
+    print_row("compiled, no cache", uncached);
     print_row("compiled + context cache", with_cache);
     print_row("batch server (fused+cache)", batched);
     std::printf("            cache: %llu hits / %llu misses (%.1f%% hit "
@@ -624,9 +582,7 @@ int Run(int argc, char** argv) {
                 static_cast<double>(cache_stats.bytes) / 1024.0);
     const double best = std::max(with_cache.scores_per_sec,
                                  batched.scores_per_sec);
-    std::printf("            best cached/batched = %.2fx uncached (PR 3's "
-                ">= 2x acceptance predates the SIMD kernels, which sped up "
-                "the uncached baseline itself)\n",
+    std::printf("            best cached/batched = %.2fx uncached\n",
                 best / uncached.scores_per_sec);
     if (threads == thread_counts.front()) {
       json.Add("cached_scores_per_sec", with_cache.scores_per_sec);

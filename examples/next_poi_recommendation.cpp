@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
 
   // Production-style serving: persist the trained model, restore it into a
   // fresh instance, and answer top-5 requests through serve::Predictor —
-  // tape-free forwards, with SeqFM's factored catalog program active.
+  // SeqFM compiled into a static op program (src/ir/).
   const std::string ckpt = "/tmp/next_poi_seqfm.ckpt";
   if (auto st = serve::Checkpoint::Save(seqfm, ckpt); !st.ok()) {
     std::fprintf(stderr, "checkpoint save failed: %s\n",
@@ -99,9 +99,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", predictor.status().ToString().c_str());
     return 1;
   }
-  std::printf("\ncheckpoint round trip: %s (%zu parameters), fast path %s\n",
+  std::printf("\ncheckpoint round trip: %s (%zu parameters), compiled "
+              "program %s\n",
               ckpt.c_str(), served.NumParameters(),
-              (*predictor)->fast_path_active() ? "active" : "inactive");
+              (*predictor)->compiled_active() ? "active" : "inactive");
 
   // Requests go through serve::BatchServer: concurrent submissions fuse into
   // multi-user scoring waves on the thread pool, and each user's
@@ -161,7 +162,11 @@ int main(int argc, char** argv) {
     scored += candidates.size();
     (void)server.Submit(ex, std::move(candidates), 5).get();
   }
-  const auto cache = (*predictor)->context_cache()->stats();
+  // The cache fronts the compiled program only; an eager fallback has none.
+  const serve::ContextCache* context_cache = (*predictor)->context_cache();
+  const serve::ContextCacheStats cache = context_cache != nullptr
+                                             ? context_cache->stats()
+                                             : serve::ContextCacheStats{};
   const auto waves = server.stats();
   std::printf("served %zu candidate scores in %.1f ms | %llu waves, "
               "context cache: %llu hits / %llu misses\n",

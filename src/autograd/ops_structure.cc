@@ -13,24 +13,18 @@ Variable ConcatLastDim(const std::vector<Variable>& parts) {
   const size_t batch = parts[0].dim(0);
   size_t total = 0;
   std::vector<NodePtr> parents;
+  std::vector<const Tensor*> values;
   parents.reserve(parts.size());
+  values.reserve(parts.size());
   for (const auto& p : parts) {
     SEQFM_CHECK_EQ(p.rank(), 2u);
     SEQFM_CHECK_EQ(p.dim(0), batch);
     total += p.dim(1);
     parents.push_back(p.node());
+    values.push_back(&p.value());
   }
   Tensor out = internal::OutputBuffer({batch, total});
-  size_t offset = 0;
-  for (const auto& p : parts) {
-    const size_t d = p.dim(1);
-    for (size_t b = 0; b < batch; ++b) {
-      const float* src = p.value().data() + b * d;
-      float* dst = out.data() + b * total + offset;
-      for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-    }
-    offset += d;
-  }
+  tensor::ConcatLastDim(values.data(), values.size(), &out);
   auto node = MakeNode("concat_last", std::move(parents), std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, total]() {
@@ -59,13 +53,7 @@ Variable ConcatAxis1(const Variable& a, const Variable& b) {
   SEQFM_CHECK_EQ(a.dim(2), b.dim(2));
   const size_t batch = a.dim(0), na = a.dim(1), nb = b.dim(1), d = a.dim(2);
   Tensor out = internal::OutputBuffer({batch, na + nb, d});
-  for (size_t i = 0; i < batch; ++i) {
-    float* dst = out.BatchData(i);
-    const float* sa = a.value().BatchData(i);
-    const float* sb = b.value().BatchData(i);
-    for (size_t j = 0; j < na * d; ++j) dst[j] = sa[j];
-    for (size_t j = 0; j < nb * d; ++j) dst[na * d + j] = sb[j];
-  }
+  tensor::ConcatAxis1(a.value(), b.value(), &out);
   auto node = MakeNode("concat_axis1", {a.node(), b.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, na, nb, d]() {
@@ -127,11 +115,7 @@ Variable SliceRow(const Variable& x, size_t row) {
   SEQFM_CHECK_LT(row, x.dim(1));
   const size_t batch = x.dim(0), d = x.dim(2);
   Tensor out = internal::OutputBuffer({batch, d});
-  for (size_t b = 0; b < batch; ++b) {
-    const float* src = x.value().BatchData(b) + row * d;
-    float* dst = out.data() + b * d;
-    for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-  }
+  tensor::SliceRow(x.value(), row, &out);
   TraceAttrs attrs;
   attrs.row = row;
   auto node = MakeNode("slice_row", {x.node()}, std::move(out), &attrs);
@@ -180,17 +164,14 @@ Variable Reshape(const Variable& x, std::vector<size_t> shape) {
         << "reshape must preserve element count";
   } else {
     // Tape-free path: copy through OutputBuffer so the buffer comes from
-    // the scratch arena (reshape is all over the factored catalog program)
-    // rather than the heap, and skips the zero-fill.
+    // the scratch arena (several baselines reshape on every eager serving
+    // forward) rather than the heap, and skips the zero-fill.
     size_t count = 1;
     for (size_t d : shape) count *= d;
     SEQFM_CHECK_EQ(count, x.value().size())
         << "reshape must preserve element count";
     out = internal::OutputBuffer(std::move(shape));
-    const float* src = x.value().data();
-    float* dst = out.data();
-    const size_t n = out.size();
-    for (size_t i = 0; i < n; ++i) dst[i] = src[i];
+    tensor::Copy(x.value(), &out);
   }
   auto node = MakeNode("reshape", {x.node()}, std::move(out));
   Node* self = node.get();
@@ -212,13 +193,7 @@ Variable ExpandRows(const Variable& x, size_t n) {
   SEQFM_CHECK_GT(n, 0u);
   const size_t batch = x.dim(0), d = x.dim(1);
   Tensor out = internal::OutputBuffer({batch, n, d});
-  for (size_t b = 0; b < batch; ++b) {
-    const float* src = x.value().data() + b * d;
-    float* dst = out.BatchData(b);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < d; ++j) dst[i * d + j] = src[j];
-    }
-  }
+  tensor::ExpandRows(x.value(), &out);
   auto node = MakeNode("expand_rows", {x.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, n, d]() {
@@ -267,19 +242,7 @@ Variable PairwiseProductUpper(const Variable& x) {
   SEQFM_CHECK_GE(n, 2u);
   const size_t pairs = n * (n - 1) / 2;
   Tensor out = internal::OutputBuffer({batch, pairs, d});
-  for (size_t b = 0; b < batch; ++b) {
-    const float* src = x.value().BatchData(b);
-    float* dst = out.BatchData(b);
-    size_t p = 0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j, ++p) {
-        const float* xi = src + i * d;
-        const float* xj = src + j * d;
-        float* row = dst + p * d;
-        for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
-      }
-    }
-  }
+  tensor::PairwiseProductUpper(x.value(), &out);
   auto node = MakeNode("pairwise_upper", {x.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, n, d]() {
@@ -316,19 +279,7 @@ Variable PairwiseProductCross(const Variable& a, const Variable& b) {
   SEQFM_CHECK_EQ(a.dim(2), b.dim(2));
   const size_t batch = a.dim(0), h = a.dim(1), m = b.dim(1), d = a.dim(2);
   Tensor out = internal::OutputBuffer({batch, h * m, d});
-  for (size_t bt = 0; bt < batch; ++bt) {
-    const float* sa = a.value().BatchData(bt);
-    const float* sb = b.value().BatchData(bt);
-    float* dst = out.BatchData(bt);
-    for (size_t i = 0; i < h; ++i) {
-      for (size_t j = 0; j < m; ++j) {
-        const float* xi = sa + i * d;
-        const float* xj = sb + j * d;
-        float* row = dst + (i * m + j) * d;
-        for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
-      }
-    }
-  }
+  tensor::PairwiseProductCross(a.value(), b.value(), &out);
   auto node = MakeNode("pairwise_cross", {a.node(), b.node()}, std::move(out));
   Node* self = node.get();
   if (node->requires_grad) node->backward_fn = [self, batch, h, m, d]() {

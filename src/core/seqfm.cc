@@ -1,6 +1,5 @@
 #include "core/seqfm.h"
 
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -70,73 +69,14 @@ SeqFm::ServingView SeqFm::serving_view() const {
   ServingView view;
   view.static_embedding = static_embedding_.get();
   view.dynamic_embedding = dynamic_embedding_.get();
-  view.static_attention = static_attention_.get();
-  view.dynamic_attention = dynamic_attention_.get();
-  view.cross_attention = cross_attention_.get();
-  view.ffn = ffn_.get();
-  view.w0 = w0_;
   view.w_static = w_static_;
-  view.w_dynamic = w_dynamic_;
-  view.p = p_;
-  view.causal_mask = causal_mask_;
   return view;
 }
 
 size_t SharedContext::ApproxBytes() const {
   size_t total = dynamic_ids.size() * sizeof(int32_t) + sizeof(*this);
-  for (const autograd::Variable* v :
-       {&h_dyn, &q_dyn, &k_dyn, &v_dyn, &k_user, &v_user, &out_user}) {
-    if (v->defined()) total += v->value().size() * sizeof(float);
-  }
   for (const tensor::Tensor& t : slots) total += t.size() * sizeof(float);
   return total;
-}
-
-SharedContext SeqFm::ComputeSharedContext(
-    int32_t user_index, std::vector<int32_t> dynamic_ids) const {
-  namespace ag = autograd;
-  SEQFM_CHECK(config_.use_static_view && config_.use_dynamic_view &&
-              config_.use_cross_view && !config_.mask_padding_keys)
-      << "SharedContext requires the default three-view configuration";
-  SEQFM_CHECK_EQ(dynamic_ids.size(), config_.max_seq_len);
-
-  SharedContext ctx;
-  ctx.n = config_.max_seq_len;
-  ctx.d = config_.embedding_dim;
-  ctx.inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(ctx.d));
-  ctx.user_index = user_index;
-  ctx.dynamic_ids = std::move(dynamic_ids);
-
-  // Tape-free no matter the caller's mode: cached contexts must not pin an
-  // autograd graph, and results are bit-identical either way.
-  ag::NoGradGuard no_grad;
-
-  // Dynamic view: depends only on the history, so one row suffices.
-  Variable e_dyn =
-      dynamic_embedding_->Forward(ctx.dynamic_ids, 1, ctx.n);
-  Variable h = dynamic_attention_->Forward(e_dyn, causal_mask_);
-  Variable pooled = ag::MeanAxis1(h, static_cast<float>(ctx.n));
-  ctx.h_dyn = ffn_->Forward(pooled, config_.keep_prob, /*training=*/false,
-                            /*rng=*/nullptr);
-
-  // Cross view, history side: projections of the dynamic rows and the full
-  // output of the user row (a static row attends only to dynamic columns,
-  // none of which involve the candidate).
-  ctx.q_dyn = ag::BmmShared(e_dyn, cross_attention_->wq());
-  ctx.k_dyn = ag::BmmShared(e_dyn, cross_attention_->wk());
-  ctx.v_dyn = ag::BmmShared(e_dyn, cross_attention_->wv());
-
-  const std::vector<int32_t> user_only = {ctx.user_index};
-  Variable e_user = static_embedding_->Forward(user_only, 1, 1);
-  Variable q_user = ag::BmmShared(e_user, cross_attention_->wq());
-  ctx.k_user = ag::BmmShared(e_user, cross_attention_->wk());
-  ctx.v_user = ag::BmmShared(e_user, cross_attention_->wv());
-
-  Variable su = ag::Scale(ag::Bmm(q_user, ctx.k_dyn, false, true),
-                          ctx.inv_sqrt_d);               // [1, 1, n]
-  Variable pu = ag::MaskedSoftmax(su, Variable());
-  ctx.out_user = ag::Bmm(pu, ctx.v_dyn);                 // [1, 1, d]
-  return ctx;
 }
 
 size_t SeqFm::num_views() const {

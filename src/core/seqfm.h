@@ -46,34 +46,21 @@ struct SeqFmConfig {
   uint64_t seed = 42;
 };
 
-/// \brief Candidate-invariant state of one factored catalog request:
-/// everything the (user, history) context determines, computed once per
-/// request by SeqFm::ComputeSharedContext and re-used for every candidate.
+/// \brief Candidate-invariant state of one serving request: everything the
+/// (user, history) context determines, computed once per request by the
+/// compiled prologue (ir::Engine::MakeContext) and re-used for every
+/// candidate chunk of the body.
 ///
-/// This is the serving analogue of an LLM server's KV cache: the dynamic
-/// view and the history-side cross projections do not depend on the
-/// candidate, so serve::Predictor computes them once and serve::ContextCache
-/// memoizes them across requests keyed on (user, history hash). Variables
-/// hold detached (tape-free) tensors; the struct is immutable after
-/// construction and safe to share across scoring threads.
+/// This is the serving analogue of an LLM server's KV cache: serve::Predictor
+/// computes it once per request and serve::ContextCache memoizes it across
+/// requests keyed on (user, history hash). Works for ANY compilable model.
+/// The struct is immutable after construction and safe to share across
+/// scoring threads.
 struct SharedContext {
-  size_t n = 0;          // max_seq_len
-  size_t d = 0;          // embedding dim
-  float inv_sqrt_d = 1.0f;
   int32_t user_index = 0;
-  std::vector<int32_t> dynamic_ids;  // builder layout, length n
-  autograd::Variable h_dyn;   // dynamic-view output, [1, d]
-  autograd::Variable q_dyn;   // cross-view projections of the history rows,
-  autograd::Variable k_dyn;   //   [1, n, d]
-  autograd::Variable v_dyn;
-  autograd::Variable k_user;  // cross-view projections of the user row,
-  autograd::Variable v_user;  //   [1, 1, d]
-  autograd::Variable out_user;  // cross-view output of the user row, [1, 1, d]
-
-  /// Compiled-program contexts (ir::Engine::MakeContext): the prologue's
-  /// candidate-invariant output tensors, in slot order, plus the uid of the
-  /// engine whose body programs may consume them. Works for ANY compilable
-  /// model, not just SeqFM; the hand-factored fields above stay empty then.
+  std::vector<int32_t> dynamic_ids;  // builder layout, length max_seq_len
+  /// The prologue's candidate-invariant output tensors, in slot order, plus
+  /// the uid of the engine whose body programs may consume them.
   std::vector<tensor::Tensor> slots;
   uint64_t engine_uid = 0;
 
@@ -108,37 +95,16 @@ class SeqFm : public nn::Module, public Model {
   /// Number of views enabled by the configuration (1..3).
   size_t num_views() const;
 
-  /// \brief Read-only handles to the model internals consumed by the serving
-  /// fast path (serve::Predictor's factored catalog program).
-  ///
-  /// Attention pointers are null for views disabled by the config. Variables
-  /// are cheap shared handles to the live parameters, so a checkpoint load
-  /// into this model is immediately visible through the view.
+  /// \brief Handles to the embedding tables and first-order static weights,
+  /// for tests that edit parameters in place (forced score ties, poisoned
+  /// rows). Variables are cheap shared handles to the live parameters, so a
+  /// checkpoint load into this model is immediately visible through the view.
   struct ServingView {
     const nn::Embedding* static_embedding = nullptr;
     const nn::Embedding* dynamic_embedding = nullptr;
-    const nn::SelfAttention* static_attention = nullptr;
-    const nn::SelfAttention* dynamic_attention = nullptr;
-    const nn::SelfAttention* cross_attention = nullptr;
-    const nn::ResidualFeedForward* ffn = nullptr;
-    autograd::Variable w0, w_static, w_dynamic, p;
-    autograd::Variable causal_mask;
+    autograd::Variable w_static;
   };
   ServingView serving_view() const;
-
-  /// \brief Computes the candidate-invariant SharedContext for one request.
-  ///
-  /// \p user_index is the static-space index of the user row and
-  /// \p dynamic_ids the BatchBuilder-layout history row (length max_seq_len,
-  /// -1 padding) — both exactly as BatchBuilder::Build lays them out, so
-  /// factored scores stay bit-for-bit identical to the batched forward.
-  /// Runs tape-free (NoGradGuard internally) regardless of the caller's grad
-  /// mode: contexts outlive the request inside serve::ContextCache, and a
-  /// cached autograd tape would pin the whole graph. Preconditions (checked):
-  /// all three views enabled, mask_padding_keys off, dynamic_ids.size() ==
-  /// max_seq_len.
-  SharedContext ComputeSharedContext(int32_t user_index,
-                                     std::vector<int32_t> dynamic_ids) const;
 
  private:
   /// Intra-view pooling + shared FFN for one view's attention output.

@@ -39,9 +39,9 @@ class RankingEvaluator {
   };
   Metrics Evaluate(core::Model* model, const std::vector<size_t>& ks) const;
 
-  /// Same metrics computed through the serving fast path: candidate sets are
-  /// scored by the Predictor (tape-free micro-batches, and the factored
-  /// catalog program for SeqFM). Scores are bit-for-bit identical to the
+  /// Same metrics computed through the serving path: candidate sets are
+  /// scored by the Predictor (the compiled op program, or tape-free eager
+  /// micro-batches). Scores are bit-for-bit identical to the
   /// Model::Score path, so both overloads report identical metrics.
   Metrics Evaluate(const serve::Predictor& predictor,
                    const std::vector<size_t>& ks) const;

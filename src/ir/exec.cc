@@ -1,7 +1,6 @@
 #include "ir/exec.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <iterator>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "ir/passes.h"
 #include "ir/trace.h"
 #include "ir/verify.h"
-#include "tensor/kernels.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
 #include "util/ordered_mutex.h"
@@ -20,11 +18,11 @@ namespace seqfm {
 namespace ir {
 
 // ---------------------------------------------------------------------------
-// EvalPure: one instruction, replicated from the eager forward it was traced
-// from. Every loop mirrors its src/autograd/ops_*.cc counterpart exactly —
+// EvalPure: one instruction through the same tensor:: forward the eager op
+// it was traced from calls (src/autograd/ops_*.cc). Sharing the kernel —
 // same kernel-table calls, same ParallelFor grains, same serial reductions —
-// which is what makes compiled scores bit-identical to the taped forward at
-// every thread count and SIMD level.
+// is what makes compiled scores bit-identical to the taped forward at every
+// thread count and SIMD level.
 // ---------------------------------------------------------------------------
 
 bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
@@ -39,41 +37,18 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
     case OpKind::kMul:
       tensor::Mul(*in[0], *in[1], out);
       return true;
-    case OpKind::kScale: {
-      const float* x = in[0]->data();
-      float* y = out->data();
-      const size_t n = out->size();
-      const float alpha = instr.alpha;
-      const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-      util::ParallelFor(n, util::kEwGrain, [=, &kt](size_t i0, size_t i1) {
-        kt.scale(alpha, x + i0, y + i0, i1 - i0);
-      });
+    case OpKind::kScale:
+      tensor::Scale(*in[0], instr.alpha, out);
       return true;
-    }
-    case OpKind::kAddScalar: {
-      const float* x = in[0]->data();
-      float* y = out->data();
-      const float alpha = instr.alpha;
-      for (size_t i = 0; i < out->size(); ++i) y[i] = x[i] + alpha;
+    case OpKind::kAddScalar:
+      tensor::AddScalar(*in[0], instr.alpha, out);
       return true;
-    }
     case OpKind::kAddBias:
       tensor::AddBiasLastDim(*in[0], *in[1], out);
       return true;
-    case OpKind::kAddBroadcastBatch: {
-      const tensor::Tensor& x = *in[0];
-      const size_t batch = x.dim(0), rows = x.dim(1), d = x.dim(2);
-      const float* src = in[1]->data();
-      util::ParallelFor(batch, util::GrainForRows(rows * d, util::kEwGrain),
-                        [out, &x, src, rows, d](size_t b0, size_t b1) {
-        for (size_t b = b0; b < b1; ++b) {
-          const float* xb = x.BatchData(b);
-          float* dst = out->BatchData(b);
-          for (size_t i = 0; i < rows * d; ++i) dst[i] = xb[i] + src[i];
-        }
-      });
+    case OpKind::kAddBroadcastBatch:
+      tensor::AddBroadcastBatch(*in[0], *in[1], out);
       return true;
-    }
     case OpKind::kRelu:
       tensor::Relu(*in[0], out);
       return true;
@@ -92,160 +67,46 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
     case OpKind::kBmm:
       tensor::BatchedMatMul(*in[0], *in[1], out, instr.trans_a, instr.trans_b);
       return true;
-    case OpKind::kBmmLeftShared: {
-      const tensor::Tensor& w = *in[0];
-      const tensor::Tensor& p = *in[1];
-      const size_t batch = p.dim(0);
-      const size_t h2 = w.dim(0), h = w.dim(1), d = p.dim(2);
-      util::ParallelFor(batch,
-                        util::GrainForRows(h2 * h * d, util::kMinParallelWork),
-                        [&, h2, h, d](size_t b0, size_t b1) {
-        for (size_t b = b0; b < b1; ++b) {
-          tensor::Gemm(w.data(), p.BatchData(b), out->BatchData(b), h2, h, d,
-                       false, false, false);
-        }
-      });
+    case OpKind::kBmmLeftShared:
+      tensor::BatchedMatMulLeftShared(*in[0], *in[1], out);
       return true;
-    }
-    case OpKind::kRowDot: {
-      const size_t batch = in[0]->dim(0), d = in[0]->dim(1);
-      const float* av = in[0]->data();
-      const float* bv = in[1]->data();
-      float* out_data = out->data();
-      const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-      util::ParallelFor(batch, util::GrainForRows(d, util::kEwGrain),
-                        [=, &kt](size_t i0, size_t i1) {
-        for (size_t i = i0; i < i1; ++i) {
-          out_data[i] = kt.dot(av + i * d, bv + i * d, d);
-        }
-      });
+    case OpKind::kRowDot:
+      tensor::RowDot(*in[0], *in[1], out);
       return true;
-    }
     case OpKind::kMaskedSoftmax:
       tensor::SoftmaxLastDim(*in[0], in.size() > 1 ? in[1] : nullptr, out);
       return true;
-    case OpKind::kLayerNorm: {
-      const size_t d = in[0]->shape().back();
-      const size_t rows = in[0]->size() / d;
-      const float* xv = in[0]->data();
-      const float* gv = in[1]->data();
-      const float* bv = in[2]->data();
-      float* out_data = out->data();
-      const float eps = instr.eps;
-      const tensor::kernels::KernelTable& kt = tensor::kernels::Active();
-      util::ParallelFor(rows, util::GrainForRows(d, util::kMathGrain),
-                        [=, &kt](size_t r0, size_t r1) {
-        for (size_t r = r0; r < r1; ++r) {
-          const float* xr = xv + r * d;
-          const float mean = kt.reduce_sum(xr, d) / static_cast<float>(d);
-          const float var =
-              kt.reduce_sum_sq_diff(xr, mean, d) / static_cast<float>(d);
-          const float is = 1.0f / std::sqrt(var + eps);
-          kt.layer_norm_row(xr, gv, bv, mean, is, d, out_data + r * d,
-                            nullptr);
-        }
-      });
+    case OpKind::kLayerNorm:
+      tensor::LayerNorm(*in[0], *in[1], *in[2], instr.eps, out);
       return true;
-    }
-    case OpKind::kConcatLast: {
-      const size_t batch = out->dim(0), total = out->dim(1);
-      size_t offset = 0;
-      for (const tensor::Tensor* p : in) {
-        const size_t d = p->dim(1);
-        for (size_t b = 0; b < batch; ++b) {
-          const float* src = p->data() + b * d;
-          float* dst = out->data() + b * total + offset;
-          for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-        }
-        offset += d;
-      }
+    case OpKind::kConcatLast:
+      tensor::ConcatLastDim(in.data(), in.size(), out);
       return true;
-    }
-    case OpKind::kConcatAxis1: {
-      // A batch-1 operand broadcasts over the output batch: compiled bodies
-      // read hoisted count-1 row blocks this way instead of a tiled copy.
-      const size_t batch = out->dim(0), na = in[0]->dim(1),
-                   nb = in[1]->dim(1), d = in[0]->dim(2);
-      const size_t stride_a = in[0]->dim(0) == 1 ? 0 : na * d;
-      const size_t stride_b = in[1]->dim(0) == 1 ? 0 : nb * d;
-      for (size_t i = 0; i < batch; ++i) {
-        float* dst = out->BatchData(i);
-        std::memcpy(dst, in[0]->data() + i * stride_a, na * d * sizeof(float));
-        std::memcpy(dst + na * d, in[1]->data() + i * stride_b,
-                    nb * d * sizeof(float));
-      }
+    case OpKind::kConcatAxis1:
+      tensor::ConcatAxis1(*in[0], *in[1], out);
       return true;
-    }
     case OpKind::kReduceAxis1:
       tensor::SumAxis1(*in[0], instr.alpha, out);
       return true;
-    case OpKind::kSliceRow: {
-      const size_t batch = in[0]->dim(0), d = in[0]->dim(2);
-      const size_t row = instr.row;
-      for (size_t b = 0; b < batch; ++b) {
-        const float* src = in[0]->BatchData(b) + row * d;
-        float* dst = out->data() + b * d;
-        for (size_t j = 0; j < d; ++j) dst[j] = src[j];
-      }
+    case OpKind::kSliceRow:
+      tensor::SliceRow(*in[0], instr.row, out);
       return true;
-    }
     case OpKind::kSumLast:
       tensor::SumLastDim(*in[0], out);
       return true;
-    case OpKind::kReshape: {
-      if (out->data() == in[0]->data()) return true;  // fused: copy elided
-      const float* src = in[0]->data();
-      float* dst = out->data();
-      const size_t n = out->size();
-      for (size_t i = 0; i < n; ++i) dst[i] = src[i];
+    case OpKind::kReshape:
+      // A fused reshape aliases its input, and the copy is elided.
+      if (out->data() != in[0]->data()) tensor::Copy(*in[0], out);
       return true;
-    }
-    case OpKind::kExpandRows: {
-      const size_t batch = out->dim(0), n = out->dim(1), d = out->dim(2);
-      for (size_t b = 0; b < batch; ++b) {
-        const float* src = in[0]->data() + b * d;
-        float* dst = out->BatchData(b);
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t j = 0; j < d; ++j) dst[i * d + j] = src[j];
-        }
-      }
+    case OpKind::kExpandRows:
+      tensor::ExpandRows(*in[0], out);
       return true;
-    }
-    case OpKind::kPairwiseUpper: {
-      const size_t batch = in[0]->dim(0), n = in[0]->dim(1), d = in[0]->dim(2);
-      for (size_t b = 0; b < batch; ++b) {
-        const float* src = in[0]->BatchData(b);
-        float* dst = out->BatchData(b);
-        size_t p = 0;
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t j = i + 1; j < n; ++j, ++p) {
-            const float* xi = src + i * d;
-            const float* xj = src + j * d;
-            float* row = dst + p * d;
-            for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
-          }
-        }
-      }
+    case OpKind::kPairwiseUpper:
+      tensor::PairwiseProductUpper(*in[0], out);
       return true;
-    }
-    case OpKind::kPairwiseCross: {
-      const size_t batch = in[0]->dim(0), h = in[0]->dim(1),
-                   m = in[1]->dim(1), d = in[0]->dim(2);
-      for (size_t bt = 0; bt < batch; ++bt) {
-        const float* sa = in[0]->BatchData(bt);
-        const float* sb = in[1]->BatchData(bt);
-        float* dst = out->BatchData(bt);
-        for (size_t i = 0; i < h; ++i) {
-          for (size_t j = 0; j < m; ++j) {
-            const float* xi = sa + i * d;
-            const float* xj = sb + j * d;
-            float* row = dst + (i * m + j) * d;
-            for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
-          }
-        }
-      }
+    case OpKind::kPairwiseCross:
+      tensor::PairwiseProductCross(*in[0], *in[1], out);
       return true;
-    }
     case OpKind::kMaskedAttention: {
       const auto& [nq, nk, nv] = instr.parts;  // row blocks per operand
       const tensor::Tensor* const* blocks = in.data();
@@ -964,7 +825,6 @@ void Engine::MakeContext(int32_t user_index,
     ctx->slots.push_back(pf->locals[id]);  // deep copy: outlives the frame
   }
   ctx->engine_uid = uid_;
-  ctx->n = n_seq_;
   ctx->user_index = user_index;
   ctx->dynamic_ids = dynamic_ids;
 }

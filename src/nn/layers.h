@@ -86,13 +86,6 @@ class SelfAttention : public Module {
 
   size_t dim() const { return dim_; }
 
-  /// Projection weights, exposed read-only for the serving fast path
-  /// (serve::Predictor's factored catalog program applies them to row
-  /// subsets without rebuilding the full attention input).
-  const Variable& wq() const { return wq_; }
-  const Variable& wk() const { return wk_; }
-  const Variable& wv() const { return wv_; }
-
  private:
   size_t dim_;
   Variable wq_, wk_, wv_;  // [d, d] each

@@ -57,13 +57,14 @@ Status LocalShardBackend::ScoreTopK(
     SEQFM_CHECK_LE(job.end, job.candidates->size());
   }
 
-  // Phase 1 (context path only): resolve each unique (user, history)
+  // Phase 1 (compiled path only): resolve each unique (user, history)
   // SharedContext once per batch. The map dedupes duplicate users across
   // jobs before they even reach the ContextCache, so a cold cache never
   // computes the same context twice in one batch; groups resolve
-  // concurrently on the pool.
+  // concurrently on the pool. A context stays null when the engine latched
+  // off after the check; its chunks then score eagerly.
   std::vector<Predictor::ContextPtr> contexts(num_jobs);
-  if (predictor_->context_path_active()) {
+  if (predictor_->compiled_active()) {
     std::map<std::pair<int32_t, std::vector<int32_t>>, std::vector<size_t>>
         groups;
     for (size_t j = 0; j < num_jobs; ++j) {

@@ -32,16 +32,17 @@ struct ContextCacheStats {
   }
 };
 
-/// \brief Byte-budgeted LRU cache of factored-serving SharedContexts, keyed
-/// on (user_index, FNV-1a(history ids)).
+/// \brief Byte-budgeted LRU cache of compiled-serving SharedContexts (the
+/// prologue's slot tensors), keyed on (user_index, FNV-1a(history ids)).
 ///
-/// The per-request candidate-invariant work of the factored SeqFM program —
-/// the whole dynamic view plus the history-side cross projections — depends
-/// only on who is asking and what they did, so repeated requests from the
-/// same (user, history) can skip it entirely, the way an LLM server reuses a
-/// session's KV cache. Keys hash with util::Fnv1a64 but lookups compare the
-/// full (user, ids) key, so a hash collision can never serve the wrong
-/// context and cached scores stay bit-for-bit identical to Model::Score.
+/// The per-request candidate-invariant work of the compiled prologue — for
+/// SeqFM the whole dynamic view plus the history-side cross projections —
+/// depends only on who is asking and what they did, so repeated requests
+/// from the same (user, history) can skip it entirely, the way an LLM server
+/// reuses a session's KV cache. Keys hash with util::Fnv1a64 but lookups
+/// compare the full (user, ids) key, so a hash collision can never serve the
+/// wrong context and cached scores stay bit-for-bit identical to
+/// Model::Score.
 ///
 /// Thread-safe: lookups/inserts lock internally, and the context compute
 /// runs outside the lock (two threads racing on the same cold key may both

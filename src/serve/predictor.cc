@@ -1,11 +1,8 @@
 #include "serve/predictor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
-#include <optional>
 
-#include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "nn/module.h"
 #include "serve/checkpoint.h"
@@ -24,23 +21,8 @@ Predictor::Predictor(core::Model* model, const data::BatchBuilder* builder,
   SEQFM_CHECK(model_ != nullptr) << "Predictor: null model";
   SEQFM_CHECK(builder_ != nullptr) << "Predictor: null batch builder";
   SEQFM_CHECK_GT(options_.micro_batch, 0u);
-  if (options_.enable_seqfm_fast_path) {
-    auto* seqfm = dynamic_cast<core::SeqFm*>(model_);
-    // The factored program mirrors the default three-view forward; ablated
-    // or padding-masked configurations fall back to the generic path. So
-    // does a builder/model seq-len mismatch: the generic path then fails
-    // through SeqFm::Score's loud shape check instead of reading a
-    // truncated index buffer here.
-    if (seqfm != nullptr && seqfm->config().use_static_view &&
-        seqfm->config().use_dynamic_view && seqfm->config().use_cross_view &&
-        !seqfm->config().mask_padding_keys &&
-        builder_->max_seq_len() == seqfm->config().max_seq_len) {
-      seqfm_ = seqfm;
-    }
-  }
   CompileEngine();
-  if ((seqfm_ != nullptr || engine_ != nullptr) &&
-      options_.context_cache_bytes > 0) {
+  if (engine_ != nullptr && options_.context_cache_bytes > 0) {
     cache_ = std::make_unique<ContextCache>(options_.context_cache_bytes);
   }
   full_catalog_.resize(builder_->space().num_objects());
@@ -125,8 +107,29 @@ std::vector<float> Predictor::ScoreCandidates(
     const data::SequenceExample& ex,
     const std::vector<int32_t>& candidates) const {
   if (candidates.empty()) return {};
-  return context_path_active() ? ScoreContext(ex, candidates)
-                               : ScoreGeneric(ex, candidates);
+  // Null when the model serves eagerly; every chunk then scores eagerly.
+  const ContextPtr ctx = AcquireContext(ex);
+  const size_t total = candidates.size();
+  const size_t chunk_size = options_.micro_batch;
+  const size_t num_chunks = (total + chunk_size - 1) / chunk_size;
+  std::vector<float> scores(total);
+
+  // Safe to fan out from the first chunk: eval-mode Score is read-only for
+  // every model (SeqFM materializes its cross mask in its constructor, and
+  // the baselines build masks as per-call locals).
+  util::ParallelFor(num_chunks, 1, [&](size_t c0, size_t c1) {
+    for (size_t c = c0; c < c1; ++c) {
+      const size_t begin = c * chunk_size;
+      const size_t end = std::min(total, begin + chunk_size);
+      if (ctx != nullptr) {
+        ScoreContextRange(*ctx, ex, candidates, begin, end,
+                          scores.data() + begin);
+      } else {
+        ScoreGenericRange(ex, candidates, begin, end, scores.data() + begin);
+      }
+    }
+  });
+  return scores;
 }
 
 bool Predictor::AcceptsIds(const data::SequenceExample& ex,
@@ -144,12 +147,11 @@ void Predictor::ScoreGenericRange(const data::SequenceExample& ex,
                                   const std::vector<int32_t>& candidates,
                                   size_t begin, size_t end, float* out) const {
   // Grad mode is thread-scoped, so the guard must live here — this runs
-  // directly on pool workers (ScoreGeneric) and on BatchServer wave tasks.
+  // directly on pool workers (ScoreCandidates) and on BatchServer wave tasks.
   // The scratch scope routes every op output of the forward into the
   // worker's arena; results are copied into `out` before it closes.
   autograd::NoGradGuard no_grad;
-  std::optional<core::ScratchScope> scratch;
-  if (options_.use_scratch_arena) scratch.emplace();
+  core::ScratchScope scratch;
   std::vector<const data::SequenceExample*> repeated(end - begin, &ex);
   std::vector<int32_t> override_chunk(candidates.begin() + begin,
                                       candidates.begin() + end);
@@ -160,32 +162,12 @@ void Predictor::ScoreGenericRange(const data::SequenceExample& ex,
   for (size_t i = 0; i < end - begin; ++i) out[i] = src[i];
 }
 
-std::vector<float> Predictor::ScoreGeneric(
-    const data::SequenceExample& ex,
-    const std::vector<int32_t>& candidates) const {
-  const size_t total = candidates.size();
-  const size_t chunk_size = options_.micro_batch;
-  const size_t num_chunks = (total + chunk_size - 1) / chunk_size;
-  std::vector<float> scores(total);
-
-  // Safe to fan out from the first chunk: eval-mode Score is read-only for
-  // every model (SeqFM materializes its cross mask in its constructor, and
-  // the baselines build masks as per-call locals).
-  util::ParallelFor(num_chunks, 1, [&](size_t c0, size_t c1) {
-    for (size_t c = c0; c < c1; ++c) {
-      const size_t begin = c * chunk_size;
-      ScoreGenericRange(ex, candidates, begin,
-                        std::min(total, begin + chunk_size),
-                        scores.data() + begin);
-    }
-  });
-  return scores;
-}
-
 Predictor::ContextPtr Predictor::AcquireContext(
     const data::SequenceExample& ex) const {
-  SEQFM_CHECK(context_path_active())
-      << "AcquireContext requires the compiled or hand-factored context path";
+  // Null, never an abort, when the engine is off: a concurrent chunk's
+  // failed lazy compile can latch it right after a caller's compiled_active()
+  // check. Callers score a null context through ScoreGenericRange.
+  if (!compiled_active()) return nullptr;
   // Reuse the BatchBuilder for the index layout so padding and index mapping
   // are byte-identical to the taped path.
   const std::vector<const data::SequenceExample*> one = {&ex};
@@ -196,13 +178,9 @@ Predictor::ContextPtr Predictor::AcquireContext(
       base.dynamic_ids.begin(),
       base.dynamic_ids.begin() + static_cast<ptrdiff_t>(n));
   auto compute = [&]() -> ContextPtr {
-    if (compiled_active()) {
-      auto ctx = std::make_shared<core::SharedContext>();
-      engine_->MakeContext(user_index, dynamic_ids, ctx.get());
-      return ctx;
-    }
-    return std::make_shared<const core::SharedContext>(
-        seqfm_->ComputeSharedContext(user_index, dynamic_ids));
+    auto ctx = std::make_shared<core::SharedContext>();
+    engine_->MakeContext(user_index, dynamic_ids, ctx.get());
+    return ctx;
   };
   if (cache_) return cache_->GetOrCompute(user_index, dynamic_ids, compute);
   return compute();
@@ -219,146 +197,14 @@ void Predictor::ScoreContextRange(const core::SharedContext& ctx,
     }
     // A lazy per-count body failed to compile or verify. Latch the failure
     // (warn once), drop contexts that carry now-unusable slot tensors, and
-    // serve this and every later chunk through the reference paths.
+    // serve this and every later chunk through the eager path.
     if (!engine_failed_.exchange(true)) {
       SEQFM_LOG(Warning) << "serving compiler: disabling compiled path for '"
                          << model_->name() << "': " << error;
       if (cache_) cache_->Invalidate();
     }
   }
-  if (fast_path_active() && ctx.h_dyn.defined()) {
-    ScoreFactoredRange(ctx, candidates, begin, end, out);
-    return;
-  }
   ScoreGenericRange(ex, candidates, begin, end, out);
-}
-
-void Predictor::ScoreFactoredRange(const core::SharedContext& ctx,
-                                   const std::vector<int32_t>& candidates,
-                                   size_t begin, size_t end,
-                                   float* out_scores) const {
-  namespace ag = autograd;
-  autograd::NoGradGuard no_grad;
-  // Every intermediate of the factored program below lives in the worker
-  // thread's scratch arena and is released wholesale when this chunk
-  // returns — zero tensor heap traffic once the arena is warm. The scores
-  // are copied into out_scores before the scope closes.
-  std::optional<core::ScratchScope> scratch;
-  if (options_.use_scratch_arena) scratch.emplace();
-  const core::SeqFm::ServingView view = seqfm_->serving_view();
-  const core::SeqFmConfig& cfg = seqfm_->config();
-  const data::FeatureSpace& space = builder_->space();
-  const size_t count = end - begin;
-  const size_t n = ctx.n, d = ctx.d;
-
-  // Index layout mirrors BatchBuilder::Build: [user, candidate] per row.
-  // The id vectors ride the worker's scratch arena too (released with the
-  // scope), so a warm chunk performs zero heap allocations end to end; the
-  // embedding ops take raw pointers and copy only if a tape is recording.
-  std::vector<int32_t> heap_ids;
-  int32_t* static_ids;
-  if (scratch.has_value()) {
-    static_ids = core::ThreadScratchArena().AllocateInts(count * 3);
-  } else {
-    heap_ids.resize(count * 3);
-    static_ids = heap_ids.data();
-  }
-  int32_t* cand_ids = static_ids + count * 2;
-  for (size_t i = 0; i < count; ++i) {
-    static_ids[2 * i] = ctx.user_index;
-    static_ids[2 * i + 1] = space.CandidateIndex(candidates[begin + i]);
-    cand_ids[i] = static_ids[2 * i + 1];
-  }
-
-  // Static view: candidate-dependent but tiny (two rows); this is the
-  // identical computation the full forward runs.
-  Variable e_static = view.static_embedding->Forward(static_ids, count, 2);
-  Variable h_att = view.static_attention->Forward(e_static, Variable());
-  Variable h_stat = view.ffn->Forward(ag::MeanAxis1(h_att, 2.0f),
-                                      cfg.keep_prob, false, nullptr);
-
-  // Cross view, candidate side.
-  Variable e_cand = view.static_embedding->Forward(cand_ids, count, 1);
-  Variable q_cand = ag::BmmShared(e_cand, view.cross_attention->wq());
-  Variable k_cand = ag::BmmShared(e_cand, view.cross_attention->wk());
-  Variable v_cand = ag::BmmShared(e_cand, view.cross_attention->wv());
-
-  // Candidate static rows attend to every history column.
-  Variable sc = ag::Scale(ag::Bmm(ag::Reshape(q_cand, {1, count, d}),
-                                  ctx.k_dyn, false, true),
-                          ctx.inv_sqrt_d);               // [1, count, n]
-  Variable pc = ag::MaskedSoftmax(sc, Variable());
-  Variable out_cand =
-      ag::Reshape(ag::Bmm(pc, ctx.v_dyn), {count, 1, d});
-
-  // History rows attend to the two static columns (user, candidate). The
-  // user column is shared; only the candidate column changes per item.
-  Variable s_user = ag::Bmm(ctx.q_dyn, ctx.k_user, false, true);  // [1,n,1]
-  Variable s_user_tiled = ag::Reshape(
-      ag::ExpandRows(ag::Reshape(s_user, {1, n}), count), {count * n, 1});
-  Variable s_cand = ag::Reshape(
-      ag::Bmm(ag::Reshape(k_cand, {1, count, d}), ctx.q_dyn, false, true),
-      {count * n, 1});                                   // [c-major]
-  Variable probs2 = ag::MaskedSoftmax(
-      ag::Scale(ag::ConcatLastDim({s_user_tiled, s_cand}), ctx.inv_sqrt_d),
-      Variable());                                       // [count*n, 2]
-
-  Variable v_user_tiled = ag::Reshape(
-      ag::ExpandRows(ag::Reshape(ctx.v_user, {1, d}), count * n),
-      {count * n, 1, d});
-  Variable v_cand_tiled = ag::Reshape(
-      ag::ExpandRows(ag::Reshape(v_cand, {count, d}), n), {count * n, 1, d});
-  Variable v_pairs = ag::ConcatAxis1(v_user_tiled, v_cand_tiled);
-  Variable out_dyn = ag::Reshape(
-      ag::Bmm(ag::Reshape(probs2, {count * n, 1, 2}), v_pairs),
-      {count, n, d});
-
-  // Reassemble the cross-attention output in the full path's row order
-  // (user, candidate, history...), pool, and refine.
-  Variable out_user_tiled = ag::Reshape(
-      ag::ExpandRows(ag::Reshape(ctx.out_user, {1, d}), count),
-      {count, 1, d});
-  Variable cross_rows =
-      ag::ConcatAxis1(ag::ConcatAxis1(out_user_tiled, out_cand), out_dyn);
-  Variable pooled_cross =
-      ag::MeanAxis1(cross_rows, static_cast<float>(2 + n));
-  Variable h_cross =
-      view.ffn->Forward(pooled_cross, cfg.keep_prob, false, nullptr);
-
-  // Aggregation and the linear head, in the full path's operation order.
-  Variable h_dyn_tiled = ag::Reshape(
-      ag::ExpandRows(ag::Reshape(ctx.h_dyn, {1, d}), count), {count, d});
-  Variable h_agg = ag::ConcatLastDim({h_stat, h_dyn_tiled, h_cross});
-  Variable f = ag::MatMul(h_agg, view.p);
-  Variable ws = ag::EmbeddingSumGather(view.w_static, static_ids, count, 2);
-  Variable wd_one =
-      ag::EmbeddingSumGather(view.w_dynamic, ctx.dynamic_ids, 1, n);
-  Variable wd = ag::Reshape(
-      ag::ExpandRows(ag::Reshape(wd_one, {1, 1}), count), {count, 1});
-  Variable out = ag::AddBias(ag::Add(f, ag::Add(ws, wd)), view.w0);
-
-  const float* src = out.value().data();
-  for (size_t i = 0; i < count; ++i) out_scores[i] = src[i];
-}
-
-std::vector<float> Predictor::ScoreContext(
-    const data::SequenceExample& ex,
-    const std::vector<int32_t>& candidates) const {
-  const ContextPtr ctx = AcquireContext(ex);
-  const size_t total = candidates.size();
-  const size_t chunk_size = options_.micro_batch;
-  const size_t num_chunks = (total + chunk_size - 1) / chunk_size;
-  std::vector<float> scores(total);
-
-  util::ParallelFor(num_chunks, 1, [&](size_t c0, size_t c1) {
-    for (size_t c = c0; c < c1; ++c) {
-      const size_t begin = c * chunk_size;
-      ScoreContextRange(*ctx, ex, candidates, begin,
-                        std::min(total, begin + chunk_size),
-                        scores.data() + begin);
-    }
-  });
-  return scores;
 }
 
 std::vector<ScoredItem> SelectTopK(const std::vector<int32_t>& candidates,

@@ -23,14 +23,6 @@ struct PredictorOptions {
   /// Candidates scored per tape-free forward. Also the chunk the candidate
   /// loop hands to the shared util::ThreadPool.
   size_t micro_batch = 256;
-  /// Use the factored SeqFM catalog program when the model supports it (all
-  /// three views enabled, default masking). The program computes the
-  /// candidate-invariant work — the whole dynamic view and the dynamic-side
-  /// projections of the cross view — once per request and only re-scores the
-  /// candidate-dependent rows, the same way an LLM server reuses its KV
-  /// cache across decode steps. Scores are bit-for-bit identical to the
-  /// batched Model::Score path; set to false to force the generic path.
-  bool enable_seqfm_fast_path = true;
   /// Compile the model into a static op program at construction (trace → IR
   /// passes → arena-planned VM; see src/ir/) and serve every request through
   /// it: the candidate-invariant prologue runs once per (user, history) and
@@ -43,21 +35,13 @@ struct PredictorOptions {
   /// (the parity oracle; also bench_serving's compiled-off baseline).
   bool use_compiled_program = true;
   /// Byte budget for the (user, history) SharedContext LRU cache in front of
-  /// the context path; 0 disables caching. An entry costs its
-  /// SharedContext::ApproxBytes. For SeqFM's compiled program that is the
-  /// prologue's slot tensors — the history rows' cross-view Q/K/V plus a few
-  /// d-vectors, roughly 4*(3*n*d + 7*d) bytes for seq-len n and dim d:
-  /// ~17 KiB at n=20, d=64 (~39 KiB at n=50), so 64 MiB caches ~3.8k
-  /// contexts at n=20. Ignored when neither the compiled nor the
-  /// hand-factored context path is active.
+  /// the compiled program; 0 disables caching. An entry costs its
+  /// SharedContext::ApproxBytes: the prologue's slot tensors. For SeqFM
+  /// those are the history rows' cross-view Q/K/V plus a few d-vectors,
+  /// roughly 4*(3*n*d + 7*d) bytes for seq-len n and dim d: ~17 KiB at
+  /// n=20, d=64 (~39 KiB at n=50), so 64 MiB caches ~3.8k contexts at n=20.
+  /// Ignored when the model serves eagerly (no compiled program).
   size_t context_cache_bytes = 0;
-  /// Draw tape-free op outputs from the worker thread's core::ScratchArena
-  /// (zero tensor heap allocations in steady state). Off = every op output
-  /// is an individual heap allocation, the pre-arena behavior — kept as an
-  /// escape hatch and as bench_serving's arena-off baseline. The arena
-  /// retains each worker's per-chunk high-water mark (tens of MiB at
-  /// serving shapes) for reuse across requests.
-  bool use_scratch_arena = true;
 };
 
 /// One ranked catalog entry returned by Predictor::TopK.
@@ -85,14 +69,15 @@ std::vector<ScoredItem> SelectTopK(const std::vector<int32_t>& candidates,
 /// SeqFM included, is served by the compiled op program (ir::Engine): its
 /// candidate-invariant prologue runs once per (user, history), optionally
 /// memoized by a serve::ContextCache, and its body per micro-batch. If the
-/// model does not compile, or a later per-count compile fails, SeqFM falls
-/// back to the hand-factored catalog program (when enable_seqfm_fast_path
-/// applies) and every other model to eager forwards under
-/// autograd::NoGradGuard; use_compiled_program = false selects those paths
-/// directly. Scoring is read-only on the model and
-/// safe to call concurrently after construction; ReloadCheckpoint is the one
-/// mutating call and requires the caller to quiesce scoring first
-/// (BatchServer::ReloadCheckpoint does).
+/// model does not compile, or a later per-count compile fails, it falls
+/// back to eager forwards under autograd::NoGradGuard — the parity oracle;
+/// use_compiled_program = false selects that path directly. Every eager op
+/// output is drawn from the worker thread's core::ScratchArena, so warm
+/// eager requests make no tensor heap allocations either. The arena retains
+/// each worker's per-chunk high-water mark for reuse across requests.
+/// Scoring is read-only on the model and safe to call concurrently after
+/// construction; ReloadCheckpoint is the one mutating call and requires the
+/// caller to quiesce scoring first (BatchServer::ReloadCheckpoint does).
 class Predictor {
  public:
   using ContextPtr = ContextCache::ContextPtr;
@@ -166,53 +151,37 @@ class Predictor {
 
   // --- Fused-scoring building blocks (used by serve::BatchServer) ---------
 
-  /// The (cached) SharedContext for this example. Context path only
-  /// (context_path_active() must hold). Compiled contexts carry the
-  /// prologue's slot tensors; hand-factored SeqFM contexts the h_dyn/q_dyn/…
-  /// tensors.
+  /// The (cached) SharedContext for this example: the compiled prologue's
+  /// slot tensors. Null when the compiled path is inactive — never compiled,
+  /// or latched off by a concurrent chunk's failed lazy compile — so a
+  /// caller that saw compiled_active() a moment ago still gets a usable
+  /// answer: score a null context through ScoreGenericRange.
   ContextPtr AcquireContext(const data::SequenceExample& ex) const;
 
-  /// Scores candidates[begin, end) against \p ctx — through the compiled
-  /// body program when compiled_active(), else the hand-factored SeqFM
-  /// program — writing the end - begin results to out[0, end - begin).
+  /// Scores candidates[begin, end) against \p ctx through the compiled body
+  /// program, writing the end - begin results to out[0, end - begin).
   /// Taking a chunk-local output buffer (rather than a catalog-sized one
   /// indexed by begin) is what lets sharded serving bound its memory to one
   /// chunk per pool thread. Sets up its own NoGradGuard, so it can run
   /// directly on pool worker threads. A compiled-path failure (a lazy
-  /// per-count body compile that does not verify) permanently disables the
-  /// engine and re-scores the chunk through the fallback paths, so results
-  /// are always produced.
+  /// per-count body compile that does not verify), a latched engine, or a
+  /// context from a replaced engine re-scores the chunk through
+  /// ScoreGenericRange, so results are always produced.
   void ScoreContextRange(const core::SharedContext& ctx,
                          const data::SequenceExample& ex,
                          const std::vector<int32_t>& candidates,
                          size_t begin, size_t end, float* out) const;
 
-  /// The hand-factored SeqFM catalog program (fast path). Kept callable on
-  /// its own as the reference implementation ScoreContextRange falls back
-  /// to; requires a hand-factored context (ctx.h_dyn defined).
-  void ScoreFactoredRange(const core::SharedContext& ctx,
-                          const std::vector<int32_t>& candidates,
-                          size_t begin, size_t end, float* out) const;
-
-  /// Generic-path equivalent of ScoreContextRange (any model).
+  /// Eager equivalent of ScoreContextRange (any model): one tape-free
+  /// Model::Score over the chunk inside a core::ScratchScope.
   void ScoreGenericRange(const data::SequenceExample& ex,
                          const std::vector<int32_t>& candidates,
                          size_t begin, size_t end, float* out) const;
-
-  /// True when requests will take the hand-factored SeqFM catalog program
-  /// (the pre-compiler fast path; also the compiled path's first fallback).
-  bool fast_path_active() const { return seqfm_ != nullptr; }
 
   /// True when requests will execute the compiled op program.
   bool compiled_active() const {
     return engine_ != nullptr &&
            !engine_failed_.load(std::memory_order_relaxed);
-  }
-
-  /// True when requests go through an AcquireContext + Score*Range pair
-  /// (compiled or hand-factored) instead of the generic per-chunk rebuild.
-  bool context_path_active() const {
-    return compiled_active() || fast_path_active();
   }
 
   /// The compiled engine, or null when the model did not compile (or
@@ -223,7 +192,7 @@ class Predictor {
   /// construction (ShardedPredictor partitions it instead of re-deriving).
   const std::vector<int32_t>& full_catalog() const { return full_catalog_; }
 
-  /// Non-null iff the context path is active and context_cache_bytes > 0.
+  /// Non-null iff the model compiled and context_cache_bytes > 0.
   const ContextCache* context_cache() const { return cache_.get(); }
 
   /// Scratch-arena counters for the tape-free scoring scopes (process-wide;
@@ -237,10 +206,6 @@ class Predictor {
   const PredictorOptions& options() const { return options_; }
 
  private:
-  std::vector<float> ScoreGeneric(const data::SequenceExample& ex,
-                                  const std::vector<int32_t>& candidates) const;
-  std::vector<float> ScoreContext(const data::SequenceExample& ex,
-                                  const std::vector<int32_t>& candidates) const;
   /// (Re)compiles the serving program from the model's CURRENT parameters.
   /// Called at construction and again whenever parameters change: the
   /// candidate-invariant split is verified against live parameter values, so
@@ -252,15 +217,13 @@ class Predictor {
   core::Model* model_;
   const data::BatchBuilder* builder_;
   PredictorOptions options_;
-  /// Non-null iff the hand-factored fast path applies to this model+config.
-  core::SeqFm* seqfm_ = nullptr;
   /// Non-null iff the model compiled into a (prologue, body) op program.
   std::unique_ptr<ir::Engine> engine_;
   /// Latched on the first compiled-path failure (a per-count body that does
-  /// not verify); from then on every request takes the fallback paths.
+  /// not verify); from then on every request takes the eager path.
   /// Memory order audit: relaxed is sufficient — the flag is a pure latch
   /// that publishes no data. A thread observing it stale merely retries the
-  /// compiled path and latches again (idempotent); the fallback paths read
+  /// compiled path and latches again (idempotent); the eager path reads
   /// only state that was immutable before serving started. The store in
   /// CompileEngine runs with scoring quiesced (ReloadCheckpoint contract),
   /// so it cannot race a latch.

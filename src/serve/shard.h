@@ -127,8 +127,8 @@ std::vector<ShardChunk> MakeShardChunks(const std::vector<size_t>& bounds,
                                         size_t chunk_size);
 
 /// Runs one ShardChunk task: scores candidates[chunk.begin, chunk.end) —
-/// through the factored program against \p ctx when non-null, through the
-/// generic path for \p ex otherwise — into \p chunk_scores (resized), then
+/// through the compiled body against \p ctx when non-null, through the
+/// eager path for \p ex otherwise — into \p chunk_scores (resized), then
 /// pushes every entry into \p heap under \p mu. This is the single
 /// reduction step both ShardedPredictor::TopK and BatchServer waves execute
 /// per task; sharing it keeps their rankings bit-identical by construction.
@@ -153,7 +153,7 @@ struct ShardedPredictorOptions {
 /// \brief Sharded catalog scoring over a serve::Predictor.
 ///
 /// Partitions the candidate space into contiguous shards, scores every
-/// shard's chunks through the Predictor's factored/generic range kernels
+/// shard's chunks through the Predictor's compiled/eager range kernels
 /// (fanned out on the shared thread pool), keeps one bounded top-K heap per
 /// shard, and k-way merges the heaps under RankBefore. Results are
 /// bit-identical to Predictor::TopKAll / Predictor::TopK for every shard

@@ -558,6 +558,200 @@ void AddBiasLastDim(const Tensor& in, const Tensor& bias, Tensor* out) {
   });
 }
 
+void Copy(const Tensor& in, Tensor* out) {
+  SEQFM_CHECK_EQ(in.size(), out->size());
+  const float* x = in.data();
+  float* y = out->data();
+  for (size_t i = 0; i < out->size(); ++i) y[i] = x[i];
+}
+
+void Scale(const Tensor& in, float alpha, Tensor* out) {
+  SEQFM_CHECK_EQ(in.size(), out->size());
+  const float* x = in.data();
+  float* y = out->data();
+  const kernels::KernelTable& kt = kernels::Active();
+  util::ParallelFor(out->size(), kEwGrain, [=, &kt](size_t i0, size_t i1) {
+    kt.scale(alpha, x + i0, y + i0, i1 - i0);
+  });
+}
+
+void AddScalar(const Tensor& in, float alpha, Tensor* out) {
+  SEQFM_CHECK_EQ(in.size(), out->size());
+  const float* x = in.data();
+  float* y = out->data();
+  for (size_t i = 0; i < out->size(); ++i) y[i] = x[i] + alpha;
+}
+
+void AddBroadcastBatch(const Tensor& x, const Tensor& table, Tensor* out) {
+  const size_t batch = x.dim(0), rows = x.dim(1), d = x.dim(2);
+  SEQFM_CHECK_EQ(table.size(), rows * d);
+  SEQFM_CHECK_EQ(out->size(), x.size());
+  const float* src = table.data();
+  const float* xv = x.data();
+  float* y = out->data();
+  const size_t block = rows * d;
+  util::ParallelFor(batch, GrainForRows(block, kEwGrain),
+                    [=](size_t b0, size_t b1) {
+    for (size_t b = b0; b < b1; ++b) {
+      const float* xb = xv + b * block;
+      float* dst = y + b * block;
+      for (size_t i = 0; i < block; ++i) dst[i] = xb[i] + src[i];
+    }
+  });
+}
+
+void BatchedMatMulLeftShared(const Tensor& w, const Tensor& p, Tensor* out) {
+  const size_t batch = p.dim(0);
+  const size_t h2 = w.dim(0), h = w.dim(1), d = p.dim(2);
+  SEQFM_CHECK_EQ(p.dim(1), h);
+  SEQFM_CHECK_EQ(out->size(), batch * h2 * d);
+  const float* wv = w.data();
+  const float* pv = p.data();
+  float* y = out->data();
+  util::ParallelFor(batch, GrainForRows(h2 * h * d, util::kMinParallelWork),
+                    [=](size_t b0, size_t b1) {
+    for (size_t b = b0; b < b1; ++b) {
+      Gemm(wv, pv + b * h * d, y + b * h2 * d, h2, h, d, false, false, false);
+    }
+  });
+}
+
+void RowDot(const Tensor& a, const Tensor& b, Tensor* out) {
+  const size_t batch = a.dim(0), d = a.dim(1);
+  SEQFM_CHECK_EQ(b.size(), a.size());
+  SEQFM_CHECK_EQ(out->size(), batch);
+  const float* av = a.data();
+  const float* bv = b.data();
+  float* y = out->data();
+  const kernels::KernelTable& kt = kernels::Active();
+  util::ParallelFor(batch, GrainForRows(d, kEwGrain),
+                    [=, &kt](size_t i0, size_t i1) {
+    for (size_t i = i0; i < i1; ++i) y[i] = kt.dot(av + i * d, bv + i * d, d);
+  });
+}
+
+void LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+               float eps, Tensor* out, Tensor* xhat, Tensor* inv_std) {
+  const size_t d = x.shape().back();
+  const size_t rows = x.size() / d;
+  SEQFM_CHECK_EQ(gamma.size(), d);
+  SEQFM_CHECK_EQ(beta.size(), d);
+  SEQFM_CHECK_EQ(out->size(), x.size());
+  if (xhat != nullptr) SEQFM_CHECK_EQ(xhat->size(), x.size());
+  if (inv_std != nullptr) SEQFM_CHECK_EQ(inv_std->size(), rows);
+  const float* xv = x.data();
+  const float* gv = gamma.data();
+  const float* bv = beta.data();
+  float* y = out->data();
+  float* xhat_data = xhat != nullptr ? xhat->data() : nullptr;
+  float* inv_std_data = inv_std != nullptr ? inv_std->data() : nullptr;
+  // Mean and variance use the dispatched lane-blocked reductions; the
+  // normalize/affine pass is the dispatched row map. Identical bits at every
+  // SIMD level and thread count.
+  const kernels::KernelTable& kt = kernels::Active();
+  util::ParallelFor(rows, GrainForRows(d, kMathGrain),
+                    [=, &kt](size_t r0, size_t r1) {
+    for (size_t r = r0; r < r1; ++r) {
+      const float* xr = xv + r * d;
+      const float mean = kt.reduce_sum(xr, d) / static_cast<float>(d);
+      const float var =
+          kt.reduce_sum_sq_diff(xr, mean, d) / static_cast<float>(d);
+      const float is = 1.0f / std::sqrt(var + eps);
+      if (inv_std_data != nullptr) inv_std_data[r] = is;
+      kt.layer_norm_row(xr, gv, bv, mean, is, d, y + r * d,
+                        xhat_data != nullptr ? xhat_data + r * d : nullptr);
+    }
+  });
+}
+
+void ConcatLastDim(const Tensor* const* parts, size_t count, Tensor* out) {
+  const size_t batch = out->dim(0), total = out->dim(1);
+  size_t offset = 0;
+  for (size_t p = 0; p < count; ++p) {
+    const size_t d = parts[p]->dim(1);
+    SEQFM_CHECK_LE(offset + d, total);
+    for (size_t b = 0; b < batch; ++b) {
+      const float* src = parts[p]->data() + b * d;
+      float* dst = out->data() + b * total + offset;
+      for (size_t j = 0; j < d; ++j) dst[j] = src[j];
+    }
+    offset += d;
+  }
+  SEQFM_CHECK_EQ(offset, total);
+}
+
+void ConcatAxis1(const Tensor& a, const Tensor& b, Tensor* out) {
+  const size_t batch = out->dim(0), na = a.dim(1), nb = b.dim(1),
+               d = a.dim(2);
+  SEQFM_CHECK_EQ(out->size(), batch * (na + nb) * d);
+  const size_t stride_a = a.dim(0) == 1 ? 0 : na * d;
+  const size_t stride_b = b.dim(0) == 1 ? 0 : nb * d;
+  for (size_t i = 0; i < batch; ++i) {
+    float* dst = out->BatchData(i);
+    std::memcpy(dst, a.data() + i * stride_a, na * d * sizeof(float));
+    std::memcpy(dst + na * d, b.data() + i * stride_b, nb * d * sizeof(float));
+  }
+}
+
+void SliceRow(const Tensor& in, size_t row, Tensor* out) {
+  const size_t batch = in.dim(0), d = in.dim(2);
+  SEQFM_CHECK_LT(row, in.dim(1));
+  SEQFM_CHECK_EQ(out->size(), batch * d);
+  for (size_t b = 0; b < batch; ++b) {
+    const float* src = in.BatchData(b) + row * d;
+    float* dst = out->data() + b * d;
+    for (size_t j = 0; j < d; ++j) dst[j] = src[j];
+  }
+}
+
+void ExpandRows(const Tensor& in, Tensor* out) {
+  const size_t batch = out->dim(0), n = out->dim(1), d = out->dim(2);
+  SEQFM_CHECK_EQ(in.size(), batch * d);
+  for (size_t b = 0; b < batch; ++b) {
+    const float* src = in.data() + b * d;
+    float* dst = out->BatchData(b);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < d; ++j) dst[i * d + j] = src[j];
+    }
+  }
+}
+
+void PairwiseProductUpper(const Tensor& in, Tensor* out) {
+  const size_t batch = in.dim(0), n = in.dim(1), d = in.dim(2);
+  SEQFM_CHECK_EQ(out->size(), batch * (n * (n - 1) / 2) * d);
+  for (size_t b = 0; b < batch; ++b) {
+    const float* src = in.BatchData(b);
+    float* dst = out->BatchData(b);
+    size_t p = 0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j, ++p) {
+        const float* xi = src + i * d;
+        const float* xj = src + j * d;
+        float* row = dst + p * d;
+        for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
+      }
+    }
+  }
+}
+
+void PairwiseProductCross(const Tensor& a, const Tensor& b, Tensor* out) {
+  const size_t batch = a.dim(0), h = a.dim(1), m = b.dim(1), d = a.dim(2);
+  SEQFM_CHECK_EQ(out->size(), batch * h * m * d);
+  for (size_t t = 0; t < batch; ++t) {
+    const float* sa = a.BatchData(t);
+    const float* sb = b.BatchData(t);
+    float* dst = out->BatchData(t);
+    for (size_t i = 0; i < h; ++i) {
+      for (size_t j = 0; j < m; ++j) {
+        const float* xi = sa + i * d;
+        const float* xj = sb + j * d;
+        float* row = dst + (i * m + j) * d;
+        for (size_t c = 0; c < d; ++c) row[c] = xi[c] * xj[c];
+      }
+    }
+  }
+}
+
 void SumAxis1(const Tensor& in, float scale, Tensor* out, bool accumulate) {
   SEQFM_CHECK_EQ(in.rank(), 3u);
   SEQFM_CHECK_EQ(out->rank(), 2u);

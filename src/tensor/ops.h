@@ -118,6 +118,55 @@ void Tanh(const Tensor& in, Tensor* out);
 /// Broadcast-add a rank-1 bias of size d over the last dimension.
 void AddBiasLastDim(const Tensor& in, const Tensor& bias, Tensor* out);
 
+// ---------------------------------------------------------------------------
+// The one forward of each remaining op: autograd (src/autograd/ops_*.cc) and
+// the compiled VM (ir::EvalPure) both call these, so compiled scores match
+// the taped forward bit-for-bit by construction. Each kernel reads its dims
+// from the operands the way the IR verifier (ir/verify.cc) constrains them:
+// the VM may hand in an operand whose shape differs from the eager one as
+// long as its element count agrees.
+// ---------------------------------------------------------------------------
+
+/// out = in, element by element (a reshape's copy; sizes must agree).
+void Copy(const Tensor& in, Tensor* out);
+/// out = alpha * in, elementwise.
+void Scale(const Tensor& in, float alpha, Tensor* out);
+/// out = in + alpha, elementwise.
+void AddScalar(const Tensor& in, float alpha, Tensor* out);
+/// out[b] = x[b] + table for rank-3 x [batch, rows, d] and a table of
+/// rows * d elements.
+void AddBroadcastBatch(const Tensor& x, const Tensor& table, Tensor* out);
+/// out[b] = W · P[b] for rank-2 W [h2, h] and rank-3 P [batch, h, d].
+void BatchedMatMulLeftShared(const Tensor& w, const Tensor& p, Tensor* out);
+/// out[i] = <a[i], b[i]> for rank-2 a, b [batch, d]; one lane-blocked dot
+/// per row.
+void RowDot(const Tensor& a, const Tensor& b, Tensor* out);
+/// Row-wise layer normalization over the last dimension with affine
+/// gamma/beta. \p xhat (same size as \p x) and \p inv_std (one float per
+/// row) receive the normalized activations and inverse stddevs the
+/// backward pass needs; pass null for both when no tape records them.
+void LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
+               float eps, Tensor* out, Tensor* xhat = nullptr,
+               Tensor* inv_std = nullptr);
+/// Concatenates \p count rank-2 [batch, d_i] parts along the last dimension
+/// into out [batch, sum d_i].
+void ConcatLastDim(const Tensor* const* parts, size_t count, Tensor* out);
+/// Concatenates rank-3 a [batch, na, d] and b [batch, nb, d] along axis 1
+/// into out [batch, na + nb, d]. A batch-1 operand broadcasts over the
+/// output batch (compiled bodies read hoisted count-1 row blocks this way).
+void ConcatAxis1(const Tensor& a, const Tensor& b, Tensor* out);
+/// out[b] = in[b][row] for rank-3 in [batch, n, d].
+void SliceRow(const Tensor& in, size_t row, Tensor* out);
+/// Repeats each row of in ([batch, d] elements) n times:
+/// out [batch, n, d] with out[b][i] = in[b].
+void ExpandRows(const Tensor& in, Tensor* out);
+/// All pairwise products x[b][i] ⊙ x[b][j], i < j, of rank-3 in [batch, n, d]
+/// in row-major pair order: out [batch, n(n-1)/2, d].
+void PairwiseProductUpper(const Tensor& in, Tensor* out);
+/// All cross products a[t][i] ⊙ b[t][j] of rank-3 a [batch, h, d] and
+/// b [batch, m, d]: out [batch, h*m, d], pair (i, j) at row i*m + j.
+void PairwiseProductCross(const Tensor& a, const Tensor& b, Tensor* out);
+
 /// Reductions.
 /// Sums rank-3 [batch, rows, cols] over rows -> [batch, cols], scaled.
 void SumAxis1(const Tensor& in, float scale, Tensor* out,

@@ -59,6 +59,7 @@
 #include "nn/module.h"
 #include "serve/checkpoint.h"
 #include "serve/predictor.h"
+#include "serve/server.h"
 #include "serve/shard.h"
 #include "tensor/kernels.h"
 #include "util/cpu.h"
@@ -1983,7 +1984,6 @@ TEST(CompiledLifecycleTest, OptionOffDisablesTheEngine) {
   serve::Predictor predictor(model.get(), &builder, opts);
   EXPECT_EQ(predictor.engine(), nullptr);
   EXPECT_FALSE(predictor.compiled_active());
-  EXPECT_TRUE(predictor.fast_path_active());  // hand-factored path remains
 }
 
 TEST(CompiledLifecycleTest, SingleObjectCatalogFallsBackToEagerServing) {
@@ -2126,18 +2126,25 @@ TEST(CompiledLifecycleTest, RepeatedReloadsReturnTheThreadFrameCountToBaseline) 
 
 namespace {
 
-// Saves a checkpoint, reloads it with the slot wiring corrupted via the
-// test hook, and asserts the predictor detected the miswiring, latched the
-// compiled path off, and still serves the new parameters bit-exactly
-// through the eager fallback.
-void RunCorruptedReload(ir::Engine::AbiCorruption how) {
+// Saves a checkpoint of model \p name, reloads it with the slot wiring
+// corrupted via the test hook, and asserts the predictor detected the
+// miswiring, latched the compiled path off, and still serves the new
+// parameters bit-exactly through the eager fallback — ScoreCandidates and
+// BatchServer::Submit alike. LocalShardBackend and ScoreCandidates check
+// compiled_active() before AcquireContext, and a concurrent chunk's failed
+// lazy compile can latch the engine in between, so a latched engine's
+// AcquireContext must answer null (the caller then scores eagerly), never
+// abort.
+void RunCorruptedReload(ir::Engine::AbiCorruption how,
+                        const std::string& name = "SeqFM") {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
-  auto serving = MakeModelByName("SeqFM", space);
-  auto trained = MakeModelByName("SeqFM", space, /*seed=*/4242);
+  auto serving = MakeModelByName(name, space);
+  auto trained = MakeModelByName(name, space, /*seed=*/4242);
 
-  const std::string path =
-      TempPath("ir_abi_test_" + std::to_string(static_cast<int>(how)) + ".bin");
+  const std::string path = TempPath("ir_abi_test_" + name + "_" +
+                                    std::to_string(static_cast<int>(how)) +
+                                    ".bin");
   ASSERT_TRUE(serve::Checkpoint::Save(
                   *dynamic_cast<nn::Module*>(trained.get()), path)
                   .ok());
@@ -2156,19 +2163,37 @@ void RunCorruptedReload(ir::Engine::AbiCorruption how) {
   ASSERT_TRUE(predictor.ReloadCheckpoint(path).ok());
   // But the miswired program was caught and latched off.
   EXPECT_FALSE(predictor.compiled_active());
+  const data::SequenceExample ex = TestExamples()[0];
+  EXPECT_EQ(predictor.AcquireContext(ex), nullptr);
 
   // The fallback path serves the NEW parameters bit-exactly — degraded to
   // eager, never degraded to wrong.
   std::vector<int32_t> catalog(space.num_objects());
   std::iota(catalog.begin(), catalog.end(), 0);
-  const data::SequenceExample ex = TestExamples()[0];
   const std::vector<float> got = predictor.ScoreCandidates(ex, catalog);
-  const data::Batch batch = ServingBatch(builder, ex, catalog);
-  autograd::NoGradGuard guard;
-  const autograd::Variable want = trained->Score(batch, /*training=*/false);
-  ASSERT_EQ(got.size(), want.value().size());
-  ExpectBitEqual(got.data(), want.value().data(), got.size(),
+  std::vector<float> want;
+  {
+    const data::Batch batch = ServingBatch(builder, ex, catalog);
+    autograd::NoGradGuard guard;
+    const autograd::Variable taped = trained->Score(batch, /*training=*/false);
+    want.assign(taped.value().data(),
+                taped.value().data() + taped.value().size());
+  }
+  ASSERT_EQ(got.size(), want.size());
+  ExpectBitEqual(got.data(), want.data(), got.size(),
                  "corrupted-reload eager parity");
+
+  serve::BatchServer server(&predictor);
+  const std::vector<serve::ScoredItem> top =
+      server.Submit(ex, catalog, 5).get();
+  const std::vector<serve::ScoredItem> top_want =
+      serve::SelectTopK(catalog, want, 5);
+  ASSERT_EQ(top.size(), top_want.size());
+  for (size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(top[i].item, top_want[i].item) << "rank " << i;
+    ExpectBitEqual(&top[i].score, &top_want[i].score, 1,
+                   "batch-served rank " + std::to_string(i));
+  }
   std::remove(path.c_str());
 }
 
@@ -2184,6 +2209,10 @@ TEST(SlotAbiReverifyTest, ReloadCatchesSlotShapeMismatch) {
 
 TEST(SlotAbiReverifyTest, ReloadCatchesAnItemColumnWidthMismatch) {
   RunCorruptedReload(ir::Engine::AbiCorruption::kItemWidth);
+}
+
+TEST(SlotAbiReverifyTest, ReloadLatchesANonSeqFmEngineToo) {
+  RunCorruptedReload(ir::Engine::AbiCorruption::kSlotIndex, "FM");
 }
 
 TEST(SlotAbiReverifyTest, CleanReloadKeepsCompiledPathAndVerifiesAbi) {

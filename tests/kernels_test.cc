@@ -756,19 +756,24 @@ TEST(SimdServingTest, ScoresBitIdenticalAcrossLevels) {
   SimdLevelRestorer restore;
   ServeFixture fx;
   core::SeqFm model(fx.space, fx.ModelConfig());
-  serve::Predictor predictor(&model, &fx.builder);
-  ASSERT_TRUE(predictor.fast_path_active());
   const auto& ex = fx.dataset.train().front();
   std::vector<int32_t> candidates;
   for (int32_t i = 0; i < 40; ++i) candidates.push_back(i % 20);
 
-  util::SetSimdLevel(SimdLevel::kScalar);
-  const auto scalar_scores = predictor.ScoreCandidates(ex, candidates);
-  util::SetSimdLevel(SimdLevel::kAvx2);
-  const auto avx2_scores = predictor.ScoreCandidates(ex, candidates);
-  ASSERT_EQ(scalar_scores.size(), avx2_scores.size());
-  for (size_t i = 0; i < scalar_scores.size(); ++i) {
-    ASSERT_TRUE(BitEqual(scalar_scores[i], avx2_scores[i])) << "i=" << i;
+  for (const bool compiled : {true, false}) {
+    serve::PredictorOptions opts;
+    opts.use_compiled_program = compiled;
+    serve::Predictor predictor(&model, &fx.builder, opts);
+    ASSERT_EQ(predictor.compiled_active(), compiled);
+    util::SetSimdLevel(SimdLevel::kScalar);
+    const auto scalar_scores = predictor.ScoreCandidates(ex, candidates);
+    util::SetSimdLevel(SimdLevel::kAvx2);
+    const auto avx2_scores = predictor.ScoreCandidates(ex, candidates);
+    ASSERT_EQ(scalar_scores.size(), avx2_scores.size());
+    for (size_t i = 0; i < scalar_scores.size(); ++i) {
+      ASSERT_TRUE(BitEqual(scalar_scores[i], avx2_scores[i]))
+          << "compiled=" << compiled << " i=" << i;
+    }
   }
 }
 
@@ -777,8 +782,8 @@ TEST(SimdServingTest, SteadyStateServingPerformsZeroTensorHeapAllocations) {
   // once the context cache is warm, a Predictor request must not touch the
   // heap for tensor data at all. The compiled op program executes inside
   // preallocated thread-local frames (only its fused attention borrows a
-  // little scratch from the thread's warm arena); the hand-factored eager
-  // path draws every op output from the thread's warm arena instead.
+  // little scratch from the thread's warm arena); the eager path draws every
+  // op output from the thread's warm arena instead.
   ServeFixture fx;
   core::SeqFm model(fx.space, fx.ModelConfig());
   // Single-threaded so every chunk runs on this (warmed) thread's arena.
@@ -793,9 +798,11 @@ TEST(SimdServingTest, SteadyStateServingPerformsZeroTensorHeapAllocations) {
     opts.context_cache_bytes = 1 << 20;
     opts.use_compiled_program = compiled;
     serve::Predictor predictor(&model, &fx.builder, opts);
-    ASSERT_TRUE(predictor.fast_path_active());
     ASSERT_EQ(predictor.compiled_active(), compiled);
-    ASSERT_NE(predictor.context_cache(), nullptr);
+    // The context cache fronts the compiled prologue only.
+    if (compiled) {
+      ASSERT_NE(predictor.context_cache(), nullptr);
+    }
 
     for (int warm = 0; warm < 3; ++warm) {
       (void)predictor.TopK(ex, candidates, 5);

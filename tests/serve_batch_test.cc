@@ -1,7 +1,7 @@
 // Lockdown suite for request-batched serving (PR 3 additions to src/serve/):
 //   - serve::ContextCache LRU semantics: hit/miss/eviction/invalidation
 //     counters, byte budget, key discrimination, oversize entries;
-//   - cached factored scoring: bit-for-bit identical to the taped batched
+//   - cached compiled scoring: bit-for-bit identical to the taped batched
 //     forward, stale-context invalidation after checkpoint reloads;
 //   - serve::BatchServer: fused multi-user waves equal to Predictor::TopK,
 //     concurrent submission, generic-model fallback, quiesced reloads;
@@ -106,12 +106,11 @@ void ExpectBitEqual(const std::vector<float>& a, const std::vector<float>& b,
   }
 }
 
-/// A synthetic context whose ApproxBytes is dominated by one tensor of
+/// A synthetic context whose ApproxBytes is dominated by one slot tensor of
 /// \p floats elements — lets cache tests control entry cost exactly.
 serve::ContextCache::ContextPtr MakeContext(size_t floats) {
   auto ctx = std::make_shared<core::SharedContext>();
-  ctx->h_dyn = autograd::Variable::Constant(
-      tensor::Tensor::Zeros({1, floats}));
+  ctx->slots.push_back(tensor::Tensor::Zeros({1, floats}));
   return ctx;
 }
 
@@ -259,7 +258,7 @@ TEST(ContextCacheTest, KeyHashMatchesFnvComposition) {
 }
 
 // ---------------------------------------------------------------------------
-// Cached factored scoring: parity + invalidation
+// Cached compiled scoring: parity + invalidation
 // ---------------------------------------------------------------------------
 
 TEST(CachedPredictorTest, CachedScoresBitExactAcrossRepeats) {
@@ -272,7 +271,7 @@ TEST(CachedPredictorTest, CachedScoresBitExactAcrossRepeats) {
   opts.micro_batch = 4;
   opts.context_cache_bytes = 1 << 20;
   serve::Predictor cached(&model, &builder, opts);
-  ASSERT_TRUE(cached.fast_path_active());
+  ASSERT_TRUE(cached.compiled_active());
   ASSERT_NE(cached.context_cache(), nullptr);
 
   for (size_t threads : {1u, 2u}) {
@@ -534,7 +533,7 @@ TEST(BatchServerTest, GenericModelsServeThroughTheSameQueue) {
   const auto catalog = FullCatalog(space);
 
   serve::Predictor predictor(fm.get(), &builder, {});
-  ASSERT_FALSE(predictor.fast_path_active());
+  ASSERT_TRUE(predictor.compiled_active());
   serve::BatchServer server(&predictor, {});
 
   for (const auto& ex : TestExamples()) {

@@ -34,11 +34,14 @@
 #include "serve/rpc_server.h"
 #include "serve/server.h"
 #include "serve/shard.h"
+#include "tests/score_tie.h"
 #include "util/failpoint.h"
 #include "util/status.h"
 
 namespace seqfm {
 namespace {
+
+using testing_util::ForceScoreTie;
 
 constexpr size_t kSeqLen = 6;
 
@@ -62,22 +65,6 @@ std::vector<data::SequenceExample> TestExamples() {
   examples[2] = {3, 0, 2.0f, {}};            // cold start
   examples[3] = {4, 8, 4.0f, {8, 7, 6}};
   return examples;
-}
-
-/// Forces items \p a and \p b to score bit-identically for every request
-/// (copies a's candidate-dependent rows onto b's) — the duplicate-score
-/// workload whose merges only agree because RankBefore is a total order.
-void ForceScoreTie(core::SeqFm* model, const data::FeatureSpace& space,
-                   int32_t a, int32_t b) {
-  const auto view = model->serving_view();
-  const size_t dim = model->config().embedding_dim;
-  autograd::Variable table = view.static_embedding->table();
-  float* rows = table.mutable_value().data();
-  const size_t ra = static_cast<size_t>(space.CandidateIndex(a));
-  const size_t rb = static_cast<size_t>(space.CandidateIndex(b));
-  std::memcpy(rows + rb * dim, rows + ra * dim, dim * sizeof(float));
-  autograd::Variable w_static = view.w_static;
-  w_static.mutable_value().data()[rb] = w_static.value().data()[ra];
 }
 
 void ExpectSameRanking(const std::vector<serve::ScoredItem>& got,

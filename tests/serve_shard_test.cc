@@ -23,10 +23,13 @@
 #include "serve/predictor.h"
 #include "serve/server.h"
 #include "serve/shard.h"
+#include "tests/score_tie.h"
 #include "util/thread_pool.h"
 
 namespace seqfm {
 namespace {
+
+using testing_util::ForceScoreTie;
 
 constexpr size_t kSeqLen = 6;
 
@@ -50,24 +53,6 @@ std::vector<data::SequenceExample> TestExamples() {
   examples[2] = {3, 0, 2.0f, {}};            // cold start
   examples[3] = {4, 8, 4.0f, {8, 7, 6}};
   return examples;
-}
-
-/// Makes items \p a and \p b score bit-identically for every request by
-/// copying a's static-embedding row and w_static row onto b's. The model's
-/// only candidate-dependent inputs are those two rows, so the forced tie
-/// survives every serving path — the duplicate-score workload the
-/// deterministic tie-break exists for.
-void ForceScoreTie(core::SeqFm* model, const data::FeatureSpace& space,
-                   int32_t a, int32_t b) {
-  const auto view = model->serving_view();
-  const size_t dim = model->config().embedding_dim;
-  autograd::Variable table = view.static_embedding->table();  // shares node
-  float* rows = table.mutable_value().data();
-  const size_t ra = static_cast<size_t>(space.CandidateIndex(a));
-  const size_t rb = static_cast<size_t>(space.CandidateIndex(b));
-  std::memcpy(rows + rb * dim, rows + ra * dim, dim * sizeof(float));
-  autograd::Variable w_static = view.w_static;
-  w_static.mutable_value().data()[rb] = w_static.value().data()[ra];
 }
 
 void ExpectSameRanking(const std::vector<serve::ScoredItem>& got,
@@ -262,7 +247,7 @@ TEST(ShardedPredictorTest, ShardCountInvariantAndBitIdenticalToTopKAll) {
   serve::PredictorOptions opts;
   opts.micro_batch = 2;  // several chunks per shard even on 9 items
   serve::Predictor predictor(&model, &builder, opts);
-  ASSERT_TRUE(predictor.fast_path_active());
+  ASSERT_TRUE(predictor.compiled_active());
 
   for (size_t threads : {1u, 2u}) {
     util::SetGlobalThreads(threads);
@@ -353,7 +338,7 @@ TEST(ShardedPredictorTest, GenericPathModelsShardToo) {
   cfg.seed = 123;
   auto fm = baselines::CreateBaseline("FM", space, cfg).ValueOrDie();
   serve::Predictor predictor(fm.get(), &builder, {});
-  ASSERT_FALSE(predictor.fast_path_active());
+  ASSERT_TRUE(predictor.compiled_active());
 
   const auto ex = TestExamples()[2];
   const auto want = predictor.TopKAll(ex, 5);

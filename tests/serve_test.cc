@@ -1,8 +1,8 @@
 // Lockdown suite for the forward-only serving subsystem (src/serve/):
 //   - tape-free Score parity: bit-for-bit equal to the taped eval forward
 //     for SeqFM and every registry baseline, at 1/2/8 threads;
-//   - serve::Predictor parity (generic micro-batch path and the factored
-//     SeqFM catalog program) against the taped batched forward;
+//   - serve::Predictor parity (the compiled op program every registry model
+//     serves through by default) against the taped batched forward;
 //   - checkpoint round-trips (save -> load -> score bit-exact) plus Status
 //     error paths for corrupted, truncated, and mismatched files;
 //   - death tests for programmer errors (null modules/models).
@@ -188,7 +188,7 @@ TEST_P(ServeParityTest, PredictorMatchesTapedBatchedScoring) {
   serve::PredictorOptions opts;
   opts.micro_batch = 4;  // force several micro-batches per request
   serve::Predictor predictor(model.get(), &builder, opts);
-  EXPECT_EQ(predictor.fast_path_active(), GetParam() == "SeqFM");
+  EXPECT_TRUE(predictor.compiled_active());
 
   for (size_t threads : {1u, 2u, 8u}) {
     util::SetGlobalThreads(threads);
