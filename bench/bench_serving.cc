@@ -341,12 +341,12 @@ int Run(int argc, char** argv) {
     const auto want_top = generic.TopK(ex, catalog, gate_k);
     for (size_t shards : shard_counts) {
       // Eager sharding (ShardedPredictor and a sharded BatchServer).
-      serve::ShardedPredictor sharded(&generic, {shards, 0});
+      serve::ShardedPredictor sharded(&generic, {shards});
       mismatches +=
           count_ranking_mismatches(sharded.TopK(ex, catalog, gate_k),
                                    want_top);
       // Sharded serving over the compiled program: same ranking bits.
-      serve::ShardedPredictor sharded_compiled(&compiled, {shards, 0});
+      serve::ShardedPredictor sharded_compiled(&compiled, {shards});
       mismatches += count_ranking_mismatches(
           sharded_compiled.TopK(ex, catalog, gate_k), want_top);
       serve::BatchServerOptions sharded_server_opts;
@@ -454,7 +454,7 @@ int Run(int argc, char** argv) {
                 "unsharded top-K (baseline)", unsharded.scores_per_sec,
                 unsharded.p50_ms, unsharded.p99_ms, 1.0);
     for (size_t shards : shard_counts) {
-      serve::ShardedPredictor sharded(&compiled, {shards, 0});
+      serve::ShardedPredictor sharded(&compiled, {shards});
       // Partition once, serve many — the intended deployment shape.
       const serve::ShardedCatalog sharded_catalog(catalog, shards);
       const PathStats s =
@@ -505,8 +505,8 @@ int Run(int argc, char** argv) {
     // assertion for allocation-free serving; a regression exits 1 like a
     // parity failure. `cached` serves through the compiled VM, so the audit
     // also pins the compiled path's zero-allocation claim — the explicit
-    // warm-up pass makes sure every lazy per-count body compile and
-    // execution-frame growth happened before the counters are read.
+    // warm-up pass makes sure every execution frame and arena block exists
+    // before the counters are read.
     const size_t warm_requests = std::min<size_t>(8, rb_requests);
     for (size_t r = 0; r < warm_requests; ++r) {
       (void)cached.ScoreCandidates(*workload.examples[r],

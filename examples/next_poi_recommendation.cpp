@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
   // The same sharded machinery works without a server: ShardedPredictor
   // ranks the whole POI catalog through per-shard top-K heaps and is
   // bit-identical to Predictor::TopKAll for any shard count.
-  serve::ShardedPredictor sharded(predictor->get(), {num_shards, 0});
+  serve::ShardedPredictor sharded(predictor->get(), {num_shards});
   const auto& first = dataset->test()[0];
   const auto direct = sharded.TopKAll(first, 5);
   std::printf("whole-catalog top-5 for user %d via ShardedPredictor:",

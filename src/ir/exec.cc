@@ -3,15 +3,16 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <unordered_map>
 #include <utility>
 
+#include "autograd/variable.h"
 #include "core/scratch_arena.h"
 #include "ir/passes.h"
 #include "ir/trace.h"
 #include "ir/verify.h"
 #include "tensor/ops.h"
 #include "util/logging.h"
-#include "util/ordered_mutex.h"
 #include "util/thread_pool.h"
 
 namespace seqfm {
@@ -131,10 +132,12 @@ bool EvalPure(const Instr& instr, const std::vector<const tensor::Tensor*>& in,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Execution frames: one per (thread, program). The block tensor backs every
-// planned local at its PlanArena offset; the index arrays are the synthesized
-// replacements for BatchBuilder's per-request vectors. Sized once, reused for
-// every request — the steady-state scoring loop allocates nothing.
+// Execution frames: one per (thread, program), sized for the program's
+// largest count. The block tensor backs every planned local at its PlanArena
+// offset; the index arrays are the synthesized replacements for
+// BatchBuilder's per-request vectors. Sized once, reused for every request —
+// a run at another count re-views the per-candidate locals in place, so the
+// steady-state scoring loop allocates nothing.
 // ---------------------------------------------------------------------------
 
 struct Frame {
@@ -145,6 +148,7 @@ struct Frame {
   bool needs_static = false;
   bool needs_dynamic = false;
   bool needs_unified = false;
+  size_t count = 0;  // candidate count the locals are viewed at
 };
 
 struct FrameEntry {
@@ -157,17 +161,19 @@ std::unordered_map<uint64_t, FrameEntry>& ThreadFrames() {
   return frames;
 }
 
-/// A frame sized and wired for \p prog; FrameFor caches one per thread.
+/// A frame sized and wired for \p prog at its largest count; FrameFor
+/// caches one per thread.
 std::unique_ptr<Frame> MakeFrame(const Program& prog) {
   auto frame = std::make_unique<Frame>();
-  frame->block =
-      tensor::Tensor::Uninitialized({std::max<size_t>(prog.frame_floats, 1)});
+  frame->block = tensor::Tensor::Uninitialized(
+      {std::max<size_t>(prog.FrameFloats(prog.count), 1)});
   frame->locals.resize(prog.values.size());
+  frame->count = 1;  // RunProgram re-views the per-candidate locals
   for (size_t i = 0; i < prog.values.size(); ++i) {
     const Value& v = prog.values[i];
     if (v.kind != ValueKind::kLocal || v.offset == kNoOffset) continue;
     frame->locals[i] = tensor::Tensor::WrapExternal(
-        v.shape, frame->block.data() + v.offset, v.size());
+        v.shape, frame->block.data() + prog.FrameOffset(v, 1), v.size());
   }
   size_t arity = 0;
   for (const Instr& ins : prog.instrs) {
@@ -192,8 +198,8 @@ Frame* FrameFor(const Program& prog) {
   if (it != frames.end()) return it->second.frame.get();
 
   // A miss is the only time the map grows, so it is when frames of programs
-  // that no longer exist (reloaded engines, the losing body of a concurrent
-  // compile, self-check copies) are dropped. Hits stay allocation-free.
+  // that no longer exist (reloaded engines, failed compiles) are dropped.
+  // Hits stay allocation-free.
   for (auto e = frames.begin(); e != frames.end();) {
     e = e->second.program_alive.expired() ? frames.erase(e) : std::next(e);
   }
@@ -204,14 +210,27 @@ Frame* FrameFor(const Program& prog) {
   return raw;
 }
 
-/// Synthesizes the BatchBuilder index layout for a serving chunk straight
-/// into the frame arrays: every row shares (user, history) and differs only
-/// in the candidate column. \p cands is one object id per row (null for
-/// prologues, whose gathers provably never read the candidate column).
-void FillIndexArrays(const Program& prog, Frame* f, int32_t user_index,
-                     const int32_t* history, const int32_t* cands,
-                     int32_t cand_base, int32_t unified_dyn_base) {
-  const size_t count = prog.count;
+/// Views \p f's per-candidate locals at \p count candidates: axis 0 and the
+/// offset scale with the count (Program::FrameOffset). Allocates nothing.
+void ViewAtCount(const Program& prog, Frame* f, size_t count) {
+  for (size_t i = 0; i < prog.values.size(); ++i) {
+    const Value& v = prog.values[i];
+    if (!v.per_candidate || v.offset == kNoOffset) continue;
+    f->locals[i].RewrapExternal(
+        f->block.data() + prog.FrameOffset(v, count), v.shape[0] * count);
+  }
+  f->count = count;
+}
+
+/// Synthesizes the BatchBuilder index layout for a serving chunk of
+/// \p count rows straight into the frame arrays: every row shares (user,
+/// history) and differs only in the candidate column. \p cands is one
+/// object id per row (null for prologues, whose gathers provably never read
+/// the candidate column).
+void FillIndexArrays(const Program& prog, Frame* f, size_t count,
+                     int32_t user_index, const int32_t* history,
+                     const int32_t* cands, int32_t cand_base,
+                     int32_t unified_dyn_base) {
   if (f->needs_static) {
     for (size_t b = 0; b < count; ++b) {
       int32_t* row = f->sids.data() + b * prog.n_static;
@@ -238,18 +257,23 @@ void FillIndexArrays(const Program& prog, Frame* f, int32_t user_index,
   }
 }
 
-/// Runs one program against a frame. \p slots backs kSlot reads and
-/// \p items kItem reads (bodies); \p cands is the per-row candidate array
-/// (null for prologues). The whole run sits inside a ScratchScope so any
+/// Runs one program against a frame at \p count candidates (1 for
+/// prologues; at most prog.count). \p slots backs kSlot reads and \p items
+/// kItem reads (bodies); \p cands is the per-row candidate array (null for
+/// prologues). The whole run sits inside a ScratchScope so any
 /// kernel-internal scratch (the GEMM trans-A pack buffer) comes from the
 /// thread arena, not the heap.
-void RunProgram(const Program& prog, Frame* f,
+/// At count 1 a kernel that reuses batch-1 rows (MaskedAttention) treats
+/// the one candidate's rows as broadcast: same bits, rows are independent.
+void RunProgram(const Program& prog, Frame* f, size_t count,
                 const std::vector<tensor::Tensor>* slots,
                 const std::vector<tensor::Tensor>* items, int32_t user_index,
                 const int32_t* history, const int32_t* cands,
                 int32_t cand_base, int32_t unified_dyn_base) {
+  SEQFM_CHECK(count >= 1 && count <= prog.count);
   core::ScratchScope scratch_scope;
-  FillIndexArrays(prog, f, user_index, history, cands, cand_base,
+  if (f->count != count) ViewAtCount(prog, f, count);
+  FillIndexArrays(prog, f, count, user_index, history, cands, cand_base,
                   unified_dyn_base);
 
   auto resolve = [&](uint32_t id) -> const tensor::Tensor* {
@@ -382,11 +406,15 @@ void RunProgram(const Program& prog, Frame* f,
   }
 }
 
-/// Multiply-accumulates one execution of \p prog performs in its GEMM-kind
-/// instructions: output size times contraction length, and for a fused
-/// attention its unmasked (query, key) pairs times (d + dv) per item, except
-/// the rows and score entries tensor::MaskedAttention computes once.
-size_t GemmMacs(const Program& prog) {
+/// Multiply-accumulates one run of \p prog at \p count candidates performs
+/// in its GEMM-kind instructions: output size times contraction length, and
+/// for a fused attention its unmasked (query, key) pairs times (d + dv) per
+/// item, except the rows and score entries tensor::MaskedAttention computes
+/// once.
+size_t GemmMacs(const Program& prog, size_t count) {
+  auto rows = [&](const Value& v) {
+    return v.shape[0] * (v.per_candidate ? count : 1);
+  };
   size_t macs = 0;
   for (const Instr& ins : prog.instrs) {
     size_t k = 0;
@@ -402,15 +430,16 @@ size_t GemmMacs(const Program& prog) {
         k = prog.values[ins.in[0]].shape[1];
         break;
       case OpKind::kMaskedAttention: {
-        // Per Q, K and V row: does it come from a batch-1 (broadcast) block?
+        // Per Q, K and V row: does it come from a count-free (broadcast)
+        // block?
         std::vector<char> bcast[3];
         for (size_t j = 0, t = 0; j < 3; ++j) {
           for (size_t end = t + ins.parts[j]; t < end; ++t) {
             const Value& blk = prog.values[ins.in[t]];
-            bcast[j].insert(bcast[j].end(), blk.shape[1], blk.shape[0] == 1);
+            bcast[j].insert(bcast[j].end(), blk.shape[1], !blk.per_candidate);
           }
         }
-        const size_t batch = prog.values[ins.out].shape[0];
+        const size_t batch = rows(prog.values[ins.out]);
         const size_t d = prog.values[ins.in[0]].shape[2];
         const size_t dv =
             prog.values[ins.in[ins.parts[0] + ins.parts[1]]].shape[2];
@@ -435,7 +464,8 @@ size_t GemmMacs(const Program& prog) {
       default:
         continue;
     }
-    macs += prog.values[ins.out].size() * k;
+    const Value& out = prog.values[ins.out];
+    macs += out.size() / out.shape[0] * rows(out) * k;
   }
   return macs;
 }
@@ -468,14 +498,21 @@ bool VerifyStage(const Program& p, const char* stage, const char* half,
   return false;
 }
 
+/// The rows a run synthesized, which start a frame's index arrays (sized
+/// for the largest count), against BatchBuilder's layout for \p batch.
 std::string CheckArrays(const Frame& f, const data::Batch& batch) {
-  if (f.needs_static && f.sids != batch.static_ids) {
+  auto starts_with = [](const std::vector<int32_t>& got,
+                        const std::vector<int32_t>& want) {
+    return got.size() >= want.size() &&
+           std::equal(want.begin(), want.end(), got.begin());
+  };
+  if (f.needs_static && !starts_with(f.sids, batch.static_ids)) {
     return "synthesized static ids diverge from BatchBuilder layout";
   }
-  if (f.needs_dynamic && f.dids != batch.dynamic_ids) {
+  if (f.needs_dynamic && !starts_with(f.dids, batch.dynamic_ids)) {
     return "synthesized dynamic ids diverge from BatchBuilder layout";
   }
-  if (f.needs_unified && f.uids != batch.unified_ids) {
+  if (f.needs_unified && !starts_with(f.uids, batch.unified_ids)) {
     return "synthesized unified ids diverge from BatchBuilder layout";
   }
   return std::string();
@@ -487,26 +524,23 @@ ItemTable BuildItemTable(const Program& catalog, size_t num_objects,
                          int32_t cand_base, int32_t unified_dyn_base) {
   ItemTable t;
   t.num_objects = num_objects;
-  t.values = catalog.slot_outputs;
   if (catalog.slot_outputs.empty()) return t;
-  const size_t chunk = catalog.count;
-  std::vector<size_t> widths;
+  std::vector<size_t> widths;  // per-candidate floats of each column
   size_t total = 0;
   for (uint32_t v : catalog.slot_outputs) {
-    widths.push_back(catalog.values[v].size() / chunk);
+    widths.push_back(catalog.values[v].size());
     total += widths.back() * num_objects;
   }
   t.data = tensor::Tensor::Uninitialized({total});
   const std::vector<int32_t> history(catalog.n_seq, -1);  // never read
-  std::vector<int32_t> cands(chunk);
+  std::vector<int32_t> cands(catalog.count);
   std::unique_ptr<Frame> f = MakeFrame(catalog);
-  for (size_t first = 0; first < num_objects; first += chunk) {
-    // A short last chunk repeats its last object; only real rows are kept.
-    const size_t rows = std::min(chunk, num_objects - first);
-    for (size_t i = 0; i < chunk; ++i) {
-      cands[i] = static_cast<int32_t>(first + std::min(i, rows - 1));
+  for (size_t first = 0; first < num_objects; first += catalog.count) {
+    const size_t rows = std::min(catalog.count, num_objects - first);
+    for (size_t i = 0; i < rows; ++i) {
+      cands[i] = static_cast<int32_t>(first + i);
     }
-    RunProgram(catalog, f.get(), nullptr, nullptr, /*user_index=*/0,
+    RunProgram(catalog, f.get(), rows, nullptr, nullptr, /*user_index=*/0,
                history.data(), cands.data(), cand_base, unified_dyn_base);
     float* column = t.data.data();
     for (size_t k = 0; k < widths.size(); ++k) {
@@ -532,7 +566,7 @@ ItemTable BuildItemTable(const Program& catalog, size_t num_objects,
 
 std::unique_ptr<Engine> Engine::Compile(core::Model* model,
                                         const data::BatchBuilder* builder,
-                                        size_t num_objects,
+                                        size_t num_objects, size_t max_count,
                                         std::string* error) {
   SEQFM_CHECK(model != nullptr && builder != nullptr && error != nullptr);
   if (num_objects < 2) {
@@ -540,276 +574,216 @@ std::unique_ptr<Engine> Engine::Compile(core::Model* model,
              "candidate column";
     return nullptr;
   }
-  std::unique_ptr<Engine> e(new Engine());
-  e->model_ = model;
-  e->builder_ = builder;
-  e->num_objects_ = num_objects;
-  // The probe history gather bindings are fitted against: full length (a
-  // padded -1 column would fit ANY padding source column), nonzero ids (the
-  // probe user is 0, and a history value equal to the user value makes the
-  // user column ambiguous), and mutually distinct whenever the catalog has
-  // enough objects, so every position is identifiable by value.
-  {
-    const size_t n = builder->max_seq_len();
-    const size_t span = num_objects - 1;  // ids drawn from [1, num_objects)
-    e->probe_history_.resize(n);
-    for (size_t j = 0; j < n; ++j) {
-      e->probe_history_[j] = static_cast<int32_t>(1 + (j % span));
-    }
-  }
   const data::FeatureSpace& space = builder->space();
+  const size_t n = builder->max_seq_len();
+  std::unique_ptr<Engine> e(new Engine());
   e->cand_base_ = space.CandidateIndex(0);
   e->unified_dyn_base_ = static_cast<int32_t>(space.static_dim());
-  e->n_seq_ = builder->max_seq_len();
+  e->n_seq_ = n;
   e->uid_ = NextProgramUid();
-  if (!e->CompileCount(2, /*adopt_prologue=*/true, error)) return nullptr;
-  return e;
-}
 
-bool Engine::CompileCount(size_t count, bool adopt_prologue,
-                          std::string* error) const {
-  SEQFM_CHECK_GE(count, 2u);
-  data::SequenceExample probe;
-  probe.user = 0;
-  probe.target = 0;
-  probe.history = probe_history_;
-  std::vector<const data::SequenceExample*> ex1(1, &probe);
-  std::vector<const data::SequenceExample*> exC(count, &probe);
-  std::vector<int32_t> ovr1 = {0};
-  std::vector<int32_t> ovrC(count);
-  for (size_t i = 0; i < count; ++i) {
-    ovrC[i] = static_cast<int32_t>(i % num_objects_);
+  // Probe A is the request gather bindings are fitted against: user 0 and a
+  // full-length history (a padded -1 column would fit ANY padding source
+  // column) of nonzero ids (a history value equal to the user value makes
+  // the user column ambiguous), mutually distinct whenever the catalog has
+  // enough objects, so every position is identifiable by value. Probe B
+  // differs in user, history and candidates: a second witness for the item
+  // claims (Factor) and for the whole compiled program.
+  const size_t span = num_objects - 1;  // history ids drawn from [1, objects)
+  data::SequenceExample probe_a, probe_b;
+  probe_b.user = space.num_users() > 1 ? 1 : 0;
+  for (size_t j = 0; j < n; ++j) {
+    probe_a.history.push_back(static_cast<int32_t>(1 + j % span));
+    probe_b.history.push_back(static_cast<int32_t>(1 + (5 * j + 3) % span));
   }
-  const data::Batch batch1 = builder_->Build(ex1, &ovr1);
-  const data::Batch batchC = builder_->Build(exC, &ovrC);
+  struct Probe {
+    std::vector<int32_t> cands;
+    data::Batch batch;
+  };
+  // \p count rows of \p ex, row i scoring object (i + shift) % num_objects.
+  auto probe = [&](const data::SequenceExample& ex, size_t count,
+                   size_t shift) {
+    Probe p;
+    for (size_t i = 0; i < count; ++i) {
+      p.cands.push_back(static_cast<int32_t>((i + shift) % num_objects));
+    }
+    const std::vector<const data::SequenceExample*> rows(count, &ex);
+    p.batch = builder->Build(rows, &p.cands);
+    return p;
+  };
+  const Probe a1 = probe(probe_a, 1, 0);
+  const Probe a2 = probe(probe_a, 2, 0);
+  const Probe b2 = probe(probe_b, 2, 1);
+  const Probe b3 = probe(probe_b, 3, 2);
 
-  // Both counts are traced fresh on every compile (never against stored
-  // tensors): parameters live in the model's nodes, so traces made before a
+  // Traced fresh on every compile (never against stored tensors):
+  // parameters live in the model's nodes, so traces made before a
   // checkpoint reload would verify against stale values.
-  TraceResult t1 = Trace(model_, batch1);
-  if (!t1.ok()) {
-    *error = t1.error;
-    return false;
-  }
-  TraceResult tC = Trace(model_, batchC);
-  if (!tC.ok()) {
-    *error = tC.error;
-    return false;
+  TraceResult t1 = Trace(model, a1.batch);
+  TraceResult t2 = Trace(model, a2.batch);
+  TraceResult tb = Trace(model, b2.batch);
+  for (const TraceResult* t : {&t1, &t2, &tb}) {
+    if (!t->ok()) {
+      *error = t->error;
+      return nullptr;
+    }
   }
   if (t1.program.n_static != 2 ||
       t1.program.n_unified != 2 + t1.program.n_seq) {
     *error = "compile: unexpected batch index geometry";
-    return false;
+    return nullptr;
   }
   const VerifyOptions trace_opts;  // no slots, no arena plan yet
   if (!VerifyStage(t1.program, "trace", "count 1", trace_opts, error) ||
-      !VerifyStage(tC.program, "trace", "count C", trace_opts, error)) {
-    return false;
-  }
-
-  // The cross-probe request — different user, different history, different
-  // candidates. Its trace is a second witness for the item claims (Factor)
-  // and, below, for the whole compiled program.
-  data::SequenceExample probe_b;
-  probe_b.user = builder_->space().num_users() > 1 ? 1 : 0;
-  probe_b.target = 0;
-  const size_t span = num_objects_ - 1;
-  probe_b.history.resize(n_seq_);
-  for (size_t j = 0; j < n_seq_; ++j) {
-    probe_b.history[j] = static_cast<int32_t>(1 + ((5 * j + 3) % span));
-  }
-  std::vector<const data::SequenceExample*> exB(count, &probe_b);
-  std::vector<int32_t> ovrB(count);
-  for (size_t i = 0; i < count; ++i) {
-    ovrB[i] = static_cast<int32_t>((i + 1) % num_objects_);
-  }
-  const data::Batch batchB = builder_->Build(exB, &ovrB);
-  TraceResult tB = Trace(model_, batchB);
-  if (!tB.ok()) {
-    *error = "compile (cross-probe): " + tB.error;
-    return false;
+      !VerifyStage(t2.program, "trace", "count 2", trace_opts, error)) {
+    return nullptr;
   }
 
   FactorOptions factor_opts;
-  factor_opts.num_objects = num_objects_;
-  factor_opts.cand_base = cand_base_;
-  factor_opts.unified_dyn_base = unified_dyn_base_;
-  factor_opts.probe = &tB;
-  factor_opts.probe_batch = &batchB;
-  // A later per-count compile shares the engine's table: its item claims
-  // must reproduce the table's layout and hold against its rows.
-  if (!adopt_prologue) factor_opts.table = &items_;
-  FactorResult f = Factor(t1, tC, batch1, batchC, factor_opts);
+  factor_opts.num_objects = num_objects;
+  factor_opts.cand_base = e->cand_base_;
+  factor_opts.unified_dyn_base = e->unified_dyn_base_;
+  factor_opts.probe = &tb;
+  factor_opts.probe_batch = &b2.batch;
+  FactorResult f = Factor(t1, t2, a1.batch, a2.batch, factor_opts);
   if (!f.ok()) {
     *error = f.error;
-    return false;
+    return nullptr;
   }
-  // Factor is the traces' last full reader. Keep the two traced scores the
+  // Factor is the traces' last full reader. Keep the traced scores the
   // self-checks compare against and free the rest before the passes and
-  // the frames allocate: a count-C trace is several times a body frame.
-  const tensor::Tensor traced_c = tC.value_nodes[f.body.output]->value;
-  const tensor::Tensor traced_b = tB.value_nodes[f.body.output]->value;
+  // the frames allocate.
+  const tensor::Tensor traced_a1 = t1.value_nodes[f.body.output]->value;
+  const tensor::Tensor traced_a2 = t2.value_nodes[f.body.output]->value;
+  const tensor::Tensor traced_b2 = tb.value_nodes[f.body.output]->value;
   t1 = TraceResult();
-  tC = TraceResult();
-  tB = TraceResult();
-  const ItemTable& table = adopt_prologue ? f.table : items_;
+  t2 = TraceResult();
+  tb = TraceResult();
+  // The body's frame holds the largest chunk, and the untraced self-check.
+  f.body.count = std::max<size_t>(max_count, b3.cands.size());
+
   const VerifyOptions prologue_opts;
   VerifyOptions body_opts;
   body_opts.allow_slots = true;
   body_opts.num_slots = f.prologue.slot_outputs.size();
-  body_opts.item_table = &table;
+  body_opts.item_table = &f.table;
   if (!VerifyStage(f.prologue, "factor", "prologue", prologue_opts, error) ||
       !VerifyStage(f.body, "factor", "body", body_opts, error)) {
-    return false;
+    return nullptr;
   }
   // Belt and braces: an invariant (prologue) gather must never read the
   // candidate column — the prologue runs once per request with no candidate.
   for (const Instr& ins : f.prologue.instrs) {
     if (BindingReadsCandidate(ins.binding)) {
       *error = "compile: prologue gather reads the candidate column";
-      return false;
+      return nullptr;
     }
   }
 
-  EngineStats delta;
+  EngineStats& st = e->stats_;
   for (Program* p : {&f.prologue, &f.body}) {
     const bool is_body = p == &f.body;
     const char* half = is_body ? "body" : "prologue";
     VerifyOptions opts = is_body ? body_opts : prologue_opts;
-    delta.folded += FoldConstants(p);
-    if (!VerifyStage(*p, "fold_constants", half, opts, error)) return false;
-    delta.dce_removed += DeadCodeElim(p);
-    if (!VerifyStage(*p, "dead_code_elim", half, opts, error)) return false;
-    delta.attention_fused += FuseMaskedAttention(p, &delta.attention_pooled);
+    st.folded += FoldConstants(p);
+    if (!VerifyStage(*p, "fold_constants", half, opts, error)) return nullptr;
+    st.dce_removed += DeadCodeElim(p);
+    if (!VerifyStage(*p, "dead_code_elim", half, opts, error)) return nullptr;
+    st.attention_fused += FuseMaskedAttention(p, &st.attention_pooled);
     if (!VerifyStage(*p, "fuse_masked_attention", half, opts, error)) {
-      return false;
+      return nullptr;
     }
-    delta.fused += FuseElementwise(p);
-    if (!VerifyStage(*p, "fuse_elementwise", half, opts, error)) return false;
+    st.fused += FuseElementwise(p);
+    if (!VerifyStage(*p, "fuse_elementwise", half, opts, error)) {
+      return nullptr;
+    }
     PlanArena(p);
     opts.check_arena = true;
-    if (!VerifyStage(*p, "plan_arena", half, opts, error)) return false;
+    if (!VerifyStage(*p, "plan_arena", half, opts, error)) return nullptr;
   }
 
-  if (!adopt_prologue) {
-    // A later per-count compile must reproduce the factoring the engine was
-    // built with: same slots, same prologue skeleton. Anything else means
-    // cached contexts would feed the wrong tensors into this body.
-    if (f.prologue.slot_outputs != prologue_.slot_outputs ||
-        f.prologue.instrs.size() != prologue_.instrs.size()) {
-      *error = "compile: factoring diverged across candidate counts";
-      return false;
-    }
-    for (size_t i = 0; i < f.prologue.instrs.size(); ++i) {
-      if (f.prologue.instrs[i].kind != prologue_.instrs[i].kind ||
-          f.prologue.instrs[i].out != prologue_.instrs[i].out) {
-        *error = "compile: factoring diverged across candidate counts";
-        return false;
-      }
-    }
-  }
-
-  // Self-check, prologue half: replay it for the probe request and demand
-  // bit-identical slot tensors and BatchBuilder-identical index arrays.
-  const int32_t probe_user = batch1.static_ids[0];
-  const int32_t* probe_hist = batch1.dynamic_ids.data();
+  // Self-check, prologue half: replay it for both probe requests; probe A's
+  // slot tensors must be the traced ones bit-for-bit, and its index arrays
+  // BatchBuilder's.
   Frame* pf = FrameFor(f.prologue);
-  RunProgram(f.prologue, pf, nullptr, nullptr, probe_user, probe_hist,
-             nullptr, cand_base_, unified_dyn_base_);
-  std::string arrays = CheckArrays(*pf, batch1);
+  auto run_prologue = [&](const Probe& p) {
+    RunProgram(f.prologue, pf, 1, nullptr, nullptr, p.batch.static_ids[0],
+               p.batch.dynamic_ids.data(), nullptr, e->cand_base_,
+               e->unified_dyn_base_);
+    std::vector<tensor::Tensor> slots;
+    slots.reserve(f.prologue.slot_outputs.size());
+    for (uint32_t id : f.prologue.slot_outputs) {
+      slots.push_back(pf->locals[id]);  // deep copy
+    }
+    return slots;
+  };
+  const std::vector<tensor::Tensor> slots_a = run_prologue(a1);
+  std::string arrays = CheckArrays(*pf, a1.batch);
   if (!arrays.empty()) {
     *error = "compile (prologue): " + arrays;
-    return false;
+    return nullptr;
   }
-  std::vector<tensor::Tensor> slots;
-  slots.reserve(f.prologue.slot_outputs.size());
-  for (size_t pos = 0; pos < f.prologue.slot_outputs.size(); ++pos) {
-    const tensor::Tensor& got = pf->locals[f.prologue.slot_outputs[pos]];
-    if (!BitEqual(got, f.slot_refs[pos])) {
+  for (size_t pos = 0; pos < slots_a.size(); ++pos) {
+    if (!BitEqual(slots_a[pos], f.slot_refs[pos])) {
       *error = "compile: prologue slot diverges from traced forward";
-      return false;
+      return nullptr;
     }
-    slots.push_back(got);  // deep copy
   }
+  const std::vector<tensor::Tensor> slots_b = run_prologue(b2);
 
-  // Self-check, body half: replay it over the probe candidates against the
-  // freshly computed slots and demand the traced scores, bit-for-bit.
+  // Self-check, body half: the one body at counts 1 and 2 against the
+  // traced scores, at the cross-probe request (any inference that held only
+  // coincidentally at probe A dies here), and at count 3, which no trace
+  // ran, against the tape-free eager forward. Bit-for-bit, with
+  // BatchBuilder-identical index arrays; any mismatch keeps the model on
+  // the eager path instead of silently serving wrong bits.
+  tensor::Tensor eager_b3;
+  {
+    autograd::NoGradGuard no_grad;
+    eager_b3 = model->Score(b3.batch, /*training=*/false).value();
+  }
+  struct BodyCheck {
+    const char* what;
+    const Probe& probe;
+    const std::vector<tensor::Tensor>& slots;
+    const tensor::Tensor& want;
+  };
+  const BodyCheck checks[] = {
+      {"count 1", a1, slots_a, traced_a1},
+      {"count 2", a2, slots_a, traced_a2},
+      {"the cross-probe", b2, slots_b, traced_b2},
+      {"untraced count 3", b3, slots_b, eager_b3},
+  };
   Frame* bf = FrameFor(f.body);
-  RunProgram(f.body, bf, &slots, &table.columns, probe_user, probe_hist,
-             ovrC.data(), cand_base_, unified_dyn_base_);
-  arrays = CheckArrays(*bf, batchC);
-  if (!arrays.empty()) {
-    *error = "compile (body): " + arrays;
-    return false;
-  }
-  if (!BitEqual(bf->locals[f.body.output], traced_c)) {
-    *error = "compile: body output diverges from traced forward";
-    return false;
-  }
-
-  // Cross-probe verification: the gather bindings, captured constants, and
-  // the invariant/variant split were all inferred from probe A. Replay the
-  // compiled halves end-to-end for the SECOND request and demand its traced
-  // scores bit-for-bit. Any inference that held only coincidentally at
-  // probe A dies here, so the Predictor falls back to the eager path
-  // instead of silently serving wrong bits.
-  {
-    const int32_t user_b = batchB.static_ids[0];
-    const int32_t* hist_b = batchB.dynamic_ids.data();
-    RunProgram(f.prologue, pf, nullptr, nullptr, user_b, hist_b, nullptr,
-               cand_base_, unified_dyn_base_);
-    std::vector<tensor::Tensor> slots_b;
-    slots_b.reserve(f.prologue.slot_outputs.size());
-    for (uint32_t id : f.prologue.slot_outputs) {
-      slots_b.push_back(pf->locals[id]);
-    }
-    RunProgram(f.body, bf, &slots_b, &table.columns, user_b, hist_b,
-               ovrB.data(), cand_base_, unified_dyn_base_);
-    arrays = CheckArrays(*bf, batchB);
+  for (const BodyCheck& c : checks) {
+    const Probe& p = c.probe;
+    RunProgram(f.body, bf, p.cands.size(), &c.slots, &f.table.columns,
+               p.batch.static_ids[0], p.batch.dynamic_ids.data(),
+               p.cands.data(), e->cand_base_, e->unified_dyn_base_);
+    arrays = CheckArrays(*bf, p.batch);
     if (!arrays.empty()) {
-      *error = "compile (cross-probe body): " + arrays;
-      return false;
+      *error = std::string("compile (body at ") + c.what + "): " + arrays;
+      return nullptr;
     }
-    if (!BitEqual(bf->locals[f.body.output], traced_b)) {
-      *error = "compile: compiled program does not generalize across "
-               "requests (cross-probe output mismatch)";
-      return false;
+    if (!BitEqual(bf->locals[f.body.output], c.want)) {
+      *error = std::string("compile: body output at ") + c.what +
+               " diverges from the eager forward";
+      return nullptr;
     }
   }
 
-  // Publication is the only part of a compile that needs the engine lock.
-  // Everything above (tracing, passes, self-checks) runs lock-free: tracing
-  // takes the thread pool's region lock via ParallelFor, and ScoreRange is
-  // itself called from inside pool regions, so holding mu_ across the heavy
-  // work would invert the pool/engine lock order (see ordered_mutex.h).
-  {
-    util::OrderedMutexLock lock(mu_);
-    if (adopt_prologue) {
-      stats_.prologue_instrs = f.prologue.instrs.size();
-      stats_.body_instrs = f.body.instrs.size();
-      stats_.slots = f.prologue.slot_outputs.size();
-      stats_.prologue_frame_floats = f.prologue.frame_floats;
-      stats_.body_frame_floats = f.body.frame_floats;
-      stats_.body_macs_per_candidate = GemmMacs(f.body) / count;
-      prologue_ = std::move(f.prologue);
-      items_ = std::move(f.table);
-      stats_.item_values = items_.columns.size();
-      stats_.item_table_bytes = items_.bytes();
-    }
-    if (bodies_.find(count) == bodies_.end()) {
-      stats_.folded += delta.folded;
-      stats_.dce_removed += delta.dce_removed;
-      stats_.fused += delta.fused;
-      stats_.attention_fused += delta.attention_fused;
-      stats_.attention_pooled += delta.attention_pooled;
-      stats_.compiled_counts += 1;
-      bodies_[count] = std::make_unique<Program>(std::move(f.body));
-    }
-    // else: a concurrent ScoreRange compiled this count first. Both compiles
-    // trace the same deterministic model, so the programs are equivalent;
-    // keeping the first insertion keeps frame uids stable.
-  }
-  return true;
+  st.prologue_instrs = f.prologue.instrs.size();
+  st.body_instrs = f.body.instrs.size();
+  st.slots = f.prologue.slot_outputs.size();
+  st.prologue_frame_floats = f.prologue.FrameFloats(1);
+  st.body_frame_floats = f.body.FrameFloats(f.body.count);
+  st.body_macs_per_candidate = GemmMacs(f.body, 2) / 2;
+  st.item_values = f.table.columns.size();
+  st.item_table_bytes = f.table.bytes();
+  e->prologue_ = std::move(f.prologue);
+  e->body_ = std::move(f.body);
+  e->items_ = std::move(f.table);
+  return e;
 }
 
 void Engine::MakeContext(int32_t user_index,
@@ -817,8 +791,8 @@ void Engine::MakeContext(int32_t user_index,
                          core::SharedContext* ctx) const {
   SEQFM_CHECK_EQ(dynamic_ids.size(), n_seq_);
   Frame* pf = FrameFor(prologue_);
-  RunProgram(prologue_, pf, nullptr, nullptr, user_index, dynamic_ids.data(),
-             nullptr, cand_base_, unified_dyn_base_);
+  RunProgram(prologue_, pf, 1, nullptr, nullptr, user_index,
+             dynamic_ids.data(), nullptr, cand_base_, unified_dyn_base_);
   ctx->slots.clear();
   ctx->slots.reserve(prologue_.slot_outputs.size());
   for (uint32_t id : prologue_.slot_outputs) {
@@ -832,144 +806,64 @@ void Engine::MakeContext(int32_t user_index,
 bool Engine::ScoreRange(const core::SharedContext& ctx,
                         const std::vector<int32_t>& candidates, size_t begin,
                         size_t end, float* out, std::string* error) const {
-  const size_t count = end - begin;
-  if (count == 0) return true;
   if (ctx.engine_uid != uid_) {
     *error = "score: context was built by a different engine";
     return false;
   }
-  // Bodies are specialized to >= 2 candidates (compile needs two distinct
-  // probes); a single-candidate chunk rides the count-2 body with the
-  // candidate doubled. Rows are independent in every op, so row 0's bits
-  // match the single-row program exactly.
-  const size_t body_count = std::max<size_t>(count, 2);
-  int32_t padded[2];
-  const int32_t* cands = candidates.data() + begin;
-  if (count == 1) {
-    padded[0] = padded[1] = candidates[begin];
-    cands = padded;
-  }
-
-  // Look up the body under the lock, but never compile under it: a wave
-  // chunk task calling in here already holds the pool's region lock, and a
-  // fresh compile takes that same lock through tracing's ParallelFor — the
-  // old hold-mu_-across-compile shape deadlocked against exactly that.
-  // Losing a duplicate-compile race costs one discarded program, not bits.
-  const Program* body = nullptr;
-  {
-    util::OrderedMutexLock lock(mu_);
-    auto it = bodies_.find(body_count);
-    if (it != bodies_.end()) body = it->second.get();
-  }
-  if (body == nullptr) {
-    if (!CompileCount(body_count, /*adopt_prologue=*/false, error)) {
-      return false;
-    }
-    util::OrderedMutexLock lock(mu_);
-    auto it = bodies_.find(body_count);
-    SEQFM_CHECK(it != bodies_.end());
-    body = it->second.get();  // unique_ptr target: stable after unlock
-  }
-
-  Frame* bf = FrameFor(*body);
-  RunProgram(*body, bf, &ctx.slots, &items_.columns, ctx.user_index,
-             ctx.dynamic_ids.data(), cands, cand_base_, unified_dyn_base_);
-  std::memcpy(out, bf->locals[body->output].data(), count * sizeof(float));
+  if (begin == end) return true;
+  Frame* bf = FrameFor(body_);
+  RunProgram(body_, bf, end - begin, &ctx.slots, &items_.columns,
+             ctx.user_index, ctx.dynamic_ids.data(), candidates.data() + begin,
+             cand_base_, unified_dyn_base_);
+  std::memcpy(out, bf->locals[body_.output].data(),
+              (end - begin) * sizeof(float));
   return true;
 }
 
 size_t ThreadFrameCount() { return ThreadFrames().size(); }
 
-const Program* Engine::body(size_t count) const {
-  util::OrderedMutexLock lock(mu_);
-  auto it = bodies_.find(count);
-  return it == bodies_.end() ? nullptr : it->second.get();
-}
-
-EngineStats Engine::stats() const {
-  util::OrderedMutexLock lock(mu_);
-  return stats_;
-}
-
 Status Engine::ReverifySlotAbi() const {
-  util::OrderedMutexLock lock(mu_);
-  auto shape_str = [](const std::vector<size_t>& s) {
-    std::string r = "[";
-    for (size_t i = 0; i < s.size(); ++i) {
-      if (i) r += ", ";
-      r += std::to_string(s[i]);
-    }
-    return r + "]";
-  };
-  const size_t slots = prologue_.slot_outputs.size();
-  const size_t columns = items_.columns.size();
-  for (const auto& [count, body] : bodies_) {
-    const std::string where = "body for count " + std::to_string(count);
-    for (size_t v = 0; v < body->values.size(); ++v) {
-      const Value& val = body->values[v];
-      const std::string value = " value " + std::to_string(v);
-      if (val.kind == ValueKind::kItem) {
-        if (val.index >= columns) {
-          return Status::Internal(
-              "item ABI: " + where + value + " reads column " +
-              std::to_string(val.index) + " but the item table has only " +
-              std::to_string(columns) + " columns");
-        }
-        const std::vector<size_t>& want = items_.columns[val.index].shape();
-        if (val.shape != want) {
-          return Status::Internal(
-              "item ABI: " + where + value + " expects column " +
-              std::to_string(val.index) + " with shape " +
-              shape_str(val.shape) + " but the item table holds " +
-              shape_str(want));
-        }
-        continue;
-      }
-      if (val.kind != ValueKind::kSlot) continue;
-      if (val.index >= slots) {
-        return Status::Internal(
-            "slot ABI: " + where + value + " reads slot " +
-            std::to_string(val.index) + " but the prologue produces only " +
-            std::to_string(slots) + " slots");
-      }
-      const Value& produced =
-          prologue_.values[prologue_.slot_outputs[val.index]];
-      if (val.shape != produced.shape) {
-        return Status::Internal(
-            "slot ABI: " + where + value + " expects slot " +
-            std::to_string(val.index) + " with shape " +
-            shape_str(val.shape) + " but the prologue produces " +
-            shape_str(produced.shape));
-      }
+  // Verify pins every kItem value to its table column's shape and every
+  // kSlot index below the slot count; what it cannot see is the shape the
+  // prologue gives each slot.
+  VerifyOptions opts;
+  opts.allow_slots = true;
+  opts.num_slots = prologue_.slot_outputs.size();
+  opts.item_table = &items_;
+  const Status st = Verify(body_, opts);
+  if (!st.ok()) return Status::Internal("slot/item ABI: " + st.message());
+  for (size_t v = 0; v < body_.values.size(); ++v) {
+    const Value& val = body_.values[v];
+    if (val.kind == ValueKind::kSlot &&
+        val.shape !=
+            prologue_.values[prologue_.slot_outputs[val.index]].shape) {
+      return Status::Internal("slot ABI: body value " + std::to_string(v) +
+                              " expects slot " + std::to_string(val.index) +
+                              " in another shape than the prologue's");
     }
   }
   return Status::OK();
 }
 
 void Engine::CorruptAbiForTest(AbiCorruption how) {
-  util::OrderedMutexLock lock(mu_);
   const ValueKind kind =
       how == AbiCorruption::kItemWidth ? ValueKind::kItem : ValueKind::kSlot;
-  for (auto& [count, body] : bodies_) {
-    (void)count;
-    for (Value& val : body->values) {
-      if (val.kind != kind) continue;
-      switch (how) {
-        case AbiCorruption::kSlotIndex:
-          val.index =
-              static_cast<uint32_t>(prologue_.slot_outputs.size()) + 7;
-          break;
-        case AbiCorruption::kSlotShape:
-          val.shape.push_back(3);
-          break;
-        case AbiCorruption::kItemWidth:
-          val.shape.back() += 1;
-          break;
-      }
-      return;
+  for (Value& val : body_.values) {
+    if (val.kind != kind) continue;
+    switch (how) {
+      case AbiCorruption::kSlotIndex:
+        val.index = static_cast<uint32_t>(prologue_.slot_outputs.size()) + 7;
+        break;
+      case AbiCorruption::kSlotShape:
+        val.shape.push_back(3);
+        break;
+      case AbiCorruption::kItemWidth:
+        val.shape.back() += 1;
+        break;
     }
+    return;
   }
-  SEQFM_CHECK(false) << "CorruptAbiForTest: no compiled body reads a "
+  SEQFM_CHECK(false) << "CorruptAbiForTest: the body reads no "
                      << (kind == ValueKind::kItem ? "table column" : "slot");
 }
 

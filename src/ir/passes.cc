@@ -373,9 +373,15 @@ std::vector<uint32_t> CatalogValues(const Program& pC,
   return out;
 }
 
+/// Records \p v as per-candidate at its count-1 shape \p one.
+void MakePerCandidate(Value* v, const std::vector<size_t>& one) {
+  v->shape = one;
+  v->per_candidate = true;
+}
+
 /// The planned catalog program: the instructions defining \p defined, from
-/// the count-C trace, with every value they define scaled to \p count
-/// samples; its slot_outputs are the columns.
+/// the count-C trace, every value they define per-candidate, runnable at up
+/// to \p count objects; its slot_outputs are the columns.
 Program BuildCatalog(const Program& p1, const Program& pC,
                      const std::vector<uint32_t>& defined,
                      const std::vector<uint32_t>& columns, size_t count) {
@@ -386,8 +392,7 @@ Program BuildCatalog(const Program& p1, const Program& pC,
   for (const Instr& ins : pC.instrs) {
     if (!keep[ins.out]) continue;
     cat.instrs.push_back(ins);
-    cat.values[ins.out].shape = p1.values[ins.out].shape;
-    cat.values[ins.out].shape[0] *= count;
+    MakePerCandidate(&cat.values[ins.out], p1.values[ins.out].shape);
   }
   cat.output = kNoValue;
   cat.slot_outputs = columns;
@@ -575,36 +580,21 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     }
     const std::vector<uint32_t> defined = CatalogValues(pC, item, columns);
 
-    const ItemTable* table = options.table;
-    if (table == nullptr) {
-      res.catalog = BuildCatalog(p1, pC, defined, columns,
-                                 std::min(num_objects, kCatalogChunk));
-      VerifyOptions catalog_opts;
-      catalog_opts.check_arena = true;
-      const Status st = Verify(res.catalog, catalog_opts);
-      if (!st.ok()) {
-        res.error = "factor: catalog program: " + st.message();
-        return res;
-      }
-      res.table = BuildItemTable(res.catalog, num_objects, options.cand_base,
-                                 options.unified_dyn_base);
-      res.table.item_values = defined;
-      table = &res.table;
-    }
-    bool same_layout = table->num_objects == num_objects &&
-                       table->values == columns &&
-                       table->item_values == defined;
-    for (size_t k = 0; same_layout && k < columns.size(); ++k) {
-      same_layout = table->columns[k].dim(1) == p1.values[columns[k]].size();
-    }
-    if (!same_layout) {
-      res.error = "factor: item values diverge from the engine's item table";
+    res.catalog = BuildCatalog(p1, pC, defined, columns,
+                               std::min(num_objects, kCatalogChunk));
+    VerifyOptions catalog_opts;
+    catalog_opts.check_arena = true;
+    const Status st = Verify(res.catalog, catalog_opts);
+    if (!st.ok()) {
+      res.error = "factor: catalog program: " + st.message();
       return res;
     }
+    res.table = BuildItemTable(res.catalog, num_objects, options.cand_base,
+                               options.unified_dyn_base);
     bool changed = false;
     for (size_t k = 0; k < columns.size(); ++k) {
       const uint32_t v = columns[k];
-      const tensor::Tensor& col = table->columns[k];
+      const tensor::Tensor& col = res.table.columns[k];
       const size_t w = col.dim(1);
       const int32_t base = options.cand_base;
       const bool holds =
@@ -652,12 +642,27 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
   RenewIdentity(&res.prologue);
   for (uint32_t s : slots) res.slot_refs.push_back(w1.ref[s].Materialize());
 
-  // Body: the variant sub-program at count C, reading the slots. Slots whose
-  // non-concat count-C consumers saw the block-tiled shape get an explicit
-  // kTileRows from the count-1 slot tensor.
+  // Body: the variant sub-program, reading the slots, count-polymorphic:
+  // every variant value becomes per-candidate at its count-1 shape, which
+  // its count-C shape must scale along axis 0. Slots whose non-concat
+  // count-C consumers saw the block-tiled shape get an explicit kTileRows
+  // from the count-1 slot tensor, one copy per candidate.
   res.body = pC;
   res.body.instrs.clear();
   res.body.slot_outputs.clear();
+  auto scales = [&](uint32_t v) {
+    if (ScalesWithCount(p1.values[v].shape, pC.values[v].shape, count)) {
+      return true;
+    }
+    res.error = "factor: value " + std::to_string(v) +
+                " does not scale with the candidate count";
+    return false;
+  };
+  for (const Instr& ins : pC.instrs) {
+    if (!variant[ins.out]) continue;
+    if (!scales(ins.out)) return res;
+    MakePerCandidate(&res.body.values[ins.out], p1.values[ins.out].shape);
+  }
   std::vector<uint32_t> tiled(nvals, kNoValue);
   for (size_t pos = 0; pos < slots.size(); ++pos) {
     const uint32_t s = slots[pos];
@@ -668,9 +673,9 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     if (pC.values[s].size() == p1.values[s].size() || !needs_tile[s]) {
       continue;
     }
+    if (!scales(s)) return res;
     Value tile_val;
-    tile_val.kind = ValueKind::kLocal;
-    tile_val.shape = pC.values[s].shape;
+    MakePerCandidate(&tile_val, p1.values[s].shape);
     tiled[s] = static_cast<uint32_t>(res.body.values.size());
     res.body.values.push_back(std::move(tile_val));
     Instr tile;
@@ -680,8 +685,8 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     res.body.instrs.push_back(std::move(tile));
   }
   // Each column is gathered from the table by candidate, right before its
-  // first reader: [count, 1, width] rows, reshaped when the value's own
-  // shape differs.
+  // first reader: one [1, width] row per candidate, reshaped when the
+  // value's own shape differs.
   std::vector<uint32_t> column_of(nvals, kNoValue);
   for (size_t k = 0; k < columns.size(); ++k) {
     column_of[columns[k]] = static_cast<uint32_t>(k);
@@ -702,13 +707,13 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     g.binding.source = IndexSource::kStatic;
     g.binding.cols = {1};
     g.binding.deltas = {-options.cand_base};
-    const std::vector<size_t> rows = {count, 1, width};
-    if (res.body.values[v].shape == rows) {
+    const std::vector<size_t> row = {1, 1, width};
+    if (res.body.values[v].shape == row) {
       res.body.instrs.push_back(std::move(g));
       return;
     }
     Value gathered;
-    gathered.shape = rows;
+    MakePerCandidate(&gathered, row);
     res.body.values.push_back(std::move(gathered));
     g.out = static_cast<uint32_t>(res.body.values.size() - 1);
     Instr reshape;
@@ -930,10 +935,6 @@ size_t FuseElementwise(Program* program) {
 void PlanArena(Program* program) {
   const size_t nvals = program->values.size();
   const size_t ninstr = program->instrs.size();
-  constexpr size_t kAlignFloats = 16;  // 64-byte lanes
-  auto align_up = [](size_t n) {
-    return (n + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
-  };
   auto root_of = [&](uint32_t v) {
     while (program->values[v].alias_of != kNoValue) {
       v = program->values[v].alias_of;
@@ -967,43 +968,12 @@ void PlanArena(Program* program) {
     }
   }
 
-  // First-fit over a merged free list, sweeping roots in definition order.
-  struct Block {
-    size_t offset;
-    size_t size;
-  };
-  std::vector<Block> free_list;
-  size_t high_water = 0;
-  auto release = [&](size_t offset, size_t size) {
-    Block blk{offset, size};
-    auto it = std::lower_bound(
-        free_list.begin(), free_list.end(), blk,
-        [](const Block& a, const Block& b) { return a.offset < b.offset; });
-    it = free_list.insert(it, blk);
-    if (it + 1 != free_list.end() && it->offset + it->size == (it + 1)->offset) {
-      it->size += (it + 1)->size;
-      free_list.erase(it + 1);
-    }
-    if (it != free_list.begin() &&
-        (it - 1)->offset + (it - 1)->size == it->offset) {
-      (it - 1)->size += it->size;
-      free_list.erase(it);
-    }
-  };
-  auto acquire = [&](size_t size) {
-    for (auto it = free_list.begin(); it != free_list.end(); ++it) {
-      if (it->size < size) continue;
-      const size_t offset = it->offset;
-      it->offset += size;
-      it->size -= size;
-      if (it->size == 0) free_list.erase(it);
-      return offset;
-    }
-    const size_t offset = high_water;
-    high_water += size;
-    return offset;
-  };
-
+  // First-fit over a merged free list, sweeping roots in definition order,
+  // in three regions: count-free roots; then, in per-candidate floats,
+  // per-candidate roots of whole 64-byte lanes, followed by the smaller
+  // ones, which pack unaligned (FrameAlign) without breaking the lanes'
+  // alignment. Every count scales the per-candidate regions as a whole, so
+  // ranges disjoint at one candidate stay disjoint at any count.
   std::vector<uint32_t> order;
   for (uint32_t v = 0; v < nvals; ++v) {
     if (program->values[v].kind == ValueKind::kLocal &&
@@ -1014,25 +984,72 @@ void PlanArena(Program* program) {
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return def[a] < def[b];
   });
-
+  auto region_of = [](const Value& val) {
+    return !val.per_candidate ? 0 : FrameAlign(val) > 1 ? 1 : 2;
+  };
+  struct Block {
+    size_t offset;
+    size_t size;
+  };
   struct LiveRoot {
     size_t end;
     size_t offset;
     size_t size;
   };
-  std::vector<LiveRoot> active;
-  for (uint32_t v : order) {
-    for (size_t i = active.size(); i-- > 0;) {
-      if (active[i].end < def[v]) {
-        release(active[i].offset, active[i].size);
-        active.erase(active.begin() + i);
+  // Plans one region's roots at offsets from \p base; returns its size.
+  auto plan = [&](int region, size_t base) {
+    std::vector<Block> free_list;
+    size_t high_water = 0;
+    auto release = [&](size_t offset, size_t size) {
+      Block blk{offset, size};
+      auto it = std::lower_bound(
+          free_list.begin(), free_list.end(), blk,
+          [](const Block& a, const Block& b) { return a.offset < b.offset; });
+      it = free_list.insert(it, blk);
+      if (it + 1 != free_list.end() &&
+          it->offset + it->size == (it + 1)->offset) {
+        it->size += (it + 1)->size;
+        free_list.erase(it + 1);
       }
+      if (it != free_list.begin() &&
+          (it - 1)->offset + (it - 1)->size == it->offset) {
+        (it - 1)->size += it->size;
+        free_list.erase(it);
+      }
+    };
+    auto acquire = [&](size_t size) {
+      for (auto it = free_list.begin(); it != free_list.end(); ++it) {
+        if (it->size < size) continue;
+        const size_t offset = it->offset;
+        it->offset += size;
+        it->size -= size;
+        if (it->size == 0) free_list.erase(it);
+        return offset;
+      }
+      const size_t offset = high_water;
+      high_water += size;
+      return offset;
+    };
+    std::vector<LiveRoot> active;
+    for (uint32_t v : order) {
+      Value& val = program->values[v];
+      if (region_of(val) != region) continue;
+      for (size_t i = active.size(); i-- > 0;) {
+        if (active[i].end < def[v]) {
+          release(active[i].offset, active[i].size);
+          active.erase(active.begin() + i);
+        }
+      }
+      const size_t size = FrameExtent(val);
+      const size_t offset = acquire(size);
+      val.offset = base + offset;
+      active.push_back({end[v], offset, size});
     }
-    const size_t size = align_up(program->values[v].size());
-    const size_t offset = acquire(size);
-    program->values[v].offset = offset;
-    active.push_back({end[v], offset, size});
-  }
+    return high_water;
+  };
+  program->frame_floats = plan(0, 0);
+  const size_t lanes = plan(1, 0);
+  program->cand_floats = lanes + plan(2, lanes);
 
   for (uint32_t v = 0; v < nvals; ++v) {
     Value& val = program->values[v];
@@ -1043,7 +1060,6 @@ void PlanArena(Program* program) {
       val.offset = kNoOffset;  // dead local (DCE removed its def)
     }
   }
-  program->frame_floats = high_water;
 }
 
 }  // namespace ir

@@ -18,14 +18,15 @@ namespace ir {
 ///   prologue  — the candidate-invariant sub-program at count 1, executed
 ///               once per (user, history) and cached in the ContextCache;
 ///   catalog   — the item sub-program: per-candidate values that read no
-///               user, history or mask, at a count of up to kCatalogChunk
-///               objects, executed chunk by chunk over the whole catalog
-///               once per engine into the item table (ItemTable);
-///   body      — the rest of the per-candidate sub-program at count C,
-///               reading the prologue's outputs through kSlot values (a
-///               ConcatAxis1 broadcasts a batch-1 slot; other readers get it
-///               tiled to count C) and the item table through gathers of
+///               user, history or mask, run up to kCatalogChunk objects at
+///               a time over the whole catalog once per engine into the
+///               item table (ItemTable);
+///   body      — the rest of the per-candidate sub-program, reading the
+///               prologue's outputs through kSlot values (a ConcatAxis1
+///               broadcasts a batch-1 slot; other readers get it tiled to
+///               the run's count) and the item table through gathers of
 ///               kItem values bound to the candidate column.
+/// Catalog and body run at any candidate count (Value::per_candidate).
 /// The prologue and body then go through FoldConstants → DeadCodeElim →
 /// FuseMaskedAttention (each constant-masked attention chain, and the mean
 /// pooling that reads it, becomes one op computing only the open pairs, and
@@ -38,8 +39,7 @@ namespace ir {
 constexpr size_t kCatalogChunk = 32;
 
 /// What Factor needs besides the two traces: the catalog geometry the item
-/// split runs under and the cross-probe witness. Every field but table is
-/// required.
+/// split runs under and the cross-probe witness. Every field is required.
 struct FactorOptions {
   /// Catalog size: the item table's rows.
   size_t num_objects = 0;
@@ -52,21 +52,16 @@ struct FactorOptions {
   /// (aligned with traceC). Item claims must hold on its rows too.
   const TraceResult* probe = nullptr;
   const data::Batch* probe_batch = nullptr;
-  /// The table to check item claims against. Null: Factor builds one by
-  /// running the catalog program (FactorResult::table). Otherwise the
-  /// claims must reproduce its item values and column layout exactly.
-  const ItemTable* table = nullptr;
 };
 
 struct FactorResult {
   Program prologue;
   Program body;
   /// Planned catalog program (no instructions when there are no item
-  /// values); slot_outputs lists the table columns in order. Built only
-  /// when FactorOptions::table is null.
+  /// values); slot_outputs lists the table columns in order.
   Program catalog;
-  /// The table Factor built and checked the claims against (empty when
-  /// FactorOptions::table was given).
+  /// The table the catalog built, which the item claims were checked
+  /// against.
   ItemTable table;
   /// Count-1 reference tensor of each slot, parallel to
   /// prologue.slot_outputs: the traced tensor, or for a split row block the
@@ -126,10 +121,14 @@ struct FactorResult {
 /// exact because the ops compute each row independently, with the
 /// per-element accumulation order of tensor/kernels.h, at any row count.
 ///
+/// The same independence makes the body count-polymorphic: each value it
+/// defines must have its count-C shape be its count-1 shape scaled along
+/// axis 0, and records the count-1 shape as per-candidate.
+///
 /// Fails (with .error set) when the traces do not align
 /// instruction-for-instruction, when a gather binding cannot be reconciled
-/// across counts, when the final score itself is candidate-invariant, or
-/// when the item claims do not reproduce options.table, or when options
+/// across counts, when the final score itself is candidate-invariant, when
+/// a body value does not scale with the candidate count, or when options
 /// lacks the catalog or the probe.
 FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
                     const data::Batch& batch1, const data::Batch& batchC,
@@ -169,10 +168,12 @@ size_t FuseMaskedAttention(Program* program, size_t* pooled = nullptr);
 size_t FuseElementwise(Program* program);
 
 /// Assigns every live kLocal value a fixed offset in the execution frame via
-/// lifetime analysis (first-fit over a merged free list, 64-byte-aligned
-/// offsets) and sets Program::frame_floats to the planned high water.
-/// Aliased values share their root's buffer and extend its lifetime. Must
-/// run after the other passes.
+/// lifetime analysis (first-fit over a merged free list, offsets aligned by
+/// FrameAlign), count-free values and per-candidate values each in their own
+/// region, and sets Program::frame_floats and Program::cand_floats to the
+/// two high waters. A per-candidate offset and size count floats per
+/// candidate, so the plan holds at every count. Aliased values share their
+/// root's buffer and extend its lifetime. Must run after the other passes.
 void PlanArena(Program* program);
 
 }  // namespace ir

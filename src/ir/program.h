@@ -19,8 +19,9 @@ namespace ir {
 /// A Program is a straight-line SSA-ish instruction list recorded by tracing
 /// one tape-free model forward (trace.h), then rewritten by the optimization
 /// passes (passes.h) and executed allocation-free by the VM (exec.h). Every
-/// instruction reads and writes Value ids; shapes are static — a program is
-/// specialized to one candidate count and recompiled (cheaply) for another.
+/// instruction reads and writes Value ids. Shapes are static but for the
+/// candidate axis: a body or catalog runs at any count up to Program::count,
+/// scaling axis 0 of its per-candidate values (Value::per_candidate).
 
 /// Instruction opcode. The first block mirrors the autograd op vocabulary
 /// one-to-one (the executor replicates each eager forward bit-for-bit); the
@@ -138,6 +139,11 @@ struct Value {
   /// Fusion: when != kNoValue this local shares its buffer with that value
   /// (in-place elementwise chains, copy-elided reshapes).
   uint32_t alias_of = kNoValue;
+  /// kLocal only: axis 0 scales with the run's candidate count; shape and
+  /// size() describe one candidate, offset counts floats per candidate.
+  /// This flag, not shape[0] == 1, tells a one-candidate block from a
+  /// broadcast (count-free) one.
+  bool per_candidate = false;
 
   size_t size() const {
     size_t n = 1;
@@ -147,6 +153,18 @@ struct Value {
 };
 
 constexpr size_t kNoOffset = static_cast<size_t>(-1);
+
+/// Alignment, in floats, of a local's frame offset: 64-byte lanes, but a
+/// per-candidate value under one lane packs unaligned (padding it would
+/// cost the padding once per candidate).
+inline size_t FrameAlign(const Value& v) {
+  return v.per_candidate && v.size() < 16 ? 1 : 16;
+}
+/// Floats PlanArena reserves for a local: its size, aligned.
+inline size_t FrameExtent(const Value& v) {
+  const size_t a = FrameAlign(v);
+  return (v.size() + a - 1) / a * a;
+}
 
 struct Program {
   std::vector<Value> values;
@@ -161,15 +179,25 @@ struct Program {
   /// or into the item table, in column order (catalog programs).
   std::vector<uint32_t> slot_outputs;
 
-  /// Candidate count the trace ran at, and the Batch index geometry the
-  /// executor synthesizes per chunk.
+  /// Largest candidate count one run may take (the trace's count for a
+  /// trace, 1 for a prologue): the frame is planned for it. Also the Batch
+  /// index geometry the executor synthesizes per chunk.
   size_t count = 0;
   size_t n_static = 0;
   size_t n_seq = 0;
   size_t n_unified = 0;
 
-  /// Planned frame block size in floats (passes::PlanArena).
+  /// Planned frame (passes::PlanArena): frame_floats for count-free locals,
+  /// then cand_floats per candidate, so a run at count c touches only the
+  /// first FrameFloats(c) floats.
   size_t frame_floats = 0;
+  size_t cand_floats = 0;
+
+  size_t FrameFloats(size_t c) const { return frame_floats + cand_floats * c; }
+  /// Float offset of local \p v in the frame of a run at \p c candidates.
+  size_t FrameOffset(const Value& v, size_t c) const {
+    return v.per_candidate ? frame_floats + v.offset * c : v.offset;
+  }
   /// Key for the per-thread execution frame cache.
   uint64_t uid = 0;
   /// Shared by every copy of this program. Execution frames hold it weakly,
@@ -185,18 +213,13 @@ struct Program {
 /// holds catalog output k, [num_objects, width], one column block after
 /// another in one tensor. Every body of an engine reads the same table
 /// through kItem values, each the table operand of a gather bound to the
-/// candidate column. Move-only, so it is never duplicated per body; a copy
-/// would also turn each column view into a separate copy of its own.
+/// candidate column. Move-only, so it is never duplicated; a copy would also
+/// turn each column view into a separate copy of its own.
 struct ItemTable {
   tensor::Tensor data;
   /// [num_objects, width] views into data, one per column.
   std::vector<tensor::Tensor> columns;
   size_t num_objects = 0;
-  /// The catalog program's output value ids (one per column) and the ids
-  /// of every item value it computes (set by Factor): what a later
-  /// per-count compile must reproduce to share this table.
-  std::vector<uint32_t> values;
-  std::vector<uint32_t> item_values;
 
   ItemTable() = default;
   ItemTable(ItemTable&&) = default;

@@ -88,6 +88,89 @@ Status CheckBinding(const Program& p, size_t i, const Instr& ins) {
   return Status::OK();
 }
 
+/// Rows a gather writes: one per candidate of the run, so 1 for a
+/// per-candidate output and the program's count for a count-free one (a
+/// trace, or a prologue at count 1).
+size_t GatherRows(const Program& p, const Value& out) {
+  return out.per_candidate ? 1 : p.count;
+}
+
+/// How an op reads an operand when it writes a per-candidate value.
+enum class AxisUse {
+  kRow,        // per-candidate: row b of the output reads its row b
+  kShared,     // count-free: every row reads all of it
+  kBroadcast,  // either; count-free only as a batch-1 block
+  kEither,     // either (a softmax mask repeats over the rows it covers)
+};
+
+AxisUse OperandAxisUse(const Instr& ins, size_t j) {
+  switch (ins.kind) {
+    case OpKind::kAddBias:
+    case OpKind::kAddBroadcastBatch:
+    case OpKind::kMatMul:
+    case OpKind::kBmmShared:
+    case OpKind::kLayerNorm:
+      return j == 0 ? AxisUse::kRow : AxisUse::kShared;
+    case OpKind::kBmmLeftShared:
+      return j == 1 ? AxisUse::kRow : AxisUse::kShared;
+    case OpKind::kMaskedSoftmax:
+      return j == 0 ? AxisUse::kRow : AxisUse::kEither;
+    case OpKind::kConcatAxis1:
+      return AxisUse::kBroadcast;
+    case OpKind::kMaskedAttention:
+      return j < size_t{ins.parts[0]} + ins.parts[1] + ins.parts[2]
+                 ? AxisUse::kBroadcast
+                 : AxisUse::kShared;
+    case OpKind::kEmbeddingGather:
+    case OpKind::kEmbeddingSumGather:
+    case OpKind::kTileRows:
+      return AxisUse::kShared;
+    default:
+      return AxisUse::kRow;
+  }
+}
+
+/// The candidate-axis rule that lets one body serve every count: an op
+/// reads each per-candidate operand row-locally and writes a per-candidate
+/// value; its count-free operands it reads whole or broadcast. Only gathers
+/// (their index rows are per-candidate), synthesized masks and tile_rows
+/// make per-candidate values from count-free ones.
+Status CheckCandidateAxis(const Program& p, size_t i, const Instr& ins) {
+  const Value& out = p.values[ins.out];
+  bool reads_per_candidate = false;
+  for (size_t j = 0; j < ins.in.size(); ++j) {
+    const Value& u = p.values[ins.in[j]];
+    const AxisUse use = OperandAxisUse(ins, j);
+    const char* why = nullptr;
+    if (u.per_candidate && use == AxisUse::kShared) {
+      why = " whole, across the candidate axis";
+    } else if (!u.per_candidate && out.per_candidate &&
+               (use == AxisUse::kRow ||
+                (use == AxisUse::kBroadcast && Dim(u, 0) != 1))) {
+      why = " as a row operand of a per-candidate output";
+    }
+    if (why != nullptr) {
+      return Status::Internal(At(i, ins) + "reads " +
+                              (u.per_candidate ? "per-candidate" : "count-free") +
+                              " in[" + std::to_string(j) + "] " +
+                              V(ins.in[j]) + why);
+    }
+    reads_per_candidate = reads_per_candidate || u.per_candidate;
+  }
+  if (reads_per_candidate && !out.per_candidate) {
+    return Status::Internal(At(i, ins) + "writes count-free " + V(ins.out) +
+                            " from a per-candidate value: the candidate "
+                            "axis leaves axis 0");
+  }
+  const bool source = ins.in.empty() || IsGather(ins.kind) ||
+                      ins.kind == OpKind::kTileRows;
+  if (out.per_candidate && !reads_per_candidate && !source) {
+    return Status::Internal(At(i, ins) + "writes per-candidate " +
+                            V(ins.out) + " from count-free operands alone");
+  }
+  return Status::OK();
+}
+
 /// A fused attention's operands stack into Q [B, nq, d], K [B, nk, d] and
 /// V [B, nk, dv] (each block batch B or a broadcast 1), the output is
 /// [B, nq, dv] or, pooled, [B, dv] with a finite pool scale, and its key
@@ -448,9 +531,10 @@ Status CheckInstrShapes(const Program& p, size_t i, const Instr& ins) {
         return err("shape mismatch: out depth " + std::to_string(Dim(out, 2)) +
                    " vs table depth " + std::to_string(Dim(table, 1)));
       }
-      if (Dim(out, 0) != p.count) {
+      if (Dim(out, 0) != GatherRows(p, out)) {
         return err("batch " + std::to_string(Dim(out, 0)) +
-                   " diverges from program count " + std::to_string(p.count));
+                   " diverges from the index rows (" +
+                   std::to_string(GatherRows(p, out)) + ")");
       }
       SEQFM_RETURN_NOT_OK(CheckBinding(p, i, ins));
       if (ins.binding.cols.size() != Dim(out, 1)) {
@@ -463,10 +547,9 @@ Status CheckInstrShapes(const Program& p, size_t i, const Instr& ins) {
     }
     case OpKind::kEmbeddingSumGather: {
       SEQFM_RETURN_NOT_OK(want_arity(1));
-      if (Rank(out) == 0 || Dim(out, 0) != p.count ||
+      if (Rank(out) == 0 || Dim(out, 0) != GatherRows(p, out) ||
           out.size() != Dim(out, 0)) {
-        return err("shape mismatch: out is not one value per sample of the "
-                   "program count");
+        return err("shape mismatch: out is not one value per index row");
       }
       return CheckBinding(p, i, ins);
     }
@@ -582,6 +665,10 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
       return Status::Internal("value " + V(id) +
                               ": non-local value carries a fusion alias");
     }
+    if (v.per_candidate && (v.kind != ValueKind::kLocal || v.shape.empty())) {
+      return Status::Internal("value " + V(id) +
+                              ": only a ranked local can be per-candidate");
+    }
   }
 
   // --- Instruction table: id ranges, SSA single definition. ---
@@ -637,11 +724,13 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
       return Status::Internal("value " + V(id) + ": aliases non-local value " +
                               V(v.alias_of));
     }
-    if (v.size() != target.size()) {
+    if (v.size() != target.size() ||
+        v.per_candidate != target.per_candidate) {
       return Status::Internal("value " + V(id) + ": aliases " + V(v.alias_of) +
                               " of different size (" +
                               std::to_string(v.size()) + " vs " +
-                              std::to_string(target.size()) + " elements)");
+                              std::to_string(target.size()) +
+                              " elements, per candidate or not)");
     }
     if (def[id] == kNoDef) {
       return Status::Internal("value " + V(id) +
@@ -729,6 +818,7 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
                               "non-gather op carries an index binding");
     }
     SEQFM_RETURN_NOT_OK(CheckInstrShapes(p, i, ins));
+    SEQFM_RETURN_NOT_OK(CheckCandidateAxis(p, i, ins));
   }
 
   // --- Externally visible results exist and survive to the end. ---
@@ -764,7 +854,6 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
   // alias root, definition to last read, outputs live past the end) and
   // prove every planned range is aligned, in bounds, and disjoint from
   // every simultaneously-live root. ---
-  constexpr size_t kAlignFloats = 16;  // 64-byte lanes, as planned
   std::vector<size_t> rdef(nvals, kNoDef);
   std::vector<size_t> rend(nvals, 0);
   for (size_t i = 0; i < ninstr; ++i) {
@@ -806,18 +895,19 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
     if (v.offset == kNoOffset) {
       return Status::Internal("arena: live local " + V(id) + " is unplanned");
     }
-    if (v.offset % kAlignFloats != 0) {
+    if (v.offset % FrameAlign(v) != 0) {
       return Status::Internal("arena: value " + V(id) + " offset " +
                               std::to_string(v.offset) +
-                              " breaks 64-byte alignment");
+                              " breaks its planned alignment");
     }
-    const size_t aligned =
-        (v.size() + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
-    if (v.offset + aligned > p.frame_floats) {
+    const size_t aligned = FrameExtent(v);
+    const size_t region = v.per_candidate ? p.cand_floats : p.frame_floats;
+    if (v.offset + aligned > region) {
       return Status::Internal(
           "arena: value " + V(id) + " range [" + std::to_string(v.offset) +
-          ", " + std::to_string(v.offset + aligned) + ") exceeds frame of " +
-          std::to_string(p.frame_floats) + " floats");
+          ", " + std::to_string(v.offset + aligned) + ") exceeds its " +
+          (v.per_candidate ? "per-candidate " : "count-free ") +
+          "region of " + std::to_string(region) + " floats");
     }
     live_roots.push_back(id);
   }
@@ -828,10 +918,9 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
       if (rdef[x] > rend[y] || rdef[y] > rend[x]) continue;  // disjoint lives
       const Value& vx = p.values[x];
       const Value& vy = p.values[y];
-      const size_t ax =
-          (vx.size() + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
-      const size_t ay =
-          (vy.size() + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
+      if (vx.per_candidate != vy.per_candidate) continue;  // other region
+      const size_t ax = FrameExtent(vx);
+      const size_t ay = FrameExtent(vy);
       if (vx.offset < vy.offset + ay && vy.offset < vx.offset + ax) {
         return Status::Internal(
             "arena: simultaneously live values " + V(x) + " and " + V(y) +

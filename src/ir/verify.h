@@ -12,12 +12,13 @@ namespace ir {
 /// \brief Structural verifier for compiled op programs.
 ///
 /// The serving compiler's end-to-end defense is the bit-parity self-check in
-/// Engine::CompileCount (replay vs. traced forward, cross-probe). Verify is
+/// Engine::Compile (replay vs. traced forward, cross-probe, and an untraced
+/// count vs. the eager forward). Verify is
 /// the complementary *structural* defense: it proves, per program, that the
 /// instruction list is well-formed independent of any particular request, so
 /// a pass bug surfaces as a precise diagnostic at the pass that introduced it
 /// instead of as a downstream bit mismatch (or, worse, a clean-looking read
-/// of clobbered memory that happens to match). Engine::CompileCount runs it
+/// of clobbered memory that happens to match). Engine::Compile runs it
 /// after every pass; any failure aborts the compile and the Predictor falls
 /// back to the eager path — never wrong bits.
 ///
@@ -37,6 +38,12 @@ namespace ir {
 ///     caller's item table with that column's exact [num_objects, width]
 ///     and is read only as the table of an embedding_gather bound to the
 ///     candidate column alone (static or unified column 1);
+///   - the candidate axis: only ranked locals are per-candidate; an op
+///     reads each per-candidate operand row-locally (never as a shared
+///     operand, such as a matmul weight, that would contract over the
+///     candidates) and writes a per-candidate value (no reshape moves the
+///     count off axis 0), so shapes checked at one candidate hold at every
+///     count;
 ///   - IndexBinding soundness: gathers carry a binding with a real source,
 ///     cols/deltas agree in length, and every column addresses inside the
 ///     synthesized index row (n_static / n_seq / n_unified);
@@ -45,9 +52,10 @@ namespace ir {
 ///     defined by a pointwise op reading its alias target as in[0], and no
 ///     value is read after its buffer was overwritten in place;
 ///   - arena-plan soundness (check_arena): lifetimes are recomputed from
-///     uses, and every planned root gets a 64-byte-aligned in-bounds frame
-///     range that overlaps no simultaneously-live root; aliases share their
-///     root's offset and dead locals carry kNoOffset.
+///     uses, and every planned root gets a 64-byte-aligned range inside its
+///     region (count-free, or per-candidate) that overlaps no
+///     simultaneously-live root of that region; aliases share their root's
+///     offset and per-candidate flag, and dead locals carry kNoOffset.
 struct VerifyOptions {
   /// Verify PlanArena's output (offsets, frame_floats). Off for programs
   /// that have not been planned yet — Value::offset defaults to 0, so an

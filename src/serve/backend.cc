@@ -14,9 +14,8 @@
 namespace seqfm {
 namespace serve {
 
-LocalShardBackend::LocalShardBackend(const Predictor* predictor,
-                                     LocalShardBackendOptions options)
-    : predictor_(predictor), options_(options) {
+LocalShardBackend::LocalShardBackend(const Predictor* predictor)
+    : predictor_(predictor) {
   SEQFM_CHECK(predictor_ != nullptr) << "LocalShardBackend: null predictor";
 }
 
@@ -90,9 +89,7 @@ Status LocalShardBackend::ScoreTopK(
   // and each job reduces into one bounded top-K heap, so the batch holds
   // sum_j min(k_j, range_j) retained entries plus one chunk-local score
   // buffer per pool thread — never a full score vector.
-  const size_t chunk_size = options_.micro_batch > 0
-                                ? options_.micro_batch
-                                : predictor_->options().micro_batch;
+  const size_t chunk_size = predictor_->options().micro_batch;
   struct JobChunk {
     size_t job;
     size_t begin;

@@ -91,11 +91,6 @@ class ScoringBackend {
   virtual BackendRecoveryStats RecoveryStats() const { return {}; }
 };
 
-struct LocalShardBackendOptions {
-  /// Candidates per pool chunk task; 0 uses the Predictor's micro_batch.
-  size_t micro_batch = 0;
-};
-
 /// \brief In-process ScoringBackend over a serve::Predictor.
 ///
 /// Runs a job batch the way BatchServer::ServeWave and
@@ -115,18 +110,15 @@ struct LocalShardBackendOptions {
 /// Predictor is borrowed and must outlive this object.
 class LocalShardBackend : public ScoringBackend {
  public:
-  explicit LocalShardBackend(const Predictor* predictor,
-                             LocalShardBackendOptions options = {});
+  explicit LocalShardBackend(const Predictor* predictor);
 
   Status ScoreTopK(const std::vector<ScoreJob>& jobs,
                    std::vector<std::vector<RankEntry>>* results) override;
 
   const Predictor* predictor() const { return predictor_; }
-  const LocalShardBackendOptions& options() const { return options_; }
 
  private:
   const Predictor* predictor_;
-  LocalShardBackendOptions options_;
 };
 
 /// \brief Identity of one replica (or local stand-in) in a distributed

@@ -42,7 +42,8 @@ void Predictor::CompileEngine() {
   // compiler has already self-checked any engine it returns.
   std::string error;
   engine_ = ir::Engine::Compile(model_, builder_,
-                                builder_->space().num_objects(), &error);
+                                builder_->space().num_objects(),
+                                options_.micro_batch, &error);
   if (engine_ == nullptr) {
     SEQFM_LOG(Info) << "serving compiler: '" << model_->name()
                     << "' stays on the eager path (" << error << ")";
@@ -78,7 +79,7 @@ Status Predictor::ReloadCheckpoint(const std::string& path) {
   // Re-verify the slot ABI of the fresh engine before any request scores
   // through it: a body slot miswired against the prologue reads the wrong
   // context floats and serves garbage rankings without crashing — the one
-  // compiled-path failure the per-count self-checks cannot catch, because
+  // compiled-path failure the compile self-checks cannot catch, because
   // each half verifies in isolation. A mismatch does not fail the reload
   // (the parameters ARE the new checkpoint); it latches the compiled path
   // off and serving falls back to the eager path.
@@ -164,9 +165,9 @@ void Predictor::ScoreGenericRange(const data::SequenceExample& ex,
 
 Predictor::ContextPtr Predictor::AcquireContext(
     const data::SequenceExample& ex) const {
-  // Null, never an abort, when the engine is off: a concurrent chunk's
-  // failed lazy compile can latch it right after a caller's compiled_active()
-  // check. Callers score a null context through ScoreGenericRange.
+  // Null, never an abort, when the engine is off (never compiled, or
+  // latched by a reload's ABI check). Callers score a null context through
+  // ScoreGenericRange.
   if (!compiled_active()) return nullptr;
   // Reuse the BatchBuilder for the index layout so padding and index mapping
   // are byte-identical to the taped path.
@@ -192,17 +193,9 @@ void Predictor::ScoreContextRange(const core::SharedContext& ctx,
                                   size_t begin, size_t end, float* out) const {
   if (compiled_active() && ctx.engine_uid == engine_->uid()) {
     std::string error;
-    if (engine_->ScoreRange(ctx, candidates, begin, end, out, &error)) {
-      return;
-    }
-    // A lazy per-count body failed to compile or verify. Latch the failure
-    // (warn once), drop contexts that carry now-unusable slot tensors, and
-    // serve this and every later chunk through the eager path.
-    if (!engine_failed_.exchange(true)) {
-      SEQFM_LOG(Warning) << "serving compiler: disabling compiled path for '"
-                         << model_->name() << "': " << error;
-      if (cache_) cache_->Invalidate();
-    }
+    SEQFM_CHECK(engine_->ScoreRange(ctx, candidates, begin, end, out, &error))
+        << error;
+    return;
   }
   ScoreGenericRange(ex, candidates, begin, end, out);
 }

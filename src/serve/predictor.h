@@ -21,7 +21,9 @@ namespace serve {
 
 struct PredictorOptions {
   /// Candidates scored per tape-free forward. Also the chunk the candidate
-  /// loop hands to the shared util::ThreadPool.
+  /// loop hands to the shared util::ThreadPool, the chunk BatchServer and
+  /// ShardedPredictor score, and the largest count the compiled body's
+  /// frame is planned for.
   size_t micro_batch = 256;
   /// Compile the model into a static op program at construction (trace → IR
   /// passes → arena-planned VM; see src/ir/) and serve every request through
@@ -29,10 +31,10 @@ struct PredictorOptions {
   /// feeds the context cache, the per-candidate body replays per chunk with
   /// zero steady-state allocations. Applies to ANY traceable model, not just
   /// SeqFM. Scores stay bit-for-bit identical to Model::Score — the compiler
-  /// self-checks both program halves against the traced forward and the
-  /// Predictor permanently falls back to the eager path (one warning) if a
-  /// lazy per-count compile ever fails. Set to false to force eager serving
-  /// (the parity oracle; also bench_serving's compiled-off baseline).
+  /// self-checks both program halves against the traced and eager forwards,
+  /// once, and a model that fails them serves eagerly. Set to false to force
+  /// eager serving (the parity oracle; also bench_serving's compiled-off
+  /// baseline).
   bool use_compiled_program = true;
   /// Byte budget for the (user, history) SharedContext LRU cache in front of
   /// the compiled program; 0 disables caching. An entry costs its
@@ -68,9 +70,9 @@ std::vector<ScoredItem> SelectTopK(const std::vector<int32_t>& candidates,
 /// catalogs without constructing autograd state. By default every model,
 /// SeqFM included, is served by the compiled op program (ir::Engine): its
 /// candidate-invariant prologue runs once per (user, history), optionally
-/// memoized by a serve::ContextCache, and its body per micro-batch. If the
-/// model does not compile, or a later per-count compile fails, it falls
-/// back to eager forwards under autograd::NoGradGuard — the parity oracle;
+/// memoized by a serve::ContextCache, and its one body per micro-batch of
+/// any size. If the model does not compile, it falls back to eager forwards
+/// under autograd::NoGradGuard — the parity oracle;
 /// use_compiled_program = false selects that path directly. Every eager op
 /// output is drawn from the worker thread's core::ScratchArena, so warm
 /// eager requests make no tensor heap allocations either. The arena retains
@@ -153,9 +155,8 @@ class Predictor {
 
   /// The (cached) SharedContext for this example: the compiled prologue's
   /// slot tensors. Null when the compiled path is inactive — never compiled,
-  /// or latched off by a concurrent chunk's failed lazy compile — so a
-  /// caller that saw compiled_active() a moment ago still gets a usable
-  /// answer: score a null context through ScoreGenericRange.
+  /// or latched off by a reload's slot-ABI check: score a null context
+  /// through ScoreGenericRange.
   ContextPtr AcquireContext(const data::SequenceExample& ex) const;
 
   /// Scores candidates[begin, end) against \p ctx through the compiled body
@@ -163,10 +164,9 @@ class Predictor {
   /// Taking a chunk-local output buffer (rather than a catalog-sized one
   /// indexed by begin) is what lets sharded serving bound its memory to one
   /// chunk per pool thread. Sets up its own NoGradGuard, so it can run
-  /// directly on pool worker threads. A compiled-path failure (a lazy
-  /// per-count body compile that does not verify), a latched engine, or a
-  /// context from a replaced engine re-scores the chunk through
-  /// ScoreGenericRange, so results are always produced.
+  /// directly on pool worker threads. A latched engine or a context from a
+  /// replaced engine scores the chunk through ScoreGenericRange instead, so
+  /// results are always produced.
   void ScoreContextRange(const core::SharedContext& ctx,
                          const data::SequenceExample& ex,
                          const std::vector<int32_t>& candidates,
@@ -219,15 +219,12 @@ class Predictor {
   PredictorOptions options_;
   /// Non-null iff the model compiled into a (prologue, body) op program.
   std::unique_ptr<ir::Engine> engine_;
-  /// Latched on the first compiled-path failure (a per-count body that does
-  /// not verify); from then on every request takes the eager path.
-  /// Memory order audit: relaxed is sufficient — the flag is a pure latch
-  /// that publishes no data. A thread observing it stale merely retries the
-  /// compiled path and latches again (idempotent); the eager path reads
-  /// only state that was immutable before serving started. The store in
-  /// CompileEngine runs with scoring quiesced (ReloadCheckpoint contract),
-  /// so it cannot race a latch.
-  mutable std::atomic<bool> engine_failed_{false};
+  /// Latched when a checkpoint reload's ReverifySlotAbi fails; from then on
+  /// every request takes the eager path. Memory order audit: relaxed is
+  /// sufficient — the flag publishes no data, and both stores (the latch
+  /// and CompileEngine's reset) run with scoring quiesced
+  /// (ReloadCheckpoint contract).
+  std::atomic<bool> engine_failed_{false};
   /// Test-only (SetReloadCorruptionHookForTest); empty in production.
   std::function<void(ir::Engine*)> reload_corruption_hook_;
   std::unique_ptr<ContextCache> cache_;

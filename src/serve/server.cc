@@ -16,8 +16,7 @@ BatchServer::BatchServer(Predictor* predictor, BatchServerOptions options)
   SEQFM_CHECK(predictor_ != nullptr) << "BatchServer: null predictor";
   SEQFM_CHECK_GT(options_.max_wave_requests, 0u);
   SEQFM_CHECK_GT(options_.num_shards, 0u);
-  backend_ = std::make_unique<LocalShardBackend>(
-      predictor_, LocalShardBackendOptions{options_.micro_batch});
+  backend_ = std::make_unique<LocalShardBackend>(predictor_);
   dispatcher_ = std::thread([this]() { DispatchLoop(); });
 }
 

@@ -29,8 +29,6 @@ struct BatchServerOptions {
   /// chunks through a single ParallelFor, so the pool stays busy even when
   /// each individual catalog is too small to feed every thread.
   size_t max_wave_requests = 64;
-  /// Candidate chunk per pool task; 0 uses the Predictor's micro_batch.
-  size_t micro_batch = 0;
   /// Contiguous shards each request's candidate list is partitioned into.
   /// Every (request, shard, chunk) task of a wave still fans out through the
   /// one fused ParallelFor; sharding only changes the reduction: each shard

@@ -159,8 +159,7 @@ ShardedPredictor::ShardedPredictor(Predictor* predictor,
                                    ShardedPredictorOptions options)
     : predictor_(predictor),
       options_(options),
-      backend_(std::make_unique<LocalShardBackend>(
-          predictor, LocalShardBackendOptions{options.micro_batch})),
+      backend_(std::make_unique<LocalShardBackend>(predictor)),
       full_catalog_bounds_(FullCatalogBounds(predictor, options.num_shards)) {}
 
 ShardedPredictor::~ShardedPredictor() = default;

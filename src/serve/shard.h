@@ -145,9 +145,6 @@ struct ShardedPredictorOptions {
   /// as independent chunk tasks on the one global util::ThreadPool (never a
   /// nested pool) and reduced into its own bounded top-K heap.
   size_t num_shards = 1;
-  /// Candidates per chunk task; 0 uses the Predictor's micro_batch. Chunks
-  /// never straddle a shard boundary.
-  size_t micro_batch = 0;
 };
 
 /// \brief Sharded catalog scoring over a serve::Predictor.

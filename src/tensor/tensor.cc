@@ -108,6 +108,13 @@ Tensor Tensor::WrapExternal(std::vector<size_t> shape, float* data,
   return t;
 }
 
+void Tensor::RewrapExternal(float* data, size_t dim0) {
+  SEQFM_CHECK(!data_.owned() && data != nullptr && dim0 > 0);
+  const size_t n = size() / shape_[0] * dim0;
+  shape_[0] = dim0;
+  data_.WrapExternal(data, n);
+}
+
 Tensor Tensor::Ones(std::vector<size_t> shape) {
   return Full(std::move(shape), 1.0f);
 }

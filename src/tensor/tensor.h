@@ -140,6 +140,10 @@ class Tensor {
   /// every move of it — copies are safe (they own aligned heap memory).
   static Tensor WrapExternal(std::vector<size_t> shape, float* data,
                              size_t count);
+  /// Re-points a WrapExternal tensor at \p data with axis 0 resized to
+  /// \p dim0, keeping the other dims. Allocates nothing: the serving VM
+  /// re-views its frame for each run's candidate count this way.
+  void RewrapExternal(float* data, size_t dim0);
 
   /// All-one tensor.
   static Tensor Ones(std::vector<size_t> shape);

@@ -37,8 +37,6 @@ namespace lock_rank {
 ///   ServeWave callbacks:   serve_mu_     -> RpcServer::mu_ (completions)
 ///                          serve_mu_     -> mu_ (re-submit from callback)
 ///   ServeWave scoring:     serve_mu_     -> ContextCache::mu_ (LRU)
-///   lazy body compile:     (none held)   -> ir::Engine::mu_ (publication
-///                          only; compiles never run under the engine lock)
 /// The thread pool's internal locks stay unranked plain util::Mutex: they
 /// are leaf locks by construction (never held across user callbacks).
 ///
@@ -59,7 +57,6 @@ constexpr int kBatchServe = 200;      // serve::BatchServer::serve_mu_
 constexpr int kBatchQueue = 300;      // serve::BatchServer::mu_
 constexpr int kRpcCompletions = 400;  // serve::RpcServer::mu_
 constexpr int kContextCache = 500;    // serve::ContextCache::mu_
-constexpr int kIrEngine = 600;        // ir::Engine::mu_
 
 }  // namespace lock_rank
 

@@ -14,15 +14,19 @@
 //     with holes and shared intermediates, and matches the chain it fuses;
 //   - compiled-vs-eager serving parity: bit-for-bit equal scores for every
 //     model (and SeqFM's padding-mask and single-view configurations) at
-//     1/2 threads, 1/3 shards, both SIMD levels, body counts 2/3/4/7/8/9,
-//     and a 2-object catalog;
+//     1/2 threads, 1/3 shards, both SIMD levels, body counts
+//     1/2/3/4/7/8/9 of the one count-polymorphic body, and a 2-object
+//     catalog;
 //   - compiled cost at SeqFM's serving shape: GEMM work per candidate, the
-//     item table's size, the count-256 body frame, and one table shared by
-//     every body of an engine (never captured as a constant);
+//     item table's size, the body's frame at 256 candidates, and one body
+//     serving every chunk size from one table (never captured as a
+//     constant);
 //   - verifier: item table reads only as a candidate-bound gather's table,
-//     with the table's width;
-//   - compiled serving: zero operator-new calls in warm chunks, and NaN
-//     history embeddings giving NaN scores exactly where eager does;
+//     with the table's width; per-candidate values read row-locally along
+//     the candidate axis;
+//   - compiled serving: zero operator-new calls in warm chunks of any size,
+//     and NaN history embeddings giving NaN scores exactly where eager
+//     does;
 //   - compiler lifecycle: recompile (and a rebuilt item table) on
 //     checkpoint reload, slot and item ABI re-verification, frame-cache sweep
 //     across reloads, graceful eager fallback when the catalog is too small
@@ -678,8 +682,10 @@ TEST(PassTest, FactorSplitsAMixedUserCandidateGather) {
   const auto body = InstrsOfKind(f.body, ir::OpKind::kEmbeddingGather);
   ASSERT_EQ(body.size(), 1u);
   EXPECT_EQ(TableGathers(f.body).size(), 1u);
+  // One candidate's row: the body runs at any count.
   EXPECT_EQ(f.body.values[body[0]->out].shape,
-            (std::vector<size_t>{3, 1, 4}));
+            (std::vector<size_t>{1, 1, 4}));
+  EXPECT_TRUE(f.body.values[body[0]->out].per_candidate);
 }
 
 TEST(PassTest, FactorHoistsTheProjectedHistoryBlockIntoASlot) {
@@ -717,7 +723,8 @@ TEST(PassTest, FactorHoistsTheProjectedHistoryBlockIntoASlot) {
   const auto rows = TableGathers(f.body);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(f.body.values[rows[0]->out].shape,
-            (std::vector<size_t>{3, 1, 4}));
+            (std::vector<size_t>{1, 1, 4}));
+  EXPECT_TRUE(f.body.values[rows[0]->out].per_candidate);
   EXPECT_TRUE(InstrsOfKind(f.body, ir::OpKind::kTileRows).empty());
   ir::VerifyOptions body_opts;
   body_opts.allow_slots = true;
@@ -750,7 +757,8 @@ TEST(PassTest, FactorDemotesARowBlockTheTracedTensorsRefute) {
   const auto body_bmm = InstrsOfKind(f.body, ir::OpKind::kBmmShared);
   ASSERT_EQ(body_bmm.size(), 1u);
   EXPECT_EQ(f.body.values[body_bmm[0]->in[0]].shape,
-            (std::vector<size_t>{3, kSeqLen, 4}));
+            (std::vector<size_t>{1, kSeqLen, 4}));
+  EXPECT_TRUE(f.body.values[body_bmm[0]->in[0]].per_candidate);
   EXPECT_EQ(TableGathers(f.body).size(), 1u);
   ASSERT_EQ(f.prologue.slot_outputs.size(), 1u);
   const ir::Instr* slot_def =
@@ -946,40 +954,6 @@ TEST(PassTest, FactorDemotesAnItemClaimWhoseTracedRowsDisagreeWithTheTable) {
   ASSERT_NE(src, nullptr);
   EXPECT_EQ(src->kind, ir::OpKind::kEmbeddingGather);
   EXPECT_EQ(f.body.values[src->in[0]].kind, ir::ValueKind::kItem);
-
-  // A later compile sharing a table whose claims this trace refutes fails
-  // instead of serving from it.
-  FactorTraces clean = TraceRowBlockModel(&model, builder);
-  const ir::FactorResult good = FactorTraced(space, clean);
-  ASSERT_TRUE(good.ok()) << good.error;
-  ir::FactorOptions shared = ItemOptions(space, clean);
-  shared.table = &good.table;
-  const ir::FactorResult lazy =
-      ir::Factor(clean.t1, clean.tC, clean.b1, clean.bC, shared);
-  ASSERT_TRUE(lazy.ok()) << lazy.error;
-  // Sharing a table builds no catalog program or table of its own.
-  EXPECT_TRUE(lazy.catalog.instrs.empty());
-  EXPECT_EQ(lazy.table.bytes(), 0u);
-  EXPECT_EQ(TableGathers(lazy.body).size(), 2u);
-  shared = ItemOptions(space, r);
-  shared.table = &good.table;
-  const ir::FactorResult refuted =
-      ir::Factor(r.t1, r.tC, r.b1, r.bC, shared);
-  EXPECT_NE(refuted.error.find("diverge from the engine's item table"),
-            std::string::npos)
-      << refuted.error;
-
-  // So does a table whose columns match but whose item-value set does not.
-  ir::FactorResult other = FactorTraced(space, clean);
-  ASSERT_TRUE(other.ok()) << other.error;
-  other.table.item_values.erase(other.table.item_values.begin());
-  shared = ItemOptions(space, clean);
-  shared.table = &other.table;
-  const ir::FactorResult diverged =
-      ir::Factor(clean.t1, clean.tC, clean.b1, clean.bC, shared);
-  EXPECT_NE(diverged.error.find("diverge from the engine's item table"),
-            std::string::npos)
-      << diverged.error;
 }
 
 TEST(PassTest, FactorRequiresTheCatalogAndTheCrossProbe) {
@@ -1070,8 +1044,8 @@ TEST(PassTest, FuseMaskedAttentionFiresOnSeqFmsConstantMasks) {
   EXPECT_EQ(att[1]->pool_scale, 1.0f / n);
   for (const ir::Instr* a : att) {
     EXPECT_EQ(f.body.values[a->out].shape,
-              (std::vector<size_t>{f.body.count,
-                                   SmallSeqFmConfig().embedding_dim}));
+              (std::vector<size_t>{1, SmallSeqFmConfig().embedding_dim}));
+    EXPECT_TRUE(f.body.values[a->out].per_candidate);
   }
   EXPECT_EQ(att[0]->ranges, RepeatRange(2, 0, 2));
   EXPECT_EQ(att[0]->parts, (std::array<uint32_t, 3>{2, 2, 2}));
@@ -1526,10 +1500,96 @@ TEST(VerifierTest, RejectsAnItemColumnOfTheWrongWidth) {
   ExpectVerifyRejects(t.p, "item column 1 out of range", opts);
 }
 
+/// A count-polymorphic body: each candidate's [1, 4] row, gathered by
+/// candidate and reshaped from [1, 1, 4], times a shared [4, 2] weight.
+/// Every local is per-candidate; verifies clean, arena plan included.
+struct PerCandidateBody {
+  ir::Program p;
+  uint32_t row = 0;  // the [1, 4] row, per candidate
+};
+
+uint32_t AddPerCandidate(ir::Program* p, std::vector<size_t> shape) {
+  const uint32_t id = AddLocal(p, std::move(shape));
+  p->values[id].per_candidate = true;
+  return id;
+}
+
+PerCandidateBody SmallPerCandidateBody() {
+  PerCandidateBody b;
+  ir::Program& p = b.p;
+  p.count = 8;
+  p.n_static = 2;
+  const uint32_t table = AddConstant(&p, tensor::Tensor::Ones({5, 4}));
+  const uint32_t w = AddConstant(&p, tensor::Tensor::Ones({4, 2}));
+  const uint32_t gathered = AddPerCandidate(&p, {1, 1, 4});
+  AddInstr(&p, ir::OpKind::kEmbeddingGather, {table}, gathered);
+  p.instrs.back().binding.source = ir::IndexSource::kStatic;
+  p.instrs.back().binding.cols = {1};
+  p.instrs.back().binding.deltas = {-5};
+  b.row = AddPerCandidate(&p, {1, 4});
+  AddInstr(&p, ir::OpKind::kReshape, {gathered}, b.row);
+  const uint32_t score = AddPerCandidate(&p, {1, 2});
+  AddInstr(&p, ir::OpKind::kMatMul, {b.row, w}, score);
+  p.output = score;
+  return b;
+}
+
+TEST(VerifierTest, AcceptsARowLocalPerCandidateBody) {
+  PerCandidateBody b = SmallPerCandidateBody();
+  ir::PlanArena(&b.p);
+  ir::VerifyOptions arena;
+  arena.check_arena = true;
+  const Status st = ir::Verify(b.p, arena);
+  EXPECT_TRUE(st.ok()) << st.message();
+  // Per-candidate values live in their own region, sized per candidate.
+  EXPECT_EQ(b.p.frame_floats, 0u);
+  // Values under one 64-byte lane pack unpadded: the row beside its
+  // gathered copy, the score over the copy once it is dead.
+  EXPECT_EQ(b.p.cand_floats, 8u);
+  EXPECT_EQ(b.p.FrameFloats(5), 40u);
+}
+
+TEST(VerifierTest, RejectsAReshapeThatMovesTheCountOffAxis0) {
+  PerCandidateBody b = SmallPerCandidateBody();
+  // [count, 4] -> [4, count]: at one candidate the sizes agree, but row b of
+  // the result is no longer candidate b's.
+  const uint32_t moved = AddLocal(&b.p, {4, 1});
+  AddInstr(&b.p, ir::OpKind::kReshape, {b.row}, moved);
+  b.p.output = moved;
+  ExpectVerifyRejects(b.p, "the candidate axis leaves axis 0");
+}
+
+TEST(VerifierTest, RejectsAMatMulThatContractsOverTheCandidateAxis) {
+  PerCandidateBody b = SmallPerCandidateBody();
+  // ones[3, 1] x rows[count, 4] sums the candidates' rows into one [3, 4]
+  // at any count above 1.
+  const uint32_t lhs = AddConstant(&b.p, tensor::Tensor::Ones({3, 1}));
+  const uint32_t mixed = AddLocal(&b.p, {3, 4});
+  AddInstr(&b.p, ir::OpKind::kMatMul, {lhs, b.row}, mixed);
+  b.p.output = mixed;
+  ExpectVerifyRejects(b.p, "reads per-candidate in[1] %" +
+                               std::to_string(b.row) +
+                               " whole, across the candidate axis");
+}
+
+TEST(VerifierTest, RejectsACountFreeRowOperandOfAPerCandidateOp) {
+  PerCandidateBody b = SmallPerCandidateBody();
+  // A [1, 4] constant added to every candidate's row: the shapes agree at
+  // one candidate only.
+  const uint32_t c = AddConstant(&b.p, tensor::Tensor::Ones({1, 4}));
+  const uint32_t sum = AddPerCandidate(&b.p, {1, 4});
+  AddInstr(&b.p, ir::OpKind::kAdd, {b.row, c}, sum);
+  b.p.output = sum;
+  ExpectVerifyRejects(b.p, "as a row operand of a per-candidate output");
+  // A per-candidate flag on a non-local value is refused outright.
+  b.p.values[c].per_candidate = true;
+  ExpectVerifyRejects(b.p, "only a ranked local can be per-candidate");
+}
+
 // ---------------------------------------------------------------------------
 // Verifier x pipeline: for every model, each pass of the default pipeline
 // leaves both factored halves verifier-clean (the same sequence — and the
-// same options — Engine::CompileCount checks after every stage).
+// same options — Engine::Compile checks after every stage).
 // ---------------------------------------------------------------------------
 
 class VerifierPipelineTest : public ::testing::TestWithParam<std::string> {};
@@ -1647,8 +1707,8 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
   const util::SimdLevel prev_level = util::ActiveSimdLevel();
 
   // More chunkings of the 9-object catalog: micro-batches 3, 7, 8 and 9
-  // add body counts 3, 7, 8 and 9 (and 2 again, for a 1-candidate tail) to
-  // the 4 and 2 of the main predictor.
+  // run the one body at counts 3, 7 (and a 2-candidate tail), 8 (and a
+  // 1-candidate tail) and 9, besides the main predictor's 4 and 1.
   std::vector<std::unique_ptr<serve::Predictor>> chunked;
   for (size_t mb : {3u, 7u, 8u, 9u}) {
     serve::PredictorOptions o;
@@ -1706,8 +1766,7 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
         for (size_t shards : {1u, 3u}) {
           serve::ShardedPredictorOptions sopts;
           sopts.num_shards = shards;
-          sopts.micro_batch = 4;
-          serve::ShardedPredictor sharded(&compiled, sopts);
+          serve::ShardedPredictor sharded(&compiled, sopts);  // chunks of 4
           const std::vector<serve::ScoredItem> top = sharded.TopKAll(ex, 5);
           ASSERT_EQ(top.size(), ref.size()) << where;
           for (size_t i = 0; i < top.size(); ++i) {
@@ -1761,7 +1820,8 @@ INSTANTIATE_TEST_SUITE_P(SeqFmVariants, CompiledParityTest,
 // ---------------------------------------------------------------------------
 // Compiled cost at the serving shape (d=64, n=20): row-block hoisting keeps
 // only the candidate row's projections and the attention per candidate, and
-// the broadcast concat keeps the count-256 body frame from growing.
+// the broadcast concat keeps the body's frame at 256 candidates from
+// growing.
 // ---------------------------------------------------------------------------
 
 TEST(CompiledCostTest, SeqFmBodyGemmWorkPerCandidateStaysHoisted) {
@@ -1770,8 +1830,8 @@ TEST(CompiledCostTest, SeqFmBodyGemmWorkPerCandidateStaysHoisted) {
   data::BatchBuilder builder(space, cfg.max_seq_len);
   core::SeqFm model(space, cfg);
   std::string error;
-  auto engine =
-      ir::Engine::Compile(&model, &builder, space.num_objects(), &error);
+  auto engine = ir::Engine::Compile(&model, &builder, space.num_objects(),
+                                    /*max_count=*/256, &error);
   ASSERT_NE(engine, nullptr) << error;
   // 365,760 before the cross-view history/user rows were hoisted, 95,424
   // before the cross view stopped computing the 404 of its 484 (query, key)
@@ -1791,32 +1851,21 @@ TEST(CompiledCostTest, SeqFmCount256BodyFrameDoesNotGrow) {
   core::SeqFmConfig cfg;
   data::BatchBuilder builder(space, cfg.max_seq_len);
   core::SeqFm model(space, cfg);
-  data::SequenceExample ex;
-  ex.user = 1;
-  for (int32_t j = 0; j < static_cast<int32_t>(cfg.max_seq_len); ++j) {
-    ex.history.push_back(1 + j % 8);
-  }
-  std::vector<int32_t> cands(256);
-  for (size_t i = 0; i < cands.size(); ++i) {
-    cands[i] = static_cast<int32_t>(i % space.num_objects());
-  }
-  const FactorTraces r = TraceForFactor(&model, builder, ex, cands);
-  ASSERT_TRUE(r.ok()) << r.error();
-  ir::FactorResult f = FactorTraced(space, r);
-  ASSERT_TRUE(f.ok()) << f.error;
-  ir::FoldConstants(&f.body);
-  ir::DeadCodeElim(&f.body);
-  ir::FuseMaskedAttention(&f.body);
-  ir::FuseElementwise(&f.body);
-  ir::PlanArena(&f.body);
+  std::string error;
+  auto engine = ir::Engine::Compile(&model, &builder, space.num_objects(),
+                                    /*max_count=*/256, &error);
+  ASSERT_NE(engine, nullptr) << error;
+  const ir::Program& body = engine->body();
+  EXPECT_EQ(body.count, 256u);
+  EXPECT_EQ(engine->stats().body_frame_floats, body.FrameFloats(256));
   // 7,672,832 bytes before row-block hoisting and 5,411,840 before the
   // fused attention dropped the [256, 22, 22] scores and the stacked
   // [256, 22, 64] Q/K/V copies, 1,901,568 before the table gathers
   // replaced the candidate gather and its six projections, and 1,836,032
   // before the cross attention pooled in place instead of writing its
   // [256, 22, 64] rows.
-  EXPECT_LE(f.body.frame_floats * sizeof(float), 600000u)
-      << f.body.frame_floats * sizeof(float);
+  EXPECT_LE(body.FrameFloats(256) * sizeof(float), 600000u)
+      << body.FrameFloats(256) * sizeof(float);
 }
 
 TEST(CompiledCostTest, EveryBodyOfAnEngineReadsTheOneItemTable) {
@@ -1824,12 +1873,13 @@ TEST(CompiledCostTest, EveryBodyOfAnEngineReadsTheOneItemTable) {
   data::BatchBuilder builder(space, kSeqLen);
   core::SeqFm model(space, SmallSeqFmConfig());
   std::string error;
-  auto engine =
-      ir::Engine::Compile(&model, &builder, space.num_objects(), &error);
+  auto engine = ir::Engine::Compile(&model, &builder, space.num_objects(),
+                                    /*max_count=*/256, &error);
   ASSERT_NE(engine, nullptr) << error;
   const ir::ItemTable& table = engine->item_table();
   ASSERT_EQ(table.columns.size(), 6u);
   const float* storage = table.data.data();
+  const ir::Program* body = &engine->body();
 
   const data::Batch probe =
       ServingBatch(builder, TestExamples()[0], {0});
@@ -1837,33 +1887,32 @@ TEST(CompiledCostTest, EveryBodyOfAnEngineReadsTheOneItemTable) {
                                      probe.dynamic_ids.end());
   core::SharedContext ctx;
   engine->MakeContext(probe.static_ids[0], history, &ctx);
-  std::vector<int32_t> cands(space.num_objects());
-  std::iota(cands.begin(), cands.end(), 0);
+  std::vector<int32_t> cands(256);
+  for (size_t i = 0; i < cands.size(); ++i) {
+    cands[i] = static_cast<int32_t>(i % space.num_objects());
+  }
   std::vector<float> out(cands.size());
-  for (size_t count : {3u, 5u, 7u}) {
+  for (size_t count : {1u, 3u, 5u, 7u, 256u}) {
     ASSERT_TRUE(engine->ScoreRange(ctx, cands, 0, count, out.data(), &error))
         << error;
   }
-  EXPECT_EQ(engine->stats().compiled_counts, 4u);
-  // Lazy compiles reuse the table the engine built: no new storage...
+  // Every chunk size ran the one body the engine compiled, over the table
+  // it built: no new body, no new storage...
+  EXPECT_EQ(engine->stats().compiled_counts, 1u);
+  EXPECT_EQ(&engine->body(), body);
   EXPECT_EQ(table.data.data(), storage);
-  for (size_t count : {2u, 3u, 5u, 7u}) {
-    const ir::Program* body = engine->body(count);
-    ASSERT_NE(body, nullptr) << count;
-    size_t reads = 0;
-    for (const ir::Value& v : body->values) {
-      reads += v.kind == ir::ValueKind::kItem ? 1 : 0;
-    }
-    EXPECT_EQ(reads, table.columns.size()) << count;
-    // ...and no body captured the table, or a column of it, by value.
-    for (const tensor::Tensor& c : body->constants) {
-      EXPECT_LT(c.size(), table.data.size()) << count;
-      for (const tensor::Tensor& col : table.columns) {
-        EXPECT_FALSE(c.size() == col.size() &&
-                     std::memcmp(c.data(), col.data(),
-                                 c.size() * sizeof(float)) == 0)
-            << count;
-      }
+  // ...which reads each column once and captured none of them by value.
+  std::vector<size_t> reads(table.columns.size(), 0);
+  for (const ir::Value& v : body->values) {
+    if (v.kind == ir::ValueKind::kItem) ++reads[v.index];
+  }
+  EXPECT_EQ(reads, std::vector<size_t>(table.columns.size(), 1u));
+  for (const tensor::Tensor& c : body->constants) {
+    EXPECT_LT(c.size(), table.data.size());
+    for (const tensor::Tensor& col : table.columns) {
+      EXPECT_FALSE(c.size() == col.size() &&
+                   std::memcmp(c.data(), col.data(),
+                               c.size() * sizeof(float)) == 0);
     }
   }
   EXPECT_TRUE(engine->ReverifySlotAbi().ok());
@@ -1886,8 +1935,8 @@ TEST(CompiledServingTest, WarmChunksMakeNoHeapAllocationsOfAnyKind) {
   }
   const auto ctx = predictor.AcquireContext(ex);
   std::vector<float> out(cands.size());
-  for (size_t count : {256u, 44u}) {
-    for (int warm = 0; warm < 2; ++warm) {  // compiles this count's body
+  for (size_t count : {256u, 44u, 1u}) {
+    for (int warm = 0; warm < 2; ++warm) {  // views the frame at this count
       predictor.ScoreContextRange(*ctx, ex, cands, 0, count, out.data());
     }
     g_news.store(0);
@@ -1899,6 +1948,17 @@ TEST(CompiledServingTest, WarmChunksMakeNoHeapAllocationsOfAnyKind) {
     EXPECT_EQ(g_news.load(), 0u) << "operator new calls in 10 warm chunks of "
                                  << count;
   }
+  // Serving alternates chunk sizes (281 candidates run as 256 + 25): the
+  // one body re-views its frame per count without allocating.
+  g_news.store(0);
+  g_count_news.store(true);
+  for (int r = 0; r < 10; ++r) {
+    for (size_t count : {256u, 44u, 1u}) {
+      predictor.ScoreContextRange(*ctx, ex, cands, 0, count, out.data());
+    }
+  }
+  g_count_news.store(false);
+  EXPECT_EQ(g_news.load(), 0u) << "operator new calls in alternating chunks";
   EXPECT_TRUE(predictor.compiled_active());
 }
 
@@ -2130,11 +2190,8 @@ namespace {
 // corrupted via the test hook, and asserts the predictor detected the
 // miswiring, latched the compiled path off, and still serves the new
 // parameters bit-exactly through the eager fallback — ScoreCandidates and
-// BatchServer::Submit alike. LocalShardBackend and ScoreCandidates check
-// compiled_active() before AcquireContext, and a concurrent chunk's failed
-// lazy compile can latch the engine in between, so a latched engine's
-// AcquireContext must answer null (the caller then scores eagerly), never
-// abort.
+// BatchServer::Submit alike. A latched engine's AcquireContext must answer
+// null (the caller then scores eagerly), never abort.
 void RunCorruptedReload(ir::Engine::AbiCorruption how,
                         const std::string& name = "SeqFM") {
   const data::FeatureSpace space = SmallSpace();

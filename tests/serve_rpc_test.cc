@@ -304,7 +304,7 @@ TEST(FrameReaderTest, YieldsCoalescedFramesOneByOne) {
 
 TEST(FrameReaderTest, BadMagicPoisonsTheStream) {
   serve::FrameReader reader;
-  const char garbage[] = "NOPE\x04\x00\x00\x00abcd";
+  const char garbage[] = "NOPE\x04\x00\x00\x00" "abcd";
   reader.Feed(garbage, sizeof(garbage) - 1);
   std::string payload;
   bool got = false;

@@ -256,7 +256,7 @@ TEST(ShardedPredictorTest, ShardCountInvariantAndBitIdenticalToTopKAll) {
       for (size_t k : {1u, 3u, 9u, 20u}) {
         const auto want = predictor.TopKAll(ex, k);
         for (size_t shards : {1u, 2u, 3u, 8u}) {
-          serve::ShardedPredictor sharded(&predictor, {shards, 0});
+          serve::ShardedPredictor sharded(&predictor, {shards});
           ExpectSameRanking(sharded.TopKAll(ex, k), want,
                             "shards=" + std::to_string(shards) +
                                 " k=" + std::to_string(k) +
@@ -280,7 +280,7 @@ TEST(ShardedPredictorTest, CustomCatalogWithDuplicateScoresMatchesTopK) {
   // come out id-ascending whichever positions (and shards) they occupy.
   const std::vector<int32_t> candidates = {6, 8, 1, 0, 6, 2};
   for (size_t shards : {1u, 2u, 3u, 8u}) {
-    serve::ShardedPredictor sharded(&predictor, {shards, 0});
+    serve::ShardedPredictor sharded(&predictor, {shards});
     for (size_t k : {2u, 4u, 6u, 10u}) {
       ExpectSameRanking(sharded.TopK(ex, candidates, k),
                         predictor.TopK(ex, candidates, k),
@@ -297,7 +297,7 @@ TEST(ShardedPredictorTest, MoreShardsThanCatalogAndTinyCatalogs) {
   serve::Predictor predictor(&model, &builder, {});
   const auto ex = TestExamples()[0];
 
-  serve::ShardedPredictor sharded(&predictor, {8, 0});
+  serve::ShardedPredictor sharded(&predictor, {8});
   // 3-item catalog over 8 shards: most shards are empty.
   ExpectSameRanking(sharded.TopK(ex, {4, 2, 7}, 3),
                     predictor.TopK(ex, {4, 2, 7}, 3), "3 items, 8 shards");
@@ -321,7 +321,11 @@ TEST(ShardedPredictorTest, UnevenMicroBatchBoundariesStayBitIdentical) {
   // Chunk sizes that divide shards unevenly (shards of size 3 with chunks
   // of 2, 4, 7) must not change a single bit of the ranking.
   for (size_t micro_batch : {1u, 2u, 4u, 7u}) {
-    serve::ShardedPredictor sharded(&predictor, {3, micro_batch});
+    serve::PredictorOptions opts;
+    opts.micro_batch = micro_batch;
+    serve::Predictor chunked(&model, &builder, opts);
+    ASSERT_TRUE(chunked.compiled_active());
+    serve::ShardedPredictor sharded(&chunked, {3});
     ExpectSameRanking(sharded.TopKAll(ex, 9), want,
                       "micro_batch=" + std::to_string(micro_batch));
   }
@@ -343,7 +347,7 @@ TEST(ShardedPredictorTest, GenericPathModelsShardToo) {
   const auto ex = TestExamples()[2];
   const auto want = predictor.TopKAll(ex, 5);
   for (size_t shards : {2u, 3u, 8u}) {
-    serve::ShardedPredictor sharded(&predictor, {shards, 0});
+    serve::ShardedPredictor sharded(&predictor, {shards});
     ExpectSameRanking(sharded.TopKAll(ex, 5), want,
                       "generic shards=" + std::to_string(shards));
   }
@@ -355,7 +359,7 @@ TEST(ShardedPredictorDeathTest, NullPredictorAndZeroShardsDie) {
   data::BatchBuilder builder(space, kSeqLen);
   core::SeqFm model(space, SmallSeqFmConfig());
   serve::Predictor predictor(&model, &builder, {});
-  EXPECT_DEATH(serve::ShardedPredictor(&predictor, {0, 0}),
+  EXPECT_DEATH(serve::ShardedPredictor(&predictor, {0}),
                "at least one shard");
 }
 
