@@ -209,68 +209,82 @@ BENCHMARK(BM_MaskedSoftmax)
     ->Complexity(benchmark::oNSquared);
 
 // ---------------------------------------------------------------------------
-// SeqFM's fused cross-view attention at the serving benchmark's shape
+// SeqFM's fused attention views at the serving benchmark's shape
 // ---------------------------------------------------------------------------
 
-/// The cross view (d = 64, 2 static + 20 history rows) of a 256-candidate
-/// chunk as the compiled body reads it: Q, K and V each stack a broadcast
-/// user row, the per-candidate row and broadcast history rows, under the
-/// cross mask.
-struct CrossAttention {
+/// One SeqFM attention view (d = 64) of a 256-candidate chunk as the
+/// compiled body reads it. Cross: Q, K and V each stack a broadcast user
+/// row, the per-candidate row and 20 broadcast history rows, under the
+/// cross mask. Static: the user and candidate rows only, unmasked.
+struct SeqFmAttention {
   static constexpr size_t kCount = 256, kD = 64, kNs = 2, kNd = 20;
+  const size_t n;
   std::vector<Tensor> blocks;
   std::vector<const Tensor*> ptrs;
-  Tensor mask = nn::MakeCrossMask(kNs, kNd).value();
+  Tensor mask;
   std::vector<uint32_t> ranges;
-  Tensor rows{{kCount, kNs + kNd, kD}};
+  Tensor rows;
   Tensor pooled{{kCount, kD}};
 
-  CrossAttention() {
+  explicit SeqFmAttention(bool cross)
+      : n(cross ? kNs + kNd : kNs),
+        rows({kCount, n, kD}) {
+    if (cross) mask = nn::MakeCrossMask(kNs, kNd).value();
     Rng rng(23);
     for (size_t j = 0; j < 3; ++j) {
       for (size_t batch : {size_t{1}, kCount}) {
         blocks.emplace_back(std::vector<size_t>{batch, 1, kD});
       }
-      blocks.emplace_back(std::vector<size_t>{1, kNd, kD});
+      if (cross) blocks.emplace_back(std::vector<size_t>{1, kNd, kD});
     }
     for (Tensor& t : blocks) {
       tensor::FillNormal(&t, &rng, 1.0f);
       ptrs.push_back(&t);
     }
-    ir::OpenKeyRanges(&mask, kNs + kNd, kNs + kNd, &ranges);
+    ir::OpenKeyRanges(cross ? &mask : nullptr, n, n, &ranges);
   }
 
   /// The pooled [count, d] rows: in one op, or the unpooled op's
-  /// [count, 22, d] rows read back by SumAxis1.
+  /// [count, n, d] rows read back by SumAxis1.
   void Run(bool in_place) {
-    const tensor::RowStack q{ptrs.data(), 3}, k{ptrs.data() + 3, 3},
-        v{ptrs.data() + 6, 3};
-    const float alpha = 1.0f / 8.0f, pool = 1.0f / (kNs + kNd);
+    const size_t per = ptrs.size() / 3;
+    const tensor::RowStack q{ptrs.data(), per}, k{ptrs.data() + per, per},
+        v{ptrs.data() + 2 * per, per};
+    const Tensor* m = mask.size() > 0 ? &mask : nullptr;
+    const float alpha = 1.0f / 8.0f, pool = 1.0f / static_cast<float>(n);
     if (in_place) {
-      tensor::MaskedAttention(q, k, v, &mask, ranges.data(), alpha, pool,
+      tensor::MaskedAttention(q, k, v, m, ranges.data(), alpha, pool,
                               &pooled);
       return;
     }
-    tensor::MaskedAttention(q, k, v, &mask, ranges.data(), alpha, 0.0f,
-                            &rows);
+    tensor::MaskedAttention(q, k, v, m, ranges.data(), alpha, 0.0f, &rows);
     tensor::SumAxis1(rows, pool, &pooled);
   }
 };
 
 /// Arg 1: pooled in place; arg 0: unpooled + SumAxis1. Reports the time per
 /// candidate.
-void BM_MaskedAttentionCross(benchmark::State& state) {
+void RunSeqFmAttention(benchmark::State& state, bool cross) {
   util::SetGlobalThreads(1);
-  CrossAttention att;
+  SeqFmAttention att(cross);
   for (auto _ : state) {
     att.Run(state.range(0) != 0);
     benchmark::DoNotOptimize(att.pooled.data());
   }
   state.counters["per_cand"] = benchmark::Counter(
-      CrossAttention::kCount, benchmark::Counter::kIsIterationInvariantRate |
+      SeqFmAttention::kCount, benchmark::Counter::kIsIterationInvariantRate |
                                   benchmark::Counter::kInvert);
 }
+
+void BM_MaskedAttentionCross(benchmark::State& state) {
+  RunSeqFmAttention(state, /*cross=*/true);
+}
 BENCHMARK(BM_MaskedAttentionCross)->Arg(0)->Arg(1);
+
+void BM_MaskedAttentionStatic(benchmark::State& state) {
+  RunSeqFmAttention(state, /*cross=*/false);
+}
+BENCHMARK(BM_MaskedAttentionStatic)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------------
 // Kernel speedup summary: the dispatched SIMD layer, scalar vs AVX2
@@ -342,7 +356,7 @@ void RunKernelSpeedupSummary(const std::string& json_path) {
   }
 
   {
-    CrossAttention att;
+    SeqFmAttention att(/*cross=*/true);
     auto time_cross = [&](util::SimdLevel level) {
       const util::SimdLevel prev = util::SetSimdLevel(level);
       const double sec = TimePerIter([&]() { att.Run(/*in_place=*/true); });
@@ -352,7 +366,7 @@ void RunKernelSpeedupSummary(const std::string& json_path) {
     const double s = time_cross(util::SimdLevel::kScalar);
     const double v = time_cross(util::SimdLevel::kAvx2);
     report("cross attention, pooled (SeqFM)", "masked_attention_cross", s, v,
-           "Mc/s", CrossAttention::kCount * 1e-6);
+           "Mc/s", SeqFmAttention::kCount * 1e-6);
   }
 
   const auto& ks = tensor::kernels::Table(util::SimdLevel::kScalar);

@@ -14,12 +14,18 @@
 //
 // --smoke runs the parity gates only, on tiny shapes, and exits — the mode
 // CI uses under ASan+UBSan.
+//
+// --profile-body prints the compiled SeqFM body one instruction a line
+// (kind, output shape, us per request, share, MACs per candidate, GF/s) for
+// --requests rank-everything requests, and exits. Defaults: the serving
+// benchmark's shape (--scale=0.5 --dim=64 --seq-len=20) on one thread.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <string>
 
 #include "autograd/variable.h"
 #include "bench/bench_common.h"
@@ -148,12 +154,90 @@ RequestWorkload MakeRequestWorkload(
   return w;
 }
 
+/// "[c,22,64]": a value's shape, axis 0 as "c" when it scales with the
+/// candidate count.
+std::string ShapeString(const ir::Value& v) {
+  std::string out;
+  for (size_t i = 0; i < v.shape.size(); ++i) {
+    std::string dim = std::to_string(v.shape[i]);
+    if (i == 0 && v.per_candidate) dim = v.shape[0] == 1 ? "c" : "c*" + dim;
+    out += (i > 0 ? "," : "[") + dim;
+  }
+  return out + "]";
+}
+
+/// The per-instruction body profile (--profile-body): every request scores
+/// the whole catalog in micro_batch chunks against one cached context, so
+/// the table is the body's share of a rank-everything request.
+int ProfileBody(const serve::Predictor& compiled,
+                const data::SequenceExample& ex,
+                const std::vector<int32_t>& catalog, size_t micro_batch,
+                size_t requests) {
+  const ir::Engine& engine = *compiled.engine();
+  const ir::Program& body = engine.body();
+  const serve::Predictor::ContextPtr ctx = compiled.AcquireContext(ex);
+  std::vector<uint64_t> ns(body.instrs.size(), 0);
+  std::vector<float> scores(catalog.size());
+  std::string error;
+  auto score_all = [&](uint64_t* instr_ns) {
+    for (size_t begin = 0; begin < catalog.size(); begin += micro_batch) {
+      const size_t end = std::min(catalog.size(), begin + micro_batch);
+      SEQFM_CHECK(engine.ScoreRange(*ctx, catalog, begin, end,
+                                    scores.data() + begin, &error, instr_ns))
+          << error;
+    }
+  };
+  score_all(nullptr);  // warm the frame and the arena
+  for (size_t r = 0; r < requests; ++r) score_all(ns.data());
+  std::vector<size_t> macs(body.instrs.size(), 0);
+  uint64_t total_ns = 0;
+  size_t total_macs = 0;
+  for (size_t i = 0; i < body.instrs.size(); ++i) {
+    for (size_t begin = 0; begin < catalog.size(); begin += micro_batch) {
+      const size_t count = std::min(catalog.size() - begin, micro_batch);
+      macs[i] += ir::InstrMacs(body, body.instrs[i], count);
+    }
+    total_ns += ns[i];
+    total_macs += macs[i];
+  }
+  const double per_req = 1e-3 / static_cast<double>(requests);  // ns -> us
+  const double cands = static_cast<double>(catalog.size());
+  auto gflops = [&](size_t m, uint64_t t) {
+    return 2.0 * static_cast<double>(m) * static_cast<double>(requests) /
+           static_cast<double>(std::max<uint64_t>(t, 1));
+  };
+  std::printf("\nbody profile: %zu candidates per request in chunks of %zu, "
+              "%zu requests, 1 context, %s kernels, %zu threads\n",
+              catalog.size(), micro_batch, requests,
+              tensor::kernels::Active().name, util::GlobalThreads());
+  std::printf("%3s  %-20s %-14s %10s %6s %10s %7s\n", "#", "kind", "out",
+              "us/req", "share", "MACs/cand", "GF/s");
+  for (size_t i = 0; i < body.instrs.size(); ++i) {
+    const ir::Instr& ins = body.instrs[i];
+    std::printf("%3zu  %-20s %-14s %10.2f %5.1f%% %10.0f", i,
+                ir::OpKindName(ins.kind),
+                ShapeString(body.values[ins.out]).c_str(),
+                static_cast<double>(ns[i]) * per_req,
+                100.0 * static_cast<double>(ns[i]) /
+                    static_cast<double>(std::max<uint64_t>(total_ns, 1)),
+                static_cast<double>(macs[i]) / cands);
+    if (macs[i] > 0) std::printf(" %7.2f", gflops(macs[i], ns[i]));
+    std::printf("\n");
+  }
+  std::printf("     %-20s %-14s %10.2f %5.1f%% %10.0f %7.2f\n", "total", "",
+              static_cast<double>(total_ns) * per_req, 100.0,
+              static_cast<double>(total_macs) / cands,
+              gflops(total_macs, total_ns));
+  return 0;
+}
+
 int Run(int argc, char** argv) {
   FlagParser flags = ParseBenchFlagsOrDie(
       argc, argv,
       {"candidates", "requests", "thread-sweep", "smoke", "users", "slate",
-       "cache-mb", "wave", "shards", "json"});
+       "cache-mb", "wave", "shards", "json", "profile-body"});
   const bool smoke = flags.GetBool("smoke", false);
+  const bool profile_body = flags.GetBool("profile-body", false);
   const std::string json_path = flags.GetString("json", "");
   JsonResultWriter json;
   json.Add("bench", "serving");
@@ -164,6 +248,12 @@ int Run(int argc, char** argv) {
     // sanitizers without paying for a timed workload.
     if (!flags.Has("scale")) opts.scale = 0.2;
     if (!flags.Has("dim")) opts.dim = 8;
+  } else if (profile_body) {
+    // The serving benchmark's shape, on one thread.
+    if (!flags.Has("scale")) opts.scale = 0.5;
+    if (!flags.Has("dim")) opts.dim = 64;
+    if (!flags.Has("seq-len")) opts.max_seq_len = 20;
+    if (!flags.Has("threads")) util::SetGlobalThreads(1);
   } else {
     // Serving-shaped defaults: the paper's latent dim (64) and a long
     // check-in history. At the training benches' tiny dim=16/seq=20 the
@@ -265,6 +355,12 @@ int Run(int argc, char** argv) {
     json.Add("compiled_item_values", static_cast<double>(es.item_values));
     json.Add("compiled_item_table_bytes",
              static_cast<double>(es.item_table_bytes));
+  }
+
+  if (profile_body) {
+    return ProfileBody(compiled, examples.front(), catalog, batch,
+                       static_cast<size_t>(std::max<int64_t>(
+                           1, flags.GetInt("requests", 200))));
   }
 
   const RequestWorkload workload =

@@ -1,6 +1,7 @@
 #include "ir/exec.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <iterator>
 #include <unordered_map>
@@ -265,11 +266,14 @@ void FillIndexArrays(const Program& prog, Frame* f, size_t count,
 /// thread arena, not the heap.
 /// At count 1 a kernel that reuses batch-1 rows (MaskedAttention) treats
 /// the one candidate's rows as broadcast: same bits, rows are independent.
+/// A non-null \p instr_ns (one entry per instruction) accumulates each
+/// instruction's wall time in nanoseconds; serving passes null.
 void RunProgram(const Program& prog, Frame* f, size_t count,
                 const std::vector<tensor::Tensor>* slots,
                 const std::vector<tensor::Tensor>* items, int32_t user_index,
                 const int32_t* history, const int32_t* cands,
-                int32_t cand_base, int32_t unified_dyn_base) {
+                int32_t cand_base, int32_t unified_dyn_base,
+                uint64_t* instr_ns = nullptr) {
   SEQFM_CHECK(count >= 1 && count <= prog.count);
   core::ScratchScope scratch_scope;
   if (f->count != count) ViewAtCount(prog, f, count);
@@ -302,7 +306,11 @@ void RunProgram(const Program& prog, Frame* f, size_t count,
   };
 
   std::vector<const tensor::Tensor*>& in = f->operands;
-  for (const Instr& ins : prog.instrs) {
+  using Clock = std::chrono::steady_clock;
+  for (size_t pc = 0; pc < prog.instrs.size(); ++pc) {
+    const Instr& ins = prog.instrs[pc];
+    const Clock::time_point start =
+        instr_ns != nullptr ? Clock::now() : Clock::time_point();
     tensor::Tensor& out = f->locals[ins.out];
     switch (ins.kind) {
       case OpKind::kEmbeddingGather: {
@@ -325,12 +333,12 @@ void RunProgram(const Program& prog, Frame* f, size_t count,
             const int32_t idx = sv < 0 ? sv : sv + deltas[j];
             float* dst = out_data + i * d;
             if (idx < 0) {  // padding -> zero row
-              for (size_t c = 0; c < d; ++c) dst[c] = 0.0f;
+              std::memset(dst, 0, d * sizeof(float));
               continue;
             }
             SEQFM_CHECK_LT(static_cast<size_t>(idx), vocab);
-            const float* srow = tv + static_cast<size_t>(idx) * d;
-            for (size_t c = 0; c < d; ++c) dst[c] = srow[c];
+            std::memcpy(dst, tv + static_cast<size_t>(idx) * d,
+                        d * sizeof(float));
           }
         });
         break;
@@ -403,82 +411,74 @@ void RunProgram(const Program& prog, Frame* f, size_t count,
         break;
       }
     }
+    if (instr_ns != nullptr) {
+      instr_ns[pc] += static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               start)
+              .count());
+    }
   }
 }
 
-/// Multiply-accumulates one run of \p prog at \p count candidates performs
-/// in its GEMM-kind instructions: output size times contraction length, and
-/// for a fused attention its unmasked (query, key) pairs times (d + dv) per
-/// item, except the rows and score entries tensor::MaskedAttention computes
-/// once.
-size_t GemmMacs(const Program& prog, size_t count) {
+}  // namespace
+
+size_t InstrMacs(const Program& prog, const Instr& ins, size_t count) {
   auto rows = [&](const Value& v) {
     return v.shape[0] * (v.per_candidate ? count : 1);
   };
-  size_t macs = 0;
-  for (const Instr& ins : prog.instrs) {
-    size_t k = 0;
-    switch (ins.kind) {
-      case OpKind::kMatMul:     // [m, k] x [k, n]
-      case OpKind::kBmmShared:  // [b, m, k] x [k, n]
-        k = prog.values[ins.in[0]].shape.back();
-        break;
-      case OpKind::kBmm:
-        k = prog.values[ins.in[0]].shape[ins.trans_a ? 1 : 2];
-        break;
-      case OpKind::kBmmLeftShared:  // [h2, h] x [b, h, d]
-        k = prog.values[ins.in[0]].shape[1];
-        break;
-      case OpKind::kMaskedAttention: {
-        // Per Q, K and V row: does it come from a count-free (broadcast)
-        // block?
-        std::vector<char> bcast[3];
-        for (size_t j = 0, t = 0; j < 3; ++j) {
-          for (size_t end = t + ins.parts[j]; t < end; ++t) {
-            const Value& blk = prog.values[ins.in[t]];
-            bcast[j].insert(bcast[j].end(), blk.shape[1], !blk.per_candidate);
-          }
+  size_t k = 0;
+  switch (ins.kind) {
+    case OpKind::kMatMul:     // [m, k] x [k, n]
+    case OpKind::kBmmShared:  // [b, m, k] x [k, n]
+      k = prog.values[ins.in[0]].shape.back();
+      break;
+    case OpKind::kBmm:
+      k = prog.values[ins.in[0]].shape[ins.trans_a ? 1 : 2];
+      break;
+    case OpKind::kBmmLeftShared:  // [h2, h] x [b, h, d]
+      k = prog.values[ins.in[0]].shape[1];
+      break;
+    case OpKind::kMaskedAttention: {
+      // Per Q, K and V row: does it come from a count-free (broadcast)
+      // block?
+      std::vector<char> bcast[3];
+      for (size_t j = 0, t = 0; j < 3; ++j) {
+        for (size_t end = t + ins.parts[j]; t < end; ++t) {
+          const Value& blk = prog.values[ins.in[t]];
+          bcast[j].insert(bcast[j].end(), blk.shape[1], !blk.per_candidate);
         }
-        const size_t batch = rows(prog.values[ins.out]);
-        const size_t d = prog.values[ins.in[0]].shape[2];
-        const size_t dv =
-            prog.values[ins.in[ins.parts[0] + ins.parts[1]]].shape[2];
-        for (size_t r = 0; r < bcast[0].size(); ++r) {
-          const size_t c0 = ins.ranges[2 * r], c1 = ins.ranges[2 * r + 1];
-          size_t shared_keys = 0;  // broadcast K rows a broadcast Q row meets
-          bool shared_values = true;
-          for (size_t c = c0; c < c1; ++c) {
-            shared_keys += bcast[0][r] && bcast[1][c];
-            shared_values = shared_values && bcast[2][c];
-          }
-          const size_t width = c1 - c0;
-          if (shared_keys == width && shared_values) {
-            macs += width * (d + dv);  // the whole row, once
-          } else {
-            macs += shared_keys * d +
-                    batch * ((width - shared_keys) * d + width * dv);
-          }
-        }
-        continue;
       }
-      default:
-        continue;
+      const size_t batch = rows(prog.values[ins.out]);
+      const size_t d = prog.values[ins.in[0]].shape[2];
+      const size_t dv =
+          prog.values[ins.in[ins.parts[0] + ins.parts[1]]].shape[2];
+      size_t macs = 0;
+      for (size_t r = 0; r < bcast[0].size(); ++r) {
+        const size_t c0 = ins.ranges[2 * r], c1 = ins.ranges[2 * r + 1];
+        size_t shared_keys = 0;  // broadcast K rows a broadcast Q row meets
+        bool shared_values = true;
+        for (size_t c = c0; c < c1; ++c) {
+          shared_keys += bcast[0][r] && bcast[1][c];
+          shared_values = shared_values && bcast[2][c];
+        }
+        const size_t width = c1 - c0;
+        if (shared_keys == width && shared_values) {
+          macs += width * (d + dv);  // the whole row, once
+        } else {
+          macs += shared_keys * d +
+                  batch * ((width - shared_keys) * d + width * dv);
+        }
+      }
+      return macs;
     }
-    const Value& out = prog.values[ins.out];
-    macs += out.size() / out.shape[0] * rows(out) * k;
+    default:
+      return 0;
   }
-  return macs;
+  const Value& out = prog.values[ins.out];
+  return out.size() / out.shape[0] * rows(out) * k;
 }
 
-bool BindingReadsCandidate(const IndexBinding& b) {
-  if (b.source != IndexSource::kStatic && b.source != IndexSource::kUnified) {
-    return false;
-  }
-  for (uint32_t c : b.cols) {
-    if (c == 1) return true;
-  }
-  return false;
-}
+namespace {
 
 bool BitEqual(const tensor::Tensor& a, const tensor::Tensor& b) {
   return a.size() == b.size() &&
@@ -674,7 +674,7 @@ std::unique_ptr<Engine> Engine::Compile(core::Model* model,
   // Belt and braces: an invariant (prologue) gather must never read the
   // candidate column — the prologue runs once per request with no candidate.
   for (const Instr& ins : f.prologue.instrs) {
-    if (BindingReadsCandidate(ins.binding)) {
+    if (ins.binding.ReadsCandidate()) {
       *error = "compile: prologue gather reads the candidate column";
       return nullptr;
     }
@@ -777,7 +777,9 @@ std::unique_ptr<Engine> Engine::Compile(core::Model* model,
   st.slots = f.prologue.slot_outputs.size();
   st.prologue_frame_floats = f.prologue.FrameFloats(1);
   st.body_frame_floats = f.body.FrameFloats(f.body.count);
-  st.body_macs_per_candidate = GemmMacs(f.body, 2) / 2;
+  size_t macs_at_2 = 0;
+  for (const Instr& ins : f.body.instrs) macs_at_2 += InstrMacs(f.body, ins, 2);
+  st.body_macs_per_candidate = macs_at_2 / 2;
   st.item_values = f.table.columns.size();
   st.item_table_bytes = f.table.bytes();
   e->prologue_ = std::move(f.prologue);
@@ -805,7 +807,8 @@ void Engine::MakeContext(int32_t user_index,
 
 bool Engine::ScoreRange(const core::SharedContext& ctx,
                         const std::vector<int32_t>& candidates, size_t begin,
-                        size_t end, float* out, std::string* error) const {
+                        size_t end, float* out, std::string* error,
+                        uint64_t* instr_ns) const {
   if (ctx.engine_uid != uid_) {
     *error = "score: context was built by a different engine";
     return false;
@@ -814,7 +817,7 @@ bool Engine::ScoreRange(const core::SharedContext& ctx,
   Frame* bf = FrameFor(body_);
   RunProgram(body_, bf, end - begin, &ctx.slots, &items_.columns,
              ctx.user_index, ctx.dynamic_ids.data(), candidates.data() + begin,
-             cand_base_, unified_dyn_base_);
+             cand_base_, unified_dyn_base_, instr_ns);
   std::memcpy(out, bf->locals[body_.output].data(),
               (end - begin) * sizeof(float));
   return true;

@@ -65,6 +65,14 @@ struct EngineStats {
   size_t item_table_bytes = 0;
 };
 
+/// Multiply-accumulates instruction \p ins of \p prog spends in one run at
+/// \p count candidates, from shapes: output size times contraction length
+/// for the GEMM kinds (matmul, bmm, bmm_shared, bmm_left_shared); for a
+/// fused attention its unmasked (query, key) pairs times (d + dv) per
+/// candidate, except the rows and score entries tensor::MaskedAttention
+/// computes once. 0 for every other kind.
+size_t InstrMacs(const Program& prog, const Instr& ins, size_t count);
+
 /// Runs \p catalog (a planned catalog program, passes::Factor) over objects
 /// 0..num_objects-1, up to catalog.count at a time, and returns its outputs
 /// as an item table. The catalog reads only the candidate column, which it
@@ -110,10 +118,13 @@ class Engine {
   /// Scores candidates[begin..end) against \p ctx into out[0..end-begin)
   /// in one run of the body; end - begin may not exceed body().count (the
   /// max_count Compile planned for). Never compiles; returns false (with
-  /// \p error set) only for a context another engine built.
+  /// \p error set) only for a context another engine built. A non-null
+  /// \p instr_ns (body().instrs.size() entries) profiles the run: each
+  /// body instruction's wall time in nanoseconds is added to its entry.
   bool ScoreRange(const core::SharedContext& ctx,
                   const std::vector<int32_t>& candidates, size_t begin,
-                  size_t end, float* out, std::string* error) const;
+                  size_t end, float* out, std::string* error,
+                  uint64_t* instr_ns = nullptr) const;
 
   /// Number of slot tensors a context carries.
   size_t num_slots() const { return prologue_.slot_outputs.size(); }

@@ -21,21 +21,6 @@ bool IsSynthesized(OpKind k) {
          k == OpKind::kCrossPaddingMask || k == OpKind::kZeros;
 }
 
-/// Candidate ids live in column 1 of the static and unified arrays
-/// ([UserIndex, CandidateIndex, ...]); the dynamic array is pure history.
-bool ColumnIsCandidate(const IndexBinding& b, size_t j) {
-  return (b.source == IndexSource::kStatic ||
-          b.source == IndexSource::kUnified) &&
-         b.cols[j] == 1;
-}
-
-bool BindingUsesCandidate(const IndexBinding& b) {
-  for (size_t j = 0; j < b.cols.size(); ++j) {
-    if (ColumnIsCandidate(b, j)) return true;
-  }
-  return false;
-}
-
 /// Instruction-level alignment between the two traces: same op, same value
 /// ids (the traces share a construction order, hence an id space), same
 /// scalar attributes. traced_indices and bindings are reconciled separately.
@@ -206,7 +191,7 @@ class RowBlockSplitter {
   void AppendPair(Instr i1, Instr iC) {
     bool v = false;
     if (IsGather(iC.kind)) {
-      v = BindingUsesCandidate(iC.binding);
+      v = iC.binding.ReadsCandidate();
     } else if (!IsSynthesized(iC.kind)) {
       for (uint32_t u : iC.in) v = v || variant_[u] != 0;
     }
@@ -270,7 +255,7 @@ class RowBlockSplitter {
     const size_t n = b.cols.size();
     std::vector<size_t> starts;
     for (size_t j = 0; j < n; ++j) {
-      if (j == 0 || ColumnIsCandidate(b, j) != ColumnIsCandidate(b, j - 1)) {
+      if (j == 0 || b.ColumnIsCandidate(j) != b.ColumnIsCandidate(j - 1)) {
         starts.push_back(j);
       }
     }
@@ -326,7 +311,7 @@ bool ScalesWithCount(const std::vector<size_t>& shape1,
 
 bool BindingIsCandidateOnly(const IndexBinding& b) {
   for (size_t j = 0; j < b.cols.size(); ++j) {
-    if (!ColumnIsCandidate(b, j)) return false;
+    if (!b.ColumnIsCandidate(j)) return false;
   }
   return !b.cols.empty();
 }
@@ -503,7 +488,7 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     for (const Instr& ins : pC.instrs) {
       bool v = demoted[ins.out] != 0;
       if (IsGather(ins.kind)) {
-        v = v || BindingUsesCandidate(ins.binding);
+        v = v || ins.binding.ReadsCandidate();
       } else if (!IsSynthesized(ins.kind)) {
         for (uint32_t u : ins.in) v = v || variant[u] != 0;
       }

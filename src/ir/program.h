@@ -90,6 +90,22 @@ struct IndexBinding {
   std::vector<uint32_t> cols;
   std::vector<int32_t> deltas;
 
+  /// Whether column \p j reads a candidate id: candidates live in column 1
+  /// of the static and unified arrays ([UserIndex, CandidateIndex, ...]);
+  /// the dynamic array is pure history.
+  bool ColumnIsCandidate(size_t j) const {
+    return (source == IndexSource::kStatic ||
+            source == IndexSource::kUnified) &&
+           cols[j] == 1;
+  }
+  /// Whether any column reads a candidate id.
+  bool ReadsCandidate() const {
+    for (size_t j = 0; j < cols.size(); ++j) {
+      if (ColumnIsCandidate(j)) return true;
+    }
+    return false;
+  }
+
   bool operator==(const IndexBinding& o) const {
     return source == o.source && cols == o.cols && deltas == o.deltas;
   }

@@ -148,6 +148,14 @@ void SoftmaxRowsScalar(const float* x, const float* add, size_t add_stride,
   }
 }
 
+void AttentionRowsScalar(const AttentionRow* rows, size_t n, size_t dv,
+                         bool pooled, float pool_scale, float* out) {
+  for (size_t c = 0; c < dv; c += kLanes) {
+    ScalarAttentionColumns(rows, n, dv, pooled, pool_scale, c,
+                           std::min(kLanes, dv - c), out);
+  }
+}
+
 const KernelTable kScalarTable = {
     /*dot=*/ScalarDot,
     /*reduce_sum=*/ScalarReduceSum,
@@ -169,6 +177,7 @@ const KernelTable kScalarTable = {
     /*layer_norm_row=*/ScalarLayerNormRow,
     /*gemm_rows_b_normal=*/GemmRowsBNormalScalar,
     /*gemm_rows_b_trans=*/GemmRowsBTransScalar,
+    /*attention_rows=*/AttentionRowsScalar,
     /*name=*/"scalar",
 };
 

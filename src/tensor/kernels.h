@@ -9,14 +9,27 @@ namespace seqfm {
 namespace tensor {
 namespace kernels {
 
+/// One output row of a fused attention (tensor::MaskedAttention): the
+/// probability-weighted sum of \p width V rows, each read in place, or a
+/// row finished earlier.
+struct AttentionRow {
+  const float* p = nullptr;         // width probabilities
+  const float* const* v = nullptr;  // width V rows, each dv floats
+  size_t width = 0;
+  const float* done = nullptr;  // when set, the finished row (p, v unused)
+};
+
 /// \brief Dispatched inner loops behind the tensor/autograd compute kernels.
 ///
 /// Every function pointer in this table has (at least) two implementations:
 /// a portable scalar one (kernels.cc) and an AVX2 one (kernels_avx2.cc,
 /// compiled with -mavx2 -mfma -ffp-contract=off and selected at startup via
-/// util::ActiveSimdLevel()). The two are **bit-identical** on every input,
-/// which is what keeps the repo's determinism contract (results independent
-/// of thread count — and now of ISA) intact. Two rules make that possible:
+/// util::ActiveSimdLevel()). The two are **bit-identical** on every output
+/// that is not NaN, which is what keeps the repo's determinism contract
+/// (results independent of thread count — and now of ISA) intact. A NaN
+/// output is NaN under both, but its sign and payload may differ: which NaN
+/// a sum of NaNs keeps depends on operand order. Two rules make that
+/// possible:
 ///
 /// 1. *Elementwise maps preserve per-element arithmetic.* add/sub/mul/axpy/
 ///    relu/... perform exactly the scalar expression per element; the vector
@@ -108,6 +121,14 @@ struct KernelTable {
   /// lane-blocked dot products.
   void (*gemm_rows_b_trans)(const float* arows, const float* b, float* crows,
                             size_t rows, size_t k, size_t n, bool accumulate);
+
+  /// Rows [0, n) of one attention item, columns in register blocks: row
+  /// r is rows[r].done, or row[c] = 0 + sum_j p[j] * v[j][c] in ascending
+  /// j (gemm_rows_b_normal's per-element order). Unpooled, row r is stored
+  /// at out + r * dv. Pooled, out[c] = 0 + sum_r pool_scale * row_r[c] in
+  /// ascending r (SumAxis1's axpy order) and no row is stored.
+  void (*attention_rows)(const AttentionRow* rows, size_t n, size_t dv,
+                         bool pooled, float pool_scale, float* out);
 
   /// "scalar" / "avx2" — for logs and bench labels.
   const char* name;

@@ -16,6 +16,7 @@
 //     vector twin of every scalar step.
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 
 #include "tensor/kernels.h"
@@ -529,6 +530,77 @@ void GemmRowsBTransAvx2(const float* arows, const float* b, float* crows,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Fused attention rows
+// ---------------------------------------------------------------------------
+
+// Columns [c, c + 32) of every row of one attention item: the row's four
+// accumulators and the four pooled sums stay in registers across its V
+// rows (named, not an array, so -O2 keeps them there), and each element
+// keeps ScalarAttentionColumns' order (a zero accumulator plus
+// p[j] * v[j][c] in ascending j; a zero pool plus pool_scale * row in
+// ascending r).
+void AttentionColumns32Avx2(const AttentionRow* rows, size_t n, size_t dv,
+                            bool pooled, __m256 vscale, size_t c,
+                            float* out) {
+  __m256 s0 = _mm256_setzero_ps(), s1 = s0, s2 = s0, s3 = s0;
+  for (size_t r = 0; r < n; ++r) {
+    const AttentionRow& row = rows[r];
+    __m256 a0, a1, a2, a3;
+    if (row.done != nullptr) {
+      const float* src = row.done + c;
+      a0 = _mm256_loadu_ps(src);
+      a1 = _mm256_loadu_ps(src + kLanes);
+      a2 = _mm256_loadu_ps(src + 2 * kLanes);
+      a3 = _mm256_loadu_ps(src + 3 * kLanes);
+    } else {
+      a0 = a1 = a2 = a3 = _mm256_setzero_ps();
+      for (size_t j = 0; j < row.width; ++j) {
+        const __m256 pj = _mm256_set1_ps(row.p[j]);
+        const float* vr = row.v[j] + c;
+        a0 = _mm256_add_ps(a0, _mm256_mul_ps(pj, _mm256_loadu_ps(vr)));
+        a1 = _mm256_add_ps(a1,
+                           _mm256_mul_ps(pj, _mm256_loadu_ps(vr + kLanes)));
+        a2 = _mm256_add_ps(
+            a2, _mm256_mul_ps(pj, _mm256_loadu_ps(vr + 2 * kLanes)));
+        a3 = _mm256_add_ps(
+            a3, _mm256_mul_ps(pj, _mm256_loadu_ps(vr + 3 * kLanes)));
+      }
+    }
+    if (pooled) {
+      s0 = _mm256_add_ps(s0, _mm256_mul_ps(vscale, a0));
+      s1 = _mm256_add_ps(s1, _mm256_mul_ps(vscale, a1));
+      s2 = _mm256_add_ps(s2, _mm256_mul_ps(vscale, a2));
+      s3 = _mm256_add_ps(s3, _mm256_mul_ps(vscale, a3));
+    } else {
+      float* dst = out + r * dv + c;
+      _mm256_storeu_ps(dst, a0);
+      _mm256_storeu_ps(dst + kLanes, a1);
+      _mm256_storeu_ps(dst + 2 * kLanes, a2);
+      _mm256_storeu_ps(dst + 3 * kLanes, a3);
+    }
+  }
+  if (pooled) {
+    _mm256_storeu_ps(out + c, s0);
+    _mm256_storeu_ps(out + c + kLanes, s1);
+    _mm256_storeu_ps(out + c + 2 * kLanes, s2);
+    _mm256_storeu_ps(out + c + 3 * kLanes, s3);
+  }
+}
+
+void AttentionRowsAvx2(const AttentionRow* rows, size_t n, size_t dv,
+                       bool pooled, float pool_scale, float* out) {
+  const __m256 vscale = _mm256_set1_ps(pool_scale);
+  size_t c = 0;
+  for (; c + 4 * kLanes <= dv; c += 4 * kLanes) {
+    AttentionColumns32Avx2(rows, n, dv, pooled, vscale, c, out);
+  }
+  for (; c < dv; c += kLanes) {
+    ScalarAttentionColumns(rows, n, dv, pooled, pool_scale, c,
+                           std::min(kLanes, dv - c), out);
+  }
+}
+
 const KernelTable kAvx2Table = {
     /*dot=*/DotAvx2,
     /*reduce_sum=*/ReduceSumAvx2,
@@ -550,6 +622,7 @@ const KernelTable kAvx2Table = {
     /*layer_norm_row=*/LayerNormRowAvx2,
     /*gemm_rows_b_normal=*/GemmRowsBNormalAvx2,
     /*gemm_rows_b_trans=*/GemmRowsBTransAvx2,
+    /*attention_rows=*/AttentionRowsAvx2,
     /*name=*/"avx2",
 };
 

@@ -21,6 +21,8 @@
 #include <cstring>
 #include <limits>
 
+#include "tensor/kernels.h"
+
 namespace seqfm {
 namespace tensor {
 namespace kernels {
@@ -267,6 +269,42 @@ static inline void ScalarLayerNormRow(const float* x, const float* gamma,
     const float h = (x[j] - mean) * inv_std;
     if (xhat != nullptr) xhat[j] = h;
     y[j] = gamma[j] * h + beta[j];
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fused attention rows (KernelTable::attention_rows)
+// ---------------------------------------------------------------------------
+
+/// Columns [c, c + w) (w <= kLanes) of rows [0, n) of one attention item,
+/// per element exactly the order attention_rows documents. The scalar
+/// kernel runs every column block through it; the AVX2 kernel the columns
+/// past its last 32-wide block.
+static inline void ScalarAttentionColumns(const AttentionRow* rows, size_t n,
+                                          size_t dv, bool pooled,
+                                          float pool_scale, size_t c,
+                                          size_t w, float* out) {
+  float pool[kLanes] = {0.0f};
+  for (size_t r = 0; r < n; ++r) {
+    const AttentionRow& row = rows[r];
+    float acc[kLanes] = {0.0f};
+    if (row.done != nullptr) {
+      for (size_t l = 0; l < w; ++l) acc[l] = row.done[c + l];
+    } else {
+      for (size_t j = 0; j < row.width; ++j) {
+        const float pj = row.p[j];
+        const float* vr = row.v[j] + c;
+        for (size_t l = 0; l < w; ++l) acc[l] += pj * vr[l];
+      }
+    }
+    if (pooled) {
+      for (size_t l = 0; l < w; ++l) pool[l] += pool_scale * acc[l];
+    } else {
+      for (size_t l = 0; l < w; ++l) out[r * dv + c + l] = acc[l];
+    }
+  }
+  if (pooled) {
+    for (size_t l = 0; l < w; ++l) out[c + l] = pool[l];
   }
 }
 

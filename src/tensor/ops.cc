@@ -236,22 +236,49 @@ const float* BlockRow(const Tensor& t, size_t b, size_t row) {
   return t.data() + (t.dim(0) == 1 ? 0 : b * t.dim(1) * width) + row * width;
 }
 
-/// Rows [r0, r1) of batch item \p b, in place when one block holds them
-/// all, else copied into \p scratch.
-const float* StackRowsAt(RowStack s, size_t b, size_t r0, size_t r1,
-                         float* scratch) {
+/// Copies rows [r0, r1) of batch item \p b into \p dst.
+void CopyStackRows(RowStack s, size_t b, size_t r0, size_t r1, float* dst) {
   const size_t width = s.blocks[0]->dim(2);
   size_t base = 0;
-  for (size_t i = 0; i < s.count; ++i) {
+  for (size_t i = 0; i < s.count && base < r1; ++i) {
     const Tensor& t = *s.blocks[i];
     const size_t end = base + t.dim(1);
-    if (r0 >= base && r1 <= end) return BlockRow(t, b, r0 - base);
     const size_t lo = std::max(r0, base), hi = std::min(r1, end);
     if (lo < hi) {
-      std::memcpy(scratch + (lo - r0) * width, BlockRow(t, b, lo - base),
+      std::memcpy(dst + (lo - r0) * width, BlockRow(t, b, lo - base),
                   (hi - lo) * width * sizeof(float));
     }
     base = end;
+  }
+}
+
+/// The block holding all of rows [r0, r1), and (in \p base) its first
+/// row; null when they span blocks.
+const Tensor* BlockHolding(RowStack s, size_t r0, size_t r1, size_t* base) {
+  *base = 0;
+  for (size_t i = 0; i < s.count; ++i) {
+    const size_t end = *base + s.blocks[i]->dim(1);
+    if (r0 >= *base && r1 <= end) return s.blocks[i];
+    if (r0 < end) return nullptr;
+    *base = end;
+  }
+  return nullptr;
+}
+
+/// Rows [r0, r1) of batch items [b0, b0 + nb), item-major: an
+/// [nb * (r1 - r0), width] matrix. In place when one block holds those
+/// rows and, for several items, is a per-item block of exactly those rows
+/// (consecutive items are then adjacent); else copied into \p scratch.
+const float* StackRowsAt(RowStack s, size_t b0, size_t nb, size_t r0,
+                         size_t r1, float* scratch) {
+  size_t base = 0;
+  const Tensor* t = BlockHolding(s, r0, r1, &base);
+  if (t != nullptr && (nb == 1 || (t->dim(0) != 1 && t->dim(1) == r1 - r0))) {
+    return BlockRow(*t, b0, r0 - base);
+  }
+  const size_t stride = (r1 - r0) * s.blocks[0]->dim(2);
+  for (size_t i = 0; i < nb; ++i) {
+    CopyStackRows(s, b0 + i, r0, r1, scratch + i * stride);
   }
   return scratch;
 }
@@ -272,10 +299,14 @@ bool BroadcastRun(RowStack s, size_t r, size_t* run_end) {
 /// Consecutive query rows [r0, r1) that share one key range [c0, c1) and
 /// whether their Q rows come from broadcast blocks. `once`: the rows are
 /// the same for every batch item (zero width, or broadcast Q rows over a
-/// broadcast K/V range), so they are computed once per call.
+/// broadcast K/V range), so they are computed once per call. `same_mask`:
+/// the rows' mask entries over [c0, c1) are identical (or there is no
+/// mask), so one softmax call serves the group's rows of a whole tile.
+/// `probs`: the group's offset in a tile's probabilities, per item.
 struct RowGroup {
   uint32_t r0, r1, c0, c1;
-  bool q_bcast, once;
+  bool q_bcast, once, same_mask;
+  size_t probs;
 };
 
 }  // namespace
@@ -345,20 +376,11 @@ void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
     const core::ScratchArena::Mark arena_mark = arena.mark();
     auto* groups =
         static_cast<RowGroup*>(arena.Allocate(nq * sizeof(RowGroup)));
-    float* probs = arena.AllocateFloats(nq * nk);
-    float* part = arena.AllocateFloats(nq * nk);
-    float* q_rows = arena.AllocateFloats(nq * d);
-    float* k_rows = arena.AllocateFloats(nk * d);
-    float* v_rows = arena.AllocateFloats(nk * dv);
-    // Broadcast score entries (raw dots at [row, column]) and the rows
-    // computed once; a pooled call also stages each item's rows here.
-    float* once_scores = arena.AllocateFloats(nq * nk);
-    float* once_rows = arena.AllocateFloats(nq * dv);
-    float* item_rows = pooled ? arena.AllocateFloats(nq * dv) : nullptr;
 
     // Row groups split where the key range or the Q rows' broadcast-ness
-    // changes.
-    size_t ngroups = 0;
+    // changes; the groups computed per item take consecutive slices of a
+    // tile's probabilities.
+    size_t ngroups = 0, probs_per_item = 0, widest = 0;
     for (size_t r0 = 0, r1 = 0; r0 < nq; r0 = r1) {
       const uint32_t c0 = ranges[2 * r0], c1 = ranges[2 * r0 + 1];
       size_t q_end, k_end = c0, v_end = c0;
@@ -372,102 +394,179 @@ void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
           c0 == c1 || (q_bcast && BroadcastRun(k, c0, &k_end) &&
                        k_end >= c1 && BroadcastRun(v, c0, &v_end) &&
                        v_end >= c1);
+      bool same_mask = true;
+      for (size_t r = r0 + 1; mask_data != nullptr && r < r1; ++r) {
+        same_mask = same_mask &&
+                    std::memcmp(mask_data + r * nk + c0,
+                                mask_data + r0 * nk + c0,
+                                (c1 - c0) * sizeof(float)) == 0;
+      }
+      const size_t cells = (r1 - r0) * (c1 - c0);
       groups[ngroups++] = {static_cast<uint32_t>(r0),
-                           static_cast<uint32_t>(r1), c0, c1, q_bcast, once};
+                           static_cast<uint32_t>(r1),
+                           c0,
+                           c1,
+                           q_bcast,
+                           once,
+                           same_mask,
+                           once ? 0 : probs_per_item};
+      if (!once) probs_per_item += cells;
+      widest = std::max(widest, cells);
     }
-
-    // Raw scores of group \p g's rows against key columns [j0, j1) for
-    // batch item \p b: row t at dst + t * stride.
-    auto dots = [&](const RowGroup& g, size_t b, size_t j0, size_t j1,
-                    float* dst, size_t stride) {
-      const size_t rows = g.r1 - g.r0, n = j1 - j0;
-      const float* qr = StackRowsAt(q, b, g.r0, g.r1, q_rows);
-      const float* kr = StackRowsAt(k, b, j0, j1, k_rows);
-      if (stride == n) {
-        kt.gemm_rows_b_trans(qr, kr, dst, rows, d, n, /*accumulate=*/false);
-        return;
+    const size_t tile = std::min(kAttentionTile, b1 - b0);
+    // A tile's probabilities, item-major within each group: item t's row r
+    // of group g at probs + g.probs * nb + (t * rows + r) * width.
+    float* probs =
+        arena.AllocateFloats(std::max(probs_per_item, widest) * tile);
+    float* part = arena.AllocateFloats(widest * tile);
+    float* q_rows = arena.AllocateFloats(nq * d * tile);
+    float* k_rows = arena.AllocateFloats(nk * d * tile);
+    // Broadcast score entries (raw dots at [row, column]) and the rows
+    // computed once.
+    float* once_scores = arena.AllocateFloats(nq * nk);
+    float* once_rows = arena.AllocateFloats(nq * dv);
+    // Where V row j of item b starts: v_base[j] + b * v_step[j] (step 0 for
+    // a broadcast row), and one item's rows.
+    auto** v_base =
+        static_cast<const float**>(arena.Allocate(nk * sizeof(float*)));
+    auto* v_step = static_cast<size_t*>(arena.Allocate(nk * sizeof(size_t)));
+    auto** v_rows =
+        static_cast<const float**>(arena.Allocate(nk * sizeof(float*)));
+    auto* out_rows = static_cast<kernels::AttentionRow*>(
+        arena.Allocate(nq * sizeof(kernels::AttentionRow)));
+    for (size_t i = 0, j = 0; i < v.count; ++i) {
+      const Tensor& t = *v.blocks[i];
+      for (size_t r = 0; r < t.dim(1); ++r, ++j) {
+        v_base[j] = BlockRow(t, 0, r);
+        v_step[j] = t.dim(0) == 1 ? 0 : t.dim(1) * dv;
       }
-      kt.gemm_rows_b_trans(qr, kr, part, rows, d, n, /*accumulate=*/false);
-      for (size_t t = 0; t < rows; ++t) {
-        for (size_t j = 0; j < n; ++j) dst[t * stride + j] = part[t * n + j];
+    }
+    auto point_v_rows = [&](size_t b) {
+      for (size_t j = 0; j < nk; ++j) v_rows[j] = v_base[j] + b * v_step[j];
+    };
+
+    // Copies \p m rows of \p n scores (source rows \p src_stride apart)
+    // into rows \p dst_stride apart.
+    // (Runs are a few scores wide: an inline loop, not a memcpy call.)
+    auto copy_rows = [](const float* src, size_t src_stride, size_t m,
+                        size_t n, float* dst, size_t dst_stride) {
+      for (size_t t = 0; t < m; ++t) {
+        for (size_t j = 0; j < n; ++j) {
+          dst[t * dst_stride + j] = src[t * src_stride + j];
+        }
       }
     };
-    // Group \p g's output rows for batch item \p b into \p dst. The score
-    // entries a broadcast Q row has with broadcast K rows come from
-    // once_scores unless the whole group is computed once.
-    auto attend = [&](const RowGroup& g, size_t b, float* dst) {
+    // Group \p g's probabilities for items [t0, t0 + nb) into \p gp
+    // (item-major [nb * rows, width]): per key run, one score GEMM for the
+    // whole tile when Q or K is broadcast, then the Scale op and the
+    // softmax of each row's open slice.
+    auto score_group = [&](const RowGroup& g, size_t t0, size_t nb,
+                           float* gp) {
       const size_t rows = g.r1 - g.r0, width = g.c1 - g.c0;
-      if (width == 0) {
-        std::fill(dst, dst + rows * dv, 0.0f);
+      if (width == 0) return;
+      const float* qt =
+          g.q_bcast ? StackRowsAt(q, 0, 1, g.r0, g.r1, q_rows)
+                    : StackRowsAt(q, t0, nb, g.r0, g.r1, q_rows);
+      for (size_t j0 = g.c0, j1; j0 < g.c1; j0 = j1) {
+        const bool k_bcast = BroadcastRun(k, j0, &j1);
+        j1 = std::min<size_t>(j1, g.c1);
+        const size_t n = j1 - j0;
+        float* dst = gp + (j0 - g.c0);
+        if (g.q_bcast && k_bcast) {
+          for (size_t t = 0; t < nb; ++t) {
+            copy_rows(once_scores + g.r0 * nk + j0, nk, rows, n,
+                      dst + t * rows * width, width);
+          }
+        } else if (k_bcast) {
+          // Every item's Q rows of the tile against the broadcast keys.
+          float* c = n == width ? dst : part;
+          kt.gemm_rows_b_trans(qt, StackRowsAt(k, 0, 1, j0, j1, k_rows), c,
+                               nb * rows, d, n, /*accumulate=*/false);
+          if (c == part) copy_rows(part, n, nb * rows, n, dst, width);
+        } else if (g.q_bcast) {
+          // The broadcast Q rows against every item's keys of the tile.
+          kt.gemm_rows_b_trans(qt, StackRowsAt(k, t0, nb, j0, j1, k_rows),
+                               part, rows, d, nb * n, /*accumulate=*/false);
+          for (size_t t = 0; t < nb; ++t) {
+            copy_rows(part + t * n, nb * n, rows, n, dst + t * rows * width,
+                      width);
+          }
+        } else {
+          for (size_t t = 0; t < nb; ++t) {
+            float* item = dst + t * rows * width;
+            float* c = n == width ? item : part;
+            kt.gemm_rows_b_trans(qt + t * rows * d,
+                                 StackRowsAt(k, t0 + t, 1, j0, j1, k_rows), c,
+                                 rows, d, n, /*accumulate=*/false);
+            if (c == part) copy_rows(part, n, rows, n, item, width);
+          }
+        }
+      }
+      kt.scale(alpha, gp, gp, nb * rows * width);
+      const float* add =
+          mask_data != nullptr ? mask_data + g.r0 * nk + g.c0 : nullptr;
+      if (g.same_mask) {
+        kt.softmax_rows(gp, add, 0, gp, nb * rows, width);
         return;
       }
-      // Broadcast Q rows split the range into runs of K rows that are and
-      // are not broadcast.
-      const bool split = g.q_bcast && !g.once;
-      for (size_t j0 = g.c0, j1; j0 < g.c1; j0 = j1) {
-        bool reuse = false;
-        j1 = g.c1;
-        if (split) {
-          reuse = BroadcastRun(k, j0, &j1);
-          j1 = std::min<size_t>(j1, g.c1);
-        }
-        float* p = probs + (j0 - g.c0);
-        if (!reuse) {
-          dots(g, b, j0, j1, p, width);
-          continue;
-        }
-        for (size_t t = 0; t < rows; ++t) {
-          const float* src = once_scores + (g.r0 + t) * nk + j0;
-          for (size_t j = 0; j < j1 - j0; ++j) p[t * width + j] = src[j];
-        }
+      for (size_t t = 0; t < nb; ++t) {
+        float* item = gp + t * rows * width;
+        kt.softmax_rows(item, add, nk, item, rows, width);
       }
-      // The Scale op, then the softmax of the open slice of each row.
-      kt.scale(alpha, probs, probs, rows * width);
-      kt.softmax_rows(probs,
-                      mask_data != nullptr ? mask_data + g.r0 * nk + g.c0
-                                           : nullptr,
-                      nk, probs, rows, width);
-      kt.gemm_rows_b_normal(probs, StackRowsAt(v, b, g.c0, g.c1, v_rows), dst,
-                            rows, width, dv, /*accumulate=*/false);
+    };
+    // The output rows of group \p g read its probabilities \p gp
+    // (item-major [nb * rows, width]) for item \p t in place.
+    auto point_rows = [&](const RowGroup& g, const float* gp, size_t t) {
+      const size_t rows = g.r1 - g.r0, width = g.c1 - g.c0;
+      for (size_t r = 0; r < rows; ++r) {
+        out_rows[g.r0 + r] = {gp + (t * rows + r) * width, v_rows + g.c0,
+                              width, nullptr};
+      }
     };
 
-    // Once per call: the broadcast rows, and the broadcast score entries
-    // of the groups that still vary per item.
+    // Once per call: the broadcast score entries, then the rows every item
+    // shares.
     for (size_t i = 0; i < ngroups; ++i) {
       const RowGroup& g = groups[i];
-      if (g.once) {
-        attend(g, b0, once_rows + g.r0 * dv);
-        continue;
-      }
       if (!g.q_bcast) continue;
       for (size_t j0 = g.c0, j1; j0 < g.c1; j0 = j1) {
         const bool bcast = BroadcastRun(k, j0, &j1);
         j1 = std::min<size_t>(j1, g.c1);
-        if (bcast) dots(g, b0, j0, j1, once_scores + g.r0 * nk + j0, nk);
+        if (!bcast) continue;
+        const size_t rows = g.r1 - g.r0, n = j1 - j0;
+        kt.gemm_rows_b_trans(StackRowsAt(q, 0, 1, g.r0, g.r1, q_rows),
+                             StackRowsAt(k, 0, 1, j0, j1, k_rows), part, rows,
+                             d, n, /*accumulate=*/false);
+        copy_rows(part, n, rows, n, once_scores + g.r0 * nk + j0, nk);
       }
     }
-    for (size_t b = b0; b < b1; ++b) {
-      float* rows_b = pooled ? item_rows : out->data() + b * nq * dv;
-      for (size_t i = 0; i < ngroups; ++i) {
-        const RowGroup& g = groups[i];
-        float* dst = rows_b + g.r0 * dv;
-        if (!g.once) {
-          attend(g, b, dst);
-        } else if (!pooled) {
-          std::memcpy(dst, once_rows + g.r0 * dv,
-                      (g.r1 - g.r0) * dv * sizeof(float));
-        }
+    point_v_rows(b0);
+    for (size_t i = 0; i < ngroups; ++i) {
+      const RowGroup& g = groups[i];
+      if (!g.once) continue;
+      score_group(g, b0, 1, probs);
+      point_rows(g, probs, 0);
+      kt.attention_rows(out_rows + g.r0, g.r1 - g.r0, dv, /*pooled=*/false,
+                        0.0f, once_rows + g.r0 * dv);
+      for (size_t r = g.r0; r < g.r1; ++r) {
+        out_rows[r] = {nullptr, nullptr, 0, once_rows + r * dv};
       }
-      if (!pooled) continue;
-      // SumAxis1's fold: a zeroed row plus each attention row, ascending.
-      float* ob = out->data() + b * dv;
-      std::fill(ob, ob + dv, 0.0f);
+    }
+
+    for (size_t t0 = b0; t0 < b1; t0 += tile) {
+      const size_t nb = std::min(tile, b1 - t0);
       for (size_t i = 0; i < ngroups; ++i) {
         const RowGroup& g = groups[i];
-        const float* src = g.once ? once_rows : item_rows;
-        for (size_t r = g.r0; r < g.r1; ++r) {
-          kt.axpy(pool_scale, src + r * dv, ob, dv);
+        if (!g.once) score_group(g, t0, nb, probs + g.probs * nb);
+      }
+      for (size_t t = 0; t < nb; ++t) {
+        point_v_rows(t0 + t);
+        for (size_t i = 0; i < ngroups; ++i) {
+          const RowGroup& g = groups[i];
+          if (!g.once) point_rows(g, probs + g.probs * nb, t);
         }
+        float* dst = out->data() + (t0 + t) * (pooled ? dv : nq * dv);
+        kt.attention_rows(out_rows, nq, dv, pooled, pool_scale, dst);
       }
     }
     arena.RewindTo(arena_mark);
@@ -671,9 +770,8 @@ void ConcatLastDim(const Tensor* const* parts, size_t count, Tensor* out) {
     const size_t d = parts[p]->dim(1);
     SEQFM_CHECK_LE(offset + d, total);
     for (size_t b = 0; b < batch; ++b) {
-      const float* src = parts[p]->data() + b * d;
-      float* dst = out->data() + b * total + offset;
-      for (size_t j = 0; j < d; ++j) dst[j] = src[j];
+      std::memcpy(out->data() + b * total + offset, parts[p]->data() + b * d,
+                  d * sizeof(float));
     }
     offset += d;
   }
@@ -698,9 +796,8 @@ void SliceRow(const Tensor& in, size_t row, Tensor* out) {
   SEQFM_CHECK_LT(row, in.dim(1));
   SEQFM_CHECK_EQ(out->size(), batch * d);
   for (size_t b = 0; b < batch; ++b) {
-    const float* src = in.BatchData(b) + row * d;
-    float* dst = out->data() + b * d;
-    for (size_t j = 0; j < d; ++j) dst[j] = src[j];
+    std::memcpy(out->data() + b * d, in.BatchData(b) + row * d,
+                d * sizeof(float));
   }
 }
 

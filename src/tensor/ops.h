@@ -65,6 +65,9 @@ struct RowStack {
   size_t count = 0;
 };
 
+/// Batch items per tile of MaskedAttention.
+constexpr size_t kAttentionTile = 32;
+
 /// Scaled dot-product attention that computes only the unmasked pairs:
 ///   rows[b] = softmax(alpha * Q[b] K[b]^T + mask) V[b]
 /// with Q [batch, nq, d], K [batch, nk, d], V [batch, nk, dv]. A rank-3
@@ -78,13 +81,27 @@ struct RowStack {
 ///
 /// Work that does not depend on the batch item is done once per call (per
 /// thread range): an output row whose Q row and whole K/V range come from
-/// batch-1 blocks, and a score entry whose Q row and K row both do. Rows
-/// are independent under kernels.h's per-element accumulation contract, so
-/// reusing such a row or entry for every item changes no bit. A pooled call
-/// stages each item's rows in an L1-sized thread-arena buffer and folds
-/// them into a zeroed output row with axpy(pool_scale, row) in ascending row
-/// order, exactly SumAxis1's sequence, so the pooled bits equal the
-/// unpooled op followed by SumAxis1.
+/// batch-1 blocks, and a score entry whose Q row and K row both do. The
+/// rest runs tile-major, kAttentionTile items at a time, per row group
+/// (consecutive query rows sharing a key range), in three phases:
+///   1. scores: per run of broadcast or per-item keys, one
+///      gemm_rows_b_trans for the whole tile when the Q rows or the keys
+///      are broadcast (the tile's per-item rows stacked as one operand),
+///      and one per item when both are per-item;
+///   2. the Scale op, then the softmax of each row's open slice: one
+///      softmax_rows call over the tile's rows when the group's mask rows
+///      agree over its range (or there is no mask), else one per item;
+///   3. per item, one kernels::attention_rows pass that reads V rows in
+///      place (no copies) and stores each row, or, pooled, folds
+///      pool_scale * row into a zero row in ascending row order, exactly
+///      SumAxis1's axpy sequence, so the pooled bits equal the unpooled op
+///      followed by SumAxis1.
+/// Each score element is the same lane-blocked dot, each softmax row the
+/// same softmax_rows row, and each output element the same 0 + sum_j
+/// p_j * v_j in ascending j (gemm_rows_b_normal's per-element order)
+/// whichever call, tile or thread computes it, so neither the tiling nor
+/// the reuse of once-computed rows and entries changes a bit. Scratch
+/// comes from the thread's scratch arena, sized by the tile, not the batch.
 ///
 /// Bit-identical to BatchedMatMul(trans_b) -> Scale -> SoftmaxLastDim ->
 /// BatchedMatMul (-> SumAxis1 when pooled) whenever V is finite

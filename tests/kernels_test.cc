@@ -1,7 +1,7 @@
 // The SIMD kernel layer's contract suite: scalar and AVX2 kernels must be
-// bit-identical on every input (including empty, size-1, and
-// non-multiple-of-8 tails), the fused masked attention must match the dense
-// chain it replaces, tensors must hand kernels 64-byte-aligned
+// bit-identical on every output that is not NaN (including empty, size-1,
+// and non-multiple-of-8 tails), the fused masked attention must match the
+// dense chain it replaces, tensors must hand kernels 64-byte-aligned
 // storage, and the scratch arena must make steady-state serving free of
 // tensor heap allocations. AVX2 halves of the parity tests skip themselves
 // on hardware without avx2+fma (the contract is then vacuously true).
@@ -303,6 +303,41 @@ TEST_F(KernelParityTest, SoftmaxRowsMatchesThePerRowSoftmax) {
   }
 }
 
+TEST_F(KernelParityTest, AttentionRowsOnFiniteInputs) {
+  // Rows of widths 0..5 (width 0 is an all-zero row) and one finished row,
+  // over column counts that hit the 32-wide blocks, the 8-column steps after
+  // them and a partial last step.
+  for (size_t dv : {1u, 8u, 10u, 37u, 64u, 75u}) {
+    const size_t n = 7, max_width = 5;
+    const auto vals = RandomVec(max_width * dv * n, 7000 + dv);
+    const auto probs = RandomVec(max_width * n, 8000 + dv);
+    const auto done = RandomVec(dv, 9000 + dv);
+    std::vector<const float*> vptrs(max_width * n);
+    std::vector<tensor::kernels::AttentionRow> rows(n);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t j = 0; j < max_width; ++j) {
+        // Some rows share V rows, as broadcast keys do.
+        vptrs[r * max_width + j] =
+            vals.data() + ((r + j) % (max_width * n)) * dv;
+      }
+      rows[r].p = probs.data() + r * max_width;
+      rows[r].v = vptrs.data() + r * max_width;
+      rows[r].width = r % (max_width + 1);
+    }
+    rows[3].done = done.data();
+    for (const bool pooled : {false, true}) {
+      const size_t out_size = pooled ? dv : n * dv;
+      std::vector<float> ys(out_size, -1.0f), yv(out_size, -2.0f);
+      scalar_->attention_rows(rows.data(), n, dv, pooled, 0.25f, ys.data());
+      avx2_->attention_rows(rows.data(), n, dv, pooled, 0.25f, yv.data());
+      for (size_t i = 0; i < out_size; ++i) {
+        ASSERT_TRUE(BitEqual(ys[i], yv[i]))
+            << "dv=" << dv << " pooled=" << pooled << " i=" << i;
+      }
+    }
+  }
+}
+
 TEST_F(KernelParityTest, ExpAccuracyAgainstLibm) {
   // The shared polynomial replaces libm exp on the dispatched paths; it must
   // stay within a few ulp across the useful range (gradcheck depends on it).
@@ -478,7 +513,14 @@ struct BlockOperand {
       rows += r;
     }
     whole = Tensor({batch, rows, width});
-    for (size_t b = 0; b < batch; ++b) {
+    Restack();
+    for (const Tensor& t : blocks) ptrs.push_back(&t);
+  }
+
+  /// Stacks the blocks into whole again (after a block was edited).
+  void Restack() {
+    const size_t width = whole.dim(2);
+    for (size_t b = 0; b < whole.dim(0); ++b) {
       float* dst = whole.BatchData(b);
       for (const Tensor& t : blocks) {
         const float* src =
@@ -486,7 +528,6 @@ struct BlockOperand {
         dst = std::copy(src, src + t.dim(1) * width, dst);
       }
     }
-    for (const Tensor& t : blocks) ptrs.push_back(&t);
   }
 
   tensor::RowStack stack() const { return {ptrs.data(), ptrs.size()}; }
@@ -603,6 +644,140 @@ TEST(MaskedAttentionTest, MatchesTheDenseChainBitForBit) {
                           BlockOperand(batch, dv, {{n, true}}, 2).stack(),
                           &mask, ranges.data(), 0.3f, 0.0f, &got);
   for (size_t c = 0; c < dv; ++c) EXPECT_EQ(got.at(1, 0, c), 0.0f);
+}
+
+/// Writes NaN, +inf and -inf into every block of \p op at a few spots.
+void PoisonBlocks(BlockOperand* op) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf};
+  size_t i = 0;
+  for (Tensor& t : op->blocks) {
+    for (size_t at = i % 5; at < t.size(); at += 37) {
+      t.data()[at] = bad[i++ % 3];
+    }
+  }
+  op->Restack();
+}
+
+/// The same bits, or both NaN. Which NaN a sum of NaNs of both signs
+/// keeps depends on operand order, and the dense chain's own scalar and
+/// AVX2 GEMMs already disagree there, so a NaN's sign and payload are no
+/// part of the contract.
+bool SameFloat(float a, float b) {
+  return BitEqual(a, b) || (std::isnan(a) && std::isnan(b));
+}
+
+TEST(MaskedAttentionTest, EveryTileShapeMatchesTheDenseChainBitForBit) {
+  SimdLevelRestorer restore;
+  const float inf = std::numeric_limits<float>::infinity();
+  constexpr size_t kTile = tensor::kAttentionTile;
+  const std::vector<size_t> counts = {1,         kTile - 1, kTile,
+                                      kTile + 1, 2 * kTile + 3, 256};
+  using Spec = std::vector<std::pair<size_t, bool>>;
+  using Open = std::vector<std::pair<uint32_t, uint32_t>>;
+  struct Layout {
+    const char* name;
+    Spec q, k, v;
+    Open open;         // empty: no mask, every row sees every key
+    bool vary_mask;    // open entries carry per-row biases
+    bool poison_v;     // V non-finite too (only where no key is masked)
+    size_t d, dv;
+  };
+  // SeqFM's cross view: the user and candidate rows see the history
+  // columns, the history rows see the user and candidate columns.
+  const size_t nh = 20;
+  Open cross(2 + nh, {0, 2});
+  cross[0] = cross[1] = {2, 2 + nh};
+  // Per-item Q and K blocks of several rows, groups inside and across
+  // blocks, and a range mixing broadcast and per-item keys.
+  const Open multi = {{0, 9}, {0, 9}, {2, 7}, {2, 7}, {2, 7},
+                      {4, 9}, {0, 3}, {0, 3}, {5, 6}};
+  const std::vector<Layout> layouts = {
+      {"seqfm-cross", {{1, true}, {1, false}, {nh, true}},
+       {{1, true}, {1, false}, {nh, true}},
+       {{1, true}, {1, false}, {nh, true}}, cross, false, false, 64, 64},
+      {"seqfm-static", {{1, true}, {1, false}}, {{1, true}, {1, false}},
+       {{1, true}, {1, false}}, {}, false, true, 64, 64},
+      {"multi-row", {{2, true}, {3, false}, {4, false}},
+       {{1, false}, {3, true}, {2, false}, {3, false}},
+       {{4, false}, {5, true}}, multi, false, false, 13, 37},
+      {"multi-row-biased", {{2, true}, {3, false}, {4, false}},
+       {{1, false}, {3, true}, {2, false}, {3, false}},
+       {{4, false}, {5, true}}, multi, true, false, 13, 37},
+      {"multi-row-unmasked", {{3, false}, {2, true}, {2, false}},
+       {{2, false}, {2, true}, {3, false}},
+       {{3, true}, {4, false}}, {}, false, true, 9, 10},
+  };
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (Avx2Usable()) levels.push_back(SimdLevel::kAvx2);
+  Rng rng(31);
+  uint64_t seed = 5000;
+  for (const Layout& lay : layouts) {
+    size_t nq = 0, nk = 0;
+    for (const auto& b : lay.q) nq += b.first;
+    for (const auto& b : lay.k) nk += b.first;
+    std::vector<uint32_t> ranges;
+    Tensor mask({nq, nk});
+    for (size_t r = 0; r < nq; ++r) {
+      const auto [c0, c1] =
+          lay.open.empty() ? std::make_pair(0u, uint32_t(nk)) : lay.open[r];
+      ranges.insert(ranges.end(), {c0, c1});
+      for (size_t j = 0; j < nk; ++j) {
+        mask.at(r, j) = j < c0 || j >= c1 ? -inf
+                        : lay.vary_mask   ? static_cast<float>(
+                                              rng.Uniform(-1, 1))
+                                          : 0.0f;
+      }
+    }
+    const Tensor* m = lay.open.empty() ? nullptr : &mask;
+    const float pool_scale = 1.0f / static_cast<float>(nq);
+    for (size_t count : counts) {
+      for (const bool poison : {false, true}) {
+        BlockOperand q(count, lay.d, lay.q, seed += 10);
+        const BlockOperand k(count, lay.d, lay.k, seed += 10);
+        BlockOperand v(count, lay.dv, lay.v, seed += 10);
+        if (poison) {
+          PoisonBlocks(&q);
+          if (lay.poison_v) PoisonBlocks(&v);
+        }
+        util::SetSimdLevel(SimdLevel::kScalar);
+        util::SetGlobalThreads(1);
+        const Tensor want =
+            DenseAttention(q.whole, k.whole, v.whole, m, 0.125f);
+        Tensor want_pooled({count, lay.dv});
+        tensor::SumAxis1(want, pool_scale, &want_pooled);
+        for (SimdLevel level : levels) {
+          util::SetSimdLevel(level);
+          for (size_t threads : {1u, 2u}) {
+            util::SetGlobalThreads(threads);
+            const std::string where =
+                std::string(lay.name) + " count=" + std::to_string(count) +
+                " " + util::SimdLevelName(level) +
+                " threads=" + std::to_string(threads) +
+                " poison=" + std::to_string(poison);
+            Tensor got({count, nq, lay.dv}), pooled({count, lay.dv});
+            tensor::MaskedAttention(q.stack(), k.stack(), v.stack(), m,
+                                    ranges.data(), 0.125f, 0.0f, &got);
+            tensor::MaskedAttention(q.stack(), k.stack(), v.stack(), m,
+                                    ranges.data(), 0.125f, pool_scale,
+                                    &pooled);
+            for (size_t i = 0; i < want.size(); ++i) {
+              ASSERT_TRUE(SameFloat(got.data()[i], want.data()[i]))
+                  << where << " item=" << i / (nq * lay.dv)
+                  << " row=" << (i / lay.dv) % nq << " col=" << i % lay.dv;
+            }
+            for (size_t i = 0; i < want_pooled.size(); ++i) {
+              ASSERT_TRUE(
+                  SameFloat(pooled.data()[i], want_pooled.data()[i]))
+                  << where << " pooled item=" << i / lay.dv
+                  << " col=" << i % lay.dv;
+            }
+          }
+        }
+      }
+    }
+  }
+  util::SetGlobalThreads(1);
 }
 
 // ---------------------------------------------------------------------------
