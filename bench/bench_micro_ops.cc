@@ -85,6 +85,32 @@ void BM_Gemm512_Reference(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm512_Reference)->Unit(benchmark::kMillisecond);
 
+/// The compiled SeqFM body's B-normal matmuls on one 256-candidate chunk,
+/// one thread: arg 0 is a residual layer's [256,64]x[64,64] (the 6 x 16
+/// register blocks), arg 1 the output projection's [256,192]x[192,1] (the
+/// row-vectorized column tail).
+struct GemmBodyShape {
+  size_t m, k, n;
+};
+constexpr GemmBodyShape kGemmBodyShapes[] = {{256, 64, 64}, {256, 192, 1}};
+
+void BM_GemmBody(benchmark::State& state) {
+  const GemmBodyShape s = kGemmBodyShapes[state.range(0)];
+  Rng rng(9);
+  Tensor a({s.m, s.k}), b({s.k, s.n}), c({s.m, s.n});
+  tensor::FillNormal(&a, &rng, 1.0f);
+  tensor::FillNormal(&b, &rng, 1.0f);
+  util::SetGlobalThreads(1);
+  for (auto _ : state) {
+    tensor::MatMul(a, b, &c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(s.m * s.n * s.k) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_GemmBody)->Arg(0)->Arg(1);
+
 void BM_Gemm512_Transposed(benchmark::State& state) {
   // The A^T · B shape that dominates the backward pass.
   const size_t m = 512, k = 512, n = 512;
@@ -355,6 +381,36 @@ void RunKernelSpeedupSummary(const std::string& json_path) {
     report("gemm 256^3 (B transposed)", "gemm_trans", s, v, "GF/s", gflop);
   }
 
+  {
+    // The compiled SeqFM body's three B-normal matmuls on one chunk: two
+    // residual layers and the output projection (BM_GemmBody's shapes).
+    Tensor as[2], bs[2], cs[2];
+    double body_gflop = 0.0;
+    for (size_t i = 0; i < 2; ++i) {
+      const GemmBodyShape& sh = kGemmBodyShapes[i];
+      as[i] = Tensor({sh.m, sh.k});
+      bs[i] = Tensor({sh.k, sh.n});
+      cs[i] = Tensor({sh.m, sh.n});
+      tensor::FillNormal(&as[i], &rng, 1.0f);
+      tensor::FillNormal(&bs[i], &rng, 1.0f);
+      body_gflop += (i == 0 ? 2 : 1) * 2.0 *
+                    static_cast<double>(sh.m * sh.n * sh.k) * 1e-9;
+    }
+    auto time_body = [&](util::SimdLevel level) {
+      const util::SimdLevel prev = util::SetSimdLevel(level);
+      const double sec = TimePerIter([&]() {
+        tensor::MatMul(as[0], bs[0], &cs[0]);
+        tensor::MatMul(as[0], bs[0], &cs[0]);
+        tensor::MatMul(as[1], bs[1], &cs[1]);
+      });
+      util::SetSimdLevel(prev);
+      return sec;
+    };
+    const double s = time_body(util::SimdLevel::kScalar);
+    const double v = time_body(util::SimdLevel::kAvx2);
+    report("gemm SeqFM body (2x[256,64]^2+n=1)", "gemm_body", s, v, "GF/s",
+           body_gflop);
+  }
   {
     SeqFmAttention att(/*cross=*/true);
     auto time_cross = [&](util::SimdLevel level) {

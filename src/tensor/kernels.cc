@@ -30,8 +30,9 @@ inline void StoreRow(const float* acc, float* crow, size_t jn,
 // Rows [0, rows) of `arows` ([rows, k] contiguous) times non-transposed B
 // ([k, n]), written to the matching rows of C. Streams a kNc-wide block of B
 // per pass; four C rows share each B row load. Historical kernel from
-// tensor/ops.cc, unchanged — the order-preserving scalar reference the AVX2
-// column-vectorized version must match bit-for-bit.
+// tensor/ops.cc, unchanged — the order-preserving scalar reference that the
+// AVX2 kernel (6x16 register blocks plus a row-vectorized column tail) must
+// match bit-for-bit.
 void GemmRowsBNormalScalar(const float* arows, const float* b, float* crows,
                            size_t rows, size_t k, size_t n, bool accumulate) {
   float acc[kMr * kNc];

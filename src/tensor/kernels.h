@@ -19,6 +19,11 @@ struct AttentionRow {
   const float* done = nullptr;  // when set, the finished row (p, v unused)
 };
 
+/// Rows in one register block of gemm_rows_b_normal (the AVX2 6 x 16
+/// block). tensor::Gemm uses it as its minimum row grain, so every pool
+/// chunk of a parallel GEMM holds at least one full block.
+constexpr size_t kGemmRowBlock = 6;
+
 /// \brief Dispatched inner loops behind the tensor/autograd compute kernels.
 ///
 /// Every function pointer in this table has (at least) two implementations:
@@ -56,9 +61,13 @@ struct AttentionRow {
 ///    rule, so NaNs are ignored exactly like the historical scalar loops.
 ///
 /// The GEMM microkernels keep the historical per-element accumulation order
-/// for non-transposed B (ascending-k single accumulator per output element;
-/// the AVX2 version vectorizes across output *columns*, which touches no
-/// reduction order) and use the lane-blocked dot order for transposed B.
+/// for non-transposed B: each C element is 0 + sum_k a * b in ascending k,
+/// one rounded multiply and one rounded add per step, then c + acc when
+/// accumulating. The AVX2 version gives each lane whole elements, so no
+/// chain is reordered: kGemmRowBlock x 16 register blocks vectorize across
+/// output columns, and the last n % 16 columns (n = 1 included) vectorize
+/// across rows from an in-register transpose of A. Transposed B uses the
+/// lane-blocked dot order.
 struct KernelTable {
   // --- reductions (lane-blocked order) ---------------------------------
   /// sum_i a[i] * b[i]

@@ -309,29 +309,25 @@ void SoftmaxNarrowRows(const float* x, const float* add, size_t add_stride,
   auto pick = [](__m256 a, __m256 b) {  // b > a ? b : a, lane-wise
     return _mm256_blendv_ps(a, b, _mm256_cmp_ps(b, a, _CMP_GT_OQ));
   };
-  __m256 lanes[kLanes];
-  for (size_t j = 0; j < kLanes; ++j) {
-    lanes[j] = j < cols ? pick(neg_inf, _mm256_load_ps(t + j * kLanes))
-                        : neg_inf;
-  }
-  const __m256 vmax =
-      pick(pick(pick(lanes[0], lanes[4]), pick(lanes[2], lanes[6])),
-           pick(pick(lanes[1], lanes[5]), pick(lanes[3], lanes[7])));
-  for (size_t j = 0; j < kLanes; ++j) {
-    if (j < cols) {
-      const __m256 e =
-          ExpVec(_mm256_sub_ps(_mm256_load_ps(t + j * kLanes), vmax));
-      _mm256_store_ps(t + j * kLanes, e);
-      lanes[j] = _mm256_add_ps(zero, e);
-    } else {
-      lanes[j] = zero;
-    }
-  }
+  // Column j of the block (lane j of every row's tree), or the lane's
+  // initial value past the row's end. Named vectors, not an array, so the
+  // trees stay in registers.
+  auto col = [&](size_t j) {
+    return j < cols ? pick(neg_inf, _mm256_load_ps(t + j * kLanes)) : neg_inf;
+  };
+  const __m256 vmax = pick(pick(pick(col(0), col(4)), pick(col(2), col(6))),
+                           pick(pick(col(1), col(5)), pick(col(3), col(7))));
+  // Stores column j's exponentials and returns its sum lane.
+  auto ex = [&](size_t j) {
+    if (j >= cols) return zero;
+    const __m256 e =
+        ExpVec(_mm256_sub_ps(_mm256_load_ps(t + j * kLanes), vmax));
+    _mm256_store_ps(t + j * kLanes, e);
+    return _mm256_add_ps(zero, e);
+  };
   const __m256 total = _mm256_add_ps(
-      _mm256_add_ps(_mm256_add_ps(lanes[0], lanes[4]),
-                    _mm256_add_ps(lanes[2], lanes[6])),
-      _mm256_add_ps(_mm256_add_ps(lanes[1], lanes[5]),
-                    _mm256_add_ps(lanes[3], lanes[7])));
+      _mm256_add_ps(_mm256_add_ps(ex(0), ex(4)), _mm256_add_ps(ex(2), ex(6))),
+      _mm256_add_ps(_mm256_add_ps(ex(1), ex(5)), _mm256_add_ps(ex(3), ex(7))));
   const __m256 inv = _mm256_div_ps(_mm256_set1_ps(1.0f), total);
   // A row whose max is not finite (fully masked) is zeros.
   const __m256 finite = _mm256_cmp_ps(
@@ -389,88 +385,214 @@ void LayerNormRowAvx2(const float* x, const float* gamma, const float* beta,
 // GEMM microkernels
 // ---------------------------------------------------------------------------
 
-// Non-transposed B: vectorize across OUTPUT COLUMNS, so each C element keeps
-// the historical ascending-k single-accumulator order and the result is
-// bit-identical to the scalar microkernel. Four A rows x two column vectors
-// live in registers across the whole k loop.
-template <size_t kRows>
-inline void GemmPanelBNormal(const float* const* a, const float* b,
-                             float* const* c, size_t k, size_t n,
-                             bool accumulate) {
-  static_assert(kRows >= 1 && kRows <= 4, "register budget");
-  size_t j = 0;
-  for (; j + 2 * kLanes <= n; j += 2 * kLanes) {
-    __m256 acc0[kRows], acc1[kRows];
-    for (size_t r = 0; r < kRows; ++r) {
-      acc0[r] = _mm256_setzero_ps();
-      acc1[r] = _mm256_setzero_ps();
-    }
-    for (size_t p = 0; p < k; ++p) {
-      const float* brow = b + p * n + j;
-      const __m256 vb0 = _mm256_loadu_ps(brow);
-      const __m256 vb1 = _mm256_loadu_ps(brow + kLanes);
-      for (size_t r = 0; r < kRows; ++r) {
-        const __m256 va = _mm256_set1_ps(a[r][p]);
-        acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(va, vb0));
-        acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(va, vb1));
-      }
-    }
-    for (size_t r = 0; r < kRows; ++r) {
-      float* crow = c[r] + j;
-      if (accumulate) {
-        acc0[r] = _mm256_add_ps(_mm256_loadu_ps(crow), acc0[r]);
-        acc1[r] = _mm256_add_ps(_mm256_loadu_ps(crow + kLanes), acc1[r]);
-      }
-      _mm256_storeu_ps(crow, acc0[r]);
-      _mm256_storeu_ps(crow + kLanes, acc1[r]);
+// Non-transposed B: every C element is 0 + sum_p a[i][p] * b[p][j] in
+// ascending p, each step a rounded multiply then a rounded add (never an
+// FMA), then c + acc when accumulating: GemmRowsBNormalScalar's and
+// GemmReference's bits. Vectorizing never reorders that per-element chain,
+// because each lane owns whole elements:
+//   * columns [0, n - n % 16) run in register blocks of kGemmRowBlock rows
+//     x 16 columns (Goto & van de Geijn's microkernel): twelve accumulators,
+//     two B vectors, one A broadcast and one product fill the sixteen ymm
+//     registers. The accumulators are named locals, not an array, because
+//     GCC -O2 keeps an `__m256 acc[rows]` array on the stack and loads and
+//     stores it on every k step. Rows past the last full block run 1 x 16.
+//   * the last n % 16 columns (n = 1 is SeqFM's output projection)
+//     vectorize across rows instead, one column at a time: lane r is row
+//     i + r. Eight A rows x four k are loaded and transposed in registers,
+//     and each transposed column p feeds acc += col_p * b[p][j] in
+//     ascending p; two groups of eight rows keep two named chains per
+//     column. The k % 4 steps gather their column lane by lane; the rows
+//     past a multiple of eight run the scalar expression.
+
+inline __m256 MulAdd(__m256 acc, __m256 a, __m256 b) {
+  return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
+}
+
+inline void StoreGemm(float* c, __m256 acc, bool accumulate) {
+  if (accumulate) acc = _mm256_add_ps(_mm256_loadu_ps(c), acc);
+  _mm256_storeu_ps(c, acc);
+}
+
+static_assert(kGemmRowBlock == 6, "GemmBlock6x16 holds six rows");
+
+// C[0..6)[j, j + 16) (+)= A[0..6) · B[:, j, j + 16).
+void GemmBlock6x16(const float* a, const float* b, float* c, size_t k,
+                   size_t n, size_t j, bool accumulate) {
+  const float* a0 = a;
+  const float* a1 = a0 + k;
+  const float* a2 = a1 + k;
+  const float* a3 = a2 + k;
+  const float* a4 = a3 + k;
+  const float* a5 = a4 + k;
+  __m256 c00 = _mm256_setzero_ps(), c01 = c00, c10 = c00, c11 = c00,
+         c20 = c00, c21 = c00, c30 = c00, c31 = c00, c40 = c00, c41 = c00,
+         c50 = c00, c51 = c00;
+  const float* bp = b + j;
+  for (size_t p = 0; p < k; ++p, bp += n) {
+    const __m256 b0 = _mm256_loadu_ps(bp);
+    const __m256 b1 = _mm256_loadu_ps(bp + kLanes);
+    __m256 va = _mm256_broadcast_ss(a0 + p);
+    c00 = MulAdd(c00, va, b0);
+    c01 = MulAdd(c01, va, b1);
+    va = _mm256_broadcast_ss(a1 + p);
+    c10 = MulAdd(c10, va, b0);
+    c11 = MulAdd(c11, va, b1);
+    va = _mm256_broadcast_ss(a2 + p);
+    c20 = MulAdd(c20, va, b0);
+    c21 = MulAdd(c21, va, b1);
+    va = _mm256_broadcast_ss(a3 + p);
+    c30 = MulAdd(c30, va, b0);
+    c31 = MulAdd(c31, va, b1);
+    va = _mm256_broadcast_ss(a4 + p);
+    c40 = MulAdd(c40, va, b0);
+    c41 = MulAdd(c41, va, b1);
+    va = _mm256_broadcast_ss(a5 + p);
+    c50 = MulAdd(c50, va, b0);
+    c51 = MulAdd(c51, va, b1);
+  }
+  float* cr = c + j;
+  StoreGemm(cr, c00, accumulate);
+  StoreGemm(cr + kLanes, c01, accumulate);
+  cr += n;
+  StoreGemm(cr, c10, accumulate);
+  StoreGemm(cr + kLanes, c11, accumulate);
+  cr += n;
+  StoreGemm(cr, c20, accumulate);
+  StoreGemm(cr + kLanes, c21, accumulate);
+  cr += n;
+  StoreGemm(cr, c30, accumulate);
+  StoreGemm(cr + kLanes, c31, accumulate);
+  cr += n;
+  StoreGemm(cr, c40, accumulate);
+  StoreGemm(cr + kLanes, c41, accumulate);
+  cr += n;
+  StoreGemm(cr, c50, accumulate);
+  StoreGemm(cr + kLanes, c51, accumulate);
+}
+
+// One row's columns [j, j + 16).
+void GemmRow1x16(const float* a, const float* b, float* c, size_t k, size_t n,
+                 size_t j, bool accumulate) {
+  __m256 c0 = _mm256_setzero_ps(), c1 = c0;
+  const float* bp = b + j;
+  for (size_t p = 0; p < k; ++p, bp += n) {
+    const __m256 va = _mm256_broadcast_ss(a + p);
+    c0 = MulAdd(c0, va, _mm256_loadu_ps(bp));
+    c1 = MulAdd(c1, va, _mm256_loadu_ps(bp + kLanes));
+  }
+  StoreGemm(c + j, c0, accumulate);
+  StoreGemm(c + j + kLanes, c1, accumulate);
+}
+
+// Columns [0, 4) of the eight A rows a, a + k, ..., a + 7k, transposed:
+// lane r of q<j> is a[r * k + j]. Rows r and r + 4 share one register (low
+// and high 128 bits), so the transpose is two in-lane shuffle steps.
+struct Columns4 {
+  __m256 q0, q1, q2, q3;
+};
+
+inline Columns4 LoadColumns4(const float* a, size_t k) {
+  auto rows = [&](size_t r) {
+    const __m256 lo = _mm256_castps128_ps256(_mm_loadu_ps(a + r * k));
+    return _mm256_insertf128_ps(lo, _mm_loadu_ps(a + (r + 4) * k), 1);
+  };
+  const __m256 r0 = rows(0), r1 = rows(1), r2 = rows(2), r3 = rows(3);
+  const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+  const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+  const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+  const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+  return {_mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0)),
+          _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2)),
+          _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0)),
+          _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2))};
+}
+
+// acc + q0 * b[0] + q1 * b[n] + q2 * b[2n] + q3 * b[3n], left to right.
+inline __m256 MulAddColumns4(__m256 acc, const Columns4& q, const float* b,
+                             size_t n) {
+  acc = MulAdd(acc, q.q0, _mm256_broadcast_ss(b));
+  acc = MulAdd(acc, q.q1, _mm256_broadcast_ss(b + n));
+  acc = MulAdd(acc, q.q2, _mm256_broadcast_ss(b + 2 * n));
+  return MulAdd(acc, q.q3, _mm256_broadcast_ss(b + 3 * n));
+}
+
+// Column j of A's rows a, a + k, ..., one row per lane, as kGroups groups of
+// eight rows whose chains x0 (and x1) run side by side: two groups give the
+// column two independent chains. `b` and `c` point at column j.
+template <size_t kGroups>
+void GemmTailColumn(const float* a, const float* b, float* c, size_t k,
+                    size_t n, bool accumulate) {
+  static_assert(kGroups == 1 || kGroups == 2, "one or two chains");
+  const float* a1 = a + kLanes * k;
+  __m256 x0 = _mm256_setzero_ps(), x1 = x0;
+  size_t p = 0;
+  for (; p + 4 <= k; p += 4) {
+    x0 = MulAddColumns4(x0, LoadColumns4(a + p, k), b + p * n, n);
+    if (kGroups == 2) {
+      x1 = MulAddColumns4(x1, LoadColumns4(a1 + p, k), b + p * n, n);
     }
   }
-  for (; j + kLanes <= n; j += kLanes) {
-    __m256 acc[kRows];
-    for (size_t r = 0; r < kRows; ++r) acc[r] = _mm256_setzero_ps();
-    for (size_t p = 0; p < k; ++p) {
-      const __m256 vb = _mm256_loadu_ps(b + p * n + j);
-      for (size_t r = 0; r < kRows; ++r) {
-        acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(_mm256_set1_ps(a[r][p]),
-                                                     vb));
-      }
-    }
-    for (size_t r = 0; r < kRows; ++r) {
-      float* crow = c[r] + j;
-      if (accumulate) acc[r] = _mm256_add_ps(_mm256_loadu_ps(crow), acc[r]);
-      _mm256_storeu_ps(crow, acc[r]);
-    }
+  // The k % 4 steps gather their column lane by lane.
+  auto column = [k](const float* ap) {
+    return _mm256_setr_ps(ap[0], ap[k], ap[2 * k], ap[3 * k], ap[4 * k],
+                          ap[5 * k], ap[6 * k], ap[7 * k]);
+  };
+  for (; p < k; ++p) {
+    const __m256 bp = _mm256_broadcast_ss(b + p * n);
+    x0 = MulAdd(x0, column(a + p), bp);
+    if (kGroups == 2) x1 = MulAdd(x1, column(a1 + p), bp);
   }
-  // Column tail: the plain ascending-k scalar expression per element.
-  for (; j < n; ++j) {
-    for (size_t r = 0; r < kRows; ++r) {
+  auto store = [n, accumulate](__m256 x, float* cc) {
+    alignas(32) float lane[kLanes];
+    _mm256_store_ps(lane, x);
+    for (size_t r = 0; r < kLanes; ++r, cc += n) {
+      *cc = accumulate ? *cc + lane[r] : lane[r];
+    }
+  };
+  store(x0, c);
+  if (kGroups == 2) store(x1, c + kLanes * n);
+}
+
+// Columns [j0, n) (fewer than 16) of rows [0, rows), one column at a time.
+void GemmTailColumns(const float* arows, const float* b, float* crows,
+                     size_t rows, size_t k, size_t n, size_t j0,
+                     bool accumulate) {
+  for (size_t j = j0; j < n; ++j) {
+    size_t i = 0;
+    for (; i + 2 * kLanes <= rows; i += 2 * kLanes) {
+      GemmTailColumn<2>(arows + i * k, b + j, crows + i * n + j, k, n,
+                        accumulate);
+    }
+    if (i + kLanes <= rows) {
+      GemmTailColumn<1>(arows + i * k, b + j, crows + i * n + j, k, n,
+                        accumulate);
+      i += kLanes;
+    }
+    for (; i < rows; ++i) {
+      const float* a = arows + i * k;
       float acc = 0.0f;
-      const float* ar = a[r];
-      for (size_t p = 0; p < k; ++p) acc += ar[p] * b[p * n + j];
-      if (accumulate) {
-        c[r][j] += acc;
-      } else {
-        c[r][j] = acc;
-      }
+      for (size_t p = 0; p < k; ++p) acc += a[p] * b[p * n + j];
+      float* cc = crows + i * n + j;
+      *cc = accumulate ? *cc + acc : acc;
     }
   }
 }
 
 void GemmRowsBNormalAvx2(const float* arows, const float* b, float* crows,
                          size_t rows, size_t k, size_t n, bool accumulate) {
+  const size_t nb = n - n % (2 * kLanes);
   size_t i = 0;
-  for (; i + 4 <= rows; i += 4) {
-    const float* a[4] = {arows + i * k, arows + (i + 1) * k,
-                         arows + (i + 2) * k, arows + (i + 3) * k};
-    float* c[4] = {crows + i * n, crows + (i + 1) * n, crows + (i + 2) * n,
-                   crows + (i + 3) * n};
-    GemmPanelBNormal<4>(a, b, c, k, n, accumulate);
+  for (; i + kGemmRowBlock <= rows && nb > 0; i += kGemmRowBlock) {
+    for (size_t j = 0; j < nb; j += 2 * kLanes) {
+      GemmBlock6x16(arows + i * k, b, crows + i * n, k, n, j, accumulate);
+    }
   }
-  for (; i < rows; ++i) {
-    const float* a[1] = {arows + i * k};
-    float* c[1] = {crows + i * n};
-    GemmPanelBNormal<1>(a, b, c, k, n, accumulate);
+  for (; i < rows && nb > 0; ++i) {
+    for (size_t j = 0; j < nb; j += 2 * kLanes) {
+      GemmRow1x16(arows + i * k, b, crows + i * n, k, n, j, accumulate);
+    }
   }
+  if (nb < n) GemmTailColumns(arows, b, crows, rows, k, n, nb, accumulate);
 }
 
 // Transposed B: one lane-blocked dot product per element — vector partial

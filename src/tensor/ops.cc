@@ -29,8 +29,6 @@ namespace {
 // GemmReference for every blocking, grain, thread count, and SIMD level.
 // ---------------------------------------------------------------------------
 
-// Keep the microkernel's register tile height as the minimum row grain.
-constexpr size_t kMr = 4;
 // Grain cutoffs are shared with the autograd layer; see util/thread_pool.h.
 using util::GrainForRows;
 using util::kEwGrain;
@@ -155,7 +153,8 @@ void Gemm(const float* a, const float* b, float* c, size_t m, size_t k,
     GemmRowRange(kt, a, b, c, m, k, n, trans_a, trans_b, accumulate, 0, m);
     return;
   }
-  const size_t grain = std::max(kMr, GrainForRows(n * k, kGemmParallelMinWork));
+  const size_t grain = std::max(kernels::kGemmRowBlock,
+                                GrainForRows(n * k, kGemmParallelMinWork));
   util::ParallelFor(m, grain, [=, &kt](size_t i0, size_t i1) {
     GemmRowRange(kt, a, b, c, m, k, n, trans_a, trans_b, accumulate, i0, i1);
   });

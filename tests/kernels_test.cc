@@ -54,6 +54,11 @@ bool BitEqual(float a, float b) {
   return std::memcmp(&a, &b, sizeof(float)) == 0;
 }
 
+/// The kernels.h contract: the same bits, or NaN on both sides.
+bool SameFloat(float a, float b) {
+  return BitEqual(a, b) || (std::isnan(a) && std::isnan(b));
+}
+
 /// Restores the SIMD level a test flipped, even on assertion failure.
 class SimdLevelRestorer {
  public:
@@ -426,6 +431,80 @@ TEST(GemmSimdTest, BitIdenticalAcrossLevelsAndAgainstReference) {
   }
 }
 
+/// Random A [m,k], B [k,n] and C [m,n] with the special values planted
+/// that the B-normal order must get right: A's row 0 is all -0 (so its
+/// outputs are 0 + sum = +0, not the first product's -0), every seventh
+/// entry is a signed zero, and every fourth row of A and sixth column of B
+/// carries one +-inf, so some outputs are +-inf, some NaN and the rest
+/// finite. C gets signed zeros and infinities too, for accumulate.
+struct GemmCase {
+  std::vector<float> a, b, c;
+  GemmCase(size_t m, size_t k, size_t n, uint64_t seed)
+      : a(RandomVec(m * k, seed)),
+        b(RandomVec(k * n, seed + 1)),
+        c(RandomVec(m * n, seed + 2)) {
+    const float inf = std::numeric_limits<float>::infinity();
+    for (std::vector<float>* v : {&a, &b, &c}) {
+      for (size_t i = 0; i < v->size(); i += 7) {
+        (*v)[i] = i % 2 == 0 ? 0.0f : -0.0f;
+      }
+    }
+    for (size_t p = 0; p < k; ++p) a[p] = -0.0f;
+    for (size_t i = 1; i < m; i += 4) a[i * k + i % k] = i % 8 ? inf : -inf;
+    for (size_t j = 2; j < n; j += 6) b[(j % k) * n + j] = j % 4 ? -inf : inf;
+    for (size_t i = 3; i < m * n; i += 11) c[i] = i % 2 ? inf : -inf;
+  }
+};
+
+// The AVX2 B-normal kernel's block shapes against the scalar kernel and
+// GemmReference, called directly (no pool split): rows across the 6-row
+// register block and the 8-row lane groups of the column tail, tail widths
+// n % 16 from 1 to 15, k across the 4-step transpose, and the compiled
+// SeqFM body's two serving shapes.
+TEST(GemmSimdTest, BNormalBlockShapesMatchScalarAndReference) {
+  if (!Avx2Usable()) GTEST_SKIP() << "no AVX2 kernels on this machine";
+  const KernelTable& scalar = tensor::kernels::Table(SimdLevel::kScalar);
+  const KernelTable& avx2 = tensor::kernels::Table(SimdLevel::kAvx2);
+  struct Shape {
+    size_t m, k, n;
+  };
+  std::vector<Shape> shapes = {{256, 64, 64}, {281, 192, 1}};
+  for (size_t m : {5, 6, 7, 12, 13}) {
+    for (size_t n : {1, 2, 7, 8, 15, 16, 17, 24, 64}) {
+      for (size_t k : {7, 8, 9, 192}) shapes.push_back({m, k, n});
+    }
+  }
+  for (const Shape& sh : shapes) {
+    const GemmCase in(sh.m, sh.k, sh.n, sh.m * 1009 + sh.k * 31 + sh.n);
+    for (bool accumulate : {false, true}) {
+      auto cs = in.c;
+      auto cv = in.c;
+      auto cr = in.c;
+      scalar.gemm_rows_b_normal(in.a.data(), in.b.data(), cs.data(), sh.m,
+                                sh.k, sh.n, accumulate);
+      avx2.gemm_rows_b_normal(in.a.data(), in.b.data(), cv.data(), sh.m,
+                              sh.k, sh.n, accumulate);
+      tensor::GemmReference(in.a.data(), in.b.data(), cr.data(), sh.m, sh.k,
+                            sh.n, false, false, accumulate);
+      size_t finite = 0;
+      for (size_t i = 0; i < cs.size(); ++i) {
+        ASSERT_TRUE(SameFloat(cs[i], cr[i]) && SameFloat(cv[i], cr[i]))
+            << "m=" << sh.m << " k=" << sh.k << " n=" << sh.n
+            << " acc=" << accumulate << " i=" << i << ": scalar " << cs[i]
+            << " avx2 " << cv[i] << " reference " << cr[i];
+        finite += std::isfinite(cr[i]) ? 1 : 0;
+      }
+      ASSERT_GE(3 * finite, cs.size()) << "the specials drown the case";
+      if (!accumulate) {
+        for (size_t j = 0; j < sh.n; ++j) {  // NaN where B has an inf
+          ASSERT_TRUE(std::isnan(cv[j]) || BitEqual(cv[j], 0.0f))
+              << "row 0 must be 0 + sum = +0, n=" << sh.n << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmSimdTest, Avx2ThreadCountInvariance) {
   if (!Avx2Usable()) GTEST_SKIP() << "no AVX2 kernels on this machine";
   SimdLevelRestorer restore;
@@ -663,10 +742,6 @@ void PoisonBlocks(BlockOperand* op) {
 /// keeps depends on operand order, and the dense chain's own scalar and
 /// AVX2 GEMMs already disagree there, so a NaN's sign and payload are no
 /// part of the contract.
-bool SameFloat(float a, float b) {
-  return BitEqual(a, b) || (std::isnan(a) && std::isnan(b));
-}
-
 TEST(MaskedAttentionTest, EveryTileShapeMatchesTheDenseChainBitForBit) {
   SimdLevelRestorer restore;
   const float inf = std::numeric_limits<float>::infinity();
