@@ -108,8 +108,8 @@ std::vector<std::string> SplitCsv(const std::string& csv);
 
 /// Parses the CSV flag \p name (default \p default_csv) as a list of sizes
 /// in [1, max_value]. A malformed, out-of-range, or empty list prints a
-/// usage line and exits 2 — the shared validation behind --thread-sweep and
-/// --shards style sweep flags.
+/// usage line and exits 2 — the shared validation behind --thread-sweep
+/// style sweep flags.
 std::vector<size_t> ParseSizeListOrDie(const FlagParser& flags,
                                        const std::string& name,
                                        const std::string& default_csv,

@@ -4,13 +4,11 @@
 //   (b) the tape-free generic forward (NoGradGuard micro-batches),
 //   (c) the compiled op program (trace -> IR passes -> arena-planned VM),
 //       alone and behind a serve::ContextCache (the production config),
-//   (d) serve::BatchServer fusing many requests into multi-user waves, and
-//   (e) serve::ShardedPredictor partitioning the catalog across shards with
-//       a deterministic cross-shard top-K merge (--shards sweep),
+//   (d) serve::BatchServer fusing many requests into multi-user waves,
 // across thread counts. Every path produces bit-for-bit identical scores
-// and rankings; the bench asserts that (including cached-warm,
-// batch-served, and sharded results) before any timing and exits 1 on the
-// first mismatch.
+// and rankings; the bench asserts that (including cached-warm and
+// batch-served results) before any timing and exits 1 on the first
+// mismatch.
 //
 // --smoke runs the parity gates only, on tiny shapes, and exits — the mode
 // CI uses under ASan+UBSan.
@@ -32,7 +30,6 @@
 #include "ir/exec.h"
 #include "serve/predictor.h"
 #include "serve/server.h"
-#include "serve/shard.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
 #include "util/cpu.h"
@@ -235,7 +232,7 @@ int Run(int argc, char** argv) {
   FlagParser flags = ParseBenchFlagsOrDie(
       argc, argv,
       {"candidates", "requests", "thread-sweep", "smoke", "users", "slate",
-       "cache-mb", "wave", "shards", "json", "profile-body"});
+       "cache-mb", "wave", "json", "profile-body"});
   const bool smoke = flags.GetBool("smoke", false);
   const bool profile_body = flags.GetBool("profile-body", false);
   const std::string json_path = flags.GetString("json", "");
@@ -277,7 +274,7 @@ int Run(int argc, char** argv) {
       std::max<int64_t>(1, flags.GetInt("wave", 64)));
 
   PrintBanner("Serving throughput — taped vs tape-free vs compiled vs "
-              "cached vs request-batched vs sharded",
+              "cached vs request-batched",
               "src/serve/ subsystem (no paper counterpart); catalog scoring "
               "for next-object ranking");
 
@@ -367,10 +364,6 @@ int Run(int argc, char** argv) {
       MakeRequestWorkload(examples, prep.space.num_objects(), rb_requests,
                           rb_users, std::min(rb_slate, num_candidates));
 
-  // Shard sweep (--shards): same CSV validation treatment as --thread-sweep.
-  const std::vector<size_t> shard_counts = ParseSizeListOrDie(
-      flags, "shards", smoke ? "1,2,3,8" : "1,2,4,8", 4096);
-
   // -------------------------------------------------------------------------
   // Parity gates: every serving path must agree with the taped forward
   // bit-for-bit before any timing. Runs at each sweep thread count in smoke
@@ -428,29 +421,6 @@ int Run(int argc, char** argv) {
           futures[r].get(), serve::SelectTopK(workload.slates[r], rref, 10));
     }
 
-    // Sharded catalog parity: every shard count (and a sharded BatchServer)
-    // must reproduce the unsharded Predictor ranking bit-for-bit — items
-    // and score bits — regardless of shard boundaries. Rank the same
-    // `catalog` everywhere: TopKAll would cover the full object space even
-    // when --candidates trimmed the bench catalog.
-    const size_t gate_k = std::min<size_t>(10, num_candidates);
-    const auto want_top = generic.TopK(ex, catalog, gate_k);
-    for (size_t shards : shard_counts) {
-      // Eager sharding (ShardedPredictor and a sharded BatchServer).
-      serve::ShardedPredictor sharded(&generic, {shards});
-      mismatches +=
-          count_ranking_mismatches(sharded.TopK(ex, catalog, gate_k),
-                                   want_top);
-      // Sharded serving over the compiled program: same ranking bits.
-      serve::ShardedPredictor sharded_compiled(&compiled, {shards});
-      mismatches += count_ranking_mismatches(
-          sharded_compiled.TopK(ex, catalog, gate_k), want_top);
-      serve::BatchServerOptions sharded_server_opts;
-      sharded_server_opts.num_shards = shards;
-      serve::BatchServer sharded_server(&generic, sharded_server_opts);
-      mismatches += count_ranking_mismatches(
-          sharded_server.Submit(ex, catalog, gate_k).get(), want_top);
-    }
     return mismatches;
   };
 
@@ -523,46 +493,6 @@ int Run(int argc, char** argv) {
       json.Add("compiled_p99_ms", compiled_path.p99_ms);
       json.Add("compiled_counts",
                static_cast<double>(compiled.engine()->stats().compiled_counts));
-    }
-    std::fflush(stdout);
-  }
-
-  // -------------------------------------------------------------------------
-  // Sharded catalog sweep: full-catalog top-10 through ShardedPredictor at
-  // each --shards value, against the unsharded compiled TopK baseline.
-  // Sharding bounds per-request memory (shards * k heap entries instead of a
-  // full score vector) and must never change a bit of the ranking; the gate
-  // above already enforced parity, this section reports the cost.
-  // -------------------------------------------------------------------------
-  std::printf("\n--- sharded catalog serving: full-catalog top-10, "
-              "%zu requests ---\n", requests);
-  const size_t shard_k = std::min<size_t>(10, num_candidates);
-  for (size_t threads : thread_counts) {
-    util::SetGlobalThreads(threads);
-    const PathStats unsharded =
-        MeasurePathPerRequest(requests, sweep_scores, [&](size_t r) {
-          (void)compiled.TopK(examples[r % examples.size()], catalog,
-                              shard_k);
-        });
-    std::printf("\n[threads=%zu] %-28s %12s %10s %10s %9s\n", threads, "path",
-                "scores/sec", "p50 ms", "p99 ms", "vs unshard");
-    std::printf("            %-28s %12.0f %7.3f    %7.3f    %8.2fx\n",
-                "unsharded top-K (baseline)", unsharded.scores_per_sec,
-                unsharded.p50_ms, unsharded.p99_ms, 1.0);
-    for (size_t shards : shard_counts) {
-      serve::ShardedPredictor sharded(&compiled, {shards});
-      // Partition once, serve many — the intended deployment shape.
-      const serve::ShardedCatalog sharded_catalog(catalog, shards);
-      const PathStats s =
-          MeasurePathPerRequest(requests, sweep_scores, [&](size_t r) {
-            (void)sharded.TopK(examples[r % examples.size()],
-                               sharded_catalog, shard_k);
-          });
-      char name[64];
-      std::snprintf(name, sizeof(name), "sharded top-K (%zu shards)", shards);
-      std::printf("            %-28s %12.0f %7.3f    %7.3f    %8.2fx\n", name,
-                  s.scores_per_sec, s.p50_ms, s.p99_ms,
-                  s.scores_per_sec / unsharded.scores_per_sec);
     }
     std::fflush(stdout);
   }

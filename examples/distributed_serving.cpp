@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(version));
 
   // The fleet: three replica-mode servers, each owning one contiguous
-  // third of the catalog (ShardedCatalog::Bounds — replicas configured
+  // third of the catalog (serve::ShardBounds — replicas configured
   // alike agree on every boundary without talking to each other).
   constexpr uint32_t kShards = 3;
   serve::PredictorOptions pred_opts;

@@ -19,7 +19,6 @@
 #include "serve/checkpoint.h"
 #include "serve/predictor.h"
 #include "serve/server.h"
-#include "serve/shard.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
 
@@ -108,20 +107,14 @@ int main(int argc, char** argv) {
   // multi-user scoring waves on the thread pool, and each user's
   // (user, history) context is memoized by the Predictor's ContextCache —
   // the repeated request for the first user below is served from the cache.
-  // Each request's catalog is partitioned into 4 shards with per-shard
-  // bounded top-K heaps and a deterministic cross-shard merge: the exact
-  // rankings an unsharded server would produce, at O(shards * k) memory per
-  // request instead of one score per candidate.
-  const size_t num_shards = static_cast<size_t>(
-      std::max<int64_t>(1, flags.GetInt("shards", 4)));
-  std::printf("top-5 next-POI recommendations (served from checkpoint, "
-              "%zu catalog shards):\n", num_shards);
+  // Each request streams its catalog through a bounded top-K heap, so it
+  // holds O(k) ranked entries plus one chunk of scores per pool thread,
+  // never one score per candidate.
+  std::printf("top-5 next-POI recommendations (served from checkpoint):\n");
   Stopwatch serve_timer;
   size_t scored = 0;
   const size_t show_users = std::min<size_t>(3, dataset->test().size());
-  serve::BatchServerOptions server_opts;
-  server_opts.num_shards = num_shards;
-  serve::BatchServer server(predictor->get(), server_opts);
+  serve::BatchServer server(predictor->get());
   auto candidates_for = [&](const data::SequenceExample& ex) {
     std::vector<int32_t> candidates;
     for (size_t o = 0; o < log->num_objects(); ++o) {
@@ -184,13 +177,11 @@ int main(int argc, char** argv) {
               static_cast<double>(waves.scratch.bytes_reserved) / 1024.0,
               static_cast<double>(waves.scratch.high_water) / 1024.0);
 
-  // The same sharded machinery works without a server: ShardedPredictor
-  // ranks the whole POI catalog through per-shard top-K heaps and is
-  // bit-identical to Predictor::TopKAll for any shard count.
-  serve::ShardedPredictor sharded(predictor->get(), {num_shards});
+  // The Predictor also ranks without a server: TopKAll scores the whole POI
+  // catalog, with the same bits a BatchServer wave would produce.
   const auto& first = dataset->test()[0];
-  const auto direct = sharded.TopKAll(first, 5);
-  std::printf("whole-catalog top-5 for user %d via ShardedPredictor:",
+  const auto direct = (*predictor)->TopKAll(first, 5);
+  std::printf("whole-catalog top-5 for user %d via Predictor::TopKAll:",
               first.user);
   for (const auto& item : direct) {
     std::printf(" %d(%.2f)", item.item, item.score);

@@ -65,14 +65,6 @@ SeqFm::SeqFm(const data::FeatureSpace& space, const SeqFmConfig& config)
   }
 }
 
-SeqFm::ServingView SeqFm::serving_view() const {
-  ServingView view;
-  view.static_embedding = static_embedding_.get();
-  view.dynamic_embedding = dynamic_embedding_.get();
-  view.w_static = w_static_;
-  return view;
-}
-
 size_t SharedContext::ApproxBytes() const {
   size_t total = dynamic_ids.size() * sizeof(int32_t) + sizeof(*this);
   for (const tensor::Tensor& t : slots) total += t.size() * sizeof(float);

@@ -95,17 +95,6 @@ class SeqFm : public nn::Module, public Model {
   /// Number of views enabled by the configuration (1..3).
   size_t num_views() const;
 
-  /// \brief Handles to the embedding tables and first-order static weights,
-  /// for tests that edit parameters in place (forced score ties, poisoned
-  /// rows). Variables are cheap shared handles to the live parameters, so a
-  /// checkpoint load into this model is immediately visible through the view.
-  struct ServingView {
-    const nn::Embedding* static_embedding = nullptr;
-    const nn::Embedding* dynamic_embedding = nullptr;
-    autograd::Variable w_static;
-  };
-  ServingView serving_view() const;
-
  private:
   /// Intra-view pooling + shared FFN for one view's attention output.
   autograd::Variable PoolAndRefine(const autograd::Variable& h, float divisor,

@@ -119,9 +119,30 @@ Status LocalShardBackend::ScoreTopK(
     for (size_t t = t0; t < t1; ++t) {
       const JobChunk& task = tasks[t];
       const ScoreJob& job = jobs[task.job];
-      ScoreChunkIntoHeap(*predictor_, contexts[task.job].get(), *job.ex,
-                         *job.candidates, ShardChunk{0, task.begin, task.end},
-                         &chunk_scores, &heap_mu[task.job], &heaps[task.job]);
+      const std::vector<int32_t>& candidates = *job.candidates;
+      chunk_scores.resize(task.end - task.begin);
+      if (contexts[task.job] != nullptr) {
+        predictor_->ScoreContextRange(*contexts[task.job], *job.ex, candidates,
+                                      task.begin, task.end,
+                                      chunk_scores.data());
+      } else {
+        predictor_->ScoreGenericRange(*job.ex, candidates, task.begin,
+                                      task.end, chunk_scores.data());
+      }
+      // Reduce lock-free into a chunk-local heap first, then merge only its
+      // <= k survivors under the job's mutex: the retained set is push-order
+      // independent, so the bits are identical while the critical section
+      // shrinks from O(chunk log k) to O(k log k) — concurrent chunks of a
+      // large job would otherwise convoy on the mutex.
+      TopKHeap local(heaps[task.job].capacity());
+      for (size_t i = 0; i < chunk_scores.size(); ++i) {
+        local.Push({chunk_scores[i], candidates[task.begin + i],
+                    task.begin + i});
+      }
+      std::lock_guard<std::mutex> lock(heap_mu[task.job]);
+      for (const RankEntry& entry : local.entries()) {
+        heaps[task.job].Push(entry);
+      }
     }
   });
 

@@ -24,7 +24,7 @@ namespace serve {
 /// The range is candidates[begin, end); positions in the produced RankEntry
 /// run are GLOBAL positions into \p candidates, so runs from different jobs
 /// of the same request merge under the one serving-wide total order
-/// (serve::RankBefore) exactly as if the request had been scored unsharded.
+/// (serve::RankBefore) exactly as if the request had been scored whole.
 ///
 /// \p candidates may be null: the job then scores the IDENTITY catalog —
 /// positions [begin, end) are the item ids themselves. This is the form
@@ -50,16 +50,16 @@ struct BackendRecoveryStats {
 /// \brief The transport-agnostic scoring seam of the serving stack.
 ///
 /// "Score a candidate range and return a bounded top-K" is the one operation
-/// every serving layer needs: BatchServer waves, ShardedPredictor fan-out,
-/// and the distributed Coordinator all reduce to batches of ScoreJobs. A
-/// backend executes a batch and returns, per job, the top-min(k, range)
-/// entries sorted best-first under RankBefore, carrying RAW float scores
+/// every serving layer needs: BatchServer waves and the distributed
+/// Coordinator both reduce to batches of ScoreJobs. A backend executes a
+/// batch and returns, per job, the top-min(k, range) entries sorted
+/// best-first under RankBefore, carrying RAW float scores
 /// (bit-exact — merges downstream must reproduce the single-process ranking
 /// bit for bit, so no backend may round, rescale, or re-derive scores).
 ///
 /// Implementations:
 ///  - LocalShardBackend: in-process, over Predictor::ScoreContextRange +
-///    TopKHeap — the engine room of BatchServer and ShardedPredictor.
+///    TopKHeap — the engine room of BatchServer and of replica processes.
 ///  - RemoteReplicaBackend: one replica process over the RPC wire protocol
 ///    (serve/protocol.h kShardRequestFrame), used by serve::Coordinator.
 ///
@@ -93,8 +93,8 @@ class ScoringBackend {
 
 /// \brief In-process ScoringBackend over a serve::Predictor.
 ///
-/// Runs a job batch the way BatchServer::ServeWave and
-/// ShardedPredictor::TopK used to inline it (both now delegate here):
+/// Runs a job batch (one BatchServer wave, one job per request) in three
+/// phases:
 ///   1. resolve each unique (user, history) SharedContext once per batch —
 ///      deduped across jobs before the ContextCache is even consulted, so a
 ///      cold cache never computes the same context twice in one batch;
@@ -130,8 +130,8 @@ struct ReplicaInfo {
   uint32_t shard_index = 0;
   uint32_t num_shards = 1;
   /// Owned slice [shard_begin, shard_end) of the identity catalog — always
-  /// equal to ShardedCatalog::Bounds(catalog_size, num_shards) at
-  /// shard_index, so replicas configured alike agree on every boundary.
+  /// equal to ShardBounds(catalog_size, num_shards) at shard_index, so
+  /// replicas configured alike agree on every boundary.
   uint64_t shard_begin = 0;
   uint64_t shard_end = 0;
   uint64_t catalog_size = 0;

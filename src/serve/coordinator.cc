@@ -90,11 +90,23 @@ Status Coordinator::Ready() {
     }
   }
 
+  // Every shard needs at least one member, so a fleet announcing more
+  // shards than it has members cannot cover the catalog. Checked before the
+  // partition is materialized: num_shards comes off the wire, and a replica
+  // announcing 2^32 - 1 shards would otherwise make the coordinator
+  // allocate tens of GiB of bounds and groups just to refuse the fleet.
+  if (first.num_shards > members_.size()) {
+    return Status::FailedPrecondition(
+        "coordinator: fleet announces " + std::to_string(first.num_shards) +
+        " shards but has only " + std::to_string(members_.size()) +
+        " replicas — the catalog is not fully covered");
+  }
+
   // Every slice must equal the canonical partition at its index: replicas
   // and the coordinator then agree on every boundary without negotiation,
   // and the union of groups tiles the catalog exactly.
   const std::vector<size_t> bounds =
-      ShardedCatalog::Bounds(first.catalog_size, first.num_shards);
+      ShardBounds(first.catalog_size, first.num_shards);
   std::vector<std::vector<size_t>> groups(first.num_shards);
   for (size_t m = 0; m < members_.size(); ++m) {
     const ReplicaInfo& info = members_[m].info;
@@ -213,8 +225,7 @@ Status Coordinator::TopKAll(const data::SequenceExample& ex, size_t k,
           "coordinator: TopKAll before Ready()");
     }
     out->shards_total = num_shards_;
-    const std::vector<size_t> bounds =
-        ShardedCatalog::Bounds(catalog_size_, num_shards_);
+    const std::vector<size_t> bounds = ShardBounds(catalog_size_, num_shards_);
     const uint64_t affinity =
         util::Fnv1a64(&ex.user, sizeof(ex.user));
     const auto now = std::chrono::steady_clock::now();
@@ -320,9 +331,9 @@ Status Coordinator::TopKAll(const data::SequenceExample& ex, size_t k,
   for (std::thread& w : workers) w.join();
 
   // Merge whatever answered. Failed shards contribute an empty run, which
-  // MergeSortedRuns permits; with every shard healthy this is the exact
-  // reduction ShardedPredictor::TopKAll runs in process, so the ranking is
-  // bit-identical to single-process sharded serving.
+  // MergeSortedRuns permits; with every shard healthy the merge of the
+  // slices' top-k runs is bit-identical to single-process
+  // Predictor::TopKAll (RankBefore is a strict total order).
   uint32_t ok_shards = 0;
   for (uint32_t s = 0; s < shards; ++s) ok_shards += merged[s];
   out->shards_merged = ok_shards;

@@ -91,17 +91,17 @@ struct CoordinatorResult {
 ///   - every backend serves the same model_version, num_shards and
 ///     catalog_size (a coordinator never merges across model versions);
 ///   - every shard of the partition is covered by at least one replica;
-///   - every replica's owned slice equals ShardedCatalog::Bounds at its
-///     index, so the union of slices tiles the catalog exactly.
+///   - every replica's owned slice equals ShardBounds at its index, so the
+///     union of slices tiles the catalog exactly.
 ///
 /// TopKAll scores all shards concurrently (one worker thread per shard) and
-/// merges with the same MergeSortedRuns reduction the in-process sharded
-/// path uses — so for an all-shards-healthy fleet the coordinator's ranking
-/// is bit-identical to single-process ShardedPredictor::TopKAll over the
-/// same catalog. Within a shard's replica group the first attempt is picked
-/// by user affinity (FNV hash of the user id), keeping a given user's
-/// context cached on one replica; on failure the worker fails over to the
-/// group's other replicas before giving the shard up.
+/// merges their runs with MergeSortedRuns under RankBefore — so for an
+/// all-shards-healthy fleet the coordinator's ranking is bit-identical to
+/// single-process Predictor::TopKAll over the same catalog. Within a shard's
+/// replica group the first attempt is picked by user affinity (FNV hash of
+/// the user id), keeping a given user's context cached on one replica; on
+/// failure the worker fails over to the group's other replicas before
+/// giving the shard up.
 ///
 /// Thread-safe: concurrent TopKAll calls snapshot the fleet under mu_
 /// (lock_rank::kCoordinator) and fan out lock-free; backends serialize

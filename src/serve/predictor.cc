@@ -209,9 +209,10 @@ std::vector<ScoredItem> SelectTopK(const std::vector<int32_t>& candidates,
   std::iota(order.begin(), order.end(), size_t{0});
   // RankBefore is the one serving-wide order (score desc, NaN last, ties by
   // candidate id then position): ranking here through the same comparator
-  // the per-shard heaps and the cross-shard merge use is what makes sharded
-  // results bit-identical to this function. Ties used to break by position,
-  // which silently diverged from any sharded merge — see serve/shard.h.
+  // the per-job heaps and the cross-replica merge use is what makes
+  // partitioned results bit-identical to this function. Ties used to break
+  // by position, which silently diverged from any partitioned merge — see
+  // serve/shard.h.
   std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(k),
                     order.end(), [&](size_t a, size_t b) {
                       return RankBefore({scores[a], candidates[a], a},

@@ -21,8 +21,8 @@ namespace serve {
 
 struct PredictorOptions {
   /// Candidates scored per tape-free forward. Also the chunk the candidate
-  /// loop hands to the shared util::ThreadPool, the chunk BatchServer and
-  /// ShardedPredictor score, and the largest count the compiled body's
+  /// loop hands to the shared util::ThreadPool, the chunk LocalShardBackend
+  /// (and so BatchServer) scores, and the largest count the compiled body's
   /// frame is planned for.
   size_t micro_batch = 256;
   /// Compile the model into a static op program at construction (trace → IR
@@ -56,10 +56,11 @@ struct ScoredItem {
 /// (serve::RankBefore): descending score, NaN scores last, score ties by
 /// candidate **id** ascending, duplicate ids by position. Ordering ties by
 /// id rather than by position in the candidates vector is what keeps
-/// sharded and unsharded rankings identical — a shard boundary changes
-/// positions but never ids. k is clamped to candidates.size(). Used by
-/// Predictor::TopK; BatchServer and ShardedPredictor produce the same
-/// rankings through per-shard TopKHeaps + MergeTopK over the same order.
+/// partitioned and whole rankings identical — a replica slice or job
+/// boundary changes positions but never ids. k is clamped to
+/// candidates.size(). Used by Predictor::TopK; LocalShardBackend (behind
+/// BatchServer) and the Coordinator produce the same rankings through
+/// per-job TopKHeaps + MergeSortedRuns over the same order.
 std::vector<ScoredItem> SelectTopK(const std::vector<int32_t>& candidates,
                                    const std::vector<float>& scores, size_t k);
 
@@ -162,8 +163,8 @@ class Predictor {
   /// Scores candidates[begin, end) against \p ctx through the compiled body
   /// program, writing the end - begin results to out[0, end - begin).
   /// Taking a chunk-local output buffer (rather than a catalog-sized one
-  /// indexed by begin) is what lets sharded serving bound its memory to one
-  /// chunk per pool thread. Sets up its own NoGradGuard, so it can run
+  /// indexed by begin) is what lets LocalShardBackend bound its memory to
+  /// one chunk per pool thread. Sets up its own NoGradGuard, so it can run
   /// directly on pool worker threads. A latched engine or a context from a
   /// replaced engine scores the chunk through ScoreGenericRange instead, so
   /// results are always produced.
@@ -187,10 +188,6 @@ class Predictor {
   /// The compiled engine, or null when the model did not compile (or
   /// use_compiled_program is off). Stats feed bench_serving --json.
   const ir::Engine* engine() const { return engine_.get(); }
-
-  /// The identity catalog [0, num_objects) behind TopKAll, built once at
-  /// construction (ShardedPredictor partitions it instead of re-deriving).
-  const std::vector<int32_t>& full_catalog() const { return full_catalog_; }
 
   /// Non-null iff the model compiled and context_cache_bytes > 0.
   const ContextCache* context_cache() const { return cache_.get(); }

@@ -67,8 +67,8 @@ RpcServer::RpcServer(BatchServer* batch, RpcServerOptions options)
   if (options_.catalog_size > 0) {
     SEQFM_CHECK_GT(options_.num_shards, 0u);
     SEQFM_CHECK_LT(options_.shard_index, options_.num_shards);
-    const std::vector<size_t> bounds = ShardedCatalog::Bounds(
-        options_.catalog_size, options_.num_shards);
+    const std::vector<size_t> bounds =
+        ShardBounds(options_.catalog_size, options_.num_shards);
     shard_begin_ = bounds[options_.shard_index];
     shard_end_ = bounds[options_.shard_index + 1];
   }

@@ -41,8 +41,8 @@ struct RpcServerOptions {
   int64_t drain_timeout_ms = 5000;
   /// Replica mode: when catalog_size > 0 the server also answers
   /// shard-scoped requests (kShardRequestFrame) over its owned slice
-  /// [Bounds(catalog_size, num_shards)[shard_index],
-  ///  Bounds(...)[shard_index + 1]) of the identity catalog
+  /// [ShardBounds(catalog_size, num_shards)[shard_index],
+  ///  ShardBounds(...)[shard_index + 1]) of the identity catalog
   /// {0, ..., catalog_size - 1}, and advertises kRpcCapShardScoring plus
   /// the slice bounds in its HELLO_ACK. Shard requests outside the owned
   /// slice are answered BAD_REQUEST — a misrouted coordinator gets a
@@ -195,7 +195,7 @@ class RpcServer {
   BatchServer* batch_;
   RpcServerOptions options_;
   /// Owned identity-catalog slice in replica mode (both 0 otherwise);
-  /// computed once from ShardedCatalog::Bounds in the constructor.
+  /// computed once from ShardBounds in the constructor.
   uint64_t shard_begin_ = 0;
   uint64_t shard_end_ = 0;
 

@@ -15,7 +15,6 @@ BatchServer::BatchServer(Predictor* predictor, BatchServerOptions options)
     : predictor_(predictor), options_(options) {
   SEQFM_CHECK(predictor_ != nullptr) << "BatchServer: null predictor";
   SEQFM_CHECK_GT(options_.max_wave_requests, 0u);
-  SEQFM_CHECK_GT(options_.num_shards, 0u);
   backend_ = std::make_unique<LocalShardBackend>(predictor_);
   dispatcher_ = std::thread([this]() { DispatchLoop(); });
 }
@@ -143,53 +142,38 @@ void BatchServer::DispatchLoop() {
 
 void BatchServer::ServeWave(std::vector<Request>* wave) {
   const size_t num_requests = wave->size();
-  const size_t num_shards = options_.num_shards;
 
-  // Every (request, shard) of the wave is one ScoreJob on the shared
-  // backend seam (serve/backend.h). The LocalShardBackend reproduces the
-  // wave semantics this method used to inline: unique (user, history)
-  // contexts resolved once per wave across requests, then one fused
+  // Every request of the wave is one ScoreJob on the shared backend seam
+  // (serve/backend.h). The LocalShardBackend resolves unique (user,
+  // history) contexts once per wave across requests, then runs one fused
   // ParallelFor over every (job, chunk) task — all pool threads busy
   // regardless of per-request catalog size — reduced into one bounded
-  // top-K heap per job, so the wave holds requests * shards * k retained
+  // top-K heap per job, so the wave holds sum of min(k, slate) retained
   // entries plus one chunk-local score buffer per pool thread, never a
-  // full score vector.
+  // full score vector. An empty slate or k = 0 is a job with nothing to
+  // score, and its run is empty.
   std::vector<ScoreJob> jobs;
-  std::vector<size_t> job_request;  // job index -> wave request index
-  jobs.reserve(num_requests * num_shards);
-  job_request.reserve(num_requests * num_shards);
-  for (size_t r = 0; r < num_requests; ++r) {
-    const Request& req = (*wave)[r];
-    const size_t total = req.candidates.size();
-    if (total == 0 || req.k == 0) continue;
-    const std::vector<size_t> bounds =
-        ShardedCatalog::Bounds(total, num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      jobs.push_back({&req.ex, &req.candidates, bounds[s], bounds[s + 1],
-                      std::min(req.k, total)});
-      job_request.push_back(r);
-    }
+  jobs.reserve(num_requests);
+  for (const Request& req : *wave) {
+    jobs.push_back({&req.ex, &req.candidates, 0, req.candidates.size(), req.k});
   }
   std::vector<std::vector<RankEntry>> runs;
   const Status st = backend_->ScoreTopK(jobs, &runs);
   SEQFM_CHECK(st.ok()) << "BatchServer: local backend failed: "
                        << st.ToString();
 
-  // Cross-shard merge per request and callback delivery. The served
-  // counter is published first so a client that observed its result arrive
-  // always sees its request counted.
-  std::vector<std::vector<std::vector<RankEntry>>> request_runs(num_requests);
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    request_runs[job_request[j]].push_back(std::move(runs[j]));
-  }
+  // Request r's sorted run is its ranking. The served counter is published
+  // first so a client that observed its result arrive always sees its
+  // request counted.
   {
     util::OrderedMutexLock lock(mu_);
     stats_.requests_served += num_requests;
   }
   for (size_t r = 0; r < num_requests; ++r) {
-    Request& req = (*wave)[r];
-    req.done(request_runs[r].empty() ? std::vector<ScoredItem>{}
-                                     : MergeSortedRuns(request_runs[r], req.k));
+    std::vector<ScoredItem> items;
+    items.reserve(runs[r].size());
+    for (const RankEntry& e : runs[r]) items.push_back({e.item, e.score});
+    (*wave)[r].done(std::move(items));
   }
 }
 

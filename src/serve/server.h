@@ -29,14 +29,6 @@ struct BatchServerOptions {
   /// chunks through a single ParallelFor, so the pool stays busy even when
   /// each individual catalog is too small to feed every thread.
   size_t max_wave_requests = 64;
-  /// Contiguous shards each request's candidate list is partitioned into.
-  /// Every (request, shard, chunk) task of a wave still fans out through the
-  /// one fused ParallelFor; sharding only changes the reduction: each shard
-  /// keeps a bounded top-K heap and the per-request result is the
-  /// cross-shard merge, so a wave's memory is O(requests * shards * k)
-  /// instead of O(sum of catalog sizes). Results are bit-identical to
-  /// Predictor::TopK for any value (see serve::RankBefore).
-  size_t num_shards = 1;
   /// Upper bound on admitted-but-not-yet-dispatched requests; 0 = unbounded
   /// (the pre-RPC behavior). With a bound set, admission becomes load
   /// shedding instead of unbounded queueing: once queue depth reaches the
@@ -175,10 +167,10 @@ class BatchServer {
 
   Predictor* predictor_;
   BatchServerOptions options_;
-  /// The wave engine room: every (request, shard) of a wave becomes one
-  /// ScoreJob on this LocalShardBackend (serve/backend.h) — context dedup,
-  /// the fused ParallelFor, and the bounded per-shard reduction all live
-  /// there, shared verbatim with ShardedPredictor.
+  /// The wave engine room: every request of a wave becomes one ScoreJob on
+  /// this LocalShardBackend (serve/backend.h) — context dedup, the fused
+  /// ParallelFor, and the bounded per-request top-K reduction all live
+  /// there.
   std::unique_ptr<ScoringBackend> backend_;
 
   mutable util::OrderedMutex mu_{"BatchServer::mu_",

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
-#include <utility>
 
-#include "serve/backend.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace seqfm {
 namespace serve {
@@ -21,19 +17,14 @@ bool RankBefore(const RankEntry& a, const RankEntry& b) {
   return a.pos < b.pos;
 }
 
-std::vector<size_t> ShardedCatalog::Bounds(size_t total, size_t num_shards) {
-  SEQFM_CHECK_GT(num_shards, 0u) << "ShardedCatalog: need at least one shard";
+std::vector<size_t> ShardBounds(size_t total, size_t num_shards) {
+  SEQFM_CHECK_GT(num_shards, 0u) << "ShardBounds: need at least one shard";
   std::vector<size_t> bounds(num_shards + 1);
   for (size_t s = 0; s <= num_shards; ++s) {
     bounds[s] = total * s / num_shards;  // near-equal, empty tails allowed
   }
   return bounds;
 }
-
-ShardedCatalog::ShardedCatalog(std::vector<int32_t> candidates,
-                               size_t num_shards)
-    : candidates_(std::move(candidates)),
-      bounds_(Bounds(candidates_.size(), num_shards)) {}
 
 void TopKHeap::Push(const RankEntry& entry) {
   if (k_ == 0) return;
@@ -54,16 +45,6 @@ std::vector<RankEntry> TopKHeap::SortedEntries() const {
   std::vector<RankEntry> sorted = heap_;
   std::sort(sorted.begin(), sorted.end(), RankBefore);
   return sorted;
-}
-
-std::vector<ScoredItem> MergeTopK(const std::vector<TopKHeap>& shard_heaps,
-                                  size_t k) {
-  std::vector<std::vector<RankEntry>> runs;
-  runs.reserve(shard_heaps.size());
-  for (const TopKHeap& heap : shard_heaps) {
-    if (heap.size() > 0) runs.push_back(heap.SortedEntries());
-  }
-  return MergeSortedRuns(runs, k);
 }
 
 std::vector<ScoredItem> MergeSortedRuns(
@@ -101,113 +82,6 @@ std::vector<ScoredItem> MergeSortedRuns(
     }
   }
   return top;
-}
-
-std::vector<ShardChunk> MakeShardChunks(const std::vector<size_t>& bounds,
-                                        size_t chunk_size) {
-  SEQFM_CHECK_GT(chunk_size, 0u);
-  std::vector<ShardChunk> chunks;
-  for (size_t s = 0; s + 1 < bounds.size(); ++s) {
-    // Chunks never straddle a shard boundary: each restarts at the shard.
-    for (size_t begin = bounds[s]; begin < bounds[s + 1];
-         begin += chunk_size) {
-      chunks.push_back({s, begin, std::min(bounds[s + 1],
-                                           begin + chunk_size)});
-    }
-  }
-  return chunks;
-}
-
-void ScoreChunkIntoHeap(const Predictor& predictor,
-                        const core::SharedContext* ctx,
-                        const data::SequenceExample& ex,
-                        const std::vector<int32_t>& candidates,
-                        const ShardChunk& chunk,
-                        std::vector<float>* chunk_scores, std::mutex* mu,
-                        TopKHeap* heap) {
-  chunk_scores->resize(chunk.end - chunk.begin);
-  if (ctx != nullptr) {
-    predictor.ScoreContextRange(*ctx, ex, candidates, chunk.begin, chunk.end,
-                                chunk_scores->data());
-  } else {
-    predictor.ScoreGenericRange(ex, candidates, chunk.begin, chunk.end,
-                                chunk_scores->data());
-  }
-  // Reduce lock-free into a chunk-local heap first, then merge only its
-  // <= k survivors under the shared heap's mutex: the retained set is
-  // push-order independent, so the bits are identical while the critical
-  // section shrinks from O(chunk log k) to O(k log k) — concurrent chunks
-  // of a hot shard would otherwise convoy on the mutex.
-  TopKHeap local(heap->capacity());
-  for (size_t i = 0; i < chunk_scores->size(); ++i) {
-    local.Push({(*chunk_scores)[i], candidates[chunk.begin + i],
-                chunk.begin + i});
-  }
-  std::lock_guard<std::mutex> lock(*mu);
-  for (const RankEntry& entry : local.entries()) heap->Push(entry);
-}
-
-namespace {
-std::vector<size_t> FullCatalogBounds(Predictor* predictor,
-                                      size_t num_shards) {
-  SEQFM_CHECK(predictor != nullptr) << "ShardedPredictor: null predictor";
-  return ShardedCatalog::Bounds(predictor->full_catalog().size(), num_shards);
-}
-}  // namespace
-
-ShardedPredictor::ShardedPredictor(Predictor* predictor,
-                                   ShardedPredictorOptions options)
-    : predictor_(predictor),
-      options_(options),
-      backend_(std::make_unique<LocalShardBackend>(predictor)),
-      full_catalog_bounds_(FullCatalogBounds(predictor, options.num_shards)) {}
-
-ShardedPredictor::~ShardedPredictor() = default;
-
-std::vector<ScoredItem> ShardedPredictor::TopK(
-    const data::SequenceExample& ex, const std::vector<int32_t>& candidates,
-    size_t k) const {
-  return TopKImpl(ex, candidates,
-                  ShardedCatalog::Bounds(candidates.size(),
-                                         options_.num_shards),
-                  k);
-}
-
-std::vector<ScoredItem> ShardedPredictor::TopKAll(
-    const data::SequenceExample& ex, size_t k) const {
-  // The Predictor already materializes [0, num_objects); rank it in place.
-  return TopKImpl(ex, predictor_->full_catalog(), full_catalog_bounds_, k);
-}
-
-std::vector<ScoredItem> ShardedPredictor::TopK(const data::SequenceExample& ex,
-                                               const ShardedCatalog& catalog,
-                                               size_t k) const {
-  return TopKImpl(ex, catalog.candidates(), catalog.bounds(), k);
-}
-
-std::vector<ScoredItem> ShardedPredictor::TopKImpl(
-    const data::SequenceExample& ex, const std::vector<int32_t>& candidates,
-    const std::vector<size_t>& bounds, size_t k) const {
-  const size_t num_shards = bounds.size() - 1;
-  k = std::min(k, candidates.size());
-  if (k == 0) return {};
-
-  // One ScoreJob per shard through the shared backend seam: the backend
-  // resolves the (user, history) context once (through the same
-  // ContextCache), fans every (shard, chunk) task onto the pool, and hands
-  // back one sorted top-k run per shard — exactly the plumbing this method
-  // used to inline, now shared with BatchServer waves and the distributed
-  // Coordinator.
-  std::vector<ScoreJob> jobs;
-  jobs.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    jobs.push_back({&ex, &candidates, bounds[s], bounds[s + 1], k});
-  }
-  std::vector<std::vector<RankEntry>> runs;
-  const Status st = backend_->ScoreTopK(jobs, &runs);
-  SEQFM_CHECK(st.ok()) << "ShardedPredictor: local backend failed: "
-                       << st.ToString();
-  return MergeSortedRuns(runs, k);
 }
 
 }  // namespace serve

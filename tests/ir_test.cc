@@ -64,8 +64,8 @@
 #include "serve/checkpoint.h"
 #include "serve/predictor.h"
 #include "serve/server.h"
-#include "serve/shard.h"
 #include "tensor/kernels.h"
+#include "tests/score_tie.h"
 #include "util/cpu.h"
 #include "util/thread_pool.h"
 
@@ -1760,23 +1760,16 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
         ExpectBitEqual(pair_want.data(), pair_got.data(), pair_want.size(),
                        where + " catalog=2");
 
-        // Sharded serving over the compiled predictor reproduces the eager
-        // unsharded ranking exactly (scores compared as bits).
+        // The compiled predictor's ranking reproduces the eager one
+        // exactly (scores compared as bits).
         const std::vector<serve::ScoredItem> ref = eager.TopKAll(ex, 5);
-        for (size_t shards : {1u, 3u}) {
-          serve::ShardedPredictorOptions sopts;
-          sopts.num_shards = shards;
-          serve::ShardedPredictor sharded(&compiled, sopts);  // chunks of 4
-          const std::vector<serve::ScoredItem> top = sharded.TopKAll(ex, 5);
-          ASSERT_EQ(top.size(), ref.size()) << where;
-          for (size_t i = 0; i < top.size(); ++i) {
-            EXPECT_EQ(top[i].item, ref[i].item)
-                << where << " shards=" << shards << " rank=" << i;
-            EXPECT_EQ(std::memcmp(&top[i].score, &ref[i].score,
-                                  sizeof(float)),
-                      0)
-                << where << " shards=" << shards << " rank=" << i;
-          }
+        const std::vector<serve::ScoredItem> top = compiled.TopKAll(ex, 5);
+        ASSERT_EQ(top.size(), ref.size()) << where;
+        for (size_t i = 0; i < top.size(); ++i) {
+          EXPECT_EQ(top[i].item, ref[i].item) << where << " rank=" << i;
+          EXPECT_EQ(
+              std::memcmp(&top[i].score, &ref[i].score, sizeof(float)), 0)
+              << where << " rank=" << i;
         }
       }
     }
@@ -2001,8 +1994,9 @@ TEST(CompiledServingTest, NaNHistoryEmbeddingYieldsTheEagerPathsNaNScores) {
   eager_opts.use_compiled_program = false;
   serve::Predictor eager(&model, &builder, eager_opts);
 
-  tensor::Tensor& table =
-      model.serving_view().dynamic_embedding->table().node()->value;
+  autograd::Variable dynamic_table =
+      testing_util::NamedParameter(model, "dynamic_embedding.table");
+  tensor::Tensor& table = dynamic_table.mutable_value();
   const int32_t poisoned = 3;  // in TestExamples()[0]'s history only
   for (size_t c = 0; c < table.dim(1); ++c) {
     table.at(poisoned, c) = std::numeric_limits<float>::quiet_NaN();

@@ -2,10 +2,11 @@
 // (src/serve/coordinator.{h,cc}) and the ScoringBackend seam it merges over,
 // all in one process so the suite runs clean under TSan:
 //   - fleet validation in Ready(): empty fleet, model-version mismatch,
-//     partition mismatch, non-canonical slice bounds, uncovered shard —
-//     each refused with a FailedPrecondition naming the inconsistency;
+//     partition mismatch, non-canonical slice bounds, uncovered shard, more
+//     announced shards than replicas — each refused with a
+//     FailedPrecondition naming the inconsistency;
 //   - coordinator top-K over LocalShardBackends bit-identical to
-//     single-process Predictor::TopKAll / ShardedPredictor::TopKAll for
+//     single-process Predictor::TopKAll for
 //     shard counts {1, 2, 3}, tie-forced catalogs, and k <, ==, > catalog
 //     (including k greater than every shard's slice);
 //   - degradation: a failing replica yields PARTIAL with the healthy
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -80,8 +82,7 @@ void ExpectSameRanking(const std::vector<serve::ScoredItem>& got,
 
 serve::ReplicaInfo InfoForShard(uint32_t shard, uint32_t num_shards,
                                 size_t catalog, uint64_t version) {
-  const std::vector<size_t> bounds =
-      serve::ShardedCatalog::Bounds(catalog, num_shards);
+  const std::vector<size_t> bounds = serve::ShardBounds(catalog, num_shards);
   serve::ReplicaInfo info;
   info.shard_index = shard;
   info.num_shards = num_shards;
@@ -185,12 +186,16 @@ TEST_F(CoordinatorFleetTest, ModelVersionMismatchIsRefused) {
 }
 
 TEST_F(CoordinatorFleetTest, UncoveredShardIsRefused) {
+  // Three replicas for three shards, but shard 0 is replicated and shard 1
+  // has nobody.
   serve::Coordinator coord;
-  ASSERT_TRUE(coord
-                  .AddBackend(std::make_unique<serve::LocalShardBackend>(
-                                  predictor_.get()),
-                              InfoForShard(0, 3, space_.num_objects(), 7))
-                  .ok());
+  for (int replica = 0; replica < 2; ++replica) {
+    ASSERT_TRUE(coord
+                    .AddBackend(std::make_unique<serve::LocalShardBackend>(
+                                    predictor_.get()),
+                                InfoForShard(0, 3, space_.num_objects(), 7))
+                    .ok());
+  }
   ASSERT_TRUE(coord
                   .AddBackend(std::make_unique<serve::LocalShardBackend>(
                                   predictor_.get()),
@@ -210,6 +215,11 @@ TEST_F(CoordinatorFleetTest, NonCanonicalSliceIsRefused) {
                   .AddBackend(std::make_unique<serve::LocalShardBackend>(
                                   predictor_.get()),
                               info)
+                  .ok());
+  ASSERT_TRUE(coord
+                  .AddBackend(std::make_unique<serve::LocalShardBackend>(
+                                  predictor_.get()),
+                              InfoForShard(1, 2, space_.num_objects(), 7))
                   .ok());
   const Status st = coord.Ready();
   EXPECT_FALSE(st.ok());
@@ -231,6 +241,25 @@ TEST_F(CoordinatorFleetTest, PartitionMismatchIsRefused) {
   const Status st = coord.Ready();
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("partition mismatch"), std::string::npos);
+}
+
+TEST_F(CoordinatorFleetTest, MoreShardsThanReplicasIsRefused) {
+  // num_shards arrives off the wire (HELLO_ACK) and AddBackend only checks
+  // it is nonzero. A replica announcing 2^32 - 1 shards must be refused
+  // before Ready() materializes a partition of that many shards.
+  serve::ReplicaInfo info;
+  info.shard_index = 0;
+  info.num_shards = UINT32_MAX;
+  info.shard_begin = 0;
+  info.shard_end = 0;
+  info.catalog_size = space_.num_objects();
+  info.model_version = 7;
+  serve::Coordinator coord;
+  ASSERT_TRUE(
+      coord.AddBackend(std::make_unique<FailingBackend>(), info).ok());
+  const Status st = coord.Ready();
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_NE(st.ToString().find("not fully covered"), std::string::npos);
 }
 
 TEST_F(CoordinatorFleetTest, UsageErrorsAreFailedPrecondition) {
@@ -276,20 +305,6 @@ TEST_F(CoordinatorFleetTest, TopKAllMatchesSingleProcessForAllShardCounts) {
   }
 }
 
-TEST_F(CoordinatorFleetTest, TopKAllMatchesShardedPredictor) {
-  serve::ShardedPredictorOptions sp_opts;
-  sp_opts.num_shards = 3;
-  serve::ShardedPredictor sharded(predictor_.get(), sp_opts);
-  auto coord = LocalFleet(3);
-  for (const auto& ex : TestExamples()) {
-    const std::vector<serve::ScoredItem> want = sharded.TopKAll(ex, 6);
-    serve::CoordinatorResult result;
-    ASSERT_TRUE(coord->TopKAll(ex, 6, &result).ok());
-    ExpectSameRanking(result.items, want,
-                      "vs ShardedPredictor user=" + std::to_string(ex.user));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Degradation: replica failure yields PARTIAL, failover keeps OK
 // ---------------------------------------------------------------------------
@@ -323,7 +338,7 @@ TEST_F(CoordinatorFleetTest, FailedShardDegradesToPartialMergeOfTheRest) {
   // The degraded answer is the EXACT merge of the healthy shards — shard 1
   // contributes an empty run, nothing else moves.
   const std::vector<size_t> bounds =
-      serve::ShardedCatalog::Bounds(space_.num_objects(), shards);
+      serve::ShardBounds(space_.num_objects(), shards);
   serve::LocalShardBackend local(predictor_.get());
   std::vector<serve::ScoreJob> jobs;
   for (uint32_t s = 0; s < shards; ++s) {

@@ -3,8 +3,8 @@
 // serve::Coordinator fanning out over TCP, and bit-identity against the
 // single-process reference:
 //   - for 1, 2 and 3 replica processes over the same checkpoint, the
-//     coordinator's merged top-K equals ShardedPredictor::TopKAll (and
-//     Predictor::TopKAll) bit for bit — tie-heavy catalog included, raw
+//     coordinator's merged top-K equals Predictor::TopKAll bit for bit —
+//     tie-heavy catalog included, raw
 //     score bits crossing process boundaries untouched;
 //   - k larger than every shard's slice still merges exactly;
 //   - SIGKILLing one replica degrades that fleet to PARTIAL with the
@@ -151,10 +151,6 @@ TEST_F(DistServingTest, CoordinatorMatchesSingleProcessForAllFleetSizes) {
     ASSERT_TRUE(coord.Ready().ok());
     EXPECT_EQ(coord.model_version(), serve::ParameterVersion(model_));
 
-    serve::ShardedPredictorOptions sp_opts;
-    sp_opts.num_shards = shards;
-    serve::ShardedPredictor sharded(predictor_.get(), sp_opts);
-
     for (const auto& ex : TestExamples()) {
       // k = 5 exceeds every 3-shard slice (size 3); k = kItems + 3 exceeds
       // the whole catalog.
@@ -166,8 +162,6 @@ TEST_F(DistServingTest, CoordinatorMatchesSingleProcessForAllFleetSizes) {
         const std::string ctx = "shards=" + std::to_string(shards) +
                                 " user=" + std::to_string(ex.user) +
                                 " k=" + std::to_string(k);
-        ExpectSameRanking(result.items, sharded.TopKAll(ex, k),
-                          ctx + " vs ShardedPredictor");
         ExpectSameRanking(result.items, predictor_->TopKAll(ex, k),
                           ctx + " vs Predictor");
       }
@@ -203,8 +197,7 @@ TEST_F(DistServingTest, KilledReplicaDegradesToPartialMergeOfSurvivors) {
   EXPECT_EQ(degraded.shards_merged, shards - 1);
 
   // The survivors' merge, computed in-process from the same parameters.
-  const std::vector<size_t> bounds =
-      serve::ShardedCatalog::Bounds(kItems, shards);
+  const std::vector<size_t> bounds = serve::ShardBounds(kItems, shards);
   serve::LocalShardBackend local(predictor_.get());
   std::vector<serve::ScoreJob> jobs;
   for (uint32_t s = 0; s < shards; ++s) {

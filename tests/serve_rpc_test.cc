@@ -1034,7 +1034,7 @@ TEST(HandshakeTest, AcceptedHandshakeExposesServerInfo) {
   EXPECT_EQ(info.shard_index, 1u);
   EXPECT_EQ(info.num_shards, 3u);
   EXPECT_EQ(info.catalog_size, 9u);
-  const auto bounds = serve::ShardedCatalog::Bounds(9, 3);
+  const auto bounds = serve::ShardBounds(9, 3);
   EXPECT_EQ(info.shard_begin, bounds[1]);
   EXPECT_EQ(info.shard_end, bounds[2]);
   EXPECT_GE(stack.rpc.stats().handshakes_ok, 1u);

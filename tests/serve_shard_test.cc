@@ -1,27 +1,32 @@
-// Lockdown suite for sharded catalog serving (src/serve/shard.{h,cc}) and
-// the serving-determinism total order it introduced:
+// Lockdown suite for the serving-wide ranking order and the partitioned
+// top-K machinery (src/serve/shard.{h,cc}) at the seam every local ranking
+// goes through, serve::LocalShardBackend (src/serve/backend.{h,cc}):
 //   - RankBefore: score desc, NaN last, ties by candidate id then position;
 //   - SelectTopK regression: duplicate scores order by candidate id, not by
 //     position in the candidates vector (the bug that would have made
-//     sharded and unsharded rankings disagree);
-//   - ShardedCatalog partition math: uneven boundaries, shards > catalog;
-//   - TopKHeap bounded retention and MergeTopK cross-shard merging;
-//   - ShardedPredictor parity: bit-identical to Predictor::TopKAll for
-//     shard counts {1, 2, 3, 8}, on catalogs with forced duplicate scores,
-//     for k <=, ==, and > catalog, fast and generic paths, 1 and 2 threads;
-//   - BatchServer with num_shards > 1: wave results equal Predictor::TopK.
+//     partitioned and whole rankings disagree);
+//   - ShardBounds partition math: uneven boundaries, shards > items;
+//   - TopKHeap bounded retention and MergeSortedRuns merging;
+//   - LocalShardBackend partition parity: one request split into
+//     {1, 2, 3, 8} ScoreJobs over ShardBounds and merged with
+//     MergeSortedRuns is bit-identical to Predictor::TopK / TopKAll — forced
+//     duplicate scores, more jobs than candidates, k below / at / above the
+//     range and k = 0, chunks that straddle job bounds, compiled and
+//     eager-only models, identity-form jobs (global positions restored), 1
+//     and 2 pool threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <future>
+#include <string>
 #include <vector>
 
 #include "baselines/registry.h"
 #include "core/seqfm.h"
 #include "data/dataset.h"
+#include "serve/backend.h"
 #include "serve/predictor.h"
-#include "serve/server.h"
 #include "serve/shard.h"
 #include "tests/score_tie.h"
 #include "util/thread_pool.h"
@@ -94,7 +99,7 @@ TEST(RankBeforeTest, NanScoresSortLastAmongThemselvesById) {
 }
 
 // ---------------------------------------------------------------------------
-// SelectTopK tie-break regression (the sharding determinism bugfix)
+// SelectTopK tie-break regression (the partitioned-ranking determinism fix)
 // ---------------------------------------------------------------------------
 
 TEST(SelectTopKTest, DuplicateScoresOrderByCandidateIdNotPosition) {
@@ -132,13 +137,13 @@ TEST(SelectTopKTest, NanStillSortsLastAndDuplicateIdsKeepSlots) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedCatalog partition math
+// ShardBounds partition math
 // ---------------------------------------------------------------------------
 
-TEST(ShardedCatalogTest, BoundsCoverContiguouslyWithNearEqualShards) {
+TEST(ShardBoundsTest, CoverContiguouslyWithNearEqualShards) {
   for (size_t total : {0u, 1u, 7u, 9u, 64u}) {
     for (size_t shards : {1u, 2u, 3u, 5u, 8u}) {
-      const auto bounds = serve::ShardedCatalog::Bounds(total, shards);
+      const auto bounds = serve::ShardBounds(total, shards);
       ASSERT_EQ(bounds.size(), shards + 1);
       EXPECT_EQ(bounds.front(), 0u);
       EXPECT_EQ(bounds.back(), total);
@@ -155,25 +160,24 @@ TEST(ShardedCatalogTest, BoundsCoverContiguouslyWithNearEqualShards) {
   }
 }
 
-TEST(ShardedCatalogTest, MoreShardsThanCandidatesLeavesEmptyShards) {
-  serve::ShardedCatalog catalog({3, 1, 4}, 8);
-  EXPECT_EQ(catalog.num_shards(), 8u);
-  EXPECT_EQ(catalog.size(), 3u);
+TEST(ShardBoundsTest, MoreShardsThanItemsLeavesEmptyShards) {
+  const auto bounds = serve::ShardBounds(3, 8);
+  ASSERT_EQ(bounds.size(), 9u);
   size_t covered = 0, empty = 0;
-  for (size_t s = 0; s < catalog.num_shards(); ++s) {
-    covered += catalog.shard_size(s);
-    empty += (catalog.shard_size(s) == 0);
+  for (size_t s = 0; s < 8; ++s) {
+    covered += bounds[s + 1] - bounds[s];
+    empty += (bounds[s + 1] == bounds[s]);
   }
   EXPECT_EQ(covered, 3u);
   EXPECT_EQ(empty, 5u);
 }
 
-TEST(ShardedCatalogDeathTest, ZeroShardsDies) {
-  EXPECT_DEATH(serve::ShardedCatalog({1, 2}, 0), "at least one shard");
+TEST(ShardBoundsDeathTest, ZeroShardsDies) {
+  EXPECT_DEATH(serve::ShardBounds(2, 0), "at least one shard");
 }
 
 // ---------------------------------------------------------------------------
-// TopKHeap and MergeTopK
+// TopKHeap and MergeSortedRuns
 // ---------------------------------------------------------------------------
 
 TEST(TopKHeapTest, RetainsBestKIndependentOfPushOrder) {
@@ -206,61 +210,100 @@ TEST(TopKHeapTest, ZeroCapacityRetainsNothing) {
   EXPECT_TRUE(heap.SortedEntries().empty());
 }
 
-TEST(MergeTopKTest, MergesDuplicateScoresAcrossShardsById) {
-  // Shard 0 holds ids {5, 1}, shard 1 holds {3, 7}, all score 1.0 except a
-  // 2.0 leader in shard 1. Global order: 7(2.0), then 1, 3, 5 by id.
-  serve::TopKHeap s0(4), s1(4);
-  s0.Push({1.0f, 5, 0});
-  s0.Push({1.0f, 1, 1});
-  s1.Push({1.0f, 3, 2});
-  s1.Push({2.0f, 7, 3});
-  const auto merged = serve::MergeTopK({s0, s1}, 3);
+TEST(MergeSortedRunsTest, MergesDuplicateScoresAcrossRunsById) {
+  // Run 0 holds ids {1, 5}, run 1 holds {7, 3}, all score 1.0 except a 2.0
+  // leader in run 1. Global order: 7 (2.0), then 1, 3, 5 by id.
+  const std::vector<std::vector<serve::RankEntry>> runs = {
+      {{1.0f, 1, 1}, {1.0f, 5, 0}}, {{2.0f, 7, 3}, {1.0f, 3, 2}}};
+  const auto merged = serve::MergeSortedRuns(runs, 3);
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].item, 7);
   EXPECT_EQ(merged[1].item, 1);
   EXPECT_EQ(merged[2].item, 3);
 }
 
-TEST(MergeTopKTest, KLargerThanRetainedReturnsEverythingRanked) {
-  serve::TopKHeap s0(8), s1(8);
-  s0.Push({3.0f, 0, 0});
-  s1.Push({4.0f, 1, 1});
-  const auto merged = serve::MergeTopK({s0, s1}, 100);
+TEST(MergeSortedRunsTest, KLargerThanRetainedReturnsEverythingRanked) {
+  const std::vector<std::vector<serve::RankEntry>> runs = {
+      {{3.0f, 0, 0}}, {}, {{4.0f, 1, 1}}};
+  const auto merged = serve::MergeSortedRuns(runs, 100);
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_EQ(merged[0].item, 1);
   EXPECT_EQ(merged[1].item, 0);
 }
 
 // ---------------------------------------------------------------------------
-// ShardedPredictor parity with the unsharded Predictor
+// LocalShardBackend: one request partitioned into ScoreJobs
 // ---------------------------------------------------------------------------
 
-TEST(ShardedPredictorTest, ShardCountInvariantAndBitIdenticalToTopKAll) {
+/// Ranks one request as \p num_jobs ScoreJobs over ShardBounds(total,
+/// num_jobs) in ONE LocalShardBackend batch and merges the runs. With null
+/// \p candidates the jobs take the identity form over [0, total). Checks
+/// every run's contract on the way: min(k, range) entries, best first, each
+/// entry's global position inside its job and pointing at its own id.
+std::vector<serve::ScoredItem> PartitionedTopK(
+    const serve::Predictor& predictor, const data::SequenceExample& ex,
+    const std::vector<int32_t>* candidates, size_t total, size_t num_jobs,
+    size_t k) {
+  const std::vector<size_t> bounds = serve::ShardBounds(total, num_jobs);
+  std::vector<serve::ScoreJob> jobs;
+  for (size_t j = 0; j < num_jobs; ++j) {
+    jobs.push_back({&ex, candidates, bounds[j], bounds[j + 1], k});
+  }
+  serve::LocalShardBackend backend(&predictor);
+  std::vector<std::vector<serve::RankEntry>> runs;
+  EXPECT_TRUE(backend.ScoreTopK(jobs, &runs).ok());
+  EXPECT_EQ(runs.size(), num_jobs);
+  for (size_t j = 0; j < runs.size(); ++j) {
+    const std::vector<serve::RankEntry>& run = runs[j];
+    EXPECT_EQ(run.size(), std::min(k, bounds[j + 1] - bounds[j]))
+        << "job " << j;
+    for (size_t i = 0; i < run.size(); ++i) {
+      const serve::RankEntry& e = run[i];
+      EXPECT_GE(e.pos, bounds[j]) << "job " << j;
+      EXPECT_LT(e.pos, bounds[j + 1]) << "job " << j;
+      const int32_t id = candidates == nullptr
+                             ? static_cast<int32_t>(e.pos)
+                             : (*candidates)[std::min(e.pos, total - 1)];
+      EXPECT_EQ(e.item, id) << "job " << j << " pos " << e.pos;
+      if (i > 0) {
+        EXPECT_TRUE(serve::RankBefore(run[i - 1], e));
+      }
+    }
+  }
+  return serve::MergeSortedRuns(runs, k);
+}
+
+std::string Where(size_t jobs, size_t k, const data::SequenceExample& ex) {
+  return "jobs=" + std::to_string(jobs) + " k=" + std::to_string(k) +
+         " user=" + std::to_string(ex.user) +
+         " threads=" + std::to_string(util::GlobalThreads());
+}
+
+TEST(LocalShardBackendPartitionTest, IdentityJobsMatchTopKAllWithTies) {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
   core::SeqFm model(space, SmallSeqFmConfig());
-  // Duplicate scores across shard boundaries: items (2, 7) land in
-  // different shards for every shard count > 1, items (3, 4) are adjacent.
+  // Duplicate scores across job boundaries: items (2, 7) land in different
+  // jobs for every job count > 1, items (3, 4) are adjacent.
   ForceScoreTie(&model, space, 2, 7);
   ForceScoreTie(&model, space, 3, 4);
 
   serve::PredictorOptions opts;
-  opts.micro_batch = 2;  // several chunks per shard even on 9 items
+  opts.micro_batch = 2;  // several chunks per job even on 9 items
   serve::Predictor predictor(&model, &builder, opts);
   ASSERT_TRUE(predictor.compiled_active());
 
+  const size_t total = space.num_objects();
   for (size_t threads : {1u, 2u}) {
     util::SetGlobalThreads(threads);
     for (const auto& ex : TestExamples()) {
-      // k spans: partial, whole catalog, and k > catalog (clamped).
-      for (size_t k : {1u, 3u, 9u, 20u}) {
+      // k: zero, below the catalog, the whole catalog, and past it.
+      for (size_t k : {0u, 1u, 3u, 9u, 20u}) {
         const auto want = predictor.TopKAll(ex, k);
-        for (size_t shards : {1u, 2u, 3u, 8u}) {
-          serve::ShardedPredictor sharded(&predictor, {shards});
-          ExpectSameRanking(sharded.TopKAll(ex, k), want,
-                            "shards=" + std::to_string(shards) +
-                                " k=" + std::to_string(k) +
-                                " threads=" + std::to_string(threads));
+        for (size_t jobs : {1u, 2u, 3u, 8u}) {
+          ExpectSameRanking(
+              PartitionedTopK(predictor, ex, nullptr, total, jobs, k), want,
+              "identity " + Where(jobs, k, ex));
         }
       }
     }
@@ -268,70 +311,88 @@ TEST(ShardedPredictorTest, ShardCountInvariantAndBitIdenticalToTopKAll) {
   util::SetGlobalThreads(1);
 }
 
-TEST(ShardedPredictorTest, CustomCatalogWithDuplicateScoresMatchesTopK) {
+TEST(LocalShardBackendPartitionTest, SlateWithTiesAndDuplicateIdsMatchesTopK) {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
   core::SeqFm model(space, SmallSeqFmConfig());
   ForceScoreTie(&model, space, 1, 6);
   serve::Predictor predictor(&model, &builder, {});
-  const auto ex = TestExamples()[3];
+  ASSERT_TRUE(predictor.compiled_active());
 
   // Ids deliberately out of order and duplicated: the tied pair (1, 6) must
-  // come out id-ascending whichever positions (and shards) they occupy.
+  // come out id-ascending whichever positions (and jobs) they occupy.
   const std::vector<int32_t> candidates = {6, 8, 1, 0, 6, 2};
-  for (size_t shards : {1u, 2u, 3u, 8u}) {
-    serve::ShardedPredictor sharded(&predictor, {shards});
-    for (size_t k : {2u, 4u, 6u, 10u}) {
-      ExpectSameRanking(sharded.TopK(ex, candidates, k),
-                        predictor.TopK(ex, candidates, k),
-                        "custom catalog shards=" + std::to_string(shards) +
-                            " k=" + std::to_string(k));
+  for (size_t threads : {1u, 2u}) {
+    util::SetGlobalThreads(threads);
+    for (const auto& ex : TestExamples()) {
+      for (size_t k : {0u, 2u, 4u, 6u, 10u}) {
+        const auto want = predictor.TopK(ex, candidates, k);
+        for (size_t jobs : {1u, 2u, 3u, 8u}) {
+          ExpectSameRanking(PartitionedTopK(predictor, ex, &candidates,
+                                            candidates.size(), jobs, k),
+                            want, "slate " + Where(jobs, k, ex));
+        }
+      }
     }
   }
+  util::SetGlobalThreads(1);
 }
 
-TEST(ShardedPredictorTest, MoreShardsThanCatalogAndTinyCatalogs) {
+TEST(LocalShardBackendPartitionTest, MoreJobsThanCandidatesAndTinySlates) {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
   core::SeqFm model(space, SmallSeqFmConfig());
   serve::Predictor predictor(&model, &builder, {});
   const auto ex = TestExamples()[0];
 
-  serve::ShardedPredictor sharded(&predictor, {8});
-  // 3-item catalog over 8 shards: most shards are empty.
-  ExpectSameRanking(sharded.TopK(ex, {4, 2, 7}, 3),
-                    predictor.TopK(ex, {4, 2, 7}, 3), "3 items, 8 shards");
-  // Single item, and k clamped past it.
-  ExpectSameRanking(sharded.TopK(ex, {5}, 4), predictor.TopK(ex, {5}, 4),
-                    "1 item, 8 shards");
-  // Degenerate requests.
-  EXPECT_TRUE(sharded.TopK(ex, std::vector<int32_t>{}, 5).empty());
-  EXPECT_TRUE(sharded.TopK(ex, {1, 2}, 0).empty());
-  EXPECT_TRUE(sharded.TopKAll(ex, 0).empty());
+  // 1-, 2- and 3-item slates over 8 jobs: most jobs are empty.
+  const std::vector<std::vector<int32_t>> slates = {{5}, {4, 2}, {4, 2, 7}};
+  for (const std::vector<int32_t>& slate : slates) {
+    for (size_t k : {0u, 1u, 2u, 4u}) {
+      for (size_t jobs : {1u, 2u, 3u, 8u}) {
+        ExpectSameRanking(
+            PartitionedTopK(predictor, ex, &slate, slate.size(), jobs, k),
+            predictor.TopK(ex, slate, k),
+            std::to_string(slate.size()) + "-item slate " +
+                Where(jobs, k, ex));
+      }
+    }
+  }
+  // An empty request: every job is empty and so is the merge.
+  const std::vector<int32_t> none;
+  EXPECT_TRUE(PartitionedTopK(predictor, ex, &none, 0, 8, 5).empty());
 }
 
-TEST(ShardedPredictorTest, UnevenMicroBatchBoundariesStayBitIdentical) {
+TEST(LocalShardBackendPartitionTest, ChunksThatStraddleJobBoundsKeepBits) {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
   core::SeqFm model(space, SmallSeqFmConfig());
-  serve::Predictor predictor(&model, &builder, {});
-  const auto ex = TestExamples()[1];
-  const auto want = predictor.TopKAll(ex, 9);
+  ForceScoreTie(&model, space, 2, 7);
+  serve::Predictor reference(&model, &builder, {});
 
-  // Chunk sizes that divide shards unevenly (shards of size 3 with chunks
-  // of 2, 4, 7) must not change a single bit of the ranking.
-  for (size_t micro_batch : {1u, 2u, 4u, 7u}) {
-    serve::PredictorOptions opts;
-    opts.micro_batch = micro_batch;
-    serve::Predictor chunked(&model, &builder, opts);
-    ASSERT_TRUE(chunked.compiled_active());
-    serve::ShardedPredictor sharded(&chunked, {3});
-    ExpectSameRanking(sharded.TopKAll(ex, 9), want,
-                      "micro_batch=" + std::to_string(micro_batch));
+  // micro_batch = 4 against jobs of 9 / 4-5 / 3 / 1-2 items: chunk edges
+  // never line up with job edges, and no bit of the ranking may move.
+  serve::PredictorOptions opts;
+  opts.micro_batch = 4;
+  serve::Predictor chunked(&model, &builder, opts);
+  ASSERT_TRUE(chunked.compiled_active());
+  const std::vector<int32_t> slate = {8, 7, 6, 5, 4, 3, 2, 1, 0};
+  const size_t total = space.num_objects();
+  for (const auto& ex : TestExamples()) {
+    for (size_t k : {3u, 9u}) {
+      for (size_t jobs : {1u, 2u, 3u, 8u}) {
+        ExpectSameRanking(
+            PartitionedTopK(chunked, ex, nullptr, total, jobs, k),
+            reference.TopKAll(ex, k), "identity " + Where(jobs, k, ex));
+        ExpectSameRanking(
+            PartitionedTopK(chunked, ex, &slate, slate.size(), jobs, k),
+            reference.TopK(ex, slate, k), "slate " + Where(jobs, k, ex));
+      }
+    }
   }
 }
 
-TEST(ShardedPredictorTest, GenericPathModelsShardToo) {
+TEST(LocalShardBackendPartitionTest, EagerOnlyRegistryModelPartitionsToo) {
   const data::FeatureSpace space = SmallSpace();
   data::BatchBuilder builder(space, kSeqLen);
   baselines::BaselineConfig cfg;
@@ -341,95 +402,31 @@ TEST(ShardedPredictorTest, GenericPathModelsShardToo) {
   cfg.keep_prob = 1.0f;
   cfg.seed = 123;
   auto fm = baselines::CreateBaseline("FM", space, cfg).ValueOrDie();
-  serve::Predictor predictor(fm.get(), &builder, {});
-  ASSERT_TRUE(predictor.compiled_active());
-
-  const auto ex = TestExamples()[2];
-  const auto want = predictor.TopKAll(ex, 5);
-  for (size_t shards : {2u, 3u, 8u}) {
-    serve::ShardedPredictor sharded(&predictor, {shards});
-    ExpectSameRanking(sharded.TopKAll(ex, 5), want,
-                      "generic shards=" + std::to_string(shards));
-  }
-}
-
-TEST(ShardedPredictorDeathTest, NullPredictorAndZeroShardsDie) {
-  EXPECT_DEATH(serve::ShardedPredictor(nullptr, {}), "null predictor");
-  const data::FeatureSpace space = SmallSpace();
-  data::BatchBuilder builder(space, kSeqLen);
-  core::SeqFm model(space, SmallSeqFmConfig());
-  serve::Predictor predictor(&model, &builder, {});
-  EXPECT_DEATH(serve::ShardedPredictor(&predictor, {0}),
-               "at least one shard");
-}
-
-// ---------------------------------------------------------------------------
-// BatchServer wave fan-out across shards
-// ---------------------------------------------------------------------------
-
-TEST(ShardedBatchServerTest, ShardedWavesMatchPredictorTopK) {
-  const data::FeatureSpace space = SmallSpace();
-  data::BatchBuilder builder(space, kSeqLen);
-  core::SeqFm model(space, SmallSeqFmConfig());
-  ForceScoreTie(&model, space, 2, 7);
-  const auto examples = TestExamples();
-  std::vector<int32_t> catalog(space.num_objects());
-  for (size_t i = 0; i < catalog.size(); ++i) {
-    catalog[i] = static_cast<int32_t>(i);
-  }
-
   serve::PredictorOptions opts;
-  opts.micro_batch = 2;
-  opts.context_cache_bytes = 1 << 20;
-  serve::Predictor predictor(&model, &builder, opts);
-  serve::Predictor reference(&model, &builder, {});
+  opts.use_compiled_program = false;  // every chunk scores eagerly
+  opts.micro_batch = 4;
+  serve::Predictor predictor(fm.get(), &builder, opts);
+  ASSERT_FALSE(predictor.compiled_active());
 
+  const std::vector<int32_t> slate = {3, 0, 8, 3, 5};
+  const size_t total = space.num_objects();
   for (size_t threads : {1u, 2u}) {
     util::SetGlobalThreads(threads);
-    for (size_t shards : {1u, 3u, 8u}) {
-      serve::BatchServerOptions server_opts;
-      server_opts.num_shards = shards;
-      serve::BatchServer server(&predictor, server_opts);
-      std::vector<std::future<std::vector<serve::ScoredItem>>> futures;
-      std::vector<size_t> ks;
-      for (size_t round = 0; round < 2; ++round) {
-        for (const auto& ex : examples) {
-          const size_t k = 1 + (round + futures.size()) % 6;
-          ks.push_back(k);
-          futures.push_back(server.Submit(ex, catalog, k));
+    for (const auto& ex : TestExamples()) {
+      for (size_t k : {0u, 2u, 5u, 12u}) {
+        for (size_t jobs : {1u, 2u, 3u, 8u}) {
+          ExpectSameRanking(
+              PartitionedTopK(predictor, ex, nullptr, total, jobs, k),
+              predictor.TopKAll(ex, k), "eager identity " + Where(jobs, k, ex));
+          ExpectSameRanking(
+              PartitionedTopK(predictor, ex, &slate, slate.size(), jobs, k),
+              predictor.TopK(ex, slate, k),
+              "eager slate " + Where(jobs, k, ex));
         }
-      }
-      for (size_t i = 0; i < futures.size(); ++i) {
-        ExpectSameRanking(
-            futures[i].get(),
-            reference.TopK(examples[i % examples.size()], catalog, ks[i]),
-            "shards=" + std::to_string(shards) + " request " +
-                std::to_string(i));
       }
     }
   }
   util::SetGlobalThreads(1);
-}
-
-TEST(ShardedBatchServerTest, ShardedEdgeCaseRequests) {
-  const data::FeatureSpace space = SmallSpace();
-  data::BatchBuilder builder(space, kSeqLen);
-  core::SeqFm model(space, SmallSeqFmConfig());
-  serve::Predictor predictor(&model, &builder, {});
-  serve::BatchServerOptions server_opts;
-  server_opts.num_shards = 8;
-  serve::BatchServer server(&predictor, server_opts);
-  const auto examples = TestExamples();
-
-  auto empty = server.Submit(examples[0], {}, 5);
-  auto zero_k = server.Submit(examples[1], {0, 1, 2}, 0);
-  auto clamped = server.Submit(examples[2], {0, 1}, 100);
-  auto dupes = server.Submit(examples[3], {5, 5, 3}, 3);
-  EXPECT_TRUE(empty.get().empty());
-  EXPECT_TRUE(zero_k.get().empty());
-  EXPECT_EQ(clamped.get().size(), 2u);
-  ExpectSameRanking(dupes.get(), predictor.TopK(examples[3], {5, 5, 3}, 3),
-                    "duplicate ids through sharded waves");
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // model_version replicas announce in the RPC handshake), and serves its
 // slice of the identity catalog through Predictor -> BatchServer ->
 // RpcServer in replica mode. The owned slice is derived from
-// ShardedCatalog::Bounds(items, num_shards) at shard_index, so every
+// serve::ShardBounds(items, num_shards) at shard_index, so every
 // replica configured with the same (items, num_shards) agrees on every
 // boundary without coordination.
 //
