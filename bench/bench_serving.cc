@@ -14,9 +14,10 @@
 // CI uses under ASan+UBSan.
 //
 // --profile-body prints the compiled SeqFM body one instruction a line
-// (kind, output shape, us per request, share, MACs per candidate, GF/s) for
-// --requests rank-everything requests, and exits. Defaults: the serving
-// benchmark's shape (--scale=0.5 --dim=64 --seq-len=20) on one thread.
+// (kind, output shape, minimum and median us per request over up to 5
+// interleaved rounds of --requests rank-everything requests, share, MACs
+// per candidate, GF/s), and exits. Defaults: the serving benchmark's shape
+// (--scale=0.5 --dim=64 --seq-len=20) on one thread.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -165,15 +166,21 @@ std::string ShapeString(const ir::Value& v) {
 
 /// The per-instruction body profile (--profile-body): every request scores
 /// the whole catalog in micro_batch chunks against one cached context, so
-/// the table is the body's share of a rank-everything request.
+/// the table is the body's share of a rank-everything request. The requests
+/// run as min(5, requests) interleaved rounds (request r counts toward round
+/// r mod rounds), and each row prints the minimum and the median of the
+/// rounds' per-request means, which one noisy stretch of a shared host
+/// cannot move the way it moves a single mean.
 int ProfileBody(const serve::Predictor& compiled,
                 const data::SequenceExample& ex,
                 const std::vector<int32_t>& catalog, size_t micro_batch,
                 size_t requests) {
   const ir::Engine& engine = *compiled.engine();
   const ir::Program& body = engine.body();
+  const size_t n = body.instrs.size();
+  const size_t rounds = std::min<size_t>(5, requests);
   const serve::Predictor::ContextPtr ctx = compiled.AcquireContext(ex);
-  std::vector<uint64_t> ns(body.instrs.size(), 0);
+  std::vector<std::vector<uint64_t>> ns(rounds, std::vector<uint64_t>(n, 0));
   std::vector<float> scores(catalog.size());
   std::string error;
   auto score_all = [&](uint64_t* instr_ns) {
@@ -185,46 +192,62 @@ int ProfileBody(const serve::Predictor& compiled,
     }
   };
   score_all(nullptr);  // warm the frame and the arena
-  for (size_t r = 0; r < requests; ++r) score_all(ns.data());
-  std::vector<size_t> macs(body.instrs.size(), 0);
-  uint64_t total_ns = 0;
-  size_t total_macs = 0;
-  for (size_t i = 0; i < body.instrs.size(); ++i) {
+  for (size_t r = 0; r < requests; ++r) score_all(ns[r % rounds].data());
+
+  // us[i][k]: instruction i's mean us per request in round k; row n is the
+  // whole body.
+  std::vector<std::vector<double>> us(n + 1, std::vector<double>(rounds, 0));
+  for (size_t k = 0; k < rounds; ++k) {
+    const double per_req =
+        1e-3 / static_cast<double>((requests - k + rounds - 1) / rounds);
+    for (size_t i = 0; i < n; ++i) {
+      us[i][k] = static_cast<double>(ns[k][i]) * per_req;
+      us[n][k] += us[i][k];
+    }
+  }
+  auto median_of = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const size_t m = v.size() / 2;
+    return v.size() % 2 == 1 ? v[m] : 0.5 * (v[m - 1] + v[m]);
+  };
+  std::vector<size_t> macs(n + 1, 0);  // per request
+  for (size_t i = 0; i < n; ++i) {
     for (size_t begin = 0; begin < catalog.size(); begin += micro_batch) {
       const size_t count = std::min(catalog.size() - begin, micro_batch);
       macs[i] += ir::InstrMacs(body, body.instrs[i], count);
     }
-    total_ns += ns[i];
-    total_macs += macs[i];
+    macs[n] += macs[i];
   }
-  const double per_req = 1e-3 / static_cast<double>(requests);  // ns -> us
+  const double total_med = median_of(us[n]);
   const double cands = static_cast<double>(catalog.size());
-  auto gflops = [&](size_t m, uint64_t t) {
-    return 2.0 * static_cast<double>(m) * static_cast<double>(requests) /
-           static_cast<double>(std::max<uint64_t>(t, 1));
-  };
   std::printf("\nbody profile: %zu candidates per request in chunks of %zu, "
-              "%zu requests, 1 context, %s kernels, %zu threads\n",
-              catalog.size(), micro_batch, requests,
+              "%zu requests in %zu interleaved rounds, 1 context, %s kernels, "
+              "%zu threads\n",
+              catalog.size(), micro_batch, requests, rounds,
               tensor::kernels::Active().name, util::GlobalThreads());
-  std::printf("%3s  %-20s %-14s %10s %6s %10s %7s\n", "#", "kind", "out",
-              "us/req", "share", "MACs/cand", "GF/s");
-  for (size_t i = 0; i < body.instrs.size(); ++i) {
-    const ir::Instr& ins = body.instrs[i];
-    std::printf("%3zu  %-20s %-14s %10.2f %5.1f%% %10.0f", i,
-                ir::OpKindName(ins.kind),
-                ShapeString(body.values[ins.out]).c_str(),
-                static_cast<double>(ns[i]) * per_req,
-                100.0 * static_cast<double>(ns[i]) /
-                    static_cast<double>(std::max<uint64_t>(total_ns, 1)),
+  std::printf("us/req: minimum and median of the rounds' means; share of the "
+              "median total; GF/s at the minimum\n");
+  std::printf("%3s  %-20s %-14s %10s %10s %6s %10s %7s\n", "#", "kind", "out",
+              "min us", "median us", "share", "MACs/cand", "GF/s");
+  for (size_t i = 0; i <= n; ++i) {
+    const double lo = *std::min_element(us[i].begin(), us[i].end());
+    const double med = median_of(us[i]);
+    if (i < n) {
+      const ir::Instr& ins = body.instrs[i];
+      std::printf("%3zu  %-20s %-14s", i, ir::OpKindName(ins.kind),
+                  ShapeString(body.values[ins.out]).c_str());
+    } else {
+      std::printf("     %-20s %-14s", "total", "");
+    }
+    std::printf(" %10.2f %10.2f %5.1f%% %10.0f", lo, med,
+                100.0 * med / std::max(total_med, 1e-9),
                 static_cast<double>(macs[i]) / cands);
-    if (macs[i] > 0) std::printf(" %7.2f", gflops(macs[i], ns[i]));
+    if (macs[i] > 0) {
+      std::printf(" %7.2f", 2e-3 * static_cast<double>(macs[i]) /
+                                std::max(lo, 1e-9));
+    }
     std::printf("\n");
   }
-  std::printf("     %-20s %-14s %10.2f %5.1f%% %10.0f %7.2f\n", "total", "",
-              static_cast<double>(total_ns) * per_req, 100.0,
-              static_cast<double>(total_macs) / cands,
-              gflops(total_macs, total_ns));
   return 0;
 }
 

@@ -21,6 +21,34 @@ bool IsSynthesized(OpKind k) {
          k == OpKind::kCrossPaddingMask || k == OpKind::kZeros;
 }
 
+/// A value's binding time: what it varies with, two bits joined by OR.
+/// Bit 0 is the candidate, bit 1 the request (user, history, masks), so
+/// kItem and kRequest are incomparable and their join is kCandidate.
+using BindingTime = uint8_t;
+constexpr BindingTime kConst = 0;      // parameters and captured constants
+constexpr BindingTime kItem = 1;       // the candidate alone: item table
+constexpr BindingTime kRequest = 2;    // the request alone: prologue
+constexpr BindingTime kCandidate = 3;  // both: body
+
+bool PerCandidate(BindingTime t) { return (t & kItem) != 0; }
+
+/// The binding time \p ins gives its output under \p bt (the transfer
+/// function of Factor's contract, passes.h). An output without the
+/// candidate bit is kRequest even when it reads only parameters, so kConst
+/// marks exactly the parameters and constants and an item value's inputs
+/// are ones the catalog can read.
+BindingTime TimeOf(const Instr& ins, const std::vector<BindingTime>& bt) {
+  if (IsSynthesized(ins.kind)) return kRequest;
+  BindingTime t = kConst;
+  if (IsGather(ins.kind)) {
+    for (size_t j = 0; j < ins.binding.cols.size(); ++j) {
+      t |= ins.binding.ColumnIsCandidate(j) ? kItem : kRequest;
+    }
+  }
+  for (uint32_t u : ins.in) t |= bt[u];
+  return PerCandidate(t) ? t : kRequest;
+}
+
 /// Instruction-level alignment between the two traces: same op, same value
 /// ids (the traces share a construction order, hence an id space), same
 /// scalar attributes. traced_indices and bindings are reconciled separately.
@@ -138,8 +166,8 @@ struct RefTrace {
 ///   2. a row-local op (IsRowLocal) whose row operand is a ConcatAxis1 with
 ///      an invariant block is applied to each block and the results joined
 ///      by ConcatAxis1 into the original value id, recursively.
-/// Decisions are structural (the candidate taint as it stands mid-rewrite)
-/// and identical for both traces, so the two keep one value-id space.
+/// Decisions are structural (TimeOf as it stands mid-rewrite) and identical
+/// for both traces, so the two keep one value-id space.
 /// Dead instructions left behind (a concat whose consumers all moved to
 /// its blocks) are removed.
 class RowBlockSplitter {
@@ -152,7 +180,7 @@ class RowBlockSplitter {
   void Run() {
     const size_t ninstr = t_[1]->prog.instrs.size();
     const size_t nvals = t_[1]->prog.values.size();
-    variant_.assign(nvals, 0);
+    bt_.assign(nvals, kConst);
     concat_.assign(nvals, {kNoValue, kNoValue});
     for (size_t i = 0; i < ninstr; ++i) {
       const Instr& i1 = t_[0]->prog.instrs[i];
@@ -183,19 +211,13 @@ class RowBlockSplitter {
       id = static_cast<uint32_t>(t->prog.values.size() - 1);
     }
     probe_->ref.push_back(probe_->ref[whole].Block(r0, r1));
-    variant_.push_back(0);
+    bt_.push_back(kConst);
     concat_.push_back({kNoValue, kNoValue});
     return id;
   }
 
   void AppendPair(Instr i1, Instr iC) {
-    bool v = false;
-    if (IsGather(iC.kind)) {
-      v = iC.binding.ReadsCandidate();
-    } else if (!IsSynthesized(iC.kind)) {
-      for (uint32_t u : iC.in) v = v || variant_[u] != 0;
-    }
-    variant_[iC.out] = v ? 1 : 0;
+    bt_[iC.out] = TimeOf(iC, bt_);
     if (iC.kind == OpKind::kConcatAxis1) {
       concat_[iC.out] = {iC.in[0], iC.in[1]};
     }
@@ -208,7 +230,7 @@ class RowBlockSplitter {
   /// True when \p v, or some ConcatAxis1 block it is built from, is
   /// candidate-invariant.
   bool HasInvariantBlock(uint32_t v) const {
-    if (!variant_[v]) return true;
+    if (!PerCandidate(bt_[v])) return true;
     const auto& [a, b] = concat_[v];
     return a != kNoValue && (HasInvariantBlock(a) || HasInvariantBlock(b));
   }
@@ -216,10 +238,10 @@ class RowBlockSplitter {
   bool Pushable(const Instr& ins) const {
     if (!IsRowLocal(ins.kind) || ins.in.empty()) return false;
     const uint32_t x = ins.in[0];
-    if (concat_[x].first == kNoValue || !variant_[x]) return false;
+    if (concat_[x].first == kNoValue || !PerCandidate(bt_[x])) return false;
     if (t_[1]->prog.values[ins.out].shape.size() != 3) return false;
     for (size_t j = 1; j < ins.in.size(); ++j) {
-      if (variant_[ins.in[j]]) return false;
+      if (PerCandidate(bt_[ins.in[j]])) return false;
     }
     return HasInvariantBlock(x);
   }
@@ -296,7 +318,7 @@ class RowBlockSplitter {
   RefTrace* t_[2];
   RefTrace* probe_;
   std::vector<Instr> out_[2];
-  std::vector<char> variant_;
+  std::vector<BindingTime> bt_;
   std::vector<std::pair<uint32_t, uint32_t>> concat_;  // ConcatAxis1 inputs
 };
 
@@ -307,13 +329,6 @@ bool ScalesWithCount(const std::vector<size_t>& shape1,
   return !shape1.empty() && shape1.size() == shapeC.size() &&
          shapeC[0] == shape1[0] * count &&
          std::equal(shape1.begin() + 1, shape1.end(), shapeC.begin() + 1);
-}
-
-bool BindingIsCandidateOnly(const IndexBinding& b) {
-  for (size_t j = 0; j < b.cols.size(); ++j) {
-    if (!b.ColumnIsCandidate(j)) return false;
-  }
-  return !b.cols.empty();
 }
 
 /// True when each sample's row of \p ref (\p width floats, one row per
@@ -342,14 +357,14 @@ bool RowsMatchTable(const TracedRef& ref, const data::Batch& batch,
 /// The catalog's item-value set: the item values \p columns depend on, in
 /// the count-C trace's instruction order.
 std::vector<uint32_t> CatalogValues(const Program& pC,
-                                    const std::vector<char>& item,
+                                    const std::vector<BindingTime>& bt,
                                     const std::vector<uint32_t>& columns) {
   std::vector<char> needed(pC.values.size(), 0);
   for (uint32_t v : columns) needed[v] = 1;
   for (size_t i = pC.instrs.size(); i-- > 0;) {
     const Instr& ins = pC.instrs[i];
     if (!needed[ins.out]) continue;
-    for (uint32_t u : ins.in) needed[u] = needed[u] || item[u];
+    for (uint32_t u : ins.in) needed[u] = needed[u] || bt[u] == kItem;
   }
   std::vector<uint32_t> out;
   for (const Instr& ins : pC.instrs) {
@@ -476,97 +491,63 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
   const Program& p1 = w1.prog;
   const Program& pC = wC.prog;
 
-  // Structural taint: a value is candidate-variant when its instruction
-  // reads the candidate column (gathers) or any variant input (transitive).
-  // Synthesized masks depend only on the shared history. demoted[] carries
-  // empirical refutations into each re-propagation.
+  // Binding times, to one fixpoint: each pass derives every value's time
+  // from TimeOf and the refutations so far (floor), then checks the claims
+  // bit-for-bit, request-time values against tiling and columns against
+  // the table. A refuted value is raised to kCandidate and the pass rerun.
   const size_t nvals = pC.values.size();
-  std::vector<char> variant(nvals, 0);
-  std::vector<char> demoted(nvals, 0);
-  auto propagate = [&]() {
-    std::fill(variant.begin(), variant.end(), 0);
-    for (const Instr& ins : pC.instrs) {
-      bool v = demoted[ins.out] != 0;
-      if (IsGather(ins.kind)) {
-        v = v || ins.binding.ReadsCandidate();
-      } else if (!IsSynthesized(ins.kind)) {
-        for (uint32_t u : ins.in) v = v || variant[u] != 0;
-      }
-      variant[ins.out] = v ? 1 : 0;
+  const size_t num_objects = options.num_objects;
+  std::vector<BindingTime> bt(nvals, kConst), floor(nvals, kConst);
+  std::vector<char> read(nvals);
+  std::vector<uint32_t> columns;
+  auto scales = [&](uint32_t v) {
+    if (ScalesWithCount(p1.values[v].shape, pC.values[v].shape, pC.count)) {
+      return true;
     }
+    res.error = "factor: value " + std::to_string(v) +
+                " does not scale with the candidate count";
+    return false;
   };
-  propagate();
-
-  // Empirical fixpoint: every structurally invariant value must have its
-  // count-C tensor equal to its count-1 tensor block-tiled, bit-for-bit.
-  // A refuted claim is demoted and the taint re-propagated, so numeric
-  // candidate dependence the structure missed can never be hoisted.
-  bool changed = true;
-  while (changed) {
-    changed = false;
+  for (bool raised = true; raised;) {
+    raised = false;
+    for (const Instr& ins : pC.instrs) {
+      bt[ins.out] = TimeOf(ins, bt) | floor[ins.out];
+    }
     for (const Instr& ins : pC.instrs) {
       const uint32_t v = ins.out;
-      if (variant[v]) continue;
+      if (PerCandidate(bt[v])) continue;
       SEQFM_CHECK(w1.ref[v].t != nullptr && wC.ref[v].t != nullptr);
       if (!TilesTo(w1.ref[v], wC.ref[v])) {
-        demoted[v] = 1;
-        changed = true;
+        floor[v] = kCandidate;
+        raised = true;
       }
     }
-    if (changed) propagate();
-  }
-
-  if (pC.output == kNoValue || variant[pC.output] == 0) {
-    res.error = "factor: score is candidate-invariant";
-    return res;
-  }
-
-  // Item values: candidate-variant values that read only parameters,
-  // constants and other item values (so no user or history column, no
-  // synthesized mask, no slot), laid out one row per sample. The columns
-  // are the ones a request-tainted instruction or the score reads. Every
-  // traced row of a column must equal its candidate's table row; refuted
-  // claims are demoted and the claims re-derived, to a fixpoint.
-  std::vector<char> item(nvals, 0);
-  std::vector<uint32_t> columns;
-  const size_t count = pC.count;
-  const size_t num_objects = options.num_objects;
-  std::vector<char> refuted(nvals, 0);
-  std::vector<char> body_gather(nvals, 0);
-  while (true) {
-    std::fill(item.begin(), item.end(), 0);
-    std::fill(body_gather.begin(), body_gather.end(), 0);
+    if (raised) continue;
+    if (pC.output == kNoValue || !PerCandidate(bt[pC.output])) {
+      res.error = "factor: score is candidate-invariant";
+      return res;
+    }
     for (const Instr& ins : pC.instrs) {
-      const uint32_t v = ins.out;
-      bool claim = variant[v] && !refuted[v] && !IsSynthesized(ins.kind) &&
-                   ScalesWithCount(p1.values[v].shape, pC.values[v].shape,
-                                   count);
-      if (IsGather(ins.kind)) {
-        claim = claim && BindingIsCandidateOnly(ins.binding);
-      }
-      for (uint32_t u : ins.in) {
-        const ValueKind k = pC.values[u].kind;
-        claim = claim && (item[u] || k == ValueKind::kParam ||
-                          k == ValueKind::kConstant);
-      }
-      item[v] = claim ? 1 : 0;
+      if (PerCandidate(bt[ins.out]) && !scales(ins.out)) return res;
     }
-    std::vector<char> read(nvals, 0);
+
+    // The columns: item values a kCandidate instruction or the score reads,
+    // but gathers of a parameter, which stay in the body (hoisting one
+    // saves nothing). The catalog computes them and what they read.
+    std::fill(read.begin(), read.end(), 0);
     read[pC.output] = 1;
     for (const Instr& ins : pC.instrs) {
-      if (!variant[ins.out] || item[ins.out]) continue;
+      if (bt[ins.out] != kCandidate) continue;
       for (uint32_t u : ins.in) read[u] = 1;
     }
     columns.clear();
     for (const Instr& ins : pC.instrs) {
-      if (!item[ins.out] || !read[ins.out]) continue;
-      body_gather[ins.out] = IsGather(ins.kind);
-      if (!body_gather[ins.out]) columns.push_back(ins.out);
+      if (bt[ins.out] == kItem && read[ins.out] && !IsGather(ins.kind)) {
+        columns.push_back(ins.out);
+      }
     }
-    const std::vector<uint32_t> defined = CatalogValues(pC, item, columns);
-
-    res.catalog = BuildCatalog(p1, pC, defined, columns,
-                               std::min(num_objects, kCatalogChunk));
+    res.catalog = BuildCatalog(p1, pC, CatalogValues(pC, bt, columns),
+                               columns, std::min(num_objects, kCatalogChunk));
     VerifyOptions catalog_opts;
     catalog_opts.check_arena = true;
     const Status st = Verify(res.catalog, catalog_opts);
@@ -576,25 +557,21 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     }
     res.table = BuildItemTable(res.catalog, num_objects, options.cand_base,
                                options.unified_dyn_base);
-    bool changed = false;
     for (size_t k = 0; k < columns.size(); ++k) {
       const uint32_t v = columns[k];
       const tensor::Tensor& col = res.table.columns[k];
       const size_t w = col.dim(1);
       const int32_t base = options.cand_base;
-      const bool holds =
-          RowsMatchTable(w1.ref[v], batch1, base, col, w) &&
-          RowsMatchTable(wC.ref[v], batchC, base, col, w) &&
-          RowsMatchTable(wB.ref[v], *options.probe_batch, base, col, w);
-      if (!holds) {
-        refuted[v] = 1;
-        changed = true;
+      if (!RowsMatchTable(w1.ref[v], batch1, base, col, w) ||
+          !RowsMatchTable(wC.ref[v], batchC, base, col, w) ||
+          !RowsMatchTable(wB.ref[v], *options.probe_batch, base, col, w)) {
+        floor[v] = kCandidate;
+        raised = true;
       }
     }
-    if (!changed) break;
   }
 
-  // Slots: invariant locals consumed by at least one variant instruction.
+  // Slots: request-time locals a per-candidate instruction reads.
   // A slot only ConcatAxis1 reads is fed to it as a batch-1 operand (the
   // concat broadcasts it); any other count-C reader needs a tiled copy.
   auto broadcasts = [&](const Instr& ins, uint32_t u) {
@@ -604,9 +581,11 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
   std::vector<char> is_slot(nvals, 0);
   std::vector<char> needs_tile(nvals, 0);
   for (const Instr& ins : pC.instrs) {
-    if (!variant[ins.out]) continue;
+    if (!PerCandidate(bt[ins.out])) continue;
     for (uint32_t u : ins.in) {
-      if (variant[u] || pC.values[u].kind != ValueKind::kLocal) continue;
+      if (PerCandidate(bt[u]) || pC.values[u].kind != ValueKind::kLocal) {
+        continue;
+      }
       is_slot[u] = 1;
       if (!broadcasts(ins, u)) needs_tile[u] = 1;
     }
@@ -616,36 +595,27 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
     if (is_slot[v]) slots.push_back(v);
   }
 
-  // Prologue: the invariant sub-program at count 1, writing the slots.
+  // Prologue: the request-time sub-program at count 1, writing the slots.
   res.prologue = p1;
   res.prologue.instrs.clear();
   for (const Instr& ins : p1.instrs) {
-    if (!variant[ins.out]) res.prologue.instrs.push_back(ins);
+    if (!PerCandidate(bt[ins.out])) res.prologue.instrs.push_back(ins);
   }
   res.prologue.output = kNoValue;
   res.prologue.slot_outputs = slots;
   RenewIdentity(&res.prologue);
   for (uint32_t s : slots) res.slot_refs.push_back(w1.ref[s].Materialize());
 
-  // Body: the variant sub-program, reading the slots, count-polymorphic:
-  // every variant value becomes per-candidate at its count-1 shape, which
-  // its count-C shape must scale along axis 0. Slots whose non-concat
-  // count-C consumers saw the block-tiled shape get an explicit kTileRows
-  // from the count-1 slot tensor, one copy per candidate.
+  // Body: the per-candidate sub-program, reading the slots,
+  // count-polymorphic: every per-candidate value is recorded at its count-1
+  // shape, which its count-C shape scales along axis 0. Slots whose
+  // non-concat count-C consumers saw the block-tiled shape get an explicit
+  // kTileRows from the count-1 slot tensor, one copy per candidate.
   res.body = pC;
   res.body.instrs.clear();
   res.body.slot_outputs.clear();
-  auto scales = [&](uint32_t v) {
-    if (ScalesWithCount(p1.values[v].shape, pC.values[v].shape, count)) {
-      return true;
-    }
-    res.error = "factor: value " + std::to_string(v) +
-                " does not scale with the candidate count";
-    return false;
-  };
   for (const Instr& ins : pC.instrs) {
-    if (!variant[ins.out]) continue;
-    if (!scales(ins.out)) return res;
+    if (!PerCandidate(bt[ins.out])) continue;
     MakePerCandidate(&res.body.values[ins.out], p1.values[ins.out].shape);
   }
   std::vector<uint32_t> tiled(nvals, kNoValue);
@@ -711,8 +681,10 @@ FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
   for (const Instr& src : pC.instrs) {
     // The catalog computes every item value but the gathers the rest of
     // the body reads.
-    if (!variant[src.out]) continue;
-    if (item[src.out] && !body_gather[src.out]) continue;
+    if (!PerCandidate(bt[src.out])) continue;
+    if (bt[src.out] == kItem && !(read[src.out] && IsGather(src.kind))) {
+      continue;
+    }
     Instr ins = src;
     for (uint32_t& u : ins.in) {
       if (column_of[u] != kNoValue) gather_column(u);

@@ -97,38 +97,45 @@ struct FactorResult {
 /// the item split below moves into the item table) and the attention itself
 /// per candidate.
 ///
-/// A value (whole or block) is candidate-invariant when it is so both
-/// structurally (its instruction consumes no candidate column,
-/// transitively) and empirically (its count-C reference tensor is exactly
-/// the count-1 one block-tiled C times, bit-for-bit). Structural claims an
-/// empirical check refutes are demoted and the taint re-propagated to a
-/// fixpoint, so a surprising numeric dependence can never be hoisted.
+/// Factor then gives every value (whole or block) a binding time, what it
+/// varies with, in two bits joined by OR: kConst (neither: parameters and
+/// constants), kItem (the candidate alone), kRequest (the request alone:
+/// user and history columns, synthesized masks) and kCandidate (both). Item
+/// and request are incomparable and join to kCandidate: a value that reads
+/// an item row and a request row can be computed neither once per catalog
+/// nor once per request. One transfer function, which the row-block rewrite
+/// above uses too, joins an instruction's input times, adding kItem per
+/// candidate column and kRequest per other column of a gather; a
+/// synthesized mask is kRequest, and so is every output without the
+/// candidate bit, even one reading only parameters, since the prologue
+/// computes it once per request. So an item value reads only item values,
+/// parameters and constants: its row b depends on candidate b alone.
 ///
-/// Factor also tracks a request taint: a value carries it when it reads,
-/// transitively, a user or history column, a synthesized mask, or a
-/// prologue slot. A candidate-variant value without it is an item value,
-/// claimed to have row b (its count-1 size in floats) depend on candidate b
-/// and the parameters only. Item values that a request-tainted instruction
-/// reads (or the score) become the table columns; the catalog program
-/// computes them for every object, and the body gathers each column's rows
-/// by candidate instead. A column that is
-/// itself a gather of a parameter stays in the body (hoisting it saves
-/// nothing). An item claim holds structurally (no request taint, count-C
-/// shape the count-1 shape scaled along axis 0) and empirically: every
-/// traced row — counts 1 and C and the probe — equals the table row of its
-/// candidate, bit-for-bit. A refuted claim is demoted back to the body and
-/// the taint re-propagated, in the same fixpoint as the slots. The split is
-/// exact because the ops compute each row independently, with the
-/// per-element accumulation order of tensor/kernels.h, at any row count.
+/// The programs are read off that one vector. Request-time values form the
+/// prologue; those a per-candidate instruction reads are its slots. Item
+/// values a kCandidate instruction or the score reads are the item table's
+/// columns: the catalog program computes them for every object, and the
+/// body gathers their rows by candidate instead (a column that is itself a
+/// gather of a parameter stays in the body: hoisting it saves nothing). The
+/// other per-candidate values are the body.
 ///
-/// The same independence makes the body count-polymorphic: each value it
-/// defines must have its count-C shape be its count-1 shape scaled along
-/// axis 0, and records the count-1 shape as per-candidate.
+/// One fixpoint checks the claims bit-for-bit: a request-time value's
+/// count-C reference tensor must be its count-1 one block-tiled C times,
+/// and every traced row of a column (counts 1 and C and the probe) must
+/// equal its candidate's table row. A refuted value is raised to kCandidate
+/// and the times recomputed until no claim fails, so a surprising numeric
+/// dependence is never hoisted. The splits are exact because the ops
+/// compute each row independently, with the per-element accumulation order
+/// of tensor/kernels.h, at any row count.
+///
+/// The same independence makes the body count-polymorphic: every
+/// per-candidate value's count-C shape must be its count-1 shape scaled
+/// along axis 0, and the body records the count-1 shape.
 ///
 /// Fails (with .error set) when the traces do not align
 /// instruction-for-instruction, when a gather binding cannot be reconciled
 /// across counts, when the final score itself is candidate-invariant, when
-/// a body value does not scale with the candidate count, or when options
+/// a per-candidate value does not scale with the count, or when options
 /// lacks the catalog or the probe.
 FactorResult Factor(const TraceResult& trace1, const TraceResult& traceC,
                     const data::Batch& batch1, const data::Batch& batchC,

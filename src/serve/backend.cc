@@ -157,6 +157,14 @@ Status LocalShardBackend::ScoreTopK(
   return Status::OK();
 }
 
+namespace {
+
+// Reconnection backoff: the first delay, and the cap the doubling stops at.
+constexpr int64_t kReconnectBackoffInitialMs = 10;
+constexpr int64_t kReconnectBackoffMaxMs = 1000;
+
+}  // namespace
+
 RemoteReplicaBackend::RemoteReplicaBackend(RemoteReplicaBackendOptions options)
     : options_(options), jitter_rng_(options.reconnect_jitter_seed) {}
 
@@ -244,9 +252,8 @@ Status RemoteReplicaBackend::EnsureConnectedLocked() {
     // the schedule stays deterministic per backend (seeded stream) while
     // desynchronizing independent coordinators in a real fleet.
     backoff_ms_ = backoff_ms_ == 0
-                      ? options_.reconnect_backoff_initial_ms
-                      : std::min(backoff_ms_ * 2,
-                                 options_.reconnect_backoff_max_ms);
+                      ? kReconnectBackoffInitialMs
+                      : std::min(backoff_ms_ * 2, kReconnectBackoffMaxMs);
     const int64_t jittered =
         backoff_ms_ <= 1
             ? backoff_ms_

@@ -147,15 +147,12 @@ struct RemoteReplicaBackendOptions {
   /// this to its per-replica budget, which is what makes its join-all
   /// fan-out hang-free: a dead replica's worker always terminates.
   int64_t io_timeout_ms = 2000;
-  /// Reconnection backoff: after a failed reconnect attempt the backend
+  /// Seed of the reconnection backoff's jitter stream (deterministic per
+  /// backend instance). After a failed reconnect attempt the backend
   /// refuses further attempts (failing calls fast) for an exponentially
-  /// growing, jittered delay — doubling from `initial` up to `max`, each
-  /// delay drawn uniformly from [d/2, d) off a seeded Rng stream. Jitter
-  /// keeps a fleet of coordinators from hammering a recovering replica in
-  /// lockstep; the fast-fail keeps the request path from ever sleeping.
-  int64_t reconnect_backoff_initial_ms = 10;
-  int64_t reconnect_backoff_max_ms = 1000;
-  /// Seed of the jitter stream (deterministic per backend instance).
+  /// growing delay, doubling from 10 ms up to 1 s, each drawn uniformly
+  /// from [d/2, d) off this stream; the fast-fail keeps the request path
+  /// from ever sleeping.
   uint64_t reconnect_jitter_seed = 42;
 };
 

@@ -28,6 +28,18 @@ namespace {
 constexpr uint64_t kListenerId = 0;
 constexpr uint64_t kEventFdId = 1;
 
+/// Write backpressure: once a connection's unflushed response bytes exceed
+/// this, the server stops READING that connection (its requests wait in
+/// kernel buffers) until the client drains below half of it — a slow reader
+/// throttles itself instead of growing server memory.
+constexpr size_t kMaxWriteBufferBytes = 4u << 20;
+/// Connections held concurrently; accepts beyond this are closed at once.
+constexpr size_t kMaxConnections = 1024;
+/// Graceful-drain deadline: at Shutdown, connections get this long to drain
+/// their pending response bytes before being force-closed, so a stalled
+/// client can never wedge Shutdown.
+constexpr int64_t kDrainTimeoutMs = 5000;
+
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
@@ -63,7 +75,6 @@ RpcServer::RpcServer(BatchServer* batch, RpcServerOptions options)
     : batch_(batch), options_(std::move(options)) {
   SEQFM_CHECK(batch_ != nullptr) << "RpcServer: null BatchServer";
   SEQFM_CHECK_GT(options_.max_frame_bytes, 0u);
-  SEQFM_CHECK_GT(options_.max_write_buffer_bytes, 0u);
   if (options_.catalog_size > 0) {
     SEQFM_CHECK_GT(options_.num_shards, 0u);
     SEQFM_CHECK_LT(options_.shard_index, options_.num_shards);
@@ -219,7 +230,7 @@ void RpcServer::Loop() {
       DrainCompletions();
       if (!drain_deadline_set) {
         drain_deadline = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(options_.drain_timeout_ms);
+                         std::chrono::milliseconds(kDrainTimeoutMs);
         drain_deadline_set = true;
       }
       const bool expired = std::chrono::steady_clock::now() >= drain_deadline;
@@ -258,7 +269,7 @@ void RpcServer::AcceptAll() {
       SEQFM_LOG(Warning) << "rpc: accept failed: " << std::strerror(errno);
       return;
     }
-    if (conns_.size() >= options_.max_connections ||
+    if (conns_.size() >= kMaxConnections ||
         stopping_.load(std::memory_order_acquire)) {
       ::close(fd);
       continue;
@@ -644,15 +655,14 @@ bool RpcServer::FlushWrites(Connection* conn) {
   // being READ once its pending responses pass the high watermark, and
   // resumes below half of it. Its subsequent requests queue in kernel
   // socket buffers (then block the client's send), so server memory per
-  // connection stays bounded by max_write_buffer_bytes + one socket buffer.
-  if (!conn->paused_read &&
-      conn->pending_out() > options_.max_write_buffer_bytes) {
+  // connection stays bounded by kMaxWriteBufferBytes + one socket buffer.
+  if (!conn->paused_read && conn->pending_out() > kMaxWriteBufferBytes) {
     conn->paused_read = true;
     interest_changed = true;
     util::OrderedMutexLock lock(mu_);
     ++stats_.backpressure_pauses;
   } else if (conn->paused_read &&
-             conn->pending_out() <= options_.max_write_buffer_bytes / 2) {
+             conn->pending_out() <= kMaxWriteBufferBytes / 2) {
     conn->paused_read = false;
     interest_changed = true;
   }

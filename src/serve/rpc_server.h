@@ -28,17 +28,6 @@ struct RpcServerOptions {
   /// Frames declaring a payload above this fail their connection (framing
   /// validation happens before any allocation sized by the peer's bytes).
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Write backpressure: once a connection's unflushed response bytes exceed
-  /// this, the server stops READING that connection (its requests wait in
-  /// kernel buffers) until the client drains below half of it — a slow
-  /// reader throttles itself instead of growing server memory.
-  size_t max_write_buffer_bytes = 4u << 20;
-  /// Connections held concurrently; accepts beyond this are closed at once.
-  size_t max_connections = 1024;
-  /// Graceful-drain deadline: at Shutdown, connections get this long to
-  /// drain their pending response bytes before being force-closed, so a
-  /// stalled client can never wedge Shutdown.
-  int64_t drain_timeout_ms = 5000;
   /// Replica mode: when catalog_size > 0 the server also answers
   /// shard-scoped requests (kShardRequestFrame) over its owned slice
   /// [ShardBounds(catalog_size, num_shards)[shard_index],
@@ -108,7 +97,7 @@ struct RpcServerStats {
 /// responses; a slow reader is throttled by write backpressure. Shutdown()
 /// (idempotent, called by the destructor) stops accepting, drains every
 /// admitted request through BatchServer::Shutdown, flushes pending
-/// responses (bounded by drain_timeout_ms), and joins the loop.
+/// responses (for at most 5 s), and joins the loop.
 ///
 /// The BatchServer is borrowed and must outlive this object; Shutdown()
 /// shuts the BatchServer down as part of the drain.

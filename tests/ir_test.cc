@@ -4,11 +4,14 @@
 //   - pass units on hand-built programs: constant folding, dead-code
 //     elimination, elementwise fusion, and arena planning (buffer reuse);
 //   - row-block factoring on small hand-built models: mixed gathers split,
-//     projected invariant blocks become slots, refuted blocks are demoted;
-//   - item split on small hand-built models: a candidate-only chain moves
-//     into the catalog program and the item table, a chain reading the user
-//     row stays in the body, a bare candidate gather is not hoisted, and a
-//     claim the table refutes is demoted;
+//     projected invariant blocks become slots, refuted blocks are raised to
+//     the body;
+//   - binding times and the item split on small hand-built models: a
+//     candidate-only chain moves into the catalog program and the item
+//     table, a chain reading the user row stays in the body, so does a
+//     projection by an in-graph function of a parameter (request time), a
+//     bare candidate gather is not hoisted, and a value the table refutes
+//     is raised to the body;
 //   - masked-attention fusion: fires on SeqFM's constant causal and cross
 //     masks and its unmasked static view, declines padding masks, masks
 //     with holes and shared intermediates, and matches the chain it fuses;
@@ -17,6 +20,9 @@
 //     1/2 threads, 1/3 shards, both SIMD levels, body counts
 //     1/2/3/4/7/8/9 of the one count-polymorphic body, and a 2-object
 //     catalog;
+//   - generated shapes: the same parity for every model configuration over
+//     seeded draws of users, catalog size, history window, embedding dim,
+//     micro_batch and history lengths;
 //   - compiled cost at SeqFM's serving shape: GEMM work per candidate, the
 //     item table's size, the body's frame at 256 candidates, and one body
 //     serving every chunk size from one table (never captured as a
@@ -67,6 +73,8 @@
 #include "tensor/kernels.h"
 #include "tests/score_tie.h"
 #include "util/cpu.h"
+#include "util/hash.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 // ---------------------------------------------------------------------------
@@ -192,9 +200,12 @@ const std::vector<std::string>& SeqFmVariants() {
 
 std::unique_ptr<core::Model> MakeModelByName(const std::string& name,
                                              const data::FeatureSpace& space,
-                                             uint64_t seed = 0) {
+                                             uint64_t seed = 0, size_t dim = 8,
+                                             size_t seq_len = kSeqLen) {
   if (name.rfind("SeqFM", 0) == 0) {
     core::SeqFmConfig cfg = SmallSeqFmConfig();
+    cfg.embedding_dim = dim;
+    cfg.max_seq_len = seq_len;
     if (seed != 0) cfg.seed = seed;
     const std::string variant = name.substr(name.find('/') + 1);
     if (variant == "mask_padding_keys") cfg.mask_padding_keys = true;
@@ -206,6 +217,8 @@ std::unique_ptr<core::Model> MakeModelByName(const std::string& name,
     return std::make_unique<core::SeqFm>(space, cfg);
   }
   baselines::BaselineConfig cfg = SmallBaselineConfig();
+  cfg.embedding_dim = dim;
+  cfg.max_seq_len = seq_len;
   if (seed != 0) cfg.seed = seed;
   return baselines::CreateBaseline(name, space, cfg).ValueOrDie();
 }
@@ -214,6 +227,16 @@ std::vector<std::string> AllModels() {
   std::vector<std::string> names = AllBaselines();
   names.insert(names.begin(), "SeqFM");
   return names;
+}
+
+/// A gtest-safe instance name for a model-name parameter ("Wide&Deep" ->
+/// "Wide_Deep").
+std::string ModelTestName(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  for (char& c : name) {
+    if (!isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name;
 }
 
 /// Deterministic requests covering empty, short, and overflowing histories.
@@ -244,6 +267,31 @@ void ExpectBitEqual(const float* a, const float* b, size_t n,
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// Expects \p compiled to score \p catalog and rank the whole catalog (top
+/// 5) for every request exactly as \p eager does, scores compared as bits.
+void ExpectServesLikeEager(const serve::Predictor& compiled,
+                           const serve::Predictor& eager,
+                           const std::vector<data::SequenceExample>& requests,
+                           const std::vector<int32_t>& catalog,
+                           const std::string& where) {
+  for (const data::SequenceExample& ex : requests) {
+    const std::string at = where + " user=" + std::to_string(ex.user) +
+                           " history=" + std::to_string(ex.history.size());
+    const std::vector<float> want = eager.ScoreCandidates(ex, catalog);
+    const std::vector<float> got = compiled.ScoreCandidates(ex, catalog);
+    ASSERT_EQ(want.size(), got.size()) << at;
+    ExpectBitEqual(want.data(), got.data(), want.size(), at);
+    const std::vector<serve::ScoredItem> ref = eager.TopKAll(ex, 5);
+    const std::vector<serve::ScoredItem> top = compiled.TopKAll(ex, 5);
+    ASSERT_EQ(top.size(), ref.size()) << at;
+    for (size_t i = 0; i < top.size(); ++i) {
+      EXPECT_EQ(top[i].item, ref[i].item) << at << " rank=" << i;
+      EXPECT_EQ(std::memcmp(&top[i].score, &ref[i].score, sizeof(float)), 0)
+          << at << " rank=" << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -285,15 +333,7 @@ TEST_P(TraceTest, TracedProgramRoundTripsTheForward) {
 
 INSTANTIATE_TEST_SUITE_P(AllModels, TraceTest,
                          ::testing::ValuesIn(AllModels()),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (char& c : name) {
-                             if (!isalnum(static_cast<unsigned char>(c))) {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         ModelTestName);
 
 // ---------------------------------------------------------------------------
 // Pass units on hand-built programs
@@ -777,11 +817,13 @@ TEST(PassTest, FactorDemotesARowBlockTheTracedTensorsRefute) {
 ///                   candidate-only linear term mean(e_c) q added to the
 ///                   score (a rank-2 [B, 1] item value);
 ///   kReadsUser:     tanh(e_c W + e_u), stacked under the user row;
-///   kBareGather:    e_c itself, stacked under the user row.
+///   kBareGather:    e_c itself, stacked under the user row;
+///   kParamFunction: e_c tanh(W), projected by an in-graph function of a
+///                   parameter, stacked under the user row.
 /// The stacked rows are mean-pooled and scored by a [d, 1] matmul.
 class ItemChainModel : public core::Model {
  public:
-  enum class Chain { kCandidateOnly, kReadsUser, kBareGather };
+  enum class Chain { kCandidateOnly, kReadsUser, kBareGather, kParamFunction };
 
   ItemChainModel(const data::FeatureSpace& space, Chain chain)
       : chain_(chain),
@@ -806,6 +848,8 @@ class ItemChainModel : public core::Model {
       c = autograd::Tanh(autograd::BmmShared(e_c, w_));
     } else if (chain_ == Chain::kReadsUser) {
       c = autograd::Tanh(autograd::Add(autograd::BmmShared(e_c, w_), e_u));
+    } else if (chain_ == Chain::kParamFunction) {
+      c = autograd::BmmShared(e_c, autograd::Tanh(w_));
     }
     autograd::Variable score = autograd::MatMul(
         autograd::MeanAxis1(autograd::ConcatAxis1(e_u, c), 2.0f), p_);
@@ -924,6 +968,35 @@ TEST(PassTest, FactorLeavesABareCandidateGatherInTheBody) {
   const auto gathers = InstrsOfKind(f.body, ir::OpKind::kEmbeddingGather);
   ASSERT_EQ(gathers.size(), 1u);
   EXPECT_EQ(f.body.values[gathers[0]->in[0]].kind, ir::ValueKind::kParam);
+}
+
+TEST(PassTest, FactorKeepsAProjectionByAParameterFunctionInTheBody) {
+  const data::FeatureSpace space = SmallSpace();
+  data::BatchBuilder builder(space, kSeqLen);
+  ItemChainModel model(space, ItemChainModel::Chain::kParamFunction);
+  FactorTraces r = TraceRowBlockModel(&model, builder);
+  ASSERT_TRUE(r.ok()) << r.error();
+  const ir::FactorResult f = FactorTraced(space, r);
+  ASSERT_TRUE(f.ok()) << f.error;
+  // tanh(W) reads only a parameter, but the prologue computes it once per
+  // request, so it is request time: e_c tanh(W) joins item and request and
+  // stays in the body, which is also the only program that can read it.
+  EXPECT_EQ(InstrsOfKind(f.prologue, ir::OpKind::kTanh).size(), 1u);
+  EXPECT_EQ(InstrsOfKind(f.body, ir::OpKind::kBmmShared).size(), 1u);
+  EXPECT_TRUE(InstrsOfKind(f.body, ir::OpKind::kTanh).empty());
+  EXPECT_TRUE(f.catalog.instrs.empty());
+  EXPECT_TRUE(f.table.columns.empty());
+
+  serve::Predictor compiled(&model, &builder);
+  ASSERT_TRUE(compiled.compiled_active());
+  EXPECT_EQ(compiled.engine()->stats().item_values, 0u);
+  serve::PredictorOptions eager_opts;
+  eager_opts.use_compiled_program = false;
+  serve::Predictor eager(&model, &builder, eager_opts);
+  std::vector<int32_t> catalog(space.num_objects());
+  std::iota(catalog.begin(), catalog.end(), 0);
+  ExpectServesLikeEager(compiled, eager, TestExamples(), catalog,
+                        "param function");
 }
 
 TEST(PassTest, FactorDemotesAnItemClaimWhoseTracedRowsDisagreeWithTheTable) {
@@ -1643,15 +1716,7 @@ TEST_P(VerifierPipelineTest, EveryPassLeavesTheProgramVerifierClean) {
 
 INSTANTIATE_TEST_SUITE_P(AllModels, VerifierPipelineTest,
                          ::testing::ValuesIn(AllModels()),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (char& c : name) {
-                             if (!isalnum(static_cast<unsigned char>(c))) {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         ModelTestName);
 
 // ---------------------------------------------------------------------------
 // Compiled-vs-eager serving parity: every model, threads x shards x SIMD
@@ -1789,26 +1854,78 @@ TEST_P(CompiledParityTest, CompiledServingMatchesEagerBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(AllModels, CompiledParityTest,
                          ::testing::ValuesIn(AllModels()),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (char& c : name) {
-                             if (!isalnum(static_cast<unsigned char>(c))) {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         ModelTestName);
 INSTANTIATE_TEST_SUITE_P(SeqFmVariants, CompiledParityTest,
                          ::testing::ValuesIn(SeqFmVariants()),
-                         [](const auto& info) {
-                           std::string name = info.param;
-                           for (char& c : name) {
-                             if (!isalnum(static_cast<unsigned char>(c))) {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         ModelTestName);
+
+// ---------------------------------------------------------------------------
+// Generated shapes: compiled-vs-eager parity over seeded draws of the
+// feature space, catalog size, history length, embedding dim and chunking
+// ---------------------------------------------------------------------------
+
+class GeneratedShapeParityTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GeneratedShapeParityTest, CompiledServingMatchesEagerOnSeededShapes) {
+  const std::string& name = GetParam();
+  const size_t kObjects[] = {2, 3, ir::kCatalogChunk - 1, ir::kCatalogChunk,
+                             ir::kCatalogChunk + 1, 0};  // 0: uniform 2-40
+  const size_t kDims[] = {4, 6, 8, 12, 16};
+  const size_t kMicroBatches[] = {1, 3, 4, 256};
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(util::Fnv1a64(name.data(), name.size()) + seed);
+    const size_t users = static_cast<size_t>(rng.UniformInt(1, 8));
+    size_t objects = kObjects[rng.UniformInt(6)];
+    if (objects == 0) objects = static_cast<size_t>(rng.UniformInt(2, 40));
+    const size_t seq_len = static_cast<size_t>(rng.UniformInt(1, 9));
+    const size_t dim = kDims[rng.UniformInt(5)];
+    const size_t micro_batch = kMicroBatches[rng.UniformInt(4)];
+    const std::string where =
+        name + " seed=" + std::to_string(seed) +
+        " users=" + std::to_string(users) +
+        " objects=" + std::to_string(objects) +
+        " seq_len=" + std::to_string(seq_len) + " dim=" + std::to_string(dim) +
+        " micro_batch=" + std::to_string(micro_batch);
+
+    const data::FeatureSpace space(users, objects);
+    data::BatchBuilder builder(space, seq_len);
+    auto model = MakeModelByName(name, space, /*seed=*/0, dim, seq_len);
+    serve::PredictorOptions opts;
+    opts.micro_batch = micro_batch;
+    serve::Predictor compiled(model.get(), &builder, opts);
+    ASSERT_TRUE(compiled.compiled_active()) << where;
+    opts.use_compiled_program = false;
+    serve::Predictor eager(model.get(), &builder, opts);
+
+    // Histories that are empty, short, and longer than seq_len.
+    std::vector<data::SequenceExample> requests;
+    for (size_t len : {size_t{0}, std::max<size_t>(1, seq_len / 2),
+                       seq_len + 1 + static_cast<size_t>(rng.UniformInt(3))}) {
+      data::SequenceExample ex;
+      ex.user = static_cast<int32_t>(rng.UniformInt(users));
+      ex.target = static_cast<int32_t>(rng.UniformInt(objects));
+      for (size_t j = 0; j < len; ++j) {
+        ex.history.push_back(static_cast<int32_t>(rng.UniformInt(objects)));
+      }
+      requests.push_back(std::move(ex));
+    }
+    std::vector<int32_t> catalog(objects);
+    std::iota(catalog.begin(), catalog.end(), 0);
+    ExpectServesLikeEager(compiled, eager, requests, catalog, where);
+    EXPECT_TRUE(compiled.compiled_active()) << where;
+  }
+}
+
+std::vector<std::string> AllModelConfigs() {
+  std::vector<std::string> names = AllModels();
+  names.insert(names.end(), SeqFmVariants().begin(), SeqFmVariants().end());
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModelConfigs, GeneratedShapeParityTest,
+                         ::testing::ValuesIn(AllModelConfigs()),
+                         ModelTestName);
 
 // ---------------------------------------------------------------------------
 // Compiled cost at the serving shape (d=64, n=20): row-block hoisting keeps
