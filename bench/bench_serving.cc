@@ -28,6 +28,7 @@
 
 #include "autograd/variable.h"
 #include "bench/bench_common.h"
+#include "core/scratch_arena.h"
 #include "ir/exec.h"
 #include "serve/predictor.h"
 #include "serve/server.h"
@@ -562,7 +563,7 @@ int Run(int argc, char** argv) {
                                    workload.slates[r]);
     }
     const uint64_t heap_allocs_before = tensor::internal::HeapAllocCount();
-    const auto scratch_before = cached.scratch_stats();
+    const auto scratch_before = core::GlobalScratchStats();
     const size_t audit_requests = std::min<size_t>(8, rb_requests);
     for (size_t r = 0; r < audit_requests; ++r) {
       (void)cached.ScoreCandidates(*workload.examples[r],
@@ -571,7 +572,7 @@ int Run(int argc, char** argv) {
     const uint64_t heap_alloc_delta =
         tensor::internal::HeapAllocCount() - heap_allocs_before;
     const uint64_t refill_delta =
-        cached.scratch_stats().heap_refills - scratch_before.heap_refills;
+        core::GlobalScratchStats().heap_refills - scratch_before.heap_refills;
     std::printf("            steady state over %zu requests: %llu tensor "
                 "heap allocations, %llu arena refills (must be 0)\n",
                 audit_requests,
@@ -645,7 +646,7 @@ int Run(int argc, char** argv) {
     }
     std::fflush(stdout);
   }
-  const auto scratch = cached.scratch_stats();
+  const auto scratch = core::GlobalScratchStats();
   json.Add("scratch_allocations", static_cast<double>(scratch.allocations));
   json.Add("scratch_heap_refills", static_cast<double>(scratch.heap_refills));
   json.Add("scratch_bytes_reserved",

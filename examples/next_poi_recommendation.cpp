@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "baselines/registry.h"
+#include "core/scratch_arena.h"
 #include "core/seqfm.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -170,12 +171,13 @@ int main(int argc, char** argv) {
   // The scratch arenas behind the tape-free forwards: after the first
   // request at a shape, heap_refills stops moving — steady-state serving
   // performs zero tensor heap allocations.
+  const core::ScratchStats scratch = core::GlobalScratchStats();
   std::printf("scratch arenas: %llu bump allocations over %llu heap refills, "
               "%.1f KiB reserved, %.1f KiB request high-water\n",
-              static_cast<unsigned long long>(waves.scratch.allocations),
-              static_cast<unsigned long long>(waves.scratch.heap_refills),
-              static_cast<double>(waves.scratch.bytes_reserved) / 1024.0,
-              static_cast<double>(waves.scratch.high_water) / 1024.0);
+              static_cast<unsigned long long>(scratch.allocations),
+              static_cast<unsigned long long>(scratch.heap_refills),
+              static_cast<double>(scratch.bytes_reserved) / 1024.0,
+              static_cast<double>(scratch.high_water) / 1024.0);
 
   // The Predictor also ranks without a server: TopKAll scores the whole POI
   // catalog, with the same bits a BatchServer wave would produce.

@@ -9,10 +9,10 @@ namespace seqfm {
 namespace core {
 
 /// Aggregate scratch-arena counters (process-wide across every thread's
-/// arena, monotonic unless stated otherwise). Exposed through
-/// serve::Predictor::scratch_stats() / serve::BatchServerStats so operators
-/// can watch serving settle into the allocation-free steady state: after
-/// warm-up, heap_refills stops moving while allocations keeps counting.
+/// arena, monotonic unless stated otherwise), read with GlobalScratchStats()
+/// so operators can watch serving settle into the allocation-free steady
+/// state: after warm-up, heap_refills stops moving while allocations keeps
+/// counting.
 struct ScratchStats {
   /// Bump allocations served (one per op output in a scratch scope).
   uint64_t allocations = 0;

@@ -664,7 +664,6 @@ std::unique_ptr<Engine> Engine::Compile(core::Model* model,
 
   const VerifyOptions prologue_opts;
   VerifyOptions body_opts;
-  body_opts.allow_slots = true;
   body_opts.num_slots = f.prologue.slot_outputs.size();
   body_opts.item_table = &f.table;
   if (!VerifyStage(f.prologue, "factor", "prologue", prologue_opts, error) ||
@@ -830,7 +829,6 @@ Status Engine::ReverifySlotAbi() const {
   // kSlot index below the slot count; what it cannot see is the shape the
   // prologue gives each slot.
   VerifyOptions opts;
-  opts.allow_slots = true;
   opts.num_slots = prologue_.slot_outputs.size();
   opts.item_table = &items_;
   const Status st = Verify(body_, opts);

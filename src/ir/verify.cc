@@ -648,7 +648,7 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
         break;
       }
       case ValueKind::kSlot:
-        if (!opt.allow_slots) {
+        if (opt.num_slots == 0) {
           return Status::Internal("value " + V(id) +
                                   ": kSlot value in a program that takes no "
                                   "slots");
@@ -766,7 +766,7 @@ Status Verify(const Program& p, const VerifyOptions& opt) {
   auto check_read = [&](uint32_t u, size_t at,
                         const std::string& where) -> Status {
     const Value& v = p.values[u];
-    if (v.kind == ValueKind::kSlot && !opt.allow_slots) {
+    if (v.kind == ValueKind::kSlot && opt.num_slots == 0) {
       return Status::Internal(where + "reads slot value " + V(u) +
                               " but the program takes no slots");
     }

@@ -61,11 +61,9 @@ struct VerifyOptions {
   /// that have not been planned yet — Value::offset defaults to 0, so an
   /// unplanned program is indistinguishable from one planned at offset 0.
   bool check_arena = false;
-  /// Body programs read prologue outputs as kSlot values; everywhere else a
-  /// kSlot value is a compiler bug.
-  bool allow_slots = false;
-  /// When allow_slots: number of slots the paired prologue writes. kSlot
-  /// indices must stay below this.
+  /// Number of slots the paired prologue writes. Body programs read
+  /// prologue outputs as kSlot values, whose indices must stay below this;
+  /// with 0 (every non-body program) any kSlot value is a compiler bug.
   size_t num_slots = 0;
   /// Body programs read the engine's item table as kItem values; null
   /// everywhere else (a kItem value is then a compiler bug). Only its

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -163,10 +164,17 @@ namespace {
 constexpr int64_t kReconnectBackoffInitialMs = 10;
 constexpr int64_t kReconnectBackoffMaxMs = 1000;
 
+// A fresh 64-bit seed per backend. A shared constant would make every
+// backend that loses the same replica redial it in lockstep.
+uint64_t JitterSeed() {
+  std::random_device rd;
+  return (static_cast<uint64_t>(rd()) << 32) ^ rd();
+}
+
 }  // namespace
 
 RemoteReplicaBackend::RemoteReplicaBackend(RemoteReplicaBackendOptions options)
-    : options_(options), jitter_rng_(options.reconnect_jitter_seed) {}
+    : options_(options), jitter_rng_(JitterSeed()) {}
 
 Status RemoteReplicaBackend::Connect(const std::string& host, uint16_t port) {
   util::OrderedMutexLock lock(mu_);
@@ -181,7 +189,6 @@ Status RemoteReplicaBackend::ConnectLocked(bool reconnect) {
   RpcClientOptions copts;
   copts.connect_timeout_ms = options_.connect_timeout_ms;
   copts.io_timeout_ms = options_.io_timeout_ms;
-  copts.capabilities = kRpcCapShardScoring;
   Status st = client_.Connect(host_, port_, copts);
   if (!st.ok()) return st;
   const RpcHelloAck& ack = client_.server_info();
@@ -248,9 +255,10 @@ Status RemoteReplicaBackend::EnsureConnectedLocked() {
   Status st = ConnectLocked(/*reconnect=*/true);
   if (!st.ok()) {
     ++recovery_.reconnect_failures;
-    // Exponential growth capped at the max, then jittered into [d/2, d):
-    // the schedule stays deterministic per backend (seeded stream) while
-    // desynchronizing independent coordinators in a real fleet.
+    // Exponential growth capped at the max, then jittered into [d/2, d)
+    // off this backend's randomly seeded stream, so backends that lost the
+    // same replica (in one coordinator or several) redial it at different
+    // times.
     backoff_ms_ = backoff_ms_ == 0
                       ? kReconnectBackoffInitialMs
                       : std::min(backoff_ms_ * 2, kReconnectBackoffMaxMs);

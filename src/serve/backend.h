@@ -115,8 +115,6 @@ class LocalShardBackend : public ScoringBackend {
   Status ScoreTopK(const std::vector<ScoreJob>& jobs,
                    std::vector<std::vector<RankEntry>>* results) override;
 
-  const Predictor* predictor() const { return predictor_; }
-
  private:
   const Predictor* predictor_;
 };
@@ -140,6 +138,12 @@ struct ReplicaInfo {
   uint64_t model_version = 0;
 };
 
+/// Replica channel timeouts. Reconnection backoff has no knob: after a
+/// failed reconnect attempt the backend refuses further attempts (failing
+/// calls fast) for an exponentially growing delay, doubling from 10 ms up
+/// to 1 s, each drawn uniformly from [d/2, d) off a stream every backend
+/// seeds from std::random_device; the fast-fail keeps the request path
+/// from ever sleeping.
 struct RemoteReplicaBackendOptions {
   /// Bound on Connect (TCP + protocol handshake).
   int64_t connect_timeout_ms = 1000;
@@ -147,13 +151,6 @@ struct RemoteReplicaBackendOptions {
   /// this to its per-replica budget, which is what makes its join-all
   /// fan-out hang-free: a dead replica's worker always terminates.
   int64_t io_timeout_ms = 2000;
-  /// Seed of the reconnection backoff's jitter stream (deterministic per
-  /// backend instance). After a failed reconnect attempt the backend
-  /// refuses further attempts (failing calls fast) for an exponentially
-  /// growing delay, doubling from 10 ms up to 1 s, each drawn uniformly
-  /// from [d/2, d) off this stream; the fast-fail keeps the request path
-  /// from ever sleeping.
-  uint64_t reconnect_jitter_seed = 42;
 };
 
 /// \brief ScoringBackend over one remote replica process (the RPC wire
@@ -231,7 +228,7 @@ class RemoteReplicaBackend : public ScoringBackend {
   /// the earliest steady-clock time another attempt may run.
   int64_t backoff_ms_ SEQFM_GUARDED_BY(mu_) = 0;
   std::chrono::steady_clock::time_point next_attempt_ SEQFM_GUARDED_BY(mu_){};
-  Rng jitter_rng_ SEQFM_GUARDED_BY(mu_){42};
+  Rng jitter_rng_ SEQFM_GUARDED_BY(mu_);
   BackendRecoveryStats recovery_ SEQFM_GUARDED_BY(mu_);
 };
 

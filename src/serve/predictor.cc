@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "autograd/variable.h"
+#include "core/scratch_arena.h"
 #include "nn/module.h"
 #include "serve/checkpoint.h"
 #include "serve/shard.h"  // RankBefore, the serving-wide ranking order

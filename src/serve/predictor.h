@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/model_interface.h"
-#include "core/scratch_arena.h"
 #include "core/seqfm.h"
 #include "data/dataset.h"
 #include "ir/exec.h"
@@ -192,14 +191,6 @@ class Predictor {
   /// Non-null iff the model compiled and context_cache_bytes > 0.
   const ContextCache* context_cache() const { return cache_.get(); }
 
-  /// Scratch-arena counters for the tape-free scoring scopes (process-wide;
-  /// see core::ScratchStats). In steady state heap_refills stays flat while
-  /// allocations keeps counting — serving without heap allocations.
-  core::ScratchStats scratch_stats() const {
-    return core::GlobalScratchStats();
-  }
-
-  const core::Model* model() const { return model_; }
   const PredictorOptions& options() const { return options_; }
 
  private:

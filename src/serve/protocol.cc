@@ -333,11 +333,11 @@ Status FrameReader::Next(std::string* payload, bool* got) {
     poisoned_ = true;
     return Status::InvalidArgument("rpc: bad frame magic (stream desync)");
   }
-  if (payload_len > max_frame_bytes_) {
+  if (payload_len > kDefaultMaxFrameBytes) {
     poisoned_ = true;
     return Status::InvalidArgument(
         "rpc: declared frame payload of " + std::to_string(payload_len) +
-        " bytes exceeds the " + std::to_string(max_frame_bytes_) +
+        " bytes exceeds the " + std::to_string(kDefaultMaxFrameBytes) +
         "-byte limit");
   }
   if (buf_.size() - pos_ < kRpcFrameHeaderBytes + payload_len) {

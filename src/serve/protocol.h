@@ -102,8 +102,8 @@ constexpr uint8_t kHelloAckFrame = 4;
 constexpr uint8_t kShardRequestFrame = 5;
 constexpr uint8_t kShardResponseFrame = 6;
 
-/// Default per-frame payload cap (1 MiB ~ a 260k-candidate slate). Frames
-/// declaring more than the reader's configured cap poison the stream.
+/// Per-frame payload cap (1 MiB ~ a 260k-candidate slate), on both ends of
+/// every connection. A frame declaring more poisons the stream.
 constexpr size_t kDefaultMaxFrameBytes = 1u << 20;
 
 /// Response status byte.
@@ -231,14 +231,11 @@ inline uint8_t FrameType(const std::string& payload) {
 /// Feed() appends whatever bytes the socket produced — frames may arrive
 /// split at any offset or coalesced many-per-read — and Next() yields each
 /// complete payload once its length prefix is satisfied. A framing
-/// violation (bad magic, declared payload above max_frame_bytes) returns
-/// InvalidArgument and poisons the reader: the stream has lost sync and the
-/// connection must be closed.
+/// violation (bad magic, declared payload above kDefaultMaxFrameBytes)
+/// returns InvalidArgument and poisons the reader: the stream has lost sync
+/// and the connection must be closed.
 class FrameReader {
  public:
-  explicit FrameReader(size_t max_frame_bytes = kDefaultMaxFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
-
   /// Appends \p n raw bytes from the wire.
   void Feed(const char* data, size_t n);
 
@@ -251,7 +248,6 @@ class FrameReader {
   size_t buffered_bytes() const { return buf_.size() - pos_; }
 
  private:
-  size_t max_frame_bytes_;
   std::string buf_;
   size_t pos_ = 0;  // consumed prefix of buf_
   bool poisoned_ = false;

@@ -74,7 +74,6 @@ struct RpcServer::Connection {
 RpcServer::RpcServer(BatchServer* batch, RpcServerOptions options)
     : batch_(batch), options_(std::move(options)) {
   SEQFM_CHECK(batch_ != nullptr) << "RpcServer: null BatchServer";
-  SEQFM_CHECK_GT(options_.max_frame_bytes, 0u);
   if (options_.catalog_size > 0) {
     SEQFM_CHECK_GT(options_.num_shards, 0u);
     SEQFM_CHECK_LT(options_.shard_index, options_.num_shards);
@@ -279,7 +278,6 @@ void RpcServer::AcceptAll() {
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
-    conn->reader = FrameReader(options_.max_frame_bytes);
     epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
     ev.events = EPOLLIN;
@@ -779,7 +777,6 @@ Status RpcClient::Connect(const std::string& host, uint16_t port,
                            std::strerror(err));
   }
   RpcHello hello;
-  hello.capabilities = options.capabilities;
   std::string wire;
   AppendHelloFrame(hello, &wire);
   if (Status st = SendWire(wire); !st.ok()) {

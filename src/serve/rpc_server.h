@@ -25,9 +25,6 @@ struct RpcServerOptions {
   /// Listen address. The loopback default serves same-host clients only;
   /// "0.0.0.0" exposes the server to the network.
   std::string bind_address = "127.0.0.1";
-  /// Frames declaring a payload above this fail their connection (framing
-  /// validation happens before any allocation sized by the peer's bytes).
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Replica mode: when catalog_size > 0 the server also answers
   /// shard-scoped requests (kShardRequestFrame) over its owned slice
   /// [ShardBounds(catalog_size, num_shards)[shard_index],
@@ -221,7 +218,8 @@ class RpcServer {
 };
 
 /// Client-side knobs. All-zero defaults reproduce the fully blocking v1
-/// behavior (no timeouts).
+/// behavior (no timeouts). There is no capability knob: servers never read
+/// a client's HELLO capabilities, so every client announces none (0).
 struct RpcClientOptions {
   /// Bound on establishing the connection INCLUDING the handshake: TCP
   /// connect + HELLO/HELLO_ACK. 0 blocks indefinitely. A server that
@@ -232,8 +230,6 @@ struct RpcClientOptions {
   /// SO_RCVTIMEO). 0 blocks indefinitely. The coordinator sets this to its
   /// per-replica budget so a replica dying mid-call can never wedge a merge.
   int64_t io_timeout_ms = 0;
-  /// Capability bits announced in the HELLO.
-  uint32_t capabilities = 0;
 };
 
 /// \brief Minimal blocking client for the RPC protocol (tests, examples,

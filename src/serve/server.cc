@@ -107,14 +107,7 @@ Status BatchServer::ReloadCheckpoint(const std::string& path) {
 
 BatchServerStats BatchServer::stats() const {
   util::OrderedMutexLock lock(mu_);
-  BatchServerStats out = stats_;
-  out.scratch = core::GlobalScratchStats();
-  return out;
-}
-
-size_t BatchServer::pending() const {
-  util::OrderedMutexLock lock(mu_);
-  return queue_.size();
+  return stats_;
 }
 
 void BatchServer::DispatchLoop() {

@@ -50,10 +50,6 @@ struct BatchServerStats {
   uint64_t requests_rejected = 0;
   uint64_t waves = 0;
   uint64_t largest_wave = 0;
-  /// Scratch-arena counters for the tape-free scoring scopes the waves run
-  /// in (process-wide snapshot; see core::ScratchStats). Steady state =
-  /// heap_refills flat, allocations counting.
-  core::ScratchStats scratch;
 
   double avg_wave_size() const {
     return waves == 0 ? 0.0 : static_cast<double>(requests_served) /
@@ -147,9 +143,6 @@ class BatchServer {
   Status ReloadCheckpoint(const std::string& path) SEQFM_EXCLUDES(serve_mu_);
 
   BatchServerStats stats() const;
-
-  /// Requests admitted but not yet picked up by the dispatcher.
-  size_t pending() const;
 
  private:
   struct Request {

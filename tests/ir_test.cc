@@ -767,7 +767,6 @@ TEST(PassTest, FactorHoistsTheProjectedHistoryBlockIntoASlot) {
   EXPECT_TRUE(f.body.values[rows[0]->out].per_candidate);
   EXPECT_TRUE(InstrsOfKind(f.body, ir::OpKind::kTileRows).empty());
   ir::VerifyOptions body_opts;
-  body_opts.allow_slots = true;
   body_opts.num_slots = slots.size();
   body_opts.item_table = &f.table;
   const Status st = ir::Verify(f.body, body_opts);
@@ -908,7 +907,6 @@ TEST(PassTest, FactorMovesACandidateOnlyChainIntoTheItemTable) {
   EXPECT_EQ(TableGathers(f.body).size(), 2u);
   EXPECT_EQ(InstrsOfKind(f.body, ir::OpKind::kReshape).size(), 1u);
   ir::VerifyOptions body_opts;
-  body_opts.allow_slots = true;
   body_opts.num_slots = f.prologue.slot_outputs.size();
   body_opts.item_table = &f.table;
   const Status st = ir::Verify(f.body, body_opts);
@@ -1079,7 +1077,6 @@ TEST(PassTest, FuseMaskedAttentionFiresOnSeqFmsConstantMasks) {
   ir::FactorResult f = FactoredSeqFm(SmallSeqFmConfig());
   ASSERT_TRUE(f.ok());
   ir::VerifyOptions body_opts;
-  body_opts.allow_slots = true;
   body_opts.num_slots = f.prologue.slot_outputs.size();
   body_opts.item_table = &f.table;
 
@@ -1390,7 +1387,6 @@ TEST(VerifierTest, RejectsSlotValueWhereSlotsAreNotAllowed) {
   ExpectVerifyRejects(p, "takes no slots");
   // ...an in-range slot under body options is fine...
   ir::VerifyOptions body;
-  body.allow_slots = true;
   body.num_slots = 1;
   const Status ok = ir::Verify(p, body);
   EXPECT_TRUE(ok.ok()) << ok.message();
@@ -1684,7 +1680,6 @@ TEST_P(VerifierPipelineTest, EveryPassLeavesTheProgramVerifierClean) {
 
   ir::VerifyOptions prologue_opts;
   ir::VerifyOptions body_opts;
-  body_opts.allow_slots = true;
   body_opts.num_slots = f.prologue.slot_outputs.size();
   body_opts.item_table = &f.table;
   for (ir::Program* half : {&f.prologue, &f.body}) {

@@ -1058,12 +1058,12 @@ TEST(SimdServingTest, SteadyStateServingPerformsZeroTensorHeapAllocations) {
       (void)predictor.TopK(ex, candidates, 5);
     }
     const uint64_t tensor_allocs = tensor::internal::HeapAllocCount();
-    const auto scratch_before = predictor.scratch_stats();
+    const auto scratch_before = core::GlobalScratchStats();
     std::vector<serve::ScoredItem> last;
     for (int r = 0; r < 10; ++r) {
       last = predictor.TopK(ex, candidates, 5);
     }
-    const auto scratch_after = predictor.scratch_stats();
+    const auto scratch_after = core::GlobalScratchStats();
     EXPECT_EQ(tensor::internal::HeapAllocCount(), tensor_allocs)
         << "steady-state requests allocated tensor heap memory (compiled="
         << compiled << ")";
@@ -1079,7 +1079,7 @@ TEST(SimdServingTest, SteadyStateServingPerformsZeroTensorHeapAllocations) {
   }
 }
 
-TEST(SimdServingTest, BatchServerReportsScratchStats) {
+TEST(SimdServingTest, BatchServedWaveBumpsTheScratchArenas) {
   ServeFixture fx;
   core::SeqFm model(fx.space, fx.ModelConfig());
   serve::Predictor predictor(&model, &fx.builder);
@@ -1087,10 +1087,10 @@ TEST(SimdServingTest, BatchServerReportsScratchStats) {
   std::vector<int32_t> candidates = {0, 1, 2, 3, 4, 5, 6, 7};
   auto fut = server.Submit(fx.dataset.train().front(), candidates, 3);
   ASSERT_EQ(fut.get().size(), 3u);
-  const auto stats = server.stats();
-  EXPECT_GT(stats.scratch.allocations, 0u);
-  EXPECT_GT(stats.scratch.bytes_reserved, 0u);
-  EXPECT_GT(stats.scratch.high_water, 0u);
+  const auto scratch = core::GlobalScratchStats();
+  EXPECT_GT(scratch.allocations, 0u);
+  EXPECT_GT(scratch.bytes_reserved, 0u);
+  EXPECT_GT(scratch.high_water, 0u);
 }
 
 TEST(SimdTrainingTest, LossCurveIdenticalAcrossSimdLevels) {

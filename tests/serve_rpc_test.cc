@@ -317,17 +317,27 @@ TEST(FrameReaderTest, BadMagicPoisonsTheStream) {
 }
 
 TEST(FrameReaderTest, OversizedDeclaredLengthPoisonsWithoutAllocating) {
-  serve::FrameReader reader(/*max_frame_bytes=*/64);
-  std::string header;
-  const uint32_t magic = serve::kRpcMagic;
-  const uint32_t huge = 0xffffffffu;  // ~4 GiB declared; never allocated
-  header.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  header.append(reinterpret_cast<const char*>(&huge), sizeof(huge));
-  reader.Feed(header.data(), header.size());
-  std::string payload;
-  bool got = false;
-  EXPECT_FALSE(reader.Next(&payload, &got).ok());
-  EXPECT_FALSE(got);
+  // Declared lengths at the cap, one past it, and ~4 GiB; none of them is
+  // ever allocated, since only the 8-byte header is fed.
+  const uint32_t cap = static_cast<uint32_t>(serve::kDefaultMaxFrameBytes);
+  for (const uint32_t declared : {cap, cap + 1, 0xffffffffu}) {
+    SCOPED_TRACE(declared);
+    serve::FrameReader reader;
+    std::string header;
+    const uint32_t magic = serve::kRpcMagic;
+    header.append(reinterpret_cast<const char*>(&magic), sizeof(magic));
+    header.append(reinterpret_cast<const char*>(&declared), sizeof(declared));
+    reader.Feed(header.data(), header.size());
+    std::string payload;
+    bool got = false;
+    // At the cap the reader just waits for the payload; above it the
+    // stream is poisoned, and stays so.
+    const bool within_cap = declared <= cap;
+    EXPECT_EQ(reader.Next(&payload, &got).ok(), within_cap);
+    EXPECT_FALSE(got);
+    EXPECT_EQ(reader.Next(&payload, &got).ok(), within_cap);
+    EXPECT_EQ(reader.buffered_bytes(), header.size());
+  }
 }
 
 TEST(FrameReaderTest, LongLivedStreamReclaimsConsumedPrefix) {
@@ -584,9 +594,7 @@ TEST(RpcServerTest, GarbageMagicFailsOnlyThatConnection) {
 }
 
 TEST(RpcServerTest, OversizedDeclaredFrameFailsTheConnection) {
-  serve::RpcServerOptions opts;
-  opts.max_frame_bytes = 256;
-  ServingStack stack({}, opts);
+  ServingStack stack;
   ASSERT_TRUE(stack.rpc.Start().ok());
 
   serve::RpcClient client;
