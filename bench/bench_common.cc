@@ -193,8 +193,8 @@ void PrintBanner(const std::string& title, const std::string& paper_ref) {
   std::printf("%s\n", title.c_str());
   std::printf("Reproduces: %s\n", paper_ref.c_str());
   std::printf("Synthetic substitution for the paper's datasets — compare the "
-              "ORDERING of rows,\nnot absolute values (see DESIGN.md / "
-              "EXPERIMENTS.md).\n");
+              "ORDERING of rows,\nnot absolute values (see README.md, "
+              "\"Departures from the paper\").\n");
   std::printf("================================================================"
               "================\n");
 }

@@ -8,6 +8,7 @@
 // Build & run:  ./build/examples/next_poi_recommendation [--scale=0.3]
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <vector>
 
@@ -26,6 +27,17 @@
 using namespace seqfm;
 
 namespace {
+
+/// The same items with bit-identical scores, in the same order.
+bool SameRanking(const std::vector<serve::ScoredItem>& a,
+                 const std::vector<serve::ScoredItem>& b) {
+  bool same = a.size() == b.size();
+  for (size_t r = 0; same && r < a.size(); ++r) {
+    same = a[r].item == b[r].item &&
+           std::memcmp(&a[r].score, &b[r].score, sizeof(float)) == 0;
+  }
+  return same;
+}
 
 void TrainRanking(core::Model* model, const data::BatchBuilder& builder,
                   const data::TemporalDataset& dataset, size_t epochs) {
@@ -133,9 +145,13 @@ int main(int argc, char** argv) {
     scored += candidates.size();
     futures.push_back(server.Submit(ex, std::move(candidates), 5));
   }
+  // Each served ranking is checked, live, against in-process scoring.
+  bool all_match = true;
   for (size_t i = 0; i < show_users; ++i) {
     const auto& ex = dataset->test()[i];
     const auto top = futures[i].get();
+    all_match = all_match &&
+                SameRanking(top, (*predictor)->TopK(ex, candidates_for(ex), 5));
     std::printf("  user %d, recent POIs:", ex.user);
     const size_t tail = std::min<size_t>(5, ex.history.size());
     for (size_t j = ex.history.size() - tail; j < ex.history.size(); ++j) {
@@ -154,8 +170,15 @@ int main(int argc, char** argv) {
     const auto& ex = dataset->test()[0];
     auto candidates = candidates_for(ex);
     scored += candidates.size();
-    (void)server.Submit(ex, std::move(candidates), 5).get();
+    const auto top = server.Submit(ex, candidates, 5).get();
+    all_match = all_match &&
+                SameRanking(top, (*predictor)->TopK(ex, candidates, 5));
   }
+  if (!all_match) {
+    std::fprintf(stderr, "served rankings diverge from in-process TopK\n");
+    return 1;
+  }
+  std::printf("served rankings bit-identical to in-process TopK\n");
   // The cache fronts the compiled program only; an eager fallback has none.
   const serve::ContextCache* context_cache = (*predictor)->context_cache();
   const serve::ContextCacheStats cache = context_cache != nullptr

@@ -10,6 +10,7 @@
 //
 // Build & run:  ./build/examples/rpc_serving [--scale=0.3] [--port=0]
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,9 @@ int main(int argc, char** argv) {
   for (size_t o = 0; o < catalog.size(); ++o) {
     catalog[o] = static_cast<int32_t>(o);
   }
+  // Each served ranking is checked, live, against in-process scoring: the
+  // same items with bit-identical scores, in the same order.
+  bool all_match = true;
   const size_t show_users = std::min<size_t>(3, dataset->test().size());
   for (size_t i = 0; i < show_users; ++i) {
     const auto& ex = dataset->test()[i];
@@ -108,7 +112,22 @@ int main(int argc, char** argv) {
       std::printf(" %d(%.2f)%s", item.item, item.score,
                   item.item == ex.target ? "*" : "");
     }
-    std::printf("   (* = actual next POI)\n");
+    const std::vector<serve::ScoredItem> local =
+        predictor.TopK(ex, catalog, req.k);
+    bool match = resp.status == serve::RpcStatus::kOk &&
+                 local.size() == resp.items.size();
+    for (size_t r = 0; match && r < local.size(); ++r) {
+      match = local[r].item == resp.items[r].item &&
+              std::memcmp(&local[r].score, &resp.items[r].score,
+                          sizeof(float)) == 0;
+    }
+    all_match = all_match && match;
+    std::printf("   (* = actual next POI) [%s in-process]\n",
+                match ? "bit-identical to" : "DIVERGES from");
+  }
+  if (!all_match) {
+    std::fprintf(stderr, "served rankings diverge from in-process TopK\n");
+    return 1;
   }
 
   // Overload demonstration: a depth-1 queue with single-request waves sheds

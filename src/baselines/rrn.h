@@ -11,7 +11,8 @@ namespace baselines {
 /// produce the user's dynamic state, which is combined with stationary user
 /// and item embeddings in a small MLP head (the paper's stationary +
 /// dynamic factor decomposition; we use one GRU over the user sequence
-/// rather than dual user/item LSTMs — see DESIGN.md substitutions).
+/// rather than dual user/item LSTMs — see README.md, "Departures from the
+/// paper").
 class Rrn : public nn::Module, public core::Model {
  public:
   Rrn(const data::FeatureSpace& space, const BaselineConfig& config);

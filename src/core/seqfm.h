@@ -29,7 +29,7 @@ struct SeqFmConfig {
   size_t max_seq_len = 20;
   /// Dropout ratio rho interpreted as the KEEP probability (paper default
   /// 0.6; Sec. VI-B observes that smaller rho blocks more neurons, i.e. rho
-  /// is the kept fraction — see DESIGN.md).
+  /// is the kept fraction — see README.md, "Departures from the paper").
   float keep_prob = 0.6f;
 
   /// Table V ablations: "Remove SV/DV/CV/RC/LN".

@@ -14,7 +14,7 @@ namespace data {
 /// \brief Parameters of the synthetic temporal-interaction generator.
 ///
 /// The generator plants exactly the causal structure the paper's claims are
-/// about (see DESIGN.md "Substitutions"):
+/// about (see README.md, "Departures from the paper"):
 ///   * objects belong to latent clusters with Zipf popularity inside each
 ///     cluster (power-law object frequency as in the real logs);
 ///   * each user has a static cluster-preference distribution (recoverable

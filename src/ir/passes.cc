@@ -12,10 +12,6 @@ namespace seqfm {
 namespace ir {
 namespace {
 
-bool IsGather(OpKind k) {
-  return k == OpKind::kEmbeddingGather || k == OpKind::kEmbeddingSumGather;
-}
-
 bool IsSynthesized(OpKind k) {
   return k == OpKind::kPaddingMask || k == OpKind::kHistoryMask ||
          k == OpKind::kCrossPaddingMask || k == OpKind::kZeros;

@@ -68,6 +68,12 @@ enum class OpKind : uint8_t {
 /// Name of an op kind ("scale", "tile_rows", ...) for logs and tests.
 const char* OpKindName(OpKind kind);
 
+/// Whether \p kind reads rows of an embedding table by index.
+inline bool IsGather(OpKind kind) {
+  return kind == OpKind::kEmbeddingGather ||
+         kind == OpKind::kEmbeddingSumGather;
+}
+
 /// How a Value resolves to a tensor at execution time.
 enum class ValueKind : uint8_t {
   kLocal,     // planned offset in the execution frame's arena block

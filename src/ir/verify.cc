@@ -47,10 +47,6 @@ bool IsPointwiseInPlace(OpKind k) {
   }
 }
 
-bool IsGather(OpKind k) {
-  return k == OpKind::kEmbeddingGather || k == OpKind::kEmbeddingSumGather;
-}
-
 /// Width of the synthesized index row a binding source resolves to — the
 /// bound the executor indexes src[b * width + cols[j]] against.
 size_t SourceWidth(const Program& p, IndexSource s) {

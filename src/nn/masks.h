@@ -30,7 +30,8 @@ autograd::Variable MakeZeroMask(size_t n);
 /// (when \p causal) with blocking attention *to* padding key positions
 /// (indices[b*n + j] < 0). A row whose every entry would be blocked keeps its
 /// diagonal entry open so softmax stays well defined. This powers the
-/// optional `mask_padding_keys` extension (see DESIGN.md).
+/// optional `mask_padding_keys` extension (see README.md, "Departures from
+/// the paper").
 autograd::Variable MakeBatchPaddingMask(const std::vector<int32_t>& indices,
                                         size_t batch, size_t n, bool causal);
 

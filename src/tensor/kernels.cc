@@ -80,14 +80,15 @@ void GemmRowsBNormalScalar(const float* arows, const float* b, float* crows,
 // per output element (the kernel-layer reduction order), register-tiled so
 // four A rows share each B row pass.
 void GemmRowsBTransScalar(const float* arows, const float* b, float* crows,
-                          size_t rows, size_t k, size_t n, bool accumulate) {
+                          size_t rows, size_t k, size_t n, size_t ldc,
+                          bool accumulate) {
   size_t i = 0;
   for (; i + kMr <= rows; i += kMr) {
     const float* a0 = arows + i * k;
     const float* a1 = a0 + k;
     const float* a2 = a1 + k;
     const float* a3 = a2 + k;
-    float* crow = crows + i * n;
+    float* crow = crows + i * ldc;
     for (size_t j = 0; j < n; ++j) {
       const float* brow = b + j * k;
       float l0[kLanes] = {0.0f}, l1[kLanes] = {0.0f}, l2[kLanes] = {0.0f},
@@ -115,20 +116,20 @@ void GemmRowsBTransScalar(const float* arows, const float* b, float* crows,
       const float s3 = CombineLanesSum(l3);
       if (accumulate) {
         crow[j] += s0;
-        crow[n + j] += s1;
-        crow[2 * n + j] += s2;
-        crow[3 * n + j] += s3;
+        crow[ldc + j] += s1;
+        crow[2 * ldc + j] += s2;
+        crow[3 * ldc + j] += s3;
       } else {
         crow[j] = s0;
-        crow[n + j] = s1;
-        crow[2 * n + j] = s2;
-        crow[3 * n + j] = s3;
+        crow[ldc + j] = s1;
+        crow[2 * ldc + j] = s2;
+        crow[3 * ldc + j] = s3;
       }
     }
   }
   for (; i < rows; ++i) {
     const float* ar = arows + i * k;
-    float* crow = crows + i * n;
+    float* crow = crows + i * ldc;
     for (size_t j = 0; j < n; ++j) {
       const float s = ScalarDot(ar, b + j * k, k);
       if (accumulate) {
@@ -149,11 +150,20 @@ void SoftmaxRowsScalar(const float* x, const float* add, size_t add_stride,
   }
 }
 
-void AttentionRowsScalar(const AttentionRow* rows, size_t n, size_t dv,
-                         bool pooled, float pool_scale, float* out) {
-  for (size_t c = 0; c < dv; c += kLanes) {
-    ScalarAttentionColumns(rows, n, dv, pooled, pool_scale, c,
-                           std::min(kLanes, dv - c), out);
+void AttentionTileScalar(const AttentionTile& g) {
+  float* p = g.probs;  // one row's probabilities
+  for (size_t t = 0; t < g.items; ++t) {
+    float* out = g.out + t * g.out_item;
+    for (size_t r = 0; r < g.rows; ++r) {
+      for (size_t j = 0; j < g.width; ++j) {
+        p[j] = g.alpha * g.s[j][r * g.s_row[j] + t * g.s_item[j]];
+      }
+      SoftmaxRowWith<ScalarReduceMaxAdd, ScalarSoftmaxExpSum,
+                     ScalarScaleInPlace>(
+          p, g.add != nullptr ? g.add + r * g.add_stride : nullptr, p,
+          g.width);
+      TileRowColumns(g, p, 1, t, 0, g.pooled ? out : out + r * g.dv);
+    }
   }
 }
 
@@ -178,7 +188,7 @@ const KernelTable kScalarTable = {
     /*layer_norm_row=*/ScalarLayerNormRow,
     /*gemm_rows_b_normal=*/GemmRowsBNormalScalar,
     /*gemm_rows_b_trans=*/GemmRowsBTransScalar,
-    /*attention_rows=*/AttentionRowsScalar,
+    /*attention_tile=*/AttentionTileScalar,
     /*name=*/"scalar",
 };
 

@@ -9,15 +9,39 @@ namespace seqfm {
 namespace tensor {
 namespace kernels {
 
-/// One output row of a fused attention (tensor::MaskedAttention): the
-/// probability-weighted sum of \p width V rows, each read in place, or a
-/// row finished earlier.
-struct AttentionRow {
-  const float* p = nullptr;         // width probabilities
-  const float* const* v = nullptr;  // width V rows, each dv floats
-  size_t width = 0;
-  const float* done = nullptr;  // when set, the finished row (p, v unused)
+/// One row group of tensor::MaskedAttention over a tile of items: query
+/// rows [0, rows) that share an open range of `width` keys. Key j's raw
+/// score for row r of item t is s[j][r * s_row[j] + t * s_item[j]] (a
+/// stride of 0 broadcasts), row r's mask entry for key j is
+/// add[r * add_stride + j] (add may be null), key j's V row for item t is
+/// v[j] + t * v_item[j], and item t's output starts at out + t * out_item.
+/// `probs` is scratch of AttentionTileScratch(width, rows) floats.
+struct AttentionTile {
+  const float* const* s;
+  const size_t* s_row;
+  const size_t* s_item;
+  const float* add;
+  size_t add_stride;
+  const float* const* v;
+  const size_t* v_item;
+  size_t width, rows, items, dv;
+  float alpha;
+  bool pooled;
+  float pool_scale;
+  float* out;
+  size_t out_item;
+  float* probs;
 };
+
+/// Rows of an AttentionTile whose probabilities one AVX2 pass holds.
+constexpr size_t kAttentionRowChunk = 32;
+
+/// Floats of AttentionTile::probs for \p width keys and \p rows rows: a
+/// chunk of rows' probabilities, eight items each, and one row's scores.
+inline size_t AttentionTileScratch(size_t width, size_t rows) {
+  return width *
+         (8 * (rows < kAttentionRowChunk ? rows : kAttentionRowChunk) + 1);
+}
 
 /// Rows in one register block of gemm_rows_b_normal (the AVX2 6 x 16
 /// block). tensor::Gemm uses it as its minimum row grain, so every pool
@@ -126,18 +150,28 @@ struct KernelTable {
   /// C rows [0, rows) (+)= A[rows,k] · B[k,n], A rows contiguous.
   void (*gemm_rows_b_normal)(const float* arows, const float* b, float* crows,
                              size_t rows, size_t k, size_t n, bool accumulate);
-  /// C rows [0, rows) (+)= A[rows,k] · B^T with B stored [n,k]: per-element
-  /// lane-blocked dot products.
+  /// C rows [0, rows) (+)= A[rows,k] · B^T with B stored [n,k] and C rows
+  /// \p ldc floats apart: per-element lane-blocked dot products. The AVX2
+  /// version computes eight outputs side by side and finishes them with one
+  /// in-register 8 x 8 transpose whose adds pair lanes as CombineLanesSum.
   void (*gemm_rows_b_trans)(const float* arows, const float* b, float* crows,
-                            size_t rows, size_t k, size_t n, bool accumulate);
+                            size_t rows, size_t k, size_t n, size_t ldc,
+                            bool accumulate);
 
-  /// Rows [0, n) of one attention item, columns in register blocks: row
-  /// r is rows[r].done, or row[c] = 0 + sum_j p[j] * v[j][c] in ascending
-  /// j (gemm_rows_b_normal's per-element order). Unpooled, row r is stored
-  /// at out + r * dv. Pooled, out[c] = 0 + sum_r pool_scale * row_r[c] in
-  /// ascending r (SumAxis1's axpy order) and no row is stored.
-  void (*attention_rows)(const AttentionRow* rows, size_t n, size_t dv,
-                         bool pooled, float pool_scale, float* out);
+  /// An AttentionTile: per item t and row r, softmax_rows' row over the
+  /// scaled scores alpha * s plus the mask entries (or none), then the row
+  /// row[c] = 0 + sum_j p_j * v_j[c] in ascending j (gemm_rows_b_normal's
+  /// per-element order), stored at out + t * out_item + r * dv or, pooled,
+  /// folded as out[c] += pool_scale * row[c] in ascending r (SumAxis1's
+  /// axpy order, continuing from the fold out holds). The same bits as the
+  /// Scale op, softmax_rows and the P · V GEMM. The AVX2 kernel runs eight
+  /// items' softmaxes per vector, one item per lane, each lane reproducing
+  /// its row's lane trees (a lone item's rows run softmax_rows' row across
+  /// the keys), then each item's rows in 32-column register blocks. Pooled, out must not hold -0 (a fold that starts from +0
+  /// never makes one): the AVX2 kernel drops the row's leading 0 +, which
+  /// only turns a -0 entry into +0, and pool_scale * +-0 then adds to out
+  /// alike.
+  void (*attention_tile)(const AttentionTile& tile);
 
   /// "scalar" / "avx2" — for logs and bench labels.
   const char* name;

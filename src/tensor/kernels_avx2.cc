@@ -9,8 +9,9 @@
 //     -mfma) cannot reproduce; -ffp-contract=off stops the compiler from
 //     re-fusing the pair;
 //   * reductions keep eight partial accumulators (one per lane, element i
-//     into lane i % 8), spill them, finish sub-8 tails with the shared
-//     scalar code, and combine with the shared fixed tree — so vector and
+//     into lane i % 8), take sub-8 tails through masked loads (or spill
+//     and finish them with the shared scalar code), and combine with the
+//     shared fixed tree, in registers or on the stack — so vector and
 //     scalar orders are identical by construction;
 //   * exp/sigmoid evaluate the shared polynomial (kernels_inl.h) with the
 //     vector twin of every scalar step.
@@ -65,14 +66,32 @@ inline __m256 ExpVec(__m256 x) {
 // Reductions
 // ---------------------------------------------------------------------------
 
-// Spills a vector of partial sums and finishes tail + tree with the shared
-// scalar code so the combine order is the contract's by construction.
-inline float FinishSumLanes(__m256 vacc, const float* a, const float* b,
-                            size_t i, size_t n) {
-  alignas(32) float lanes[kLanes];
-  _mm256_store_ps(lanes, vacc);
-  for (size_t l = 0; i < n; ++i, ++l) lanes[l] += a[i] * b[i];
-  return CombineLanesSum(lanes);
+// CombineLanesSum in registers: the two 128-bit halves (lanes 4 apart),
+// then movehl (2 apart), then one shuffle (1 apart).
+inline float SumLanes(__m256 v) {
+  const __m128 t =
+      _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  const __m128 u = _mm_add_ps(t, _mm_movehl_ps(t, t));
+  return _mm_cvtss_f32(_mm_add_ss(u, _mm_shuffle_ps(u, u, 1)));
+}
+
+// Lanes [0, n) set (n <= 8): the mask of a k % 8 tail's masked loads.
+inline __m256i TailMask(size_t n) {
+  alignas(32) static const int32_t kBits[2 * kLanes] = {-1, -1, -1, -1,
+                                                        -1, -1, -1, -1};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kBits + kLanes - n));
+}
+
+// The lane-blocked dot's tail: elements [p, n) (fewer than eight) feed
+// lanes 0, 1, ... through masked loads. The empty lanes add 0 * 0, an
+// exact +0, to a partial sum that is never -0 (it starts at +0, and a
+// rounded sum is -0 only when both operands are), so no lane changes.
+inline __m256 MulAddTail(__m256 acc, const float* a, const float* b,
+                         size_t p, size_t n) {
+  const __m256i m = TailMask(n - p);
+  return _mm256_add_ps(acc, _mm256_mul_ps(_mm256_maskload_ps(a + p, m),
+                                          _mm256_maskload_ps(b + p, m)));
 }
 
 float DotAvx2(const float* a, const float* b, size_t n) {
@@ -82,7 +101,8 @@ float DotAvx2(const float* a, const float* b, size_t n) {
     vacc = _mm256_add_ps(
         vacc, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
   }
-  return FinishSumLanes(vacc, a, b, i, n);
+  if (i < n) vacc = MulAddTail(vacc, a, b, i, n);
+  return SumLanes(vacc);
 }
 
 float ReduceSumAvx2(const float* x, size_t n) {
@@ -112,6 +132,12 @@ float ReduceSumSqDiffAvx2(const float* x, float mean, size_t n) {
     lanes[l] += c * c;
   }
   return CombineLanesSum(lanes);
+}
+
+// b > a ? b : a, lane-wise: `>`-then-keep, so a NaN challenger compares
+// false and never replaces the incumbent, matching the scalar rule.
+inline __m256 PickGreater(__m256 a, __m256 b) {
+  return _mm256_blendv_ps(a, b, _mm256_cmp_ps(b, a, _CMP_GT_OQ));
 }
 
 float ReduceMaxAddAvx2(const float* x, const float* add, size_t n) {
@@ -306,17 +332,18 @@ void SoftmaxNarrowRows(const float* x, const float* add, size_t add_stride,
   const __m256 neg_inf =
       _mm256_set1_ps(-std::numeric_limits<float>::infinity());
   const __m256 zero = _mm256_setzero_ps();
-  auto pick = [](__m256 a, __m256 b) {  // b > a ? b : a, lane-wise
-    return _mm256_blendv_ps(a, b, _mm256_cmp_ps(b, a, _CMP_GT_OQ));
-  };
   // Column j of the block (lane j of every row's tree), or the lane's
   // initial value past the row's end. Named vectors, not an array, so the
   // trees stay in registers.
   auto col = [&](size_t j) {
-    return j < cols ? pick(neg_inf, _mm256_load_ps(t + j * kLanes)) : neg_inf;
+    return j < cols ? PickGreater(neg_inf, _mm256_load_ps(t + j * kLanes))
+                    : neg_inf;
   };
-  const __m256 vmax = pick(pick(pick(col(0), col(4)), pick(col(2), col(6))),
-                           pick(pick(col(1), col(5)), pick(col(3), col(7))));
+  const __m256 vmax =
+      PickGreater(PickGreater(PickGreater(col(0), col(4)),
+                              PickGreater(col(2), col(6))),
+                  PickGreater(PickGreater(col(1), col(5)),
+                              PickGreater(col(3), col(7))));
   // Stores column j's exponentials and returns its sum lane.
   auto ex = [&](size_t j) {
     if (j >= cols) return zero;
@@ -595,114 +622,297 @@ void GemmRowsBNormalAvx2(const float* arows, const float* b, float* crows,
   if (nb < n) GemmTailColumns(arows, b, crows, rows, k, n, nb, accumulate);
 }
 
-// Transposed B: one lane-blocked dot product per element — vector partial
-// sums, shared scalar tail and combine tree, exactly GemmRowsBTransScalar's
-// order.
+// Transposed B: lane-blocked dot products, eight side by side. The lanes
+// of output o are finished by one in-register 8 x 8 transpose whose adds
+// pair lanes 4 apart, then 2, then 1 — CombineLanesSum's tree — leaving
+// output o in lane o, so no output round-trips through the stack.
+
+// [CombineLanesSum(v0), ..., CombineLanesSum(v7)].
+inline __m256 FinishSums8(__m256 v0, __m256 v1, __m256 v2, __m256 v3,
+                          __m256 v4, __m256 v5, __m256 v6, __m256 v7) {
+  // Lanes 4 apart: output o's halves added, o and o + 4 in one vector.
+  auto halves = [](__m256 a, __m256 b) {
+    return _mm256_add_ps(_mm256_permute2f128_ps(a, b, 0x20),
+                         _mm256_permute2f128_ps(a, b, 0x31));
+  };
+  const __m256 w0 = halves(v0, v4), w1 = halves(v1, v5);
+  const __m256 w2 = halves(v2, v6), w3 = halves(v3, v7);
+  // Lanes 2 apart: per half, [u0 of a, u0 of b, u1 of a, u1 of b].
+  const __m256 x01 =
+      _mm256_add_ps(_mm256_unpacklo_ps(w0, w1), _mm256_unpackhi_ps(w0, w1));
+  const __m256 x23 =
+      _mm256_add_ps(_mm256_unpacklo_ps(w2, w3), _mm256_unpackhi_ps(w2, w3));
+  // Lanes 1 apart: u0 + u1 of outputs 0..3 (low half) and 4..7 (high).
+  return _mm256_add_ps(_mm256_shuffle_ps(x01, x23, _MM_SHUFFLE(1, 0, 1, 0)),
+                       _mm256_shuffle_ps(x01, x23, _MM_SHUFFLE(3, 2, 3, 2)));
+}
+
+// The eight dot products x · y_o of length k, y_o = y + o * stride for
+// o < count and y_{count-1} past it (the padding outputs are discarded).
+__attribute__((always_inline)) inline __m256 Dots8(const float* x,
+                                                   const float* y,
+                                                   size_t stride,
+                                                   size_t count, size_t k) {
+  auto row = [&](size_t o) { return y + std::min(o, count - 1) * stride; };
+  const float *y0 = y, *y1 = row(1), *y2 = row(2), *y3 = row(3),
+              *y4 = row(4), *y5 = row(5), *y6 = row(6), *y7 = row(7);
+  __m256 a0 = _mm256_setzero_ps(), a1 = a0, a2 = a0, a3 = a0, a4 = a0,
+         a5 = a0, a6 = a0, a7 = a0;
+  size_t p = 0;
+  for (; p + kLanes <= k; p += kLanes) {
+    const __m256 vx = _mm256_loadu_ps(x + p);
+    a0 = MulAdd(a0, vx, _mm256_loadu_ps(y0 + p));
+    a1 = MulAdd(a1, vx, _mm256_loadu_ps(y1 + p));
+    a2 = MulAdd(a2, vx, _mm256_loadu_ps(y2 + p));
+    a3 = MulAdd(a3, vx, _mm256_loadu_ps(y3 + p));
+    a4 = MulAdd(a4, vx, _mm256_loadu_ps(y4 + p));
+    a5 = MulAdd(a5, vx, _mm256_loadu_ps(y5 + p));
+    a6 = MulAdd(a6, vx, _mm256_loadu_ps(y6 + p));
+    a7 = MulAdd(a7, vx, _mm256_loadu_ps(y7 + p));
+  }
+  if (p < k) {
+    a0 = MulAddTail(a0, x, y0, p, k);
+    a1 = MulAddTail(a1, x, y1, p, k);
+    a2 = MulAddTail(a2, x, y2, p, k);
+    a3 = MulAddTail(a3, x, y3, p, k);
+    a4 = MulAddTail(a4, x, y4, p, k);
+    a5 = MulAddTail(a5, x, y5, p, k);
+    a6 = MulAddTail(a6, x, y6, p, k);
+    a7 = MulAddTail(a7, x, y7, p, k);
+  }
+  return FinishSums8(a0, a1, a2, a3, a4, a5, a6, a7);
+}
+
+// Writes (or adds) lanes [0, count) of \p s to c, c + step, ...
+inline void StoreLanes(__m256 s, size_t count, float* c, size_t step,
+                       bool accumulate) {
+  if (count == kLanes && step == 1) {
+    StoreGemm(c, s, accumulate);
+    return;
+  }
+  alignas(32) float lane[kLanes];
+  _mm256_store_ps(lane, s);
+  for (size_t o = 0; o < count; ++o, c += step) {
+    *c = accumulate ? *c + lane[o] : lane[o];
+  }
+}
+
+inline size_t RoundUpLanes(size_t n) {
+  return (n + kLanes - 1) / kLanes * kLanes;
+}
+
+// Blocks of eight outputs run along C's rows (one A row against eight B
+// rows) or down its columns (one B row against eight A rows), whichever
+// pads fewer outputs; fewer than eight rows and columns run one dot each.
 void GemmRowsBTransAvx2(const float* arows, const float* b, float* crows,
-                        size_t rows, size_t k, size_t n, bool accumulate) {
-  size_t i = 0;
-  for (; i + 4 <= rows; i += 4) {
-    const float* a0 = arows + i * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
-    float* crow = crows + i * n;
-    for (size_t j = 0; j < n; ++j) {
-      const float* brow = b + j * k;
-      __m256 v0 = _mm256_setzero_ps();
-      __m256 v1 = _mm256_setzero_ps();
-      __m256 v2 = _mm256_setzero_ps();
-      __m256 v3 = _mm256_setzero_ps();
-      size_t p = 0;
-      for (; p + kLanes <= k; p += kLanes) {
-        const __m256 vb = _mm256_loadu_ps(brow + p);
-        v0 = _mm256_add_ps(v0, _mm256_mul_ps(_mm256_loadu_ps(a0 + p), vb));
-        v1 = _mm256_add_ps(v1, _mm256_mul_ps(_mm256_loadu_ps(a1 + p), vb));
-        v2 = _mm256_add_ps(v2, _mm256_mul_ps(_mm256_loadu_ps(a2 + p), vb));
-        v3 = _mm256_add_ps(v3, _mm256_mul_ps(_mm256_loadu_ps(a3 + p), vb));
-      }
-      const float s0 = FinishSumLanes(v0, a0, brow, p, k);
-      const float s1 = FinishSumLanes(v1, a1, brow, p, k);
-      const float s2 = FinishSumLanes(v2, a2, brow, p, k);
-      const float s3 = FinishSumLanes(v3, a3, brow, p, k);
-      if (accumulate) {
-        crow[j] += s0;
-        crow[n + j] += s1;
-        crow[2 * n + j] += s2;
-        crow[3 * n + j] += s3;
-      } else {
-        crow[j] = s0;
-        crow[n + j] = s1;
-        crow[2 * n + j] = s2;
-        crow[3 * n + j] = s3;
+                        size_t rows, size_t k, size_t n, size_t ldc,
+                        bool accumulate) {
+  if (rows < kLanes && n < kLanes) {
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        float* c = crows + i * ldc + j;
+        const float s = DotAvx2(arows + i * k, b + j * k, k);
+        *c = accumulate ? *c + s : s;
       }
     }
+    return;
   }
-  for (; i < rows; ++i) {
-    const float* ar = arows + i * k;
-    float* crow = crows + i * n;
-    for (size_t j = 0; j < n; ++j) {
-      const float s = DotAvx2(ar, b + j * k, k);
-      if (accumulate) {
-        crow[j] += s;
-      } else {
-        crow[j] = s;
+  if (rows * RoundUpLanes(n) <= n * RoundUpLanes(rows)) {
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t j = 0; j < n; j += kLanes) {
+        const size_t count = std::min(kLanes, n - j);
+        StoreLanes(Dots8(arows + i * k, b + j * k, k, count, k), count,
+                   crows + i * ldc + j, 1, accumulate);
       }
+    }
+    return;
+  }
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t i = 0; i < rows; i += kLanes) {
+      const size_t count = std::min(kLanes, rows - i);
+      StoreLanes(Dots8(b + j * k, arows + i * k, k, count, k), count,
+                 crows + i * ldc + j, ldc, accumulate);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Fused attention rows
+// Attention tiles
 // ---------------------------------------------------------------------------
 
-// Columns [c, c + 32) of every row of one attention item: the row's four
-// accumulators and the four pooled sums stay in registers across its V
-// rows (named, not an array, so -O2 keeps them there), and each element
-// keeps ScalarAttentionColumns' order (a zero accumulator plus
-// p[j] * v[j][c] in ascending j; a zero pool plus pool_scale * row in
-// ascending r).
-void AttentionColumns32Avx2(const AttentionRow* rows, size_t n, size_t dv,
-                            bool pooled, __m256 vscale, size_t c,
-                            float* out) {
-  __m256 s0 = _mm256_setzero_ps(), s1 = s0, s2 = s0, s3 = s0;
-  for (size_t r = 0; r < n; ++r) {
-    const AttentionRow& row = rows[r];
-    __m256 a0, a1, a2, a3;
-    if (row.done != nullptr) {
-      const float* src = row.done + c;
-      a0 = _mm256_loadu_ps(src);
-      a1 = _mm256_loadu_ps(src + kLanes);
-      a2 = _mm256_loadu_ps(src + 2 * kLanes);
-      a3 = _mm256_loadu_ps(src + 3 * kLanes);
-    } else {
-      a0 = a1 = a2 = a3 = _mm256_setzero_ps();
-      for (size_t j = 0; j < row.width; ++j) {
-        const __m256 pj = _mm256_set1_ps(row.p[j]);
-        const float* vr = row.v[j] + c;
-        a0 = _mm256_add_ps(a0, _mm256_mul_ps(pj, _mm256_loadu_ps(vr)));
-        a1 = _mm256_add_ps(a1,
-                           _mm256_mul_ps(pj, _mm256_loadu_ps(vr + kLanes)));
-        a2 = _mm256_add_ps(
-            a2, _mm256_mul_ps(pj, _mm256_loadu_ps(vr + 2 * kLanes)));
-        a3 = _mm256_add_ps(
-            a3, _mm256_mul_ps(pj, _mm256_loadu_ps(vr + 3 * kLanes)));
-      }
+// One row's scores of items [0, nt) (nt <= 8) \p stride apart, one item
+// per lane; a stride of 0 broadcasts, lanes past nt are 0.
+inline __m256 LoadItems(const float* s, size_t stride, size_t nt) {
+  if (stride == 0) return _mm256_broadcast_ss(s);
+  if (stride == 1 && nt == kLanes) return _mm256_loadu_ps(s);
+  alignas(32) float lane[kLanes] = {0.0f};
+  for (size_t t = 0; t < nt; ++t) lane[t] = s[t * stride];
+  return _mm256_load_ps(lane);
+}
+
+// The tile kernel is instantiated for two keys (SeqFM's history rows and
+// static rows), so their loops unroll and their trees shrink at compile
+// time, and for any width (kW == 0: g.width at run time).
+template <size_t kW>
+inline size_t TileWidth(const AttentionTile& g) {
+  return kW != 0 ? kW : g.width;
+}
+
+// A lane tree over lane[0, 8) whose lanes from w on hold the reduction's
+// identity: pairs 4 apart, then 2, then 1, as CombineLanesSum and
+// CombineLanesMax pair them, skipping each pair whose second lane is an
+// identity (op(x, identity) == x: -inf never wins a pick, and + 0 keeps a
+// sum that is never -0).
+template <typename Op>
+inline __m256 LaneTree(const __m256* lane, size_t w, Op op) {
+  auto pair = [&](__m256 a, __m256 b, size_t b_lane) {
+    return b_lane < w ? op(a, b) : a;
+  };
+  const __m256 t0 = pair(lane[0], lane[4], 4), t1 = pair(lane[1], lane[5], 5);
+  const __m256 t2 = pair(lane[2], lane[6], 6), t3 = pair(lane[3], lane[7], 7);
+  return pair(pair(t0, t2, 2), pair(t1, t3, 3), 1);
+}
+
+// Row r's probabilities for items [t0, t0 + nt) into p (key j's eight
+// lanes at p + j * 8): softmax_rows' row for each item, one item per lane.
+// Lane l of a row's max and sum trees takes keys l, l + 8, ... in
+// ascending order. Rows without a mask add 0, which changes no
+// exponential: it only turns a -0 score into +0, and exp(+-0 - max) is the
+// same.
+template <size_t kW>
+void TileSoftmax(const AttentionTile& g, size_t r, size_t t0, size_t nt,
+                 float* p) {
+  const size_t w = TileWidth<kW>(g);
+  const __m256 alpha = _mm256_set1_ps(g.alpha);
+  const float* add = g.add != nullptr ? g.add + r * g.add_stride : nullptr;
+  for (size_t j = 0; j < w; ++j) {
+    const __m256 s = LoadItems(g.s[j] + r * g.s_row[j] + t0 * g.s_item[j],
+                               g.s_item[j], nt);
+    _mm256_storeu_ps(p + j * kLanes,
+                     _mm256_add_ps(_mm256_mul_ps(alpha, s),
+                                   _mm256_set1_ps(add != nullptr ? add[j]
+                                                                 : 0.0f)));
+  }
+  const __m256 neg_inf =
+      _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  __m256 lane[kLanes];
+  for (size_t l = 0; l < kLanes; ++l) {
+    __m256 m = neg_inf;
+    for (size_t j = l; j < w; j += kLanes) {
+      m = PickGreater(m, _mm256_loadu_ps(p + j * kLanes));
     }
-    if (pooled) {
+    lane[l] = m;
+  }
+  const __m256 vmax = LaneTree(lane, w, [](__m256 a, __m256 b) {
+    return PickGreater(a, b);
+  });
+  for (size_t l = 0; l < kLanes; ++l) {
+    __m256 sum = _mm256_setzero_ps();
+    for (size_t j = l; j < w; j += kLanes) {
+      const __m256 e =
+          ExpVec(_mm256_sub_ps(_mm256_loadu_ps(p + j * kLanes), vmax));
+      _mm256_storeu_ps(p + j * kLanes, e);
+      sum = _mm256_add_ps(sum, e);
+    }
+    lane[l] = sum;
+  }
+  const __m256 total = LaneTree(lane, w, [](__m256 a, __m256 b) {
+    return _mm256_add_ps(a, b);
+  });
+  const __m256 inv = _mm256_div_ps(_mm256_set1_ps(1.0f), total);
+  // A row whose max is not finite (fully masked) is zeros.
+  const __m256 finite = _mm256_cmp_ps(
+      _mm256_andnot_ps(_mm256_set1_ps(-0.0f), vmax),
+      _mm256_set1_ps(std::numeric_limits<float>::infinity()), _CMP_LT_OQ);
+  for (size_t j = 0; j < w; ++j) {
+    const __m256 e = _mm256_loadu_ps(p + j * kLanes);
+    _mm256_storeu_ps(p + j * kLanes,
+                     _mm256_and_ps(_mm256_mul_ps(e, inv), finite));
+  }
+}
+
+// Key j's V row of item `item` at column c.
+inline const float* TileV(const AttentionTile& g, size_t j, size_t item,
+                          size_t c) {
+  return g.v[j] + item * g.v_item[j] + c;
+}
+
+// One item's V rows at column c: for a fixed width, looked up once before
+// the row loop (the compiler cannot hoist them past the output stores);
+// for any width, per use.
+template <size_t kW>
+struct ItemV {
+  ItemV(const AttentionTile& g, size_t item, size_t c) {
+    for (size_t j = 0; j < kW; ++j) row[j] = TileV(g, j, item, c);
+  }
+  const float* operator()(size_t j) const { return row[j]; }
+  const float* row[kW];
+};
+
+template <>
+struct ItemV<0> {
+  ItemV(const AttentionTile& g, size_t item, size_t c)
+      : g(g), item(item), c(c) {}
+  const float* operator()(size_t j) const { return TileV(g, j, item, c); }
+  const AttentionTile& g;
+  size_t item, c;
+};
+
+// Rows [0, n) of item `item` over columns [c, c + 32), their
+// probabilities at p + r * width * 8 (the item's lane): each row's four
+// accumulators 0 + sum_j p_j * v_j (ascending j) and, pooled, the four
+// sums stay in registers (named, not an array, so -O2 keeps them there).
+// Pooled, a row's leading 0 + is dropped (kernels.h: it only changes the
+// sign of a zero, which the fold into a pool that is not -0 absorbs).
+template <bool kPooled, size_t kW>
+void TileColumns32(const AttentionTile& g, const float* p, size_t n,
+                   size_t item, size_t c, float* out) {
+  const size_t w = TileWidth<kW>(g);
+  const ItemV<kW> vrow(g, item, c);
+  const __m256 vscale = _mm256_set1_ps(g.pool_scale);
+  __m256 s0 = _mm256_setzero_ps(), s1 = s0, s2 = s0, s3 = s0;
+  if (kPooled) {
+    s0 = _mm256_loadu_ps(out + c);
+    s1 = _mm256_loadu_ps(out + c + kLanes);
+    s2 = _mm256_loadu_ps(out + c + 2 * kLanes);
+    s3 = _mm256_loadu_ps(out + c + 3 * kLanes);
+  }
+  for (size_t r = 0; r < n; ++r, p += w * kLanes) {
+    __m256 a0 = _mm256_setzero_ps(), a1 = a0, a2 = a0, a3 = a0;
+    size_t j = 0;
+    if (kPooled && w > 0) {
+      const __m256 pj = _mm256_broadcast_ss(p);
+      const float* vr = vrow(0);
+      a0 = _mm256_mul_ps(pj, _mm256_loadu_ps(vr));
+      a1 = _mm256_mul_ps(pj, _mm256_loadu_ps(vr + kLanes));
+      a2 = _mm256_mul_ps(pj, _mm256_loadu_ps(vr + 2 * kLanes));
+      a3 = _mm256_mul_ps(pj, _mm256_loadu_ps(vr + 3 * kLanes));
+      j = 1;
+    }
+    for (; j < w; ++j) {
+      const __m256 pj = _mm256_broadcast_ss(p + j * kLanes);
+      const float* vr = vrow(j);
+      a0 = _mm256_add_ps(a0, _mm256_mul_ps(pj, _mm256_loadu_ps(vr)));
+      a1 = _mm256_add_ps(a1, _mm256_mul_ps(pj, _mm256_loadu_ps(vr + kLanes)));
+      a2 = _mm256_add_ps(a2,
+                         _mm256_mul_ps(pj, _mm256_loadu_ps(vr + 2 * kLanes)));
+      a3 = _mm256_add_ps(a3,
+                         _mm256_mul_ps(pj, _mm256_loadu_ps(vr + 3 * kLanes)));
+    }
+    if (kPooled) {
       s0 = _mm256_add_ps(s0, _mm256_mul_ps(vscale, a0));
       s1 = _mm256_add_ps(s1, _mm256_mul_ps(vscale, a1));
       s2 = _mm256_add_ps(s2, _mm256_mul_ps(vscale, a2));
       s3 = _mm256_add_ps(s3, _mm256_mul_ps(vscale, a3));
     } else {
-      float* dst = out + r * dv + c;
+      float* dst = out + r * g.dv + c;
       _mm256_storeu_ps(dst, a0);
       _mm256_storeu_ps(dst + kLanes, a1);
       _mm256_storeu_ps(dst + 2 * kLanes, a2);
       _mm256_storeu_ps(dst + 3 * kLanes, a3);
     }
   }
-  if (pooled) {
+  if (kPooled) {
     _mm256_storeu_ps(out + c, s0);
     _mm256_storeu_ps(out + c + kLanes, s1);
     _mm256_storeu_ps(out + c + 2 * kLanes, s2);
@@ -710,16 +920,100 @@ void AttentionColumns32Avx2(const AttentionRow* rows, size_t n, size_t dv,
   }
 }
 
-void AttentionRowsAvx2(const AttentionRow* rows, size_t n, size_t dv,
-                       bool pooled, float pool_scale, float* out) {
-  const __m256 vscale = _mm256_set1_ps(pool_scale);
-  size_t c = 0;
-  for (; c + 4 * kLanes <= dv; c += 4 * kLanes) {
-    AttentionColumns32Avx2(rows, n, dv, pooled, vscale, c, out);
+// TileColumns32's eight-column twin.
+template <bool kPooled, size_t kW>
+void TileColumns8(const AttentionTile& g, const float* p, size_t n,
+                  size_t item, size_t c, float* out) {
+  const size_t w = TileWidth<kW>(g);
+  const ItemV<kW> vrow(g, item, c);
+  const __m256 vscale = _mm256_set1_ps(g.pool_scale);
+  __m256 s = kPooled ? _mm256_loadu_ps(out + c) : _mm256_setzero_ps();
+  for (size_t r = 0; r < n; ++r, p += w * kLanes) {
+    __m256 a = _mm256_setzero_ps();
+    size_t j = 0;
+    if (kPooled && w > 0) {
+      a = _mm256_mul_ps(_mm256_broadcast_ss(p), _mm256_loadu_ps(vrow(0)));
+      j = 1;
+    }
+    for (; j < w; ++j) {
+      a = _mm256_add_ps(a, _mm256_mul_ps(_mm256_broadcast_ss(p + j * kLanes),
+                                         _mm256_loadu_ps(vrow(j))));
+    }
+    if (kPooled) {
+      s = _mm256_add_ps(s, _mm256_mul_ps(vscale, a));
+    } else {
+      _mm256_storeu_ps(out + r * g.dv + c, a);
+    }
   }
-  for (; c < dv; c += kLanes) {
-    ScalarAttentionColumns(rows, n, dv, pooled, pool_scale, c,
-                           std::min(kLanes, dv - c), out);
+  if (kPooled) _mm256_storeu_ps(out + c, s);
+}
+
+// Every column of rows [0, n) of one item: 32-wide blocks, then 8-wide
+// ones, then TileRowColumns.
+template <bool kPooled, size_t kW>
+void TileItem(const AttentionTile& g, const float* p, size_t n, size_t item,
+              float* out) {
+  size_t c = 0;
+  for (; c + 4 * kLanes <= g.dv; c += 4 * kLanes) {
+    TileColumns32<kPooled, kW>(g, p, n, item, c, out);
+  }
+  for (; c + kLanes <= g.dv; c += kLanes) {
+    TileColumns8<kPooled, kW>(g, p, n, item, c, out);
+  }
+  for (size_t r = 0; r < n && c < g.dv; ++r) {
+    TileRowColumns(g, p + r * g.width * kLanes, kLanes, item, c,
+                   kPooled ? out : out + r * g.dv);
+  }
+}
+
+// Row r of a lone item (items == 1, as the rows computed once per call)
+// into p, key j at p + j * 8: its scaled scores run through softmax_rows'
+// row across the keys, one vector per eight keys, instead of one lane of
+// eight per key.
+void TileSoftmaxAlone(const AttentionTile& g, size_t r, float* p) {
+  const size_t w = g.width;
+  float* x = g.probs + w * kLanes * std::min(kAttentionRowChunk, g.rows);
+  for (size_t j = 0; j < w; ++j) x[j] = g.alpha * g.s[j][r * g.s_row[j]];
+  SoftmaxRowWith<ReduceMaxAddAvx2, SoftmaxExpSumAvx2, ScaleInPlaceAvx2>(
+      x, g.add != nullptr ? g.add + r * g.add_stride : nullptr, x, w);
+  for (size_t j = 0; j < w; ++j) p[j * kLanes] = x[j];
+}
+
+// Eight items at a time, kAttentionRowChunk rows at a time: each row's
+// softmax runs one item per lane into the probability scratch, then each
+// item's rows run column block by column block.
+template <size_t kW>
+void TileAvx2(const AttentionTile& g) {
+  const size_t row_floats = TileWidth<kW>(g) * kLanes;
+  for (size_t t0 = 0; t0 < g.items; t0 += kLanes) {
+    const size_t nt = std::min(kLanes, g.items - t0);
+    for (size_t r0 = 0; r0 < g.rows; r0 += kAttentionRowChunk) {
+      const size_t n = std::min(kAttentionRowChunk, g.rows - r0);
+      for (size_t r = 0; r < n; ++r) {
+        if (g.items == 1) {
+          TileSoftmaxAlone(g, r0 + r, g.probs + r * row_floats);
+        } else {
+          TileSoftmax<kW>(g, r0 + r, t0, nt, g.probs + r * row_floats);
+        }
+      }
+      for (size_t t = 0; t < nt; ++t) {
+        const size_t item = t0 + t;
+        float* out = g.out + item * g.out_item;
+        if (g.pooled) {
+          TileItem<true, kW>(g, g.probs + t, n, item, out);
+        } else {
+          TileItem<false, kW>(g, g.probs + t, n, item, out + r0 * g.dv);
+        }
+      }
+    }
+  }
+}
+
+void AttentionTileAvx2(const AttentionTile& g) {
+  if (g.width == 2) {
+    TileAvx2<2>(g);
+  } else {
+    TileAvx2<0>(g);
   }
 }
 
@@ -744,7 +1038,7 @@ const KernelTable kAvx2Table = {
     /*layer_norm_row=*/LayerNormRowAvx2,
     /*gemm_rows_b_normal=*/GemmRowsBNormalAvx2,
     /*gemm_rows_b_trans=*/GemmRowsBTransAvx2,
-    /*attention_rows=*/AttentionRowsAvx2,
+    /*attention_tile=*/AttentionTileAvx2,
     /*name=*/"avx2",
 };
 

@@ -273,38 +273,27 @@ static inline void ScalarLayerNormRow(const float* x, const float* gamma,
 }
 
 // ---------------------------------------------------------------------------
-// Fused attention rows (KernelTable::attention_rows)
+// Attention tiles (KernelTable::attention_tile)
 // ---------------------------------------------------------------------------
 
-/// Columns [c, c + w) (w <= kLanes) of rows [0, n) of one attention item,
-/// per element exactly the order attention_rows documents. The scalar
-/// kernel runs every column block through it; the AVX2 kernel the columns
-/// past its last 32-wide block.
-static inline void ScalarAttentionColumns(const AttentionRow* rows, size_t n,
-                                          size_t dv, bool pooled,
-                                          float pool_scale, size_t c,
-                                          size_t w, float* out) {
-  float pool[kLanes] = {0.0f};
-  for (size_t r = 0; r < n; ++r) {
-    const AttentionRow& row = rows[r];
-    float acc[kLanes] = {0.0f};
-    if (row.done != nullptr) {
-      for (size_t l = 0; l < w; ++l) acc[l] = row.done[c + l];
-    } else {
-      for (size_t j = 0; j < row.width; ++j) {
-        const float pj = row.p[j];
-        const float* vr = row.v[j] + c;
-        for (size_t l = 0; l < w; ++l) acc[l] += pj * vr[l];
-      }
+/// Columns [c0, dv) of one row of item \p item of an attention tile, with
+/// key j's probability at p[j * p_step]: 0 + sum_j p_j * v_j[c] in
+/// ascending j, stored at out[c] or, pooled, folded as
+/// out[c] += pool_scale * row[c]. The scalar kernel runs every row through
+/// it; the AVX2 kernel the columns past its last 8-wide block.
+static inline void TileRowColumns(const AttentionTile& g, const float* p,
+                                  size_t p_step, size_t item, size_t c0,
+                                  float* out) {
+  for (size_t c = c0; c < g.dv; ++c) {
+    float acc = 0.0f;
+    for (size_t j = 0; j < g.width; ++j) {
+      acc += p[j * p_step] * g.v[j][item * g.v_item[j] + c];
     }
-    if (pooled) {
-      for (size_t l = 0; l < w; ++l) pool[l] += pool_scale * acc[l];
+    if (g.pooled) {
+      out[c] += g.pool_scale * acc;
     } else {
-      for (size_t l = 0; l < w; ++l) out[r * dv + c + l] = acc[l];
+      out[c] = acc;
     }
-  }
-  if (pooled) {
-    for (size_t l = 0; l < w; ++l) out[c + l] = pool[l];
   }
 }
 

@@ -70,7 +70,7 @@ void GemmRowRange(const kernels::KernelTable& kt, const float* a,
   }
   float* crows = c + i0 * n;
   if (trans_b) {
-    kt.gemm_rows_b_trans(arows, b, crows, rows, k, n, accumulate);
+    kt.gemm_rows_b_trans(arows, b, crows, rows, k, n, n, accumulate);
   } else {
     kt.gemm_rows_b_normal(arows, b, crows, rows, k, n, accumulate);
   }
@@ -298,14 +298,10 @@ bool BroadcastRun(RowStack s, size_t r, size_t* run_end) {
 /// Consecutive query rows [r0, r1) that share one key range [c0, c1) and
 /// whether their Q rows come from broadcast blocks. `once`: the rows are
 /// the same for every batch item (zero width, or broadcast Q rows over a
-/// broadcast K/V range), so they are computed once per call. `same_mask`:
-/// the rows' mask entries over [c0, c1) are identical (or there is no
-/// mask), so one softmax call serves the group's rows of a whole tile.
-/// `probs`: the group's offset in a tile's probabilities, per item.
+/// broadcast K/V range), so they are computed once per call.
 struct RowGroup {
   uint32_t r0, r1, c0, c1;
-  bool q_bcast, once, same_mask;
-  size_t probs;
+  bool q_bcast, once;
 };
 
 }  // namespace
@@ -377,9 +373,8 @@ void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
         static_cast<RowGroup*>(arena.Allocate(nq * sizeof(RowGroup)));
 
     // Row groups split where the key range or the Q rows' broadcast-ness
-    // changes; the groups computed per item take consecutive slices of a
-    // tile's probabilities.
-    size_t ngroups = 0, probs_per_item = 0, widest = 0;
+    // changes.
+    size_t ngroups = 0, cells = 0, probs_floats = 0;
     for (size_t r0 = 0, r1 = 0; r0 < nq; r0 = r1) {
       const uint32_t c0 = ranges[2 * r0], c1 = ranges[2 * r0 + 1];
       size_t q_end, k_end = c0, v_end = c0;
@@ -393,31 +388,17 @@ void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
           c0 == c1 || (q_bcast && BroadcastRun(k, c0, &k_end) &&
                        k_end >= c1 && BroadcastRun(v, c0, &v_end) &&
                        v_end >= c1);
-      bool same_mask = true;
-      for (size_t r = r0 + 1; mask_data != nullptr && r < r1; ++r) {
-        same_mask = same_mask &&
-                    std::memcmp(mask_data + r * nk + c0,
-                                mask_data + r0 * nk + c0,
-                                (c1 - c0) * sizeof(float)) == 0;
-      }
-      const size_t cells = (r1 - r0) * (c1 - c0);
       groups[ngroups++] = {static_cast<uint32_t>(r0),
-                           static_cast<uint32_t>(r1),
-                           c0,
-                           c1,
-                           q_bcast,
-                           once,
-                           same_mask,
-                           once ? 0 : probs_per_item};
-      if (!once) probs_per_item += cells;
-      widest = std::max(widest, cells);
+                           static_cast<uint32_t>(r1), c0, c1, q_bcast, once};
+      cells = std::max(cells, (r1 - r0) * (c1 - c0));
+      probs_floats = std::max(probs_floats,
+                              kernels::AttentionTileScratch(c1 - c0, r1 - r0));
     }
     const size_t tile = std::min(kAttentionTile, b1 - b0);
-    // A tile's probabilities, item-major within each group: item t's row r
-    // of group g at probs + g.probs * nb + (t * rows + r) * width.
-    float* probs =
-        arena.AllocateFloats(std::max(probs_per_item, widest) * tile);
-    float* part = arena.AllocateFloats(widest * tile);
+    // One group's raw scores over a tile, the tile kernel's scratch, and
+    // the stacked Q and K rows a GEMM reads when they are not in place.
+    float* scores = arena.AllocateFloats(cells * tile);
+    float* probs = arena.AllocateFloats(probs_floats);
     float* q_rows = arena.AllocateFloats(nq * d * tile);
     float* k_rows = arena.AllocateFloats(nk * d * tile);
     // Broadcast score entries (raw dots at [row, column]) and the rows
@@ -425,14 +406,10 @@ void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
     float* once_scores = arena.AllocateFloats(nq * nk);
     float* once_rows = arena.AllocateFloats(nq * dv);
     // Where V row j of item b starts: v_base[j] + b * v_step[j] (step 0 for
-    // a broadcast row), and one item's rows.
+    // a broadcast row).
     auto** v_base =
         static_cast<const float**>(arena.Allocate(nk * sizeof(float*)));
     auto* v_step = static_cast<size_t*>(arena.Allocate(nk * sizeof(size_t)));
-    auto** v_rows =
-        static_cast<const float**>(arena.Allocate(nk * sizeof(float*)));
-    auto* out_rows = static_cast<kernels::AttentionRow*>(
-        arena.Allocate(nq * sizeof(kernels::AttentionRow)));
     for (size_t i = 0, j = 0; i < v.count; ++i) {
       const Tensor& t = *v.blocks[i];
       for (size_t r = 0; r < t.dim(1); ++r, ++j) {
@@ -440,87 +417,93 @@ void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
         v_step[j] = t.dim(0) == 1 ? 0 : t.dim(1) * dv;
       }
     }
-    auto point_v_rows = [&](size_t b) {
-      for (size_t j = 0; j < nk; ++j) v_rows[j] = v_base[j] + b * v_step[j];
-    };
+    // One group's keys as the tile kernel reads them.
+    auto** key_s =
+        static_cast<const float**>(arena.Allocate(nk * sizeof(float*)));
+    auto* key_row = static_cast<size_t*>(arena.Allocate(nk * sizeof(size_t)));
+    auto* key_item =
+        static_cast<size_t*>(arena.Allocate(nk * sizeof(size_t)));
+    auto** key_v =
+        static_cast<const float**>(arena.Allocate(nk * sizeof(float*)));
 
-    // Copies \p m rows of \p n scores (source rows \p src_stride apart)
-    // into rows \p dst_stride apart.
-    // (Runs are a few scores wide: an inline loop, not a memcpy call.)
-    auto copy_rows = [](const float* src, size_t src_stride, size_t m,
-                        size_t n, float* dst, size_t dst_stride) {
-      for (size_t t = 0; t < m; ++t) {
-        for (size_t j = 0; j < n; ++j) {
-          dst[t * dst_stride + j] = src[t * src_stride + j];
-        }
-      }
-    };
-    // Group \p g's probabilities for items [t0, t0 + nb) into \p gp
-    // (item-major [nb * rows, width]): per key run, one score GEMM for the
-    // whole tile when Q or K is broadcast, then the Scale op and the
-    // softmax of each row's open slice.
-    auto score_group = [&](const RowGroup& g, size_t t0, size_t nb,
-                           float* gp) {
-      const size_t rows = g.r1 - g.r0, width = g.c1 - g.c0;
-      if (width == 0) return;
-      const float* qt =
-          g.q_bcast ? StackRowsAt(q, 0, 1, g.r0, g.r1, q_rows)
-                    : StackRowsAt(q, t0, nb, g.r0, g.r1, q_rows);
+    // Group \p g for items [t0, t0 + nb) into item t's output at
+    // out + t * out_item: per key run, the raw scores written by the GEMMs
+    // where the tile kernel reads them (no copies), then one
+    // attention_tile pass. A run of broadcast keys against the tile's Q
+    // rows is one GEMM with the keys as its left operand, so key j's
+    // scores sit side by side over the items; broadcast Q rows against the
+    // tile's keys are one GEMM the other way round; both broadcast, the
+    // entries computed once are read in place; both per item, one GEMM per
+    // item. (A dot product's bits do not depend on which operand is left.)
+    auto attend = [&](const RowGroup& g, size_t t0, size_t nb, float* out,
+                      size_t out_item, bool pool) {
+      const size_t rows = g.r1 - g.r0;
+      float* gp = scores;
       for (size_t j0 = g.c0, j1; j0 < g.c1; j0 = j1) {
         const bool k_bcast = BroadcastRun(k, j0, &j1);
         j1 = std::min<size_t>(j1, g.c1);
         const size_t n = j1 - j0;
-        float* dst = gp + (j0 - g.c0);
+        const float* qt =
+            g.q_bcast ? StackRowsAt(q, 0, 1, g.r0, g.r1, q_rows)
+                      : StackRowsAt(q, t0, nb, g.r0, g.r1, q_rows);
+        // Key j's score of (row r, item t) at s + (j - j0) * step +
+        // r * row + t * item.
+        const float* s = gp;
+        size_t step = 1, row, item;
         if (g.q_bcast && k_bcast) {
-          for (size_t t = 0; t < nb; ++t) {
-            copy_rows(once_scores + g.r0 * nk + j0, nk, rows, n,
-                      dst + t * rows * width, width);
-          }
+          s = once_scores + g.r0 * nk + j0;
+          row = nk;
+          item = 0;
         } else if (k_bcast) {
-          // Every item's Q rows of the tile against the broadcast keys.
-          float* c = n == width ? dst : part;
-          kt.gemm_rows_b_trans(qt, StackRowsAt(k, 0, 1, j0, j1, k_rows), c,
-                               nb * rows, d, n, /*accumulate=*/false);
-          if (c == part) copy_rows(part, n, nb * rows, n, dst, width);
+          step = nb * rows;
+          row = 1;
+          item = rows;
+          kt.gemm_rows_b_trans(StackRowsAt(k, 0, 1, j0, j1, k_rows), qt, gp,
+                               n, d, nb * rows, step, /*accumulate=*/false);
         } else if (g.q_bcast) {
-          // The broadcast Q rows against every item's keys of the tile.
-          kt.gemm_rows_b_trans(qt, StackRowsAt(k, t0, nb, j0, j1, k_rows),
-                               part, rows, d, nb * n, /*accumulate=*/false);
-          for (size_t t = 0; t < nb; ++t) {
-            copy_rows(part + t * n, nb * n, rows, n, dst + t * rows * width,
-                      width);
-          }
+          row = nb * n;
+          item = n;
+          kt.gemm_rows_b_trans(qt, StackRowsAt(k, t0, nb, j0, j1, k_rows), gp,
+                               rows, d, nb * n, row, /*accumulate=*/false);
         } else {
+          row = n;
+          item = rows * n;
           for (size_t t = 0; t < nb; ++t) {
-            float* item = dst + t * rows * width;
-            float* c = n == width ? item : part;
             kt.gemm_rows_b_trans(qt + t * rows * d,
-                                 StackRowsAt(k, t0 + t, 1, j0, j1, k_rows), c,
-                                 rows, d, n, /*accumulate=*/false);
-            if (c == part) copy_rows(part, n, rows, n, item, width);
+                                 StackRowsAt(k, t0 + t, 1, j0, j1, k_rows),
+                                 gp + t * item, rows, d, n, row,
+                                 /*accumulate=*/false);
           }
         }
+        if (s == gp) gp += nb * rows * n;
+        for (size_t j = j0; j < j1; ++j) {
+          key_s[j - g.c0] = s + (j - j0) * step;
+          key_row[j - g.c0] = row;
+          key_item[j - g.c0] = item;
+        }
       }
-      kt.scale(alpha, gp, gp, nb * rows * width);
-      const float* add =
-          mask_data != nullptr ? mask_data + g.r0 * nk + g.c0 : nullptr;
-      if (g.same_mask) {
-        kt.softmax_rows(gp, add, 0, gp, nb * rows, width);
-        return;
+      for (size_t j = g.c0; j < g.c1; ++j) {
+        key_v[j - g.c0] = v_base[j] + t0 * v_step[j];
       }
-      for (size_t t = 0; t < nb; ++t) {
-        float* item = gp + t * rows * width;
-        kt.softmax_rows(item, add, nk, item, rows, width);
-      }
-    };
-    // The output rows of group \p g read its probabilities \p gp
-    // (item-major [nb * rows, width]) for item \p t in place.
-    auto point_rows = [&](const RowGroup& g, const float* gp, size_t t) {
-      const size_t rows = g.r1 - g.r0, width = g.c1 - g.c0;
-      for (size_t r = 0; r < rows; ++r) {
-        out_rows[g.r0 + r] = {gp + (t * rows + r) * width, v_rows + g.c0,
-                              width, nullptr};
-      }
+      kernels::AttentionTile at;
+      at.s = key_s;
+      at.s_row = key_row;
+      at.s_item = key_item;
+      at.add = mask_data != nullptr ? mask_data + g.r0 * nk + g.c0 : nullptr;
+      at.add_stride = nk;
+      at.v = key_v;
+      at.v_item = v_step + g.c0;
+      at.width = g.c1 - g.c0;
+      at.rows = rows;
+      at.items = nb;
+      at.dv = dv;
+      at.alpha = alpha;
+      at.pooled = pool;
+      at.pool_scale = pool_scale;
+      at.out = out;
+      at.out_item = out_item;
+      at.probs = probs;
+      kt.attention_tile(at);
     };
 
     // Once per call: the broadcast score entries, then the rows every item
@@ -532,40 +515,42 @@ void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
         const bool bcast = BroadcastRun(k, j0, &j1);
         j1 = std::min<size_t>(j1, g.c1);
         if (!bcast) continue;
-        const size_t rows = g.r1 - g.r0, n = j1 - j0;
         kt.gemm_rows_b_trans(StackRowsAt(q, 0, 1, g.r0, g.r1, q_rows),
-                             StackRowsAt(k, 0, 1, j0, j1, k_rows), part, rows,
-                             d, n, /*accumulate=*/false);
-        copy_rows(part, n, rows, n, once_scores + g.r0 * nk + j0, nk);
+                             StackRowsAt(k, 0, 1, j0, j1, k_rows),
+                             once_scores + g.r0 * nk + j0, g.r1 - g.r0, d,
+                             j1 - j0, nk, /*accumulate=*/false);
       }
     }
-    point_v_rows(b0);
     for (size_t i = 0; i < ngroups; ++i) {
       const RowGroup& g = groups[i];
-      if (!g.once) continue;
-      score_group(g, b0, 1, probs);
-      point_rows(g, probs, 0);
-      kt.attention_rows(out_rows + g.r0, g.r1 - g.r0, dv, /*pooled=*/false,
-                        0.0f, once_rows + g.r0 * dv);
-      for (size_t r = g.r0; r < g.r1; ++r) {
-        out_rows[r] = {nullptr, nullptr, 0, once_rows + r * dv};
-      }
+      if (g.once) attend(g, b0, 1, once_rows + g.r0 * dv, 0, false);
     }
 
+    // Tile by tile, group by group in row order: pooled, each group's rows
+    // fold into the items' outputs, zeroed first, where the previous
+    // group's left off.
+    const size_t out_item = pooled ? dv : nq * dv;
     for (size_t t0 = b0; t0 < b1; t0 += tile) {
       const size_t nb = std::min(tile, b1 - t0);
+      float* out_tile = out->data() + t0 * out_item;
+      if (pooled) std::fill(out_tile, out_tile + nb * dv, 0.0f);
       for (size_t i = 0; i < ngroups; ++i) {
         const RowGroup& g = groups[i];
-        if (!g.once) score_group(g, t0, nb, probs + g.probs * nb);
-      }
-      for (size_t t = 0; t < nb; ++t) {
-        point_v_rows(t0 + t);
-        for (size_t i = 0; i < ngroups; ++i) {
-          const RowGroup& g = groups[i];
-          if (!g.once) point_rows(g, probs + g.probs * nb, t);
+        float* dst = out_tile + (pooled ? 0 : g.r0 * dv);
+        if (!g.once) {
+          attend(g, t0, nb, dst, out_item, pooled);
+          continue;
         }
-        float* dst = out->data() + (t0 + t) * (pooled ? dv : nq * dv);
-        kt.attention_rows(out_rows, nq, dv, pooled, pool_scale, dst);
+        for (size_t t = 0; t < nb; ++t, dst += out_item) {
+          for (size_t r = g.r0; r < g.r1; ++r) {
+            const float* row = once_rows + r * dv;
+            if (pooled) {
+              kt.axpy(pool_scale, row, dst, dv);
+            } else {
+              std::copy(row, row + dv, dst + (r - g.r0) * dv);
+            }
+          }
+        }
       }
     }
     arena.RewindTo(arena_mark);

@@ -82,20 +82,21 @@ constexpr size_t kAttentionTile = 32;
 /// Work that does not depend on the batch item is done once per call (per
 /// thread range): an output row whose Q row and whole K/V range come from
 /// batch-1 blocks, and a score entry whose Q row and K row both do. The
-/// rest runs tile-major, kAttentionTile items at a time, per row group
-/// (consecutive query rows sharing a key range), in three phases:
-///   1. scores: per run of broadcast or per-item keys, one
-///      gemm_rows_b_trans for the whole tile when the Q rows or the keys
-///      are broadcast (the tile's per-item rows stacked as one operand),
-///      and one per item when both are per-item;
-///   2. the Scale op, then the softmax of each row's open slice: one
-///      softmax_rows call over the tile's rows when the group's mask rows
-///      agree over its range (or there is no mask), else one per item;
-///   3. per item, one kernels::attention_rows pass that reads V rows in
-///      place (no copies) and stores each row, or, pooled, folds
-///      pool_scale * row into a zero row in ascending row order, exactly
-///      SumAxis1's axpy sequence, so the pooled bits equal the unpooled op
-///      followed by SumAxis1.
+/// rest runs tile-major, kAttentionTile items at a time, row group by row
+/// group (consecutive query rows sharing a key range) in row order:
+///   1. scores: per run of broadcast or per-item keys, gemm_rows_b_trans
+///      writes them where step 2 reads them (an output stride, no copies):
+///      broadcast keys against the tile's Q rows are one GEMM with the keys
+///      as its left operand (each key's scores side by side over the
+///      items), broadcast Q rows against the tile's keys one GEMM the other
+///      way round, entries computed once are read in place, and per-item Q
+///      rows against per-item keys take one GEMM per item;
+///   2. one kernels::attention_tile pass: per item and row the Scale op,
+///      the softmax of the row's open slice and the row's P · V over V
+///      rows read in place, stored, or, pooled, folded into the item's
+///      output (zeroed first) as pool_scale * row in ascending row order,
+///      exactly SumAxis1's axpy sequence, so the pooled bits equal the
+///      unpooled op followed by SumAxis1.
 /// Each score element is the same lane-blocked dot, each softmax row the
 /// same softmax_rows row, and each output element the same 0 + sum_j
 /// p_j * v_j in ascending j (gemm_rows_b_normal's per-element order)

@@ -308,36 +308,162 @@ TEST_F(KernelParityTest, SoftmaxRowsMatchesThePerRowSoftmax) {
   }
 }
 
-TEST_F(KernelParityTest, AttentionRowsOnFiniteInputs) {
-  // Rows of widths 0..5 (width 0 is an all-zero row) and one finished row,
-  // over column counts that hit the 32-wide blocks, the 8-column steps after
-  // them and a partial last step.
-  for (size_t dv : {1u, 8u, 10u, 37u, 64u, 75u}) {
-    const size_t n = 7, max_width = 5;
-    const auto vals = RandomVec(max_width * dv * n, 7000 + dv);
-    const auto probs = RandomVec(max_width * n, 8000 + dv);
-    const auto done = RandomVec(dv, 9000 + dv);
-    std::vector<const float*> vptrs(max_width * n);
-    std::vector<tensor::kernels::AttentionRow> rows(n);
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t j = 0; j < max_width; ++j) {
-        // Some rows share V rows, as broadcast keys do.
-        vptrs[r * max_width + j] =
-            vals.data() + ((r + j) % (max_width * n)) * dv;
-      }
-      rows[r].p = probs.data() + r * max_width;
-      rows[r].v = vptrs.data() + r * max_width;
-      rows[r].width = r % (max_width + 1);
+/// One attention tile through the chain attention_tile replaces, on
+/// \p kt: per item and row the raw scores, the Scale op, softmax_rows,
+/// GemmReference's P · V (0 + sum_j p_j * v_j in ascending j) and, pooled,
+/// SumAxis1's fold onto what out holds.
+void AttentionTileOracle(const KernelTable& kt,
+                         const tensor::kernels::AttentionTile& g,
+                         std::vector<float>* out) {
+  const size_t w = g.width;
+  std::vector<float> p(w), v(w * g.dv), row(g.dv);
+  for (size_t t = 0; t < g.items; ++t) {
+    for (size_t j = 0; j < w; ++j) {
+      std::copy(g.v[j] + t * g.v_item[j], g.v[j] + t * g.v_item[j] + g.dv,
+                v.begin() + j * g.dv);
     }
-    rows[3].done = done.data();
-    for (const bool pooled : {false, true}) {
-      const size_t out_size = pooled ? dv : n * dv;
-      std::vector<float> ys(out_size, -1.0f), yv(out_size, -2.0f);
-      scalar_->attention_rows(rows.data(), n, dv, pooled, 0.25f, ys.data());
-      avx2_->attention_rows(rows.data(), n, dv, pooled, 0.25f, yv.data());
-      for (size_t i = 0; i < out_size; ++i) {
-        ASSERT_TRUE(BitEqual(ys[i], yv[i]))
-            << "dv=" << dv << " pooled=" << pooled << " i=" << i;
+    float* dst = out->data() + t * g.out_item;
+    for (size_t r = 0; r < g.rows; ++r) {
+      for (size_t j = 0; j < w; ++j) {
+        p[j] = g.s[j][r * g.s_row[j] + t * g.s_item[j]];
+      }
+      kt.scale(g.alpha, p.data(), p.data(), w);
+      kt.softmax_rows(p.data(),
+                      g.add != nullptr ? g.add + r * g.add_stride : nullptr,
+                      0, p.data(), 1, w);
+      tensor::GemmReference(p.data(), v.data(), row.data(), 1, w, g.dv,
+                            false, false, false);
+      for (size_t c = 0; c < g.dv; ++c) {
+        if (g.pooled) {
+          dst[c] += g.pool_scale * row[c];
+        } else {
+          dst[r * g.dv + c] = row[c];
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelParityTest, AttentionTileMatchesTheDenseChain) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0f, -0.0f, inf, -inf, -200.0f, nan};
+  // Scores as MaskedAttention lays them out: key 0 computed once (stride
+  // 0 over the items) and the other keys side by side over the items
+  // (SeqFM's cross-view history rows), item-major (per-item Q rows
+  // against per-item keys, the static view's candidate row), or key-major
+  // (per-item Q rows against broadcast keys, the cross view's candidate
+  // row). Key j's V row is broadcast when j % 3 == 0.
+  enum Layout { kCross, kItemMajor, kKeyMajor };
+  struct Case {
+    Layout layout;
+    size_t width, rows;
+    std::vector<size_t> items, dvs;
+  };
+  const std::vector<size_t> all_items = {1, 7, 8, 9, 31, 32, 33, 256};
+  const std::vector<size_t> all_dvs = {1, 8, 37, 64, 75};
+  const std::vector<Case> cases = {
+      {kCross, 2, 20, all_items, all_dvs},
+      {kCross, 2, 37, {9, 33}, all_dvs},
+      {kItemMajor, 2, 1, all_items, all_dvs},
+      {kItemMajor, 2, 20, {1, 9, 33}, {8, 75}},
+      {kKeyMajor, 20, 1, all_items, all_dvs},
+      {kKeyMajor, 2, 3, {1, 9, 33}, {37, 64}},
+      {kCross, 0, 5, {1, 9}, {8, 37}},
+      {kItemMajor, 1, 4, {1, 9, 33}, {10, 64}},
+      {kKeyMajor, 3, 7, {1, 9, 33}, {10, 64}},
+      {kCross, 5, 6, {1, 9, 33}, {1, 37}},
+      {kItemMajor, 8, 3, {1, 9, 33}, {8, 37}},
+      {kCross, 9, 2, {1, 9, 33}, {64, 75}},
+      {kKeyMajor, 33, 2, {9, 33}, {37}},
+  };
+  for (const Case& cs : cases) {
+    for (size_t items : cs.items) {
+      for (size_t dv : cs.dvs) {
+        const size_t w = cs.width, rows = cs.rows;
+        const std::string where =
+            "layout=" + std::to_string(cs.layout) + " width=" +
+            std::to_string(w) + " rows=" + std::to_string(rows) +
+            " items=" + std::to_string(items) + " dv=" + std::to_string(dv);
+        auto once = RandomVec(rows * (w + 1), items + dv + w);
+        auto scores = RandomVec(rows * items * w + 1, 3 * items + dv + w);
+        // Specials on any key of a row, alone or beside finite scores (a
+        // NaN must lose the max); with a 0.3 alpha -200 still underflows.
+        for (size_t r = 0; r < rows && w > 0; ++r) {
+          once[r * (w + 1)] = specials[(r / 2) % 6];
+        }
+        for (size_t i = 3; i < scores.size(); i += 7) {
+          scores[i] = specials[i % 6];
+        }
+        const auto vals = RandomVec(w * items * dv + 1, 11 + dv + w);
+        // Mask rows: open (0), biased, some keys masked, or all masked.
+        std::vector<float> add(rows * (w + 2));
+        for (size_t r = 0; r < rows; ++r) {
+          for (size_t j = 0; j < w; ++j) {
+            const float m[] = {0.0f, 0.25f * static_cast<float>(j) - 0.5f,
+                               (r + j) % 3 == 0 ? -inf : 0.0f, -inf};
+            add[r * (w + 2) + j] = m[r % 4];
+          }
+        }
+        std::vector<const float*> s(w), v(w);
+        std::vector<size_t> s_row(w), s_item(w), v_item(w);
+        for (size_t j = 0; j < w; ++j) {
+          if (cs.layout == kCross && j == 0) {
+            s[j] = once.data();
+            s_row[j] = w + 1;
+            s_item[j] = 0;
+          } else if (cs.layout == kCross) {
+            s[j] = scores.data() + (j - 1);
+            s_row[j] = items * (w - 1);
+            s_item[j] = w - 1;
+          } else if (cs.layout == kItemMajor) {
+            s[j] = scores.data() + j;
+            s_row[j] = w;
+            s_item[j] = rows * w;
+          } else {
+            s[j] = scores.data() + j * items * rows;
+            s_row[j] = 1;
+            s_item[j] = rows;
+          }
+          v[j] = vals.data() + j * items * dv;
+          v_item[j] = j % 3 == 0 ? 0 : dv;
+        }
+        std::vector<float> probs(std::max<size_t>(
+            1, tensor::kernels::AttentionTileScratch(w, rows)));
+        tensor::kernels::AttentionTile g;
+        g.s = s.data();
+        g.s_row = s_row.data();
+        g.s_item = s_item.data();
+        g.add_stride = w + 2;
+        g.v = v.data();
+        g.v_item = v_item.data();
+        g.width = w;
+        g.rows = rows;
+        g.items = items;
+        g.dv = dv;
+        g.alpha = 0.3f;
+        g.pool_scale = 0.125f;
+        g.probs = probs.data();
+        for (const bool masked : {false, true}) {
+          g.add = masked ? add.data() : nullptr;
+          for (const bool pooled : {false, true}) {
+            g.pooled = pooled;
+            g.out_item = pooled ? dv : rows * dv;
+            const auto init = RandomVec(items * g.out_item, 17 + dv);
+            std::vector<float> want = init, ys = init, yv = init;
+            AttentionTileOracle(*scalar_, g, &want);
+            g.out = ys.data();
+            scalar_->attention_tile(g);
+            g.out = yv.data();
+            avx2_->attention_tile(g);
+            for (size_t i = 0; i < want.size(); ++i) {
+              ASSERT_TRUE(BitEqual(ys[i], want[i]) && BitEqual(yv[i], want[i]))
+                  << where << " masked=" << masked << " pooled=" << pooled
+                  << " i=" << i << ": scalar " << ys[i] << " avx2 " << yv[i]
+                  << " chain " << want[i];
+            }
+          }
+        }
       }
     }
   }
@@ -499,6 +625,53 @@ TEST(GemmSimdTest, BNormalBlockShapesMatchScalarAndReference) {
         for (size_t j = 0; j < sh.n; ++j) {  // NaN where B has an inf
           ASSERT_TRUE(std::isnan(cv[j]) || BitEqual(cv[j], 0.0f))
               << "row 0 must be 0 + sum = +0, n=" << sh.n << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
+// The AVX2 transposed-B kernel's eight-output blocks (along C's rows, down
+// its columns, or one dot each) and its in-register finish against the
+// scalar kernel and GemmReference, called directly, with C rows ldc = n + 3
+// floats apart: the padding between rows must stay untouched.
+TEST(GemmSimdTest, BTransBlockShapesMatchScalarAndReference) {
+  if (!Avx2Usable()) GTEST_SKIP() << "no AVX2 kernels on this machine";
+  const KernelTable& scalar = tensor::kernels::Table(SimdLevel::kScalar);
+  const KernelTable& avx2 = tensor::kernels::Table(SimdLevel::kAvx2);
+  for (size_t m : {1, 5, 8, 9, 20, 256}) {
+    for (size_t n : {1, 2, 7, 8, 9, 20}) {
+      for (size_t k : {7, 8, 9, 64}) {
+        // B is read as [n, k]; GemmCase's specials land on its entries all
+        // the same.
+        const GemmCase in(m, k, n, m * 1013 + k * 37 + n);
+        const size_t ldc = n + 3;
+        const auto pad = RandomVec(m * ldc, m + k + n);
+        for (bool accumulate : {false, true}) {
+          auto cr = in.c;
+          tensor::GemmReference(in.a.data(), in.b.data(), cr.data(), m, k, n,
+                                false, true, accumulate);
+          std::vector<float> cs = pad, cv = pad;
+          for (size_t i = 0; i < m; ++i) {
+            for (size_t j = 0; j < n; ++j) {
+              cs[i * ldc + j] = cv[i * ldc + j] = in.c[i * n + j];
+            }
+          }
+          scalar.gemm_rows_b_trans(in.a.data(), in.b.data(), cs.data(), m, k,
+                                   n, ldc, accumulate);
+          avx2.gemm_rows_b_trans(in.a.data(), in.b.data(), cv.data(), m, k,
+                                 n, ldc, accumulate);
+          for (size_t i = 0; i < m; ++i) {
+            for (size_t j = 0; j < ldc; ++j) {
+              const size_t at = i * ldc + j;
+              const float want = j < n ? cr[i * n + j] : pad[at];
+              ASSERT_TRUE(SameFloat(cs[at], want) && SameFloat(cv[at], want))
+                  << "m=" << m << " k=" << k << " n=" << n
+                  << " acc=" << accumulate << " i=" << i << " j=" << j
+                  << ": scalar " << cs[at] << " avx2 " << cv[at]
+                  << " reference " << want;
+            }
+          }
         }
       }
     }
@@ -738,6 +911,23 @@ void PoisonBlocks(BlockOperand* op) {
   op->Restack();
 }
 
+/// Zeroes every third item's rows of each block of \p op (its scores are
+/// +0, or -0 under a negative alpha) and scales the next item's by 100
+/// (its scores run to the hundreds, so the exponentials of the losers
+/// underflow); a broadcast block counts as item 0.
+void ZeroAndScaleBlocks(BlockOperand* op) {
+  for (Tensor& t : op->blocks) {
+    const size_t per = t.size() / t.dim(0);
+    for (size_t b = 0; b < t.dim(0); ++b) {
+      float* x = t.data() + b * per;
+      for (size_t i = 0; i < per; ++i) {
+        x[i] = b % 3 == 0 ? 0.0f : b % 3 == 1 ? 100.0f * x[i] : x[i];
+      }
+    }
+  }
+  op->Restack();
+}
+
 /// The same bits, or both NaN. Which NaN a sum of NaNs of both signs
 /// keeps depends on operand order, and the dense chain's own scalar and
 /// AVX2 GEMMs already disagree there, so a NaN's sign and payload are no
@@ -746,12 +936,13 @@ TEST(MaskedAttentionTest, EveryTileShapeMatchesTheDenseChainBitForBit) {
   SimdLevelRestorer restore;
   const float inf = std::numeric_limits<float>::infinity();
   constexpr size_t kTile = tensor::kAttentionTile;
-  const std::vector<size_t> counts = {1,         kTile - 1, kTile,
+  const std::vector<size_t> counts = {1,         7,         8,
+                                      9,         kTile - 1, kTile,
                                       kTile + 1, 2 * kTile + 3, 256};
   using Spec = std::vector<std::pair<size_t, bool>>;
   using Open = std::vector<std::pair<uint32_t, uint32_t>>;
   struct Layout {
-    const char* name;
+    std::string name;
     Spec q, k, v;
     Open open;         // empty: no mask, every row sees every key
     bool vary_mask;    // open entries carry per-row biases
@@ -759,7 +950,8 @@ TEST(MaskedAttentionTest, EveryTileShapeMatchesTheDenseChainBitForBit) {
     size_t d, dv;
   };
   // SeqFM's cross view: the user and candidate rows see the history
-  // columns, the history rows see the user and candidate columns.
+  // columns, the history rows see the user and candidate columns (two
+  // keys wide, one attention_two_keys group).
   const size_t nh = 20;
   Open cross(2 + nh, {0, 2});
   cross[0] = cross[1] = {2, 2 + nh};
@@ -767,22 +959,33 @@ TEST(MaskedAttentionTest, EveryTileShapeMatchesTheDenseChainBitForBit) {
   // blocks, and a range mixing broadcast and per-item keys.
   const Open multi = {{0, 9}, {0, 9}, {2, 7}, {2, 7}, {2, 7},
                       {4, 9}, {0, 3}, {0, 3}, {5, 6}};
-  const std::vector<Layout> layouts = {
-      {"seqfm-cross", {{1, true}, {1, false}, {nh, true}},
-       {{1, true}, {1, false}, {nh, true}},
-       {{1, true}, {1, false}, {nh, true}}, cross, false, false, 64, 64},
-      {"seqfm-static", {{1, true}, {1, false}}, {{1, true}, {1, false}},
-       {{1, true}, {1, false}}, {}, false, true, 64, 64},
-      {"multi-row", {{2, true}, {3, false}, {4, false}},
-       {{1, false}, {3, true}, {2, false}, {3, false}},
-       {{4, false}, {5, true}}, multi, false, false, 13, 37},
-      {"multi-row-biased", {{2, true}, {3, false}, {4, false}},
-       {{1, false}, {3, true}, {2, false}, {3, false}},
-       {{4, false}, {5, true}}, multi, true, false, 13, 37},
-      {"multi-row-unmasked", {{3, false}, {2, true}, {2, false}},
-       {{2, false}, {2, true}, {3, false}},
-       {{3, true}, {4, false}}, {}, false, true, 9, 10},
-  };
+  // Two-key groups over every mix of broadcast and per-item Q rows and
+  // keys (rows 0-1 computed once), with a masked key inside one of them.
+  const Open pairs = {{0, 2}, {0, 2}, {1, 3}, {1, 3}, {3, 5}, {2, 4}, {4, 6}};
+  std::vector<Layout> layouts;
+  for (size_t dv : {1, 8, 37, 64, 75}) {
+    const std::string at = " dv=" + std::to_string(dv);
+    layouts.push_back({"seqfm-cross" + at,
+                       {{1, true}, {1, false}, {nh, true}},
+                       {{1, true}, {1, false}, {nh, true}},
+                       {{1, true}, {1, false}, {nh, true}}, cross, false,
+                       false, 64, dv});
+    layouts.push_back({"seqfm-static" + at, {{1, true}, {1, false}},
+                       {{1, true}, {1, false}}, {{1, true}, {1, false}}, {},
+                       false, true, 64, dv});
+  }
+  layouts.push_back({"multi-row", {{2, true}, {3, false}, {4, false}},
+                     {{1, false}, {3, true}, {2, false}, {3, false}},
+                     {{4, false}, {5, true}}, multi, false, false, 13, 37});
+  layouts.push_back({"multi-row-biased", {{2, true}, {3, false}, {4, false}},
+                     {{1, false}, {3, true}, {2, false}, {3, false}},
+                     {{4, false}, {5, true}}, multi, true, false, 13, 37});
+  layouts.push_back({"multi-row-unmasked", {{3, false}, {2, true}, {2, false}},
+                     {{2, false}, {2, true}, {3, false}},
+                     {{3, true}, {4, false}}, {}, false, true, 9, 10});
+  layouts.push_back({"two-key-pairs", {{2, true}, {3, false}, {2, true}},
+                     {{2, true}, {2, false}, {1, true}, {1, false}},
+                     {{2, true}, {4, false}}, pairs, true, false, 11, 9});
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   if (Avx2Usable()) levels.push_back(SimdLevel::kAvx2);
   Rng rng(31);
@@ -804,21 +1007,27 @@ TEST(MaskedAttentionTest, EveryTileShapeMatchesTheDenseChainBitForBit) {
                                           : 0.0f;
       }
     }
+    // A masked key inside an open range (its row still has one open key).
+    if (lay.vary_mask && nq > 3) mask.at(3, ranges[7] - 1) = -inf;
     const Tensor* m = lay.open.empty() ? nullptr : &mask;
     const float pool_scale = 1.0f / static_cast<float>(nq);
     for (size_t count : counts) {
-      for (const bool poison : {false, true}) {
+      // Scores as drawn; NaN and +-inf; then +-0 and hundreds.
+      for (const int poison : {0, 1, 2}) {
         BlockOperand q(count, lay.d, lay.q, seed += 10);
         const BlockOperand k(count, lay.d, lay.k, seed += 10);
         BlockOperand v(count, lay.dv, lay.v, seed += 10);
-        if (poison) {
+        if (poison == 1) {
           PoisonBlocks(&q);
           if (lay.poison_v) PoisonBlocks(&v);
+        } else if (poison == 2) {
+          ZeroAndScaleBlocks(&q);
         }
+        const float alpha = poison == 2 ? -0.125f : 0.125f;
         util::SetSimdLevel(SimdLevel::kScalar);
         util::SetGlobalThreads(1);
         const Tensor want =
-            DenseAttention(q.whole, k.whole, v.whole, m, 0.125f);
+            DenseAttention(q.whole, k.whole, v.whole, m, alpha);
         Tensor want_pooled({count, lay.dv});
         tensor::SumAxis1(want, pool_scale, &want_pooled);
         for (SimdLevel level : levels) {
@@ -826,15 +1035,15 @@ TEST(MaskedAttentionTest, EveryTileShapeMatchesTheDenseChainBitForBit) {
           for (size_t threads : {1u, 2u}) {
             util::SetGlobalThreads(threads);
             const std::string where =
-                std::string(lay.name) + " count=" + std::to_string(count) +
-                " " + util::SimdLevelName(level) +
+                lay.name + " count=" + std::to_string(count) + " " +
+                util::SimdLevelName(level) +
                 " threads=" + std::to_string(threads) +
                 " poison=" + std::to_string(poison);
             Tensor got({count, nq, lay.dv}), pooled({count, lay.dv});
             tensor::MaskedAttention(q.stack(), k.stack(), v.stack(), m,
-                                    ranges.data(), 0.125f, 0.0f, &got);
+                                    ranges.data(), alpha, 0.0f, &got);
             tensor::MaskedAttention(q.stack(), k.stack(), v.stack(), m,
-                                    ranges.data(), 0.125f, pool_scale,
+                                    ranges.data(), alpha, pool_scale,
                                     &pooled);
             for (size_t i = 0; i < want.size(); ++i) {
               ASSERT_TRUE(SameFloat(got.data()[i], want.data()[i]))
@@ -1080,17 +1289,24 @@ TEST(SimdServingTest, SteadyStateServingPerformsZeroTensorHeapAllocations) {
 }
 
 TEST(SimdServingTest, BatchServedWaveBumpsTheScratchArenas) {
+  // One thread, so the wave runs on the server's dispatcher thread, whose
+  // arena starts empty: the wave must bump it and reserve its first block.
+  util::SetGlobalThreads(1);
   ServeFixture fx;
   core::SeqFm model(fx.space, fx.ModelConfig());
   serve::Predictor predictor(&model, &fx.builder);
-  serve::BatchServer server(&predictor);
   std::vector<int32_t> candidates = {0, 1, 2, 3, 4, 5, 6, 7};
-  auto fut = server.Submit(fx.dataset.train().front(), candidates, 3);
+  const auto& ex = fx.dataset.train().front();
+  // Warm the predictor (and this thread's arena) outside the wave.
+  ASSERT_EQ(predictor.TopK(ex, candidates, 3).size(), 3u);
+  const auto before = core::GlobalScratchStats();
+  serve::BatchServer server(&predictor);
+  auto fut = server.Submit(ex, candidates, 3);
   ASSERT_EQ(fut.get().size(), 3u);
-  const auto scratch = core::GlobalScratchStats();
-  EXPECT_GT(scratch.allocations, 0u);
-  EXPECT_GT(scratch.bytes_reserved, 0u);
-  EXPECT_GT(scratch.high_water, 0u);
+  const auto after = core::GlobalScratchStats();
+  EXPECT_GT(after.allocations, before.allocations);
+  EXPECT_GT(after.heap_refills, before.heap_refills);
+  EXPECT_GT(after.high_water, 0u);
 }
 
 TEST(SimdTrainingTest, LossCurveIdenticalAcrossSimdLevels) {
