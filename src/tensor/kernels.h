@@ -152,8 +152,9 @@ struct KernelTable {
                              size_t rows, size_t k, size_t n, bool accumulate);
   /// C rows [0, rows) (+)= A[rows,k] · B^T with B stored [n,k] and C rows
   /// \p ldc floats apart: per-element lane-blocked dot products. The AVX2
-  /// version computes eight outputs side by side and finishes them with one
-  /// in-register 8 x 8 transpose whose adds pair lanes as CombineLanesSum.
+  /// version computes eight outputs of a C row side by side (the last block
+  /// of a row padded) and finishes them with one in-register 8 x 8
+  /// transpose whose adds pair lanes as CombineLanesSum.
   void (*gemm_rows_b_trans)(const float* arows, const float* b, float* crows,
                             size_t rows, size_t k, size_t n, size_t ldc,
                             bool accumulate);
@@ -167,10 +168,12 @@ struct KernelTable {
   /// Scale op, softmax_rows and the P · V GEMM. The AVX2 kernel runs eight
   /// items' softmaxes per vector, one item per lane, each lane reproducing
   /// its row's lane trees (a lone item's rows run softmax_rows' row across
-  /// the keys), then each item's rows in 32-column register blocks. Pooled, out must not hold -0 (a fold that starts from +0
-  /// never makes one): the AVX2 kernel drops the row's leading 0 +, which
-  /// only turns a -0 entry into +0, and pool_scale * +-0 then adds to out
-  /// alike.
+  /// the keys), then each item's rows in 32-column register blocks (the
+  /// columns past the last block one at a time), with a compile-time
+  /// instance for two keys. Pooled, out must not hold -0 (a fold that
+  /// starts from +0 never makes one): the AVX2 kernel drops the row's
+  /// leading 0 +, which only turns a -0 entry into +0, and pool_scale * +-0
+  /// then adds to out alike.
   void (*attention_tile)(const AttentionTile& tile);
 
   /// "scalar" / "avx2" — for logs and bench labels.

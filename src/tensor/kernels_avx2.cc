@@ -647,13 +647,12 @@ inline __m256 FinishSums8(__m256 v0, __m256 v1, __m256 v2, __m256 v3,
                        _mm256_shuffle_ps(x01, x23, _MM_SHUFFLE(3, 2, 3, 2)));
 }
 
-// The eight dot products x · y_o of length k, y_o = y + o * stride for
+// The eight dot products x · y_o of length k, y_o = y + o * k for
 // o < count and y_{count-1} past it (the padding outputs are discarded).
 __attribute__((always_inline)) inline __m256 Dots8(const float* x,
                                                    const float* y,
-                                                   size_t stride,
                                                    size_t count, size_t k) {
-  auto row = [&](size_t o) { return y + std::min(o, count - 1) * stride; };
+  auto row = [&](size_t o) { return y + std::min(o, count - 1) * k; };
   const float *y0 = y, *y1 = row(1), *y2 = row(2), *y3 = row(3),
               *y4 = row(4), *y5 = row(5), *y6 = row(6), *y7 = row(7);
   __m256 a0 = _mm256_setzero_ps(), a1 = a0, a2 = a0, a3 = a0, a4 = a0,
@@ -683,55 +682,28 @@ __attribute__((always_inline)) inline __m256 Dots8(const float* x,
   return FinishSums8(a0, a1, a2, a3, a4, a5, a6, a7);
 }
 
-// Writes (or adds) lanes [0, count) of \p s to c, c + step, ...
-inline void StoreLanes(__m256 s, size_t count, float* c, size_t step,
-                       bool accumulate) {
-  if (count == kLanes && step == 1) {
+// Writes (or adds) lanes [0, count) of \p s to c[0, count).
+inline void StoreLanes(__m256 s, size_t count, float* c, bool accumulate) {
+  if (count == kLanes) {
     StoreGemm(c, s, accumulate);
     return;
   }
   alignas(32) float lane[kLanes];
   _mm256_store_ps(lane, s);
-  for (size_t o = 0; o < count; ++o, c += step) {
-    *c = accumulate ? *c + lane[o] : lane[o];
+  for (size_t o = 0; o < count; ++o) {
+    c[o] = accumulate ? c[o] + lane[o] : lane[o];
   }
 }
 
-inline size_t RoundUpLanes(size_t n) {
-  return (n + kLanes - 1) / kLanes * kLanes;
-}
-
-// Blocks of eight outputs run along C's rows (one A row against eight B
-// rows) or down its columns (one B row against eight A rows), whichever
-// pads fewer outputs; fewer than eight rows and columns run one dot each.
+// Blocks of eight outputs along C's rows: one A row against eight B rows.
 void GemmRowsBTransAvx2(const float* arows, const float* b, float* crows,
                         size_t rows, size_t k, size_t n, size_t ldc,
                         bool accumulate) {
-  if (rows < kLanes && n < kLanes) {
-    for (size_t i = 0; i < rows; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        float* c = crows + i * ldc + j;
-        const float s = DotAvx2(arows + i * k, b + j * k, k);
-        *c = accumulate ? *c + s : s;
-      }
-    }
-    return;
-  }
-  if (rows * RoundUpLanes(n) <= n * RoundUpLanes(rows)) {
-    for (size_t i = 0; i < rows; ++i) {
-      for (size_t j = 0; j < n; j += kLanes) {
-        const size_t count = std::min(kLanes, n - j);
-        StoreLanes(Dots8(arows + i * k, b + j * k, k, count, k), count,
-                   crows + i * ldc + j, 1, accumulate);
-      }
-    }
-    return;
-  }
-  for (size_t j = 0; j < n; ++j) {
-    for (size_t i = 0; i < rows; i += kLanes) {
-      const size_t count = std::min(kLanes, rows - i);
-      StoreLanes(Dots8(b + j * k, arows + i * k, k, count, k), count,
-                 crows + i * ldc + j, ldc, accumulate);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < n; j += kLanes) {
+      const size_t count = std::min(kLanes, n - j);
+      StoreLanes(Dots8(arows + i * k, b + j * k, count, k), count,
+                 crows + i * ldc + j, accumulate);
     }
   }
 }
@@ -920,45 +892,14 @@ void TileColumns32(const AttentionTile& g, const float* p, size_t n,
   }
 }
 
-// TileColumns32's eight-column twin.
-template <bool kPooled, size_t kW>
-void TileColumns8(const AttentionTile& g, const float* p, size_t n,
-                  size_t item, size_t c, float* out) {
-  const size_t w = TileWidth<kW>(g);
-  const ItemV<kW> vrow(g, item, c);
-  const __m256 vscale = _mm256_set1_ps(g.pool_scale);
-  __m256 s = kPooled ? _mm256_loadu_ps(out + c) : _mm256_setzero_ps();
-  for (size_t r = 0; r < n; ++r, p += w * kLanes) {
-    __m256 a = _mm256_setzero_ps();
-    size_t j = 0;
-    if (kPooled && w > 0) {
-      a = _mm256_mul_ps(_mm256_broadcast_ss(p), _mm256_loadu_ps(vrow(0)));
-      j = 1;
-    }
-    for (; j < w; ++j) {
-      a = _mm256_add_ps(a, _mm256_mul_ps(_mm256_broadcast_ss(p + j * kLanes),
-                                         _mm256_loadu_ps(vrow(j))));
-    }
-    if (kPooled) {
-      s = _mm256_add_ps(s, _mm256_mul_ps(vscale, a));
-    } else {
-      _mm256_storeu_ps(out + r * g.dv + c, a);
-    }
-  }
-  if (kPooled) _mm256_storeu_ps(out + c, s);
-}
-
-// Every column of rows [0, n) of one item: 32-wide blocks, then 8-wide
-// ones, then TileRowColumns.
+// Every column of rows [0, n) of one item: 32-wide blocks, then
+// TileRowColumns.
 template <bool kPooled, size_t kW>
 void TileItem(const AttentionTile& g, const float* p, size_t n, size_t item,
               float* out) {
   size_t c = 0;
   for (; c + 4 * kLanes <= g.dv; c += 4 * kLanes) {
     TileColumns32<kPooled, kW>(g, p, n, item, c, out);
-  }
-  for (; c + kLanes <= g.dv; c += kLanes) {
-    TileColumns8<kPooled, kW>(g, p, n, item, c, out);
   }
   for (size_t r = 0; r < n && c < g.dv; ++r) {
     TileRowColumns(g, p + r * g.width * kLanes, kLanes, item, c,

@@ -280,7 +280,7 @@ static inline void ScalarLayerNormRow(const float* x, const float* gamma,
 /// key j's probability at p[j * p_step]: 0 + sum_j p_j * v_j[c] in
 /// ascending j, stored at out[c] or, pooled, folded as
 /// out[c] += pool_scale * row[c]. The scalar kernel runs every row through
-/// it; the AVX2 kernel the columns past its last 8-wide block.
+/// it; the AVX2 kernel the columns past its last 32-wide block.
 static inline void TileRowColumns(const AttentionTile& g, const float* p,
                                   size_t p_step, size_t item, size_t c0,
                                   float* out) {

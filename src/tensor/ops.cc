@@ -427,14 +427,15 @@ void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
         static_cast<const float**>(arena.Allocate(nk * sizeof(float*)));
 
     // Group \p g for items [t0, t0 + nb) into item t's output at
-    // out + t * out_item: per key run, the raw scores written by the GEMMs
-    // where the tile kernel reads them (no copies), then one
+    // out + t * out_item: per key run, the raw scores written where the
+    // tile kernel reads them (no copies), then one
     // attention_tile pass. A run of broadcast keys against the tile's Q
     // rows is one GEMM with the keys as its left operand, so key j's
     // scores sit side by side over the items; broadcast Q rows against the
     // tile's keys are one GEMM the other way round; both broadcast, the
-    // entries computed once are read in place; both per item, one GEMM per
-    // item. (A dot product's bits do not depend on which operand is left.)
+    // entries computed once are read in place; both per item, one dot per
+    // (item, row, key). (A dot product's bits do not depend on which
+    // operand is left, nor on whether a GEMM or the dot kernel takes it.)
     auto attend = [&](const RowGroup& g, size_t t0, size_t nb, float* out,
                       size_t out_item, bool pool) {
       const size_t rows = g.r1 - g.r0;
@@ -468,11 +469,14 @@ void MaskedAttention(RowStack q, RowStack k, RowStack v, const Tensor* mask,
         } else {
           row = n;
           item = rows * n;
+          const float* kk = StackRowsAt(k, t0, nb, j0, j1, k_rows);
           for (size_t t = 0; t < nb; ++t) {
-            kt.gemm_rows_b_trans(qt + t * rows * d,
-                                 StackRowsAt(k, t0 + t, 1, j0, j1, k_rows),
-                                 gp + t * item, rows, d, n, row,
-                                 /*accumulate=*/false);
+            for (size_t r = 0; r < rows; ++r) {
+              for (size_t j = 0; j < n; ++j) {
+                gp[t * item + r * row + j] =
+                    kt.dot(qt + (t * rows + r) * d, kk + (t * n + j) * d, d);
+              }
+            }
           }
         }
         if (s == gp) gp += nb * rows * n;

@@ -84,13 +84,13 @@ constexpr size_t kAttentionTile = 32;
 /// batch-1 blocks, and a score entry whose Q row and K row both do. The
 /// rest runs tile-major, kAttentionTile items at a time, row group by row
 /// group (consecutive query rows sharing a key range) in row order:
-///   1. scores: per run of broadcast or per-item keys, gemm_rows_b_trans
-///      writes them where step 2 reads them (an output stride, no copies):
-///      broadcast keys against the tile's Q rows are one GEMM with the keys
-///      as its left operand (each key's scores side by side over the
-///      items), broadcast Q rows against the tile's keys one GEMM the other
-///      way round, entries computed once are read in place, and per-item Q
-///      rows against per-item keys take one GEMM per item;
+///   1. scores: per run of broadcast or per-item keys, written where step
+///      2 reads them (an output stride, no copies): broadcast keys against
+///      the tile's Q rows are one gemm_rows_b_trans with the keys as its
+///      left operand (each key's scores side by side over the items),
+///      broadcast Q rows against the tile's keys one the other way round,
+///      entries computed once are read in place, and per-item Q rows
+///      against per-item keys are one kernels dot per (item, row, key);
 ///   2. one kernels::attention_tile pass: per item and row the Scale op,
 ///      the softmax of the row's open slice and the row's P · V over V
 ///      rows read in place, stored, or, pooled, folded into the item's

@@ -631,10 +631,10 @@ TEST(GemmSimdTest, BNormalBlockShapesMatchScalarAndReference) {
   }
 }
 
-// The AVX2 transposed-B kernel's eight-output blocks (along C's rows, down
-// its columns, or one dot each) and its in-register finish against the
-// scalar kernel and GemmReference, called directly, with C rows ldc = n + 3
-// floats apart: the padding between rows must stay untouched.
+// The AVX2 transposed-B kernel's eight-output blocks (full, and padded for
+// n % 8) and its in-register finish against the scalar kernel and
+// GemmReference, called directly, with C rows ldc = n + 3 floats apart:
+// the padding between rows must stay untouched.
 TEST(GemmSimdTest, BTransBlockShapesMatchScalarAndReference) {
   if (!Avx2Usable()) GTEST_SKIP() << "no AVX2 kernels on this machine";
   const KernelTable& scalar = tensor::kernels::Table(SimdLevel::kScalar);
@@ -951,7 +951,7 @@ TEST(MaskedAttentionTest, EveryTileShapeMatchesTheDenseChainBitForBit) {
   };
   // SeqFM's cross view: the user and candidate rows see the history
   // columns, the history rows see the user and candidate columns (two
-  // keys wide, one attention_two_keys group).
+  // keys wide, one group through attention_tile's two-key instance).
   const size_t nh = 20;
   Open cross(2 + nh, {0, 2});
   cross[0] = cross[1] = {2, 2 + nh};
